@@ -43,7 +43,6 @@ from .worlds import (
     DominoSet,
     GridMap,
     ResourceGridConfig,
-    baseline_reward,
     build_env,
     gridworld_env,
     load_map,

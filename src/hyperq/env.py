@@ -60,6 +60,9 @@ class Environment:
     `actions` is the per-slot action alphabet (shared by all slots), `arity`
     the number of trace slots, and `beta` the episode length bound.
     `valuations` names the numeric observables each label carries.
+    `metric_columns` are the training CSV columns between ``episode`` and
+    ``rho``.  A world with a hand-crafted comparison reward names it in
+    `baseline` and implements `baseline_reward(prev_state, action, next_state)`.
     """
 
     kind = "abstract"
@@ -67,6 +70,8 @@ class Environment:
     arity: int = 0
     beta: int = 0
     valuations: tuple = ()
+    metric_columns: tuple = ()
+    baseline: str | None = None
 
     def reset(self, seed: int) -> JointState:
         raise NotImplementedError
@@ -89,6 +94,11 @@ class Environment:
         """Per-slot traces for the episode so far, or None when the trace is
         simply the per-step label sequence."""
         return None
+
+    def episode_metrics(self, record: EpisodeRecord, previous: dict) -> dict:
+        """Values of `metric_columns` for a finished episode; `previous` is the
+        row of the episode before (empty for the first), for running totals."""
+        return {}
 
     def check_action(self, action: JointAction):
         if len(action.per_trace) != self.arity:

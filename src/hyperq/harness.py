@@ -36,12 +36,13 @@ from .formula import Formula, FormulaError, load_formula, unparse, validate
 from .learner import (
     Hyperparams,
     PolicySet,
+    TrainMetrics,
     TrainResult,
+    episode_bound,
     greedy_rollout,
-    state_key,
     train,
 )
-from .robustness import RobustnessConfig, Trace, Verdict, boolean_sat, sat_verdict
+from .robustness import Trace, Verdict, boolean_sat, sat_verdict
 from .skolem import WitnessTable, check_consistency, format_skolemized, skolemize
 from .worlds import BoundTooLargeError, build_env, load_domino_file, pcp_oracle
 
@@ -54,6 +55,10 @@ class ConfigError(ValueError):
 
 
 class ArtifactMissingError(FileNotFoundError):
+    pass
+
+
+class ArtifactFormatError(ValueError):
     pass
 
 
@@ -188,30 +193,38 @@ def write_artifacts(path: Path, result: TrainResult):
 def read_artifacts(path) -> tuple:
     path = Path(path)
     if not path.exists():
-        raise ArtifactMissingError(str(path))
+        raise ArtifactMissingError(f"artifact file {path} does not exist")
     policies = PolicySet({})
     witnesses = []
     current_policy = None
     current_witness = None
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("policy "):
-            current_policy = int(line.split()[1])
-            current_witness = None
-            policies.policies[current_policy] = {}
-        elif line.startswith("witness "):
-            head, deps_part = line.split(" deps=")
-            deps = tuple(int(d) for d in deps_part.split(",") if d)
-            current_witness = WitnessTable(int(head.split()[1]), deps)
-            witnesses.append(current_witness)
-            current_policy = None
-        elif current_policy is not None and line:
-            key, _, action = line.rpartition("\t")
-            policies.policies[current_policy][key] = action
-        elif current_witness is not None and line:
-            joined_key, trace_text, actions = line.split("\t")
-            key = tuple(_unescape(k) for k in joined_key.split(" || ")) if joined_key else ()
-            current_witness.record(key, Trace.from_text(_unescape(trace_text)),
-                                   tuple(actions.split()))
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            if line.startswith("policy "):
+                current_policy = int(line.split()[1])
+                current_witness = None
+                policies.policies[current_policy] = {}
+            elif line.startswith("witness "):
+                head, deps_part = line.split(" deps=")
+                deps = tuple(int(d) for d in deps_part.split(",") if d)
+                current_witness = WitnessTable(int(head.split()[1]), deps)
+                witnesses.append(current_witness)
+                current_policy = None
+            elif current_policy is not None and line:
+                key, sep, action = line.rpartition("\t")
+                if not sep:
+                    raise ValueError("expected state<TAB>action")
+                policies.policies[current_policy][key] = action
+            elif current_witness is not None and line:
+                joined_key, trace_text, actions = line.split("\t")
+                key = (tuple(_unescape(k) for k in joined_key.split(" || "))
+                       if current_witness.deps else ())
+                current_witness.record(key, Trace.from_text(_unescape(trace_text)),
+                                       tuple(actions.split()))
+            elif line:
+                raise ValueError("line outside a policy or witness section")
+        except ValueError as exc:
+            raise ArtifactFormatError(f"{path}:{number}: malformed artifact line ({exc})") from exc
     return policies, witnesses
 
 
@@ -242,11 +255,7 @@ def cmd_check(formula_path, quiet: bool = False) -> int:
     return 0
 
 
-def cmd_skolemize(formula_path) -> int:
-    return cmd_check(formula_path, quiet=False)
-
-
-def _aggregate_rows(all_metrics) -> list:
+def _aggregate(all_metrics) -> TrainMetrics:
     columns = all_metrics[0].columns
     rows = []
     for i in range(len(all_metrics[0].rows)):
@@ -256,7 +265,7 @@ def _aggregate_rows(all_metrics) -> list:
                 continue
             row[c] = sum(m.rows[i][c] for m in all_metrics) / len(all_metrics)
         rows.append(row)
-    return rows
+    return TrainMetrics(columns, rows)
 
 
 def cmd_train(config_path, out=None, reps=None, seed=None) -> int:
@@ -280,12 +289,17 @@ def cmd_train(config_path, out=None, reps=None, seed=None) -> int:
         for d in diagnostics:
             print(f"{d.code}: {d.message}", file=sys.stderr)
         return 2
+    try:
+        env = cfg.make_env()
+        episode_bound(env, skolemize(f), cfg.hyperparams)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     rob_cfg = cfg.hyperparams.config()
     summary = RunSummary()
     started = time.perf_counter()
     all_metrics = []
     for rep_seed in cfg.seeds:
-        env = cfg.make_env()
         result = train(env, f, cfg.hyperparams, rep_seed)
         all_metrics.append(result.metrics)
         with open(out_dir / f"run_{rep_seed}.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -296,10 +310,7 @@ def cmd_train(config_path, out=None, reps=None, seed=None) -> int:
     summary.wall_clock_seconds = time.perf_counter() - started
 
     with open(out_dir / "aggregate.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(all_metrics[0].columns) + "\n")
-        for row in _aggregate_rows(all_metrics):
-            from .learner import _format_cell
-            fh.write(",".join(_format_cell(row[c]) for c in all_metrics[0].columns) + "\n")
+        _aggregate(all_metrics).write_csv(fh)
 
     for rep_seed, verdict, rho in summary.verdicts:
         print(f"seed {rep_seed}: {verdict.value} (terminal rho {rho})")
@@ -319,14 +330,19 @@ def cmd_eval(policy_path, config_path) -> int:
         return 2
     try:
         policies, witnesses = read_artifacts(policy_path)
-    except ArtifactMissingError as exc:
-        print(f"error: artifact file {exc} does not exist", file=sys.stderr)
+    except (ArtifactMissingError, ArtifactFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     f = cfg.load_formula()
     sk = skolemize(f)
-    env = cfg.make_env()
+    try:
+        env = cfg.make_env()
+        beta = episode_bound(env, sk, cfg.hyperparams)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     rob_cfg = cfg.hyperparams.config()
-    record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0])
+    record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
     for t, rho in enumerate(record.rhos):
         print(f"step {t + 1}: rho {rho}")
     verdict = sat_verdict(record.terminal_rho, rob_cfg)
@@ -404,10 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
+    if args.command in ("check", "skolemize"):
         return cmd_check(args.formula)
-    if args.command == "skolemize":
-        return cmd_skolemize(args.formula)
     if args.command == "train":
         return cmd_train(args.config, out=args.out, reps=args.reps, seed=args.seed)
     if args.command == "eval":

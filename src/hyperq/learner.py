@@ -16,12 +16,12 @@ import numpy as np
 
 from .env import ArityMismatchError, Environment, EpisodeRecord, JointAction, JointState
 from .formula import Formula
-from .robustness import RobustnessConfig, Trace, eval_hyper, sat_verdict
+from .robustness import RobustnessConfig, Trace, eval_hyper
 from .skolem import SkolemizedFormula, WitnessTable, skolemize, witness_key
-from . import worlds
+from .worlds import KindMismatchError
 
 
-REWARD_MODES = ("prefix", "differential", "baseline_saferl", "baseline_pcp")
+REWARD_MODES = ("prefix", "baseline_saferl", "baseline_pcp")
 
 
 @dataclass
@@ -48,13 +48,17 @@ class Hyperparams:
             raise ValueError("need epsilon_end <= epsilon_start <= 1")
         if self.xi < 1 or self.beta < 0:
             raise ValueError("xi must be >= 1 and beta >= 0")
+        if self.epsilon_decay_episodes is not None and self.epsilon_decay_episodes < 1:
+            raise ValueError("epsilon_decay_episodes must be >= 1")
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
         if self.approximator not in ("tabular", "mlp"):
             raise ValueError(f"unknown approximator {self.approximator!r}")
 
     def epsilon(self, episode: int) -> float:
-        horizon = self.epsilon_decay_episodes or max(1, int(0.8 * self.xi))
+        horizon = self.epsilon_decay_episodes
+        if horizon is None:
+            horizon = max(1, int(0.8 * self.xi))
         frac = min(1.0, episode / horizon)
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
@@ -143,7 +147,8 @@ class MlpQ:
     def values(self, feats: np.ndarray) -> list:
         return list(self.forward(feats[None, :])[-1][0])
 
-    def best(self, feats: np.ndarray) -> int:
+    def best(self, feats: np.ndarray, prefer_tried: bool = False) -> int:
+        """Greedy action index; `prefer_tried` has no effect on a network."""
         return int(np.argmax(self.values(feats)))
 
     def update_batch(self, feats: np.ndarray, action_idx: np.ndarray, targets: np.ndarray):
@@ -232,8 +237,19 @@ def q_update(q, s_key, action_idx: int, reward: float, s_next_key, h: Hyperparam
     raise TypeError("q_update applies to TabularQ; MlpQ updates in batches")
 
 
-def _joint_actions(env: Environment) -> list:
-    return list(itertools.product(env.actions, repeat=env.arity))
+def episode_bound(env: Environment, sk: SkolemizedFormula, h: Hyperparams) -> int:
+    """Steps per episode: the hyperparameter bound, or the environment's when
+    that is 0.  Raises a ValueError when formula, hyperparameters and
+    environment do not fit together, before any episode runs."""
+    if sk.arity != env.arity:
+        raise ArityMismatchError(
+            f"formula quantifies {sk.arity} traces, environment has {env.arity} slots")
+    if h.beta > env.beta:
+        raise ValueError(f"hyperparameter beta {h.beta} exceeds the environment's bound {env.beta}")
+    baseline = h.reward_mode.partition("baseline_")[2]
+    if baseline and baseline != env.baseline:
+        raise KindMismatchError(f"{baseline} baseline reward does not apply to a {env.kind} environment")
+    return h.beta or env.beta
 
 
 class _EpisodeTracker:
@@ -257,53 +273,31 @@ class _EpisodeTracker:
         return [Trace(tuple(row[i] for row in self.labels)) for i in range(self.env.arity)]
 
 
-def _q_key(env, state, rho):
-    return env.encode(state)
+def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choose,
+            seed: int, beta: int, on_step=None) -> EpisodeRecord:
+    """Run one episode of `beta` steps, scoring every prefix by its robustness.
 
-
-def _run_episode(env, sk, h, cfg, q, joint_actions, rng, eps, seed, learn=True):
-    """One episode of acting (and optionally learning); returns its record."""
+    `choose(state)` returns the JointAction to take; `on_step(state, action,
+    next_state, rho)` runs after each step.  An episode without steps ends at
+    the robustness of the start prefix.
+    """
     record = EpisodeRecord(seed=seed)
     state = env.reset(seed)
     record.states.append(state)
     tracker = _EpisodeTracker(env, state)
-    baseline_kind = h.reward_mode.split("_", 1)[1] if h.reward_mode.startswith("baseline") else None
-    rho_prev = immediate_reward(tracker.traces(), sk, cfg)
-    beta = min(h.beta, env.beta) if h.beta else env.beta
-
     for _ in range(beta):
-        key = _q_key(env, state, rho_prev) if isinstance(q, TabularQ) else env.features(state)
-        if learn and rng.random() < eps:
-            a_idx = int(rng.integers(len(joint_actions)))
-        elif isinstance(q, TabularQ):
-            a_idx = q.best(key, prefer_tried=not learn)
-        else:
-            a_idx = q.best(key)
-        action = JointAction(joint_actions[a_idx])
+        action = choose(state)
         nxt = env.step(state, action)
         tracker.advance(nxt)
-        done = nxt.step_count >= beta
-
         rho = immediate_reward(tracker.traces(), sk, cfg)
-        if baseline_kind is not None:
-            reward = worlds.baseline_reward(baseline_kind, env, state, action, nxt)
-        else:
-            reward = rho if h.reward_mode == "prefix" else rho - rho_prev
-
-        if learn:
-            if isinstance(q, TabularQ):
-                q_update(q, key, a_idx, reward, _q_key(env, nxt, rho), h, done=done)
-            else:
-                _mlp_step(q, h, rng, key, a_idx, reward, env.features(nxt), done)
-
-        rho_prev = rho
+        if on_step is not None:
+            on_step(state, action, nxt, rho)
         record.states.append(nxt)
         record.actions.append(action.per_trace)
         record.rhos.append(rho)
         state = nxt
-
     record.traces = tracker.traces()
-    record.terminal_rho = record.rhos[-1] if record.rhos else rho_prev
+    record.terminal_rho = record.rhos[-1] if record.rhos else immediate_reward(record.traces, sk, cfg)
     return record
 
 
@@ -324,31 +318,6 @@ def _mlp_step(q: MlpQ, h: Hyperparams, rng, feats, a_idx, reward, nxt_feats, don
     q.update_batch(feat_batch, acts, targets)
 
 
-def _metric_columns(env: Environment) -> list:
-    if env.kind == "grid":
-        return ["episode", "total_done", "total_col", "rho"]
-    if env.kind == "pcp":
-        return ["episode", "tot_done", "rho"]
-    if env.kind == "resource":
-        return ["episode", "min", "max", "avg", "rho"]
-    return ["episode", "rho"]
-
-
-def _metric_row(env, episode, record, cumulative) -> dict:
-    stats = worlds.episode_stats(env, record)
-    row = {"episode": episode, "rho": record.terminal_rho}
-    if env.kind == "grid":
-        cumulative["done"] = cumulative.get("done", 0) + stats["done"]
-        row["total_done"] = cumulative["done"]
-        row["total_col"] = stats["collisions"]
-    elif env.kind == "pcp":
-        cumulative["match"] = cumulative.get("match", 0) + stats["match"]
-        row["tot_done"] = cumulative["match"]
-    elif env.kind == "resource":
-        row.update({k: stats[k] for k in ("min", "max", "avg")})
-    return row
-
-
 def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResult:
     """Run xi episodes of epsilon-greedy learning and extract the artifacts.
 
@@ -356,28 +325,49 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     reproduces the metrics exactly.
     """
     sk = skolemize(f)
-    if sk.arity != env.arity:
-        raise ArityMismatchError(
-            f"formula quantifies {sk.arity} traces, environment has {env.arity} slots")
+    beta = episode_bound(env, sk, h)
     cfg = h.config()
     rng = np.random.default_rng(seed)
-    joint_actions = _joint_actions(env)
-    if h.approximator == "tabular":
+    joint_actions = [JointAction(a) for a in itertools.product(env.actions, repeat=env.arity)]
+    action_index = {a.per_trace: i for i, a in enumerate(joint_actions)}
+    tabular = h.approximator == "tabular"
+    if tabular:
         q = TabularQ(len(joint_actions))
+        key = env.encode
     else:
         q = MlpQ(len(env.features(env.reset(seed))), len(joint_actions),
                  h.mlp_layers, h.mlp_width, h.learning_rate, rng)
+        key = env.features
+    baseline = h.reward_mode != "prefix"
 
-    metrics = TrainMetrics(_metric_columns(env))
-    cumulative: dict = {}
+    # explore and learn see the ep_rng and eps of the episode being run
+    def explore(state):
+        if ep_rng.random() < eps:
+            return joint_actions[int(ep_rng.integers(len(joint_actions)))]
+        return joint_actions[q.best(key(state))]
+
+    def learn(state, action, nxt, rho):
+        reward = env.baseline_reward(state, action, nxt) if baseline else rho
+        a_idx = action_index[action.per_trace]
+        done = nxt.step_count >= beta
+        if tabular:
+            q_update(q, key(state), a_idx, reward, key(nxt), h, done=done)
+        else:
+            _mlp_step(q, h, ep_rng, key(state), a_idx, reward, key(nxt), done)
+
+    metrics = TrainMetrics(["episode", *env.metric_columns, "rho"])
+    previous: dict = {}
     for episode in range(h.xi):
         # per-episode stream: episode e explores identically whatever xi is
         ep_rng = np.random.default_rng((seed, episode))
-        record = _run_episode(env, sk, h, cfg, q, joint_actions, ep_rng,
-                              h.epsilon(episode), seed, learn=True)
-        metrics.rows.append(_metric_row(env, episode, record, cumulative))
+        eps = h.epsilon(episode)
+        record = rollout(env, sk, cfg, explore, seed, beta, learn)
+        previous = {"episode": episode, **env.episode_metrics(record, previous),
+                    "rho": record.terminal_rho}
+        metrics.rows.append(previous)
 
-    final = _run_episode(env, sk, h, cfg, q, joint_actions, rng, 0.0, seed, learn=False)
+    final = rollout(env, sk, cfg, lambda s: joint_actions[q.best(key(s), prefer_tried=True)],
+                    seed, beta)
     policies, witnesses = extract_policies(q, env, sk, [final])
     return TrainResult(q, policies, witnesses, metrics, final)
 
@@ -393,59 +383,32 @@ def extract_policies(q, env: Environment, sk: SkolemizedFormula, episodes: list)
     policies = PolicySet({i + 1: {} for i in range(env.arity)})
     witnesses = [WitnessTable(d.exist_index, d.deps) for d in sk.decls]
     for record in episodes:
-        for t, action in enumerate(record.actions):
-            state = record.states[t]
-            for i in range(env.arity):
-                policies.policies[i + 1][state_key(state.per_trace[i])] = action[i]
-        prefixes = _prefixes_per_step(env, record)
-        for table in witnesses:
-            e = table.exist_index - 1
-            for t, step_traces in enumerate(prefixes):
-                key = witness_key(tuple(step_traces[j - 1] for j in table.deps))
-                actions = tuple(a[e] for a in record.actions[:t])
-                table.record(key, step_traces[e], actions)
+        tracker = _EpisodeTracker(env, record.states[0])
+        for t, state in enumerate(record.states):
+            if t:
+                tracker.advance(state)
+            traces = tracker.traces()
+            for table in witnesses:
+                e = table.exist_index - 1
+                key = witness_key(tuple(traces[j - 1] for j in table.deps))
+                table.record(key, traces[e], tuple(a[e] for a in record.actions[:t]))
+            if t < record.steps:
+                for i, slot in enumerate(state.per_trace):
+                    policies.policies[i + 1][state_key(slot)] = record.actions[t][i]
     return policies, witnesses
 
 
-def _prefixes_per_step(env: Environment, record: EpisodeRecord) -> list:
-    """Per-slot trace prefixes after 0..steps steps."""
-    out = []
-    if env.trace_prefix(record.states[0]) is not None:
-        for s in record.states:
-            out.append(list(env.trace_prefix(s)))
-    else:
-        labels = [list(env.label_of(s)) for s in record.states]
-        for t in range(len(record.states)):
-            out.append([Trace(tuple(labels[p][i] for p in range(t + 1)))
-                        for i in range(env.arity)])
-    return out
-
-
 def greedy_rollout(policies: PolicySet, env: Environment, sk: SkolemizedFormula,
-                   cfg: RobustnessConfig, seed: int = 0) -> EpisodeRecord:
-    """Deterministic episode under the extracted per-slot policies.
+                   cfg: RobustnessConfig, seed: int = 0, beta: int | None = None) -> EpisodeRecord:
+    """Deterministic episode of `beta` steps (default: the environment's bound)
+    under the extracted per-slot policies.
 
     States never seen during extraction fall back to the first action.
     """
-    record = EpisodeRecord(seed=seed)
-    state = env.reset(seed)
-    record.states.append(state)
-    tracker = _EpisodeTracker(env, state)
     default = env.actions[0]
-    for _ in range(env.beta):
-        action = JointAction(tuple(
-            policies.action_for(i + 1, state.per_trace[i], default)
-            for i in range(env.arity)))
-        nxt = env.step(state, action)
-        tracker.advance(nxt)
-        record.states.append(nxt)
-        record.actions.append(action.per_trace)
-        record.rhos.append(immediate_reward(tracker.traces(), sk, cfg))
-        state = nxt
-    record.traces = tracker.traces()
-    record.terminal_rho = record.rhos[-1] if record.rhos else cfg.rho_min
-    return record
 
+    def choose(state):
+        return JointAction(tuple(policies.action_for(i + 1, slot, default)
+                                 for i, slot in enumerate(state.per_trace)))
 
-def rollout_verdict(record: EpisodeRecord, cfg: RobustnessConfig):
-    return sat_verdict(record.terminal_rho, cfg)
+    return rollout(env, sk, cfg, choose, seed, env.beta if beta is None else beta)

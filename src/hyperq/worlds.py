@@ -167,6 +167,8 @@ class GridWorldEnv(Environment):
     kind = "grid"
     actions = GRID_ACTIONS
     valuations = ("x", "y", "cell", "dist")
+    metric_columns = ("total_done", "total_col")
+    baseline = "saferl"
 
     def __init__(self, grid: GridMap, n_agents: int, beta: int):
         if len(grid.starts) != n_agents or any(g is None for g in grid.goals[:n_agents]):
@@ -221,6 +223,33 @@ class GridWorldEnv(Environment):
             feats += [x / max(1, self.grid.width - 1), y / max(1, self.grid.height - 1),
                       float(done), float(col)]
         return np.asarray(feats, dtype=np.float64)
+
+    def episode_stats(self, record) -> dict:
+        """Whether every agent visited its goal, and the steps with a shared cell."""
+        done = all(flag for _, _, flag, _ in record.states[-1].per_trace)
+        collisions = 0
+        for s in record.states[1:]:
+            cells = [(x, y) for x, y, _, _ in s.per_trace]
+            if len(set(cells)) < len(cells):
+                collisions += 1
+        return {"done": int(done), "collisions": collisions}
+
+    def episode_metrics(self, record, previous: dict) -> dict:
+        stats = self.episode_stats(record)
+        return {"total_done": previous.get("total_done", 0) + stats["done"],
+                "total_col": stats["collisions"]}
+
+    def baseline_reward(self, prev_state, action, next_state) -> float:
+        """-5 on a collision, 10 with every agent on its goal, 5 with some."""
+        cells = [(x, y) for x, y, _, _ in next_state.per_trace]
+        if len(set(cells)) < len(cells):
+            return -5.0
+        on_goal = sum(1 for i, c in enumerate(cells) if c == self.grid.goals[i])
+        if on_goal == len(cells):
+            return 10.0
+        if on_goal >= 1:
+            return 5.0
+        return 0.0
 
 
 def gridworld_env(grid: GridMap, n_agents: int = 2, beta: int = 300) -> GridWorldEnv:
@@ -419,6 +448,8 @@ class PcpEnv(Environment):
     """
 
     kind = "pcp"
+    metric_columns = ("tot_done",)
+    baseline = "pcp"
 
     def __init__(self, dominoes: DominoSet, beta: int = 10, max_dominoes: int | None = None,
                  arity: int = 2):
@@ -485,6 +516,21 @@ class PcpEnv(Environment):
         top, bot = concat_words(self.dominoes, seq)
         return top == bot
 
+    def episode_metrics(self, record, previous: dict) -> dict:
+        match = self.match_achieved(record.states[-1].per_trace[-1])
+        return {"tot_done": previous.get("tot_done", 0) + int(match)}
+
+    def baseline_reward(self, prev_state, action, next_state) -> float:
+        """Mean over slots of +1 if the step's top and bottom letters agree, else -1."""
+        idx = prev_state.step_count
+        total = 0.0
+        for slot in next_state.per_trace:
+            top, bot = self.slot_words(slot)
+            t = top[idx] if idx < len(top) else "#"
+            b = bot[idx] if idx < len(bot) else "#"
+            total += 1.0 if t == b else -1.0
+        return total / len(next_state.per_trace)
+
 
 def pcp_env(dominoes: DominoSet, max_dominoes: int | None = None, beta: int = 10) -> PcpEnv:
     return PcpEnv(dominoes, beta=beta, max_dominoes=max_dominoes)
@@ -549,6 +595,7 @@ class ResourceEnv(Environment):
     kind = "resource"
     actions = GRID_ACTIONS
     valuations = ("energy", "x", "y", "cell")
+    metric_columns = ("min", "max", "avg")
 
     def __init__(self, cfg: ResourceGridConfig, beta: int = 100):
         self.cfg = cfg
@@ -605,6 +652,11 @@ class ResourceEnv(Environment):
                       energy / 50.0, float(arrived)]
         return np.asarray(feats, dtype=np.float64)
 
+    def episode_metrics(self, record, previous: dict) -> dict:
+        energies = [e for _, _, e, _ in record.states[-1].per_trace]
+        return {"min": float(min(energies)), "max": float(max(energies)),
+                "avg": sum(energies) / len(energies)}
+
 
 def resource_env(cfg: ResourceGridConfig, beta: int = 100) -> ResourceEnv:
     return ResourceEnv(cfg, beta)
@@ -617,44 +669,26 @@ def make_resource_grid(width: int = 4, height: int = 4, resource=(2, 1),
 
 
 # ---------------------------------------------------------------------------
-# Hand-crafted comparison rewards
+# Construction from configuration
 
-def baseline_reward(kind: str, env: Environment, prev_state: JointState,
-                    action: JointAction, next_state: JointState) -> float:
-    """Scalar reward of the conventional shaping for comparison runs."""
-    if kind == "saferl":
-        if not isinstance(env, GridWorldEnv):
-            raise KindMismatchError(f"saferl baseline needs a grid world, got {env.kind}")
-        cells = [(x, y) for x, y, _, _ in next_state.per_trace]
-        if len(set(cells)) < len(cells):
-            return -5.0
-        on_goal = sum(1 for i, c in enumerate(cells) if c == env.grid.goals[i])
-        if on_goal == len(cells):
-            return 10.0
-        if on_goal >= 1:
-            return 5.0
-        return 0.0
-    if kind == "pcp":
-        if not isinstance(env, PcpEnv):
-            raise KindMismatchError(f"pcp baseline needs the domino game, got {env.kind}")
-        idx = prev_state.step_count
-        total = 0.0
-        for slot in next_state.per_trace:
-            top, bot = env.slot_words(slot)
-            t = top[idx] if idx < len(top) else "#"
-            b = bot[idx] if idx < len(bot) else "#"
-            total += 1.0 if t == b else -1.0
-        return total / len(next_state.per_trace)
-    raise KindMismatchError(f"unknown baseline kind {kind!r}")
+# Keys each kind reads from its config section besides "kind" and "beta".
+ENV_KEYS = {
+    "grid": ("map", "agents"),
+    "wildfire": (),
+    "pcp": ("dominoes", "max_dominoes"),
+    "resource": ("map", "width", "height", "delta", "agents"),
+}
 
-
-# ---------------------------------------------------------------------------
-# Construction from configuration and per-episode statistics
 
 def build_env(section: dict, base_dir=None) -> Environment:
     """Instantiate an environment from a flat config section."""
-    base = Path(base_dir) if base_dir is not None else Path(".")
     kind = section.get("kind")
+    if kind not in ENV_KEYS:
+        raise KindMismatchError(f"unknown environment kind {kind!r}")
+    unknown = sorted(set(section) - {"kind", "beta", *ENV_KEYS[kind]})
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} for environment kind {kind}")
+    base = Path(base_dir) if base_dir is not None else Path(".")
     beta = int(section["beta"]) if "beta" in section else None
 
     if kind == "grid":
@@ -667,33 +701,11 @@ def build_env(section: dict, base_dir=None) -> Environment:
         dominoes = load_domino_file(base / section["dominoes"])
         max_dom = int(section["max_dominoes"]) if "max_dominoes" in section else None
         return pcp_env(dominoes, max_dominoes=max_dom, beta=beta if beta is not None else 10)
-    if kind == "resource":
-        if "map" in section:
-            grid = load_map_file(base / section["map"])
-        else:
-            grid = make_resource_grid(int(section.get("width", 4)), int(section.get("height", 4)))
-        cfg = ResourceGridConfig(grid, delta=int(section.get("delta", 10)),
-                                 agents=int(section.get("agents", 2)))
-        return resource_env(cfg, beta if beta is not None else 100)
-    raise KindMismatchError(f"unknown environment kind {kind!r}")
-
-
-def episode_stats(env: Environment, record) -> dict:
-    """Per-episode raw statistics used for metrics columns."""
-    if isinstance(env, GridWorldEnv):
-        final = record.states[-1]
-        done = all(flag for _, _, flag, _ in final.per_trace)
-        collisions = 0
-        for s in record.states[1:]:
-            cells = [(x, y) for x, y, _, _ in s.per_trace]
-            if len(set(cells)) < len(cells):
-                collisions += 1
-        return {"done": int(done), "collisions": collisions}
-    if isinstance(env, PcpEnv):
-        exist_slot = record.states[-1].per_trace[-1]
-        return {"match": int(env.match_achieved(exist_slot))}
-    if isinstance(env, ResourceEnv):
-        energies = [e for _, _, e, _ in record.states[-1].per_trace]
-        return {"min": float(min(energies)), "max": float(max(energies)),
-                "avg": sum(energies) / len(energies)}
-    return {}
+    # resource
+    if "map" in section:
+        grid = load_map_file(base / section["map"])
+    else:
+        grid = make_resource_grid(int(section.get("width", 4)), int(section.get("height", 4)))
+    cfg = ResourceGridConfig(grid, delta=int(section.get("delta", 10)),
+                             agents=int(section.get("agents", 2)))
+    return resource_env(cfg, beta if beta is not None else 100)

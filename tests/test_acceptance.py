@@ -17,7 +17,7 @@ from hyperq.harness import ExperimentConfig, cmd_train
 from hyperq.learner import Hyperparams, train
 from hyperq.robustness import RobustnessConfig, boolean_holds, boolean_sat, eval_hyper, eval_ltl, zip_traces
 from hyperq.skolem import skolemize
-from hyperq.worlds import concat_words, episode_stats, load_domino_file, pcp_env, pcp_oracle
+from hyperq.worlds import concat_words, load_domino_file, pcp_env, pcp_oracle
 
 from oracles import random_boolean_body, random_formula, random_propositional, random_trace
 
@@ -137,7 +137,7 @@ def test_criterion_5_safe_rl_desk_scale():
     for seed in cfg.seeds:
         env = cfg.make_env()
         result = train(env, f, cfg.hyperparams, seed)
-        stats = episode_stats(env, result.final_record)
+        stats = env.episode_stats(result.final_record)
         if stats["done"] and stats["collisions"] == 0:
             good += 1
         rows = result.metrics.rows

@@ -13,16 +13,20 @@ from hyperq.harness import (
     cmd_train,
     main,
     read_artifacts,
+    write_artifacts,
 )
+from hyperq.learner import Hyperparams, train
+from hyperq.worlds import load_domino_file, pcp_env, wildfire_env
 
 
-def write_micro_config(tmp_path, out_name="out", xi=15, reps=2):
-    cfg = tmp_path / "micro.ini"
-    formulas = hq.bundled("formulas")
+def write_micro_config(tmp_path, out_name="out", xi=15, reps=2, formula=None, extra_env="",
+                       extra_hp=""):
+    cfg = tmp_path / f"{out_name}.ini"
+    formula = formula or hq.bundled("formulas") / "rescue.hltl"
     cfg.write_text(
         f"""
 [experiment]
-formula = {formulas}/rescue.hltl
+formula = {formula}
 repetitions = {reps}
 base_seed = 3
 output_dir = {tmp_path / out_name}
@@ -30,11 +34,13 @@ output_dir = {tmp_path / out_name}
 [environment]
 kind = wildfire
 beta = 4
+{extra_env}
 
 [hyperparams]
 xi = {xi}
 learning_rate = 1.0
 epsilon_decay_episodes = 10
+{extra_hp}
 """)
     return cfg
 
@@ -67,6 +73,11 @@ def test_config_rejects_unknown_hyperparameter(tmp_path):
         "[environment]\nkind = wildfire\n[hyperparams]\nlearning_speed = 9\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.load(p)
+
+
+def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
+    assert cmd_train(write_micro_config(tmp_path, extra_env="agnets = 7")) == 2
+    assert "agnets" in capsys.readouterr().err
 
 
 def test_config_seed_list_must_match_repetitions(tmp_path):
@@ -175,6 +186,55 @@ def test_cmd_eval_runs_policy(tmp_path, capsys):
     assert "witness_consistent: true" in out
     assert code in (0, 1)
     assert ("verdict: satisfied" in out) == (code == 0)
+
+
+def test_cmd_eval_uses_hyperparams_beta(tmp_path, capsys):
+    cfg = write_micro_config(tmp_path, out_name="ev", xi=10, reps=1, extra_hp="beta = 2")
+    cmd_train(cfg)
+    capsys.readouterr()
+    cmd_eval(tmp_path / "ev" / "artifacts_3.txt", cfg)
+    steps = [line for line in capsys.readouterr().out.splitlines() if line.startswith("step")]
+    assert len(steps) == 2
+
+
+def test_mismatched_setup_exits_2(tmp_path, capsys):
+    cfg = write_micro_config(tmp_path, out_name="ok", xi=5, reps=1)
+    assert cmd_train(cfg) == 0
+    artifact = tmp_path / "ok" / "artifacts_3.txt"
+    one_trace = tmp_path / "one.hltl"
+    one_trace.write_text("forall t1. F a@t1\n")
+    for bad in (write_micro_config(tmp_path, "arity", xi=5, reps=1, formula=one_trace),
+                write_micro_config(tmp_path, "beta", xi=5, reps=1, extra_hp="beta = 6")):
+        assert cmd_train(bad) == 2
+        assert cmd_eval(artifact, bad) == 2
+    bad = write_micro_config(tmp_path, "baseline", xi=5, reps=1,
+                             extra_hp="reward_mode = baseline_pcp")
+    assert cmd_train(bad) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_artifacts_write_read_round_trip(tmp_path):
+    wildfire = train(wildfire_env(6), hq.load_formula(hq.bundled("formulas/rescue.hltl")),
+                     Hyperparams(xi=30, learning_rate=1.0), seed=2)
+    pcp = train(pcp_env(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")), beta=6),
+                hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")),
+                Hyperparams(xi=30, learning_rate=0.7), seed=2)
+    for i, result in enumerate((wildfire, pcp)):
+        path = tmp_path / f"artifacts_{i}.txt"
+        write_artifacts(path, result)
+        policies, witnesses = read_artifacts(path)
+        assert policies == result.policies
+        assert [(w.exist_index, w.deps, w.entries) for w in witnesses] == \
+            [(w.exist_index, w.deps, w.entries) for w in result.witnesses]
+
+
+def test_cmd_eval_malformed_artifact(tmp_path, capsys):
+    cfg = write_micro_config(tmp_path, xi=5, reps=1)
+    for text in ("witness 2 deps=1\nno tabs here\n", "policy x\n", "stray line\n"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert cmd_eval(bad, cfg) == 2
+    assert "bad.txt:" in capsys.readouterr().err
 
 
 def test_cmd_eval_missing_artifact(tmp_path):

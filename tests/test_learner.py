@@ -193,3 +193,6 @@ def test_hyperparams_validation():
         Hyperparams(reward_mode="bogus")
     with pytest.raises(ValueError):
         Hyperparams(xi=0)
+    for decay in (0, -5):
+        with pytest.raises(ValueError):
+            Hyperparams(epsilon_decay_episodes=decay)

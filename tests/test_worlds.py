@@ -5,6 +5,7 @@ import pytest
 
 import hyperq as hq
 from hyperq.env import EpisodeExhaustedError, InvalidActionError, JointAction
+from hyperq.learner import Hyperparams, episode_bound
 from hyperq.robustness import RobustnessConfig
 from hyperq.skolem import skolemize
 from hyperq.worlds import (
@@ -17,7 +18,6 @@ from hyperq.worlds import (
     NonRectangularError,
     ResourceGridConfig,
     UnknownGlyphError,
-    baseline_reward,
     build_env,
     concat_words,
     gridworld_env,
@@ -407,10 +407,10 @@ def test_saferl_baseline_cases():
     collide = s0.__class__(((1, 1, False, True), (1, 1, False, True)), 1)
     nothing = s0.__class__(((0, 1, False, False), (1, 1, False, False)), 1)
     act = JointAction(("stay", "stay"))
-    assert baseline_reward("saferl", env, s0, act, both) == 10.0
-    assert baseline_reward("saferl", env, s0, act, one) == 5.0
-    assert baseline_reward("saferl", env, s0, act, collide) == -5.0
-    assert baseline_reward("saferl", env, s0, act, nothing) == 0.0
+    assert env.baseline_reward(s0, act, both) == 10.0
+    assert env.baseline_reward(s0, act, one) == 5.0
+    assert env.baseline_reward(s0, act, collide) == -5.0
+    assert env.baseline_reward(s0, act, nothing) == 0.0
 
 
 def test_pcp_baseline_letter_agreement():
@@ -419,16 +419,17 @@ def test_pcp_baseline_letter_agreement():
     s0 = env.reset(0)
     s1 = env.step(s0, JointAction(("dom_1", "dom_2")))
     # index 0: slot 1 agrees (a/a): +1; slot 2 disagrees (a/b): -1
-    assert baseline_reward("pcp", env, s0, JointAction(("dom_1", "dom_2")), s1) == 0.0
+    assert env.baseline_reward(s0, JointAction(("dom_1", "dom_2")), s1) == 0.0
 
 
 def test_baseline_kind_mismatch():
     env = walled_env()
-    s = env.reset(0)
+    sk = skolemize(hq.load_formula(hq.bundled("formulas/safe_rl.hltl")))
+    assert episode_bound(env, sk, Hyperparams(reward_mode="baseline_saferl")) == env.beta
     with pytest.raises(KindMismatchError):
-        baseline_reward("pcp", env, s, JointAction(("stay", "stay")), s)
-    with pytest.raises(KindMismatchError):
-        baseline_reward("nonsense", env, s, JointAction(("stay", "stay")), s)
+        episode_bound(env, sk, Hyperparams(reward_mode="baseline_pcp"))
+    with pytest.raises(ValueError):
+        Hyperparams(reward_mode="baseline_nonsense")
 
 
 # ---------------------------------------------------------------------------
