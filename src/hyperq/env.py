@@ -59,7 +59,6 @@ class Environment:
 
     `actions` is the per-slot action alphabet (shared by all slots), `arity`
     the number of trace slots, and `beta` the episode length bound.
-    `valuations` names the numeric observables each label carries.
     `metric_columns` are the training CSV columns between ``episode`` and
     ``rho``.  A world with a hand-crafted comparison reward names it in
     `baseline` and implements `baseline_reward(prev_state, action, next_state)`.
@@ -69,7 +68,6 @@ class Environment:
     actions: tuple = ()
     arity: int = 0
     beta: int = 0
-    valuations: tuple = ()
     metric_columns: tuple = ()
     baseline: str | None = None
 
@@ -85,10 +83,6 @@ class Environment:
     # Slot states double as tabular learning keys.
     def encode(self, state: JointState) -> tuple:
         return state.per_trace
-
-    def features(self, state: JointState):
-        """Numeric feature vector for function approximation."""
-        raise NotImplementedError(f"{self.kind} has no feature encoding")
 
     def trace_prefix(self, state: JointState):
         """Per-slot traces for the episode so far, or None when the trace is

@@ -206,14 +206,6 @@ def atoms_of(node: LtlNode):
         stack.extend(children_of(n))
 
 
-def atom_targets(node: LtlNode):
-    for a in atoms_of(node):
-        if isinstance(a, BoolProp):
-            yield a.trace
-        else:
-            yield from a.args
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 

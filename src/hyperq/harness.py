@@ -122,11 +122,31 @@ class ExperimentConfig:
     def load_formula(self) -> Formula:
         return load_formula(self.formula_path)
 
+    def setup(self) -> tuple:
+        """Formula, skolemized formula, environment and episode length.
 
-_HP_INTS = {"epsilon_decay_episodes", "beta", "xi", "mlp_layers", "mlp_width",
-            "replay_capacity", "batch_size"}
+        Raises ConfigError when the formula or an environment file cannot be
+        read or parsed, or when the pieces do not fit together.
+        """
+        try:
+            f = self.load_formula()
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"formula file {self.formula_path}: {exc}") from exc
+        diagnostics = validate(f)
+        if diagnostics:
+            raise ConfigError(f"formula file {self.formula_path}: "
+                              + "; ".join(f"{d.code}: {d.message}" for d in diagnostics))
+        sk = skolemize(f)
+        try:
+            env = self.make_env()
+            return f, sk, env, episode_bound(env, sk, self.hyperparams)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+_HP_INTS = {"epsilon_decay_episodes", "beta", "xi"}
 _HP_FLOATS = {"gamma", "learning_rate", "epsilon_start", "epsilon_end", "rho_max"}
-_HP_STRS = {"reward_mode", "approximator"}
+_HP_STRS = {"reward_mode"}
 
 
 def _parse_hyperparams(section: dict) -> Hyperparams:
@@ -271,6 +291,7 @@ def _aggregate(all_metrics) -> TrainMetrics:
 def cmd_train(config_path, out=None, reps=None, seed=None) -> int:
     try:
         cfg = ExperimentConfig.load(config_path)
+        f, _, env, _ = cfg.setup()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -282,19 +303,6 @@ def cmd_train(config_path, out=None, reps=None, seed=None) -> int:
         cfg.seeds = [seed + i for i in range(cfg.repetitions)]
     out_dir = Path(out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    f = cfg.load_formula()
-    diagnostics = validate(f)
-    if diagnostics:
-        for d in diagnostics:
-            print(f"{d.code}: {d.message}", file=sys.stderr)
-        return 2
-    try:
-        env = cfg.make_env()
-        episode_bound(env, skolemize(f), cfg.hyperparams)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     rob_cfg = cfg.hyperparams.config()
     summary = RunSummary()
     started = time.perf_counter()
@@ -325,6 +333,7 @@ def cmd_train(config_path, out=None, reps=None, seed=None) -> int:
 def cmd_eval(policy_path, config_path) -> int:
     try:
         cfg = ExperimentConfig.load(config_path)
+        f, sk, env, beta = cfg.setup()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -332,14 +341,6 @@ def cmd_eval(policy_path, config_path) -> int:
         policies, witnesses = read_artifacts(policy_path)
     except (ArtifactMissingError, ArtifactFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    f = cfg.load_formula()
-    sk = skolemize(f)
-    try:
-        env = cfg.make_env()
-        beta = episode_bound(env, sk, cfg.hyperparams)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
     rob_cfg = cfg.hyperparams.config()
     record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
@@ -359,7 +360,11 @@ def cmd_eval(policy_path, config_path) -> int:
 
 def cmd_oracle(subject: str, **kwargs) -> int:
     if subject == "pcp":
-        dominoes = load_domino_file(kwargs["dominoes"])
+        try:
+            dominoes = load_domino_file(kwargs["dominoes"])
+        except (ValueError, OSError) as exc:
+            print(f"error: {kwargs['dominoes']}: {exc}", file=sys.stderr)
+            return 2
         try:
             solution = pcp_oracle(dominoes, kwargs.get("max_len", 8))
         except BoundTooLargeError as exc:
@@ -371,9 +376,15 @@ def cmd_oracle(subject: str, **kwargs) -> int:
             print("solution: " + " ".join(str(i) for i in solution))
         return 0
     if subject == "boolean-sat":
-        f = load_formula(kwargs["formula"])
-        text = Path(kwargs["traces"]).read_text(encoding="utf-8")
-        traces = [Trace.from_text(chunk) for chunk in text.split("\n\n") if chunk.strip()]
+        path = kwargs["formula"]
+        try:
+            f = load_formula(path)
+            path = kwargs["traces"]
+            text = Path(path).read_text(encoding="utf-8")
+            traces = [Trace.from_text(chunk) for chunk in text.split("\n\n") if chunk.strip()]
+        except (ValueError, OSError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
         result = boolean_sat(traces, f)
         print(str(result).lower())
         return 0

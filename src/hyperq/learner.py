@@ -34,11 +34,6 @@ class Hyperparams:
     beta: int = 0                              # 0: use the environment's bound
     xi: int = 1000
     reward_mode: str = "prefix"
-    approximator: str = "tabular"              # "tabular" | "mlp"
-    mlp_layers: int = 2
-    mlp_width: int = 64
-    replay_capacity: int = 10000
-    batch_size: int = 32
     rho_max: float = 100.0
 
     def __post_init__(self):
@@ -52,8 +47,6 @@ class Hyperparams:
             raise ValueError("epsilon_decay_episodes must be >= 1")
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
-        if self.approximator not in ("tabular", "mlp"):
-            raise ValueError(f"unknown approximator {self.approximator!r}")
 
     def epsilon(self, episode: int) -> float:
         horizon = self.epsilon_decay_episodes
@@ -114,59 +107,6 @@ class TabularQ:
         return best
 
 
-class MlpQ:
-    """Small fully connected action-value network with rectified-linear units.
-
-    Trained by plain gradient steps on the squared one-step temporal
-    difference; quality is secondary to having a faithful function
-    approximation mode, so there is no target network.
-    """
-
-    def __init__(self, n_features: int, n_actions: int, layers: int, width: int,
-                 lr: float, rng: np.random.Generator):
-        self.n_actions = n_actions
-        self.lr = lr
-        self.replay: list = []
-        sizes = [n_features] + [width] * layers + [n_actions]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-
-    def forward(self, x: np.ndarray):
-        activations = [x]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
-            if i < len(self.weights) - 1:
-                x = np.maximum(x, 0.0)
-            activations.append(x)
-        return activations
-
-    def values(self, feats: np.ndarray) -> list:
-        return list(self.forward(feats[None, :])[-1][0])
-
-    def best(self, feats: np.ndarray, prefer_tried: bool = False) -> int:
-        """Greedy action index; `prefer_tried` has no effect on a network."""
-        return int(np.argmax(self.values(feats)))
-
-    def update_batch(self, feats: np.ndarray, action_idx: np.ndarray, targets: np.ndarray):
-        activations = self.forward(feats)
-        out = activations[-1]
-        grad = np.zeros_like(out)
-        rows = np.arange(len(action_idx))
-        grad[rows, action_idx] = (out[rows, action_idx] - targets) * (2.0 / len(targets))
-        for i in range(len(self.weights) - 1, -1, -1):
-            a = activations[i]
-            gw = a.T @ grad
-            gb = grad.sum(axis=0)
-            if i > 0:
-                grad = (grad @ self.weights[i].T) * (activations[i] > 0)
-            self.weights[i] -= self.lr * gw
-            self.biases[i] -= self.lr * gb
-
-
 def _canon(value):
     """Literal-eval-safe form of a slot state (frozensets become tagged tuples)."""
     if isinstance(value, frozenset):
@@ -210,7 +150,7 @@ def _format_cell(v) -> str:
 
 @dataclass
 class TrainResult:
-    q: object
+    q: TabularQ
     policies: PolicySet
     witnesses: list
     metrics: TrainMetrics
@@ -225,16 +165,14 @@ def immediate_reward(traces, sk: SkolemizedFormula, cfg: RobustnessConfig) -> fl
     return eval_hyper(traces, sk, cfg)
 
 
-def q_update(q, s_key, action_idx: int, reward: float, s_next_key, h: Hyperparams,
+def q_update(q: TabularQ, s_key, action_idx: int, reward: float, s_next_key, h: Hyperparams,
              done: bool = False):
     """One Bellman backup toward reward + gamma * max value of the next state."""
-    if isinstance(q, TabularQ):
-        bootstrap = 0.0 if done else h.gamma * max(q.values(s_next_key))
-        row = q.row(s_key)
-        old = 0.0 if row[action_idx] is None else row[action_idx]
-        row[action_idx] = old + h.learning_rate * (reward + bootstrap - old)
-        return q
-    raise TypeError("q_update applies to TabularQ; MlpQ updates in batches")
+    bootstrap = 0.0 if done else h.gamma * max(q.values(s_next_key))
+    row = q.row(s_key)
+    old = 0.0 if row[action_idx] is None else row[action_idx]
+    row[action_idx] = old + h.learning_rate * (reward + bootstrap - old)
+    return q
 
 
 def episode_bound(env: Environment, sk: SkolemizedFormula, h: Hyperparams) -> int:
@@ -301,23 +239,6 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     return record
 
 
-def _mlp_step(q: MlpQ, h: Hyperparams, rng, feats, a_idx, reward, nxt_feats, done):
-    q.replay.append((feats, a_idx, reward, nxt_feats, done))
-    if len(q.replay) > h.replay_capacity:
-        q.replay.pop(0)
-    if len(q.replay) < h.batch_size:
-        return
-    idx = rng.integers(len(q.replay), size=h.batch_size)
-    batch = [q.replay[int(i)] for i in idx]
-    feat_batch = np.stack([b[0] for b in batch])
-    acts = np.asarray([b[1] for b in batch])
-    nxt_batch = np.stack([b[3] for b in batch])
-    nxt_best = q.forward(nxt_batch)[-1].max(axis=1)
-    dones = np.asarray([b[4] for b in batch])
-    targets = np.asarray([b[2] for b in batch]) + h.gamma * nxt_best * (~dones)
-    q.update_batch(feat_batch, acts, targets)
-
-
 def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResult:
     """Run xi episodes of epsilon-greedy learning and extract the artifacts.
 
@@ -327,33 +248,22 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     sk = skolemize(f)
     beta = episode_bound(env, sk, h)
     cfg = h.config()
-    rng = np.random.default_rng(seed)
     joint_actions = [JointAction(a) for a in itertools.product(env.actions, repeat=env.arity)]
     action_index = {a.per_trace: i for i, a in enumerate(joint_actions)}
-    tabular = h.approximator == "tabular"
-    if tabular:
-        q = TabularQ(len(joint_actions))
-        key = env.encode
-    else:
-        q = MlpQ(len(env.features(env.reset(seed))), len(joint_actions),
-                 h.mlp_layers, h.mlp_width, h.learning_rate, rng)
-        key = env.features
+    q = TabularQ(len(joint_actions))
     baseline = h.reward_mode != "prefix"
 
     # explore and learn see the ep_rng and eps of the episode being run
     def explore(state):
         if ep_rng.random() < eps:
             return joint_actions[int(ep_rng.integers(len(joint_actions)))]
-        return joint_actions[q.best(key(state))]
+        return joint_actions[q.best(env.encode(state))]
 
     def learn(state, action, nxt, rho):
         reward = env.baseline_reward(state, action, nxt) if baseline else rho
         a_idx = action_index[action.per_trace]
-        done = nxt.step_count >= beta
-        if tabular:
-            q_update(q, key(state), a_idx, reward, key(nxt), h, done=done)
-        else:
-            _mlp_step(q, h, ep_rng, key(state), a_idx, reward, key(nxt), done)
+        q_update(q, env.encode(state), a_idx, reward, env.encode(nxt), h,
+                 done=nxt.step_count >= beta)
 
     metrics = TrainMetrics(["episode", *env.metric_columns, "rho"])
     previous: dict = {}
@@ -366,8 +276,8 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
                     "rho": record.terminal_rho}
         metrics.rows.append(previous)
 
-    final = rollout(env, sk, cfg, lambda s: joint_actions[q.best(key(s), prefer_tried=True)],
-                    seed, beta)
+    final = rollout(env, sk, cfg,
+                    lambda s: joint_actions[q.best(env.encode(s), prefer_tried=True)], seed, beta)
     policies, witnesses = extract_policies(q, env, sk, [final])
     return TrainResult(q, policies, witnesses, metrics, final)
 

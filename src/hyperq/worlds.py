@@ -166,7 +166,6 @@ class GridWorldEnv(Environment):
 
     kind = "grid"
     actions = GRID_ACTIONS
-    valuations = ("x", "y", "cell", "dist")
     metric_columns = ("total_done", "total_col")
     baseline = "saferl"
 
@@ -214,15 +213,6 @@ class GridWorldEnv(Environment):
                 "dist": float(abs(cell[0] - gx) + abs(cell[1] - gy)),
             }))
         return tuple(labels)
-
-    def features(self, state: JointState):
-        import numpy as np
-
-        feats = []
-        for x, y, done, col in state.per_trace:
-            feats += [x / max(1, self.grid.width - 1), y / max(1, self.grid.height - 1),
-                      float(done), float(col)]
-        return np.asarray(feats, dtype=np.float64)
 
     def episode_stats(self, record) -> dict:
         """Whether every agent visited its goal, and the steps with a shared cell."""
@@ -276,7 +266,6 @@ class WildfireEnv(Environment):
     kind = "wildfire"
     actions = GRID_ACTIONS
     arity = 2
-    valuations = ("loc", "x", "y")
 
     def __init__(self, beta: int = 8):
         self.beta = beta
@@ -327,16 +316,6 @@ class WildfireEnv(Environment):
                 "y": float(cell[1]),
             }))
         return tuple(labels)
-
-    def features(self, state: JointState):
-        import numpy as np
-
-        (x1, y1, fires), (x2, y2, saved, early) = state.per_trace
-        feats = [x1 / 2, y1 / 2, x2 / 2, y2 / 2]
-        feats += [1.0 if f in fires else 0.0 for f in WILDFIRE_FIRES]
-        feats += [1.0 if v in saved else 0.0 for v in WILDFIRE_VICTIMS]
-        feats.append(1.0 if early else 0.0)
-        return np.asarray(feats, dtype=np.float64)
 
     def path_trace(self, cell_names: list) -> Trace:
         """Trace a hand-written path of cell names would produce (fires held
@@ -594,7 +573,6 @@ class ResourceEnv(Environment):
 
     kind = "resource"
     actions = GRID_ACTIONS
-    valuations = ("energy", "x", "y", "cell")
     metric_columns = ("min", "max", "avg")
 
     def __init__(self, cfg: ResourceGridConfig, beta: int = 100):
@@ -642,15 +620,6 @@ class ResourceEnv(Environment):
         e2 = state.per_trace[1][2] if self.arity > 1 else 0
         gap = max(-2, min(2, e1 - e2))
         return (positions, gap)
-
-    def features(self, state: JointState):
-        import numpy as np
-
-        feats = []
-        for x, y, energy, arrived in state.per_trace:
-            feats += [x / max(1, self.grid.width - 1), y / max(1, self.grid.height - 1),
-                      energy / 50.0, float(arrived)]
-        return np.asarray(feats, dtype=np.float64)
 
     def episode_metrics(self, record, previous: dict) -> dict:
         energies = [e for _, _, e, _ in record.states[-1].per_trace]

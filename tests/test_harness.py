@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from hyperq.worlds import load_domino_file, pcp_env, wildfire_env
 
 
 def write_micro_config(tmp_path, out_name="out", xi=15, reps=2, formula=None, extra_env="",
-                       extra_hp=""):
+                       extra_hp="", env="kind = wildfire\nbeta = 4"):
     cfg = tmp_path / f"{out_name}.ini"
     formula = formula or hq.bundled("formulas") / "rescue.hltl"
     cfg.write_text(
@@ -32,8 +33,7 @@ base_seed = 3
 output_dir = {tmp_path / out_name}
 
 [environment]
-kind = wildfire
-beta = 4
+{env}
 {extra_env}
 
 [hyperparams]
@@ -65,14 +65,13 @@ def test_config_requires_formula(tmp_path):
         ExperimentConfig.load(p)
 
 
-def test_config_rejects_unknown_hyperparameter(tmp_path):
-    p = tmp_path / "bad.ini"
-    formulas = hq.bundled("formulas")
-    p.write_text(
-        f"[experiment]\nformula = {formulas}/rescue.hltl\n"
-        "[environment]\nkind = wildfire\n[hyperparams]\nlearning_speed = 9\n")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.load(p)
+def test_config_rejects_unknown_hyperparameter(tmp_path, capsys):
+    for line in ("learning_speed = 9", "approximator = mlp", "mlp_width = 64"):
+        p = write_micro_config(tmp_path, extra_hp=line)
+        with pytest.raises(ConfigError, match="unknown hyperparameter"):
+            ExperimentConfig.load(p)
+        assert cmd_train(p) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown hyperparameter")
 
 
 def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
@@ -203,10 +202,23 @@ def test_mismatched_setup_exits_2(tmp_path, capsys):
     artifact = tmp_path / "ok" / "artifacts_3.txt"
     one_trace = tmp_path / "one.hltl"
     one_trace.write_text("forall t1. F a@t1\n")
+    syntax = tmp_path / "syntax.hltl"
+    syntax.write_text("forall t1. F (a@t1\n")
+    formulas = hq.bundled("formulas")
     for bad in (write_micro_config(tmp_path, "arity", xi=5, reps=1, formula=one_trace),
-                write_micro_config(tmp_path, "beta", xi=5, reps=1, extra_hp="beta = 6")):
+                write_micro_config(tmp_path, "beta", xi=5, reps=1, extra_hp="beta = 6"),
+                write_micro_config(tmp_path, "syntax", xi=5, reps=1, formula=syntax),
+                write_micro_config(tmp_path, "map", xi=5, reps=1,
+                                   formula=formulas / "safe_rl.hltl",
+                                   env="kind = grid\nmap = nowhere.map"),
+                write_micro_config(tmp_path, "dominoes", xi=5, reps=1,
+                                   formula=formulas / "pcp_ab.hltl",
+                                   env="kind = pcp\ndominoes = nowhere.dom")):
         assert cmd_train(bad) == 2
+        assert not (tmp_path / bad.stem).exists()
         assert cmd_eval(artifact, bad) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("config error: ") for line in lines)
     bad = write_micro_config(tmp_path, "baseline", xi=5, reps=1,
                              extra_hp="reward_mode = baseline_pcp")
     assert cmd_train(bad) == 2
@@ -242,7 +254,7 @@ def test_cmd_eval_missing_artifact(tmp_path):
     assert cmd_eval(tmp_path / "nothing.txt", cfg) == 2
 
 
-def test_cmd_oracle_pcp(capsys):
+def test_cmd_oracle_pcp(tmp_path, capsys):
     code = cmd_oracle("pcp", dominoes=hq.bundled("dominoes/k3_solvable.dom"), max_len=6)
     assert code == 0
     assert capsys.readouterr().out.strip() == "solution: 2 1 3"
@@ -250,6 +262,12 @@ def test_cmd_oracle_pcp(capsys):
     assert code == 0
     assert capsys.readouterr().out.strip() == "none within bound"
     assert cmd_oracle("pcp", dominoes=hq.bundled("dominoes/k3_solvable.dom"), max_len=50) == 2
+    capsys.readouterr()
+    malformed = tmp_path / "bad.dom"
+    malformed.write_text("ab\n")
+    for dominoes in (tmp_path / "missing.dom", malformed):
+        assert cmd_oracle("pcp", dominoes=dominoes, max_len=6) == 2
+        assert capsys.readouterr().err.startswith(f"error: {dominoes}: ")
 
 
 def test_cmd_oracle_boolean_sat(tmp_path, capsys):
@@ -259,6 +277,23 @@ def test_cmd_oracle_boolean_sat(tmp_path, capsys):
     traces.write_text("p |\n\nq |\n")
     assert cmd_oracle("boolean-sat", formula=formula, traces=traces) == 0
     assert capsys.readouterr().out.strip() == "true"
+    bad_formula = tmp_path / "bad.hltl"
+    bad_formula.write_text("exists t1. F (p@t1\n")
+    bad_traces = tmp_path / "bad.txt"
+    bad_traces.write_text("p | x=high\n")
+    missing = tmp_path / "missing.txt"
+    for f, t, culprit in ((missing, traces, missing), (bad_formula, traces, bad_formula),
+                          (formula, missing, missing), (formula, bad_traces, bad_traces)):
+        assert cmd_oracle("boolean-sat", formula=f, traces=t) == 2
+        assert capsys.readouterr().err.startswith(f"error: {culprit}: ")
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in hq.bundled("configs").glob("*.ini")))
+def test_bundled_config_trains(config):
+    cfg = ExperimentConfig.load(hq.bundled("configs") / config)
+    f, _, env, _ = cfg.setup()
+    result = train(env, f, dataclasses.replace(cfg.hyperparams, xi=2), cfg.seeds[0])
+    assert len(result.metrics.rows) == 2
 
 
 def test_main_dispatches(capsys, tmp_path):

@@ -172,18 +172,6 @@ def test_policy_rollout_reproduces_final_training_rollout():
     assert replay.terminal_rho == res.final_record.terminal_rho
 
 
-def test_mlp_mode_trains_and_is_deterministic():
-    f = hq.load_formula(hq.bundled("formulas/safe_rl.hltl"))
-    from hyperq.worlds import gridworld_env, load_map_file
-
-    grid = load_map_file(hq.bundled("maps/cross4.map"))
-    h = Hyperparams(xi=8, beta=6, approximator="mlp", mlp_layers=2, mlp_width=16,
-                    learning_rate=0.001, batch_size=8, epsilon_decay_episodes=6)
-    first = train(gridworld_env(grid, 2, beta=6), f, h, seed=9)
-    second = train(gridworld_env(grid, 2, beta=6), f, h, seed=9)
-    assert first.metrics.rows == second.metrics.rows
-
-
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
         Hyperparams(gamma=1.5)
