@@ -19,7 +19,7 @@ top, bot = concat_words(dominoes, solution)
 print("oracle solution:", solution, "->", top, "=", bot)
 
 formula = hq.load_formula(hq.bundled("formulas/pcp_ab.hltl"))
-env = hq.pcp_env(dominoes, beta=10)
+env = hq.PcpEnv(dominoes, beta=10)
 hyper = hq.Hyperparams(xi=1000, learning_rate=0.7, epsilon_decay_episodes=600,
                        epsilon_end=0.2)
 result = hq.train(env, formula, hyper, seed=2)

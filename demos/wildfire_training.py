@@ -12,7 +12,7 @@ import hyperq as hq
 formula = hq.load_formula(hq.bundled("formulas/rescue.hltl"))
 print("objective:", hq.unparse(formula))
 
-env = hq.wildfire_env(beta=8)
+env = hq.WildfireEnv(beta=8)
 hyper = hq.Hyperparams(xi=5000, learning_rate=0.7, gamma=0.99,
                        epsilon_decay_episodes=800)
 result = hq.train(env, formula, hyper, seed=1)

@@ -42,14 +42,13 @@ from .env import Environment, EpisodeRecord, JointAction, JointState
 from .worlds import (
     DominoSet,
     GridMap,
-    ResourceGridConfig,
+    GridWorldEnv,
+    PcpEnv,
+    ResourceEnv,
+    WildfireEnv,
     build_env,
-    gridworld_env,
     load_map,
-    pcp_env,
     pcp_oracle,
-    resource_env,
-    wildfire_env,
 )
 from .learner import (
     Hyperparams,

@@ -57,14 +57,18 @@ class EpisodeRecord:
 class Environment:
     """Base class; concrete worlds implement the hidden dynamics.
 
-    `actions` is the per-slot action alphabet (shared by all slots), `arity`
-    the number of trace slots, and `beta` the episode length bound.
-    `metric_columns` are the training CSV columns between ``episode`` and
-    ``rho``.  A world with a hand-crafted comparison reward names it in
-    `baseline` and implements `baseline_reward(prev_state, action, next_state)`.
+    `kind` is the world's ``[environment] kind`` name and `file_key` the one
+    other key it reads besides ``beta``: a map or domino file passed to the
+    constructor, or None.  `actions` is the per-slot action alphabet (shared
+    by all slots), `arity` the number of trace slots, and `beta` the episode
+    length bound.  `metric_columns` are the training CSV columns between
+    ``episode`` and ``rho``.  A world with a hand-crafted comparison reward
+    names it in `baseline` and implements `baseline_reward(prev_state,
+    action, next_state)`.
     """
 
     kind = "abstract"
+    file_key: str | None = None
     actions: tuple = ()
     arity: int = 0
     beta: int = 0

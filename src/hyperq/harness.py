@@ -42,7 +42,7 @@ from .learner import (
     greedy_rollout,
     train,
 )
-from .robustness import Trace, Verdict, boolean_sat, sat_verdict
+from .robustness import Trace, UnknownValuationError, Verdict, boolean_sat, sat_verdict
 from .skolem import WitnessTable, check_consistency, format_skolemized, skolemize
 from .worlds import BoundTooLargeError, build_env, load_domino_file, pcp_oracle
 
@@ -78,7 +78,10 @@ class ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-        parser.read(path)
+        try:
+            parser.read(str(path))
+        except configparser.Error as exc:
+            raise ConfigError(str(exc)) from exc
         for section in ("experiment", "environment"):
             if section not in parser:
                 raise ConfigError(f"config is missing the [{section}] section")
@@ -89,15 +92,15 @@ class ExperimentConfig:
         if not exp.get("formula") or not formula_path.exists():
             raise ConfigError(f"formula file {formula_path} does not exist")
 
-        reps = exp.getint("repetitions", 1)
+        reps = _number(int, "repetitions", exp.get("repetitions", "1"))
         if reps < 1:
             raise ConfigError("repetitions must be >= 1")
         if exp.get("seeds"):
-            seeds = [int(s) for s in exp["seeds"].split()]
+            seeds = [_number(int, "seeds", s) for s in exp["seeds"].split()]
             if len(seeds) != reps:
                 raise ConfigError(f"{len(seeds)} seeds given for {reps} repetitions")
         else:
-            base_seed = exp.getint("base_seed", 1)
+            base_seed = _number(int, "base_seed", exp.get("base_seed", "1"))
             seeds = [base_seed + i for i in range(reps)]
 
         hp_section = dict(parser["hyperparams"]) if "hyperparams" in parser else {}
@@ -144,6 +147,15 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _number(kind, key: str, raw: str):
+    """`raw` as an int or float; ConfigError naming `key` when it is not one."""
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}") from None
+
+
 _HP_INTS = {"epsilon_decay_episodes", "beta", "xi"}
 _HP_FLOATS = {"gamma", "learning_rate", "epsilon_start", "epsilon_end", "rho_max"}
 _HP_STRS = {"reward_mode"}
@@ -153,9 +165,9 @@ def _parse_hyperparams(section: dict) -> Hyperparams:
     kwargs = {}
     for key, raw in section.items():
         if key in _HP_INTS:
-            kwargs[key] = int(raw)
+            kwargs[key] = _number(int, key, raw)
         elif key in _HP_FLOATS:
-            kwargs[key] = float(raw)
+            kwargs[key] = _number(float, key, raw)
         elif key in _HP_STRS:
             kwargs[key] = raw.strip()
         else:
@@ -382,10 +394,13 @@ def cmd_oracle(subject: str, **kwargs) -> int:
             path = kwargs["traces"]
             text = Path(path).read_text(encoding="utf-8")
             traces = [Trace.from_text(chunk) for chunk in text.split("\n\n") if chunk.strip()]
+            result = boolean_sat(traces, f)
         except (ValueError, OSError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
-        result = boolean_sat(traces, f)
+        except UnknownValuationError as exc:
+            print(f"error: {path}: traces lack valuation {exc}", file=sys.stderr)
+            return 2
         print(str(result).lower())
         return 0
     print(f"unknown oracle subject {subject!r}", file=sys.stderr)
@@ -404,9 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="parse, validate, and print the skolemized form")
     p_check.add_argument("formula")
-
-    p_skolem = sub.add_parser("skolemize", help="print the skolemized form of a formula")
-    p_skolem.add_argument("formula")
 
     p_train = sub.add_parser("train", help="run a training experiment from a config file")
     p_train.add_argument("--config", required=True)
@@ -431,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("check", "skolemize"):
+    if args.command == "check":
         return cmd_check(args.formula)
     if args.command == "train":
         return cmd_train(args.config, out=args.out, reps=args.reps, seed=args.seed)

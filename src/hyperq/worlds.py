@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .env import ArityMismatchError, Environment, InvalidActionError, JointAction, JointState
+from .env import Environment, JointAction, JointState
 from .robustness import Label, Trace
 
 
@@ -53,7 +53,7 @@ class GridMap:
     walls: frozenset
     starts: tuple   # per-agent (x, y)
     goals: tuple    # per-agent (x, y)
-    special: dict   # (x, y) -> tag string ("fire", "victim", "resource")
+    special: dict   # (x, y) -> tag string ("resource")
 
     def in_bounds(self, cell) -> bool:
         x, y = cell
@@ -127,7 +127,7 @@ def load_map(text: str) -> GridMap:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise UnknownGlyphError(f"goal legend needs an agent number: {line.strip()!r}")
             goals_by_agent[int(parts[1])] = glyph_cells[glyph]
-        elif tag in ("fire", "victim", "resource"):
+        elif tag == "resource":
             special[glyph_cells[glyph]] = tag
         else:
             raise UnknownGlyphError(f"unknown legend tag {tag!r}")
@@ -162,23 +162,25 @@ class GridWorldEnv(Environment):
     on agent K's goal and ``collision`` when it shares a cell; valuations
     ``x``, ``y``, ``cell`` and ``dist`` (Manhattan distance to the own goal).
     Slot state carries a sticky done bit once the own goal has been visited.
+    There is one agent per start on the map, and each needs a goal.
     """
 
     kind = "grid"
+    file_key = "map"
     actions = GRID_ACTIONS
     metric_columns = ("total_done", "total_col")
     baseline = "saferl"
 
-    def __init__(self, grid: GridMap, n_agents: int, beta: int):
-        if len(grid.starts) != n_agents or any(g is None for g in grid.goals[:n_agents]):
-            raise ArityMismatchError(
-                f"map provides {len(grid.starts)} starts and goals {grid.goals}, need {n_agents}")
+    def __init__(self, grid: GridMap, beta: int = 300):
+        missing = [i + 1 for i, g in enumerate(grid.goals) if g is None]
+        if missing:
+            raise ValueError(f"map gives no goal for agent(s) {missing}")
         self.grid = grid
-        self.arity = n_agents
+        self.arity = len(grid.starts)
         self.beta = beta
 
     def reset(self, seed: int) -> JointState:
-        starts = self.grid.starts[: self.arity]
+        starts = self.grid.starts
         shared = len(set(starts)) < len(starts)
         per = tuple((x, y, False, shared) for x, y in starts)
         return JointState(per, 0)
@@ -202,7 +204,7 @@ class GridWorldEnv(Environment):
         shared = {c for c in cells if cells.count(c) > 1}
         labels = []
         for i, cell in enumerate(cells):
-            props = {f"goal{k + 1}" for k, g in enumerate(self.grid.goals[: self.arity]) if g == cell}
+            props = {f"goal{k + 1}" for k, g in enumerate(self.grid.goals) if g == cell}
             if cell in shared:
                 props.add("collision")
             gx, gy = self.grid.goals[i]
@@ -240,10 +242,6 @@ class GridWorldEnv(Environment):
         if on_goal >= 1:
             return 5.0
         return 0.0
-
-
-def gridworld_env(grid: GridMap, n_agents: int = 2, beta: int = 300) -> GridWorldEnv:
-    return GridWorldEnv(grid, n_agents, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +327,6 @@ class WildfireEnv(Environment):
                 "y": float(cell[1]),
             }))
         return Trace(tuple(labels))
-
-
-def wildfire_env(beta: int = 8) -> WildfireEnv:
-    return WildfireEnv(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +421,14 @@ class PcpEnv(Environment):
     """
 
     kind = "pcp"
+    file_key = "dominoes"
+    arity = 2
     metric_columns = ("tot_done",)
     baseline = "pcp"
 
-    def __init__(self, dominoes: DominoSet, beta: int = 10, max_dominoes: int | None = None,
-                 arity: int = 2):
+    def __init__(self, dominoes: DominoSet, beta: int = 10):
         self.dominoes = dominoes
         self.beta = beta
-        self.max_dominoes = max_dominoes if max_dominoes is not None else beta
-        self.arity = arity
         self.actions = tuple(f"dom_{i}" for i in range(1, dominoes.k + 1)) + ("dom_#",)
 
     def reset(self, seed: int) -> JointState:
@@ -450,8 +443,6 @@ class PcpEnv(Environment):
                 per.append((seq, done))
             elif act == "dom_#":
                 per.append((seq, True))
-            elif len(seq) >= self.max_dominoes:
-                per.append((seq, done))
             else:
                 per.append((seq + (int(act.split("_")[1]),), done))
         return JointState(tuple(per), state.step_count + 1)
@@ -476,17 +467,6 @@ class PcpEnv(Environment):
             out.append(unroll_words(top, bot, length, terminated=slot[1]))
         return tuple(out)
 
-    def label_of(self, state: JointState) -> tuple:
-        labels = []
-        for slot in state.per_trace:
-            n = self._natural_length(slot)
-            if n == 0:
-                labels.append(Label(frozenset(), {}))
-            else:
-                top, bot = self.slot_words(slot)
-                labels.append(unroll_words(top, bot, n, terminated=slot[1])[n - 1])
-        return tuple(labels)
-
     def match_achieved(self, slot) -> bool:
         """Terminated with equal nonempty words."""
         seq, done = slot
@@ -509,10 +489,6 @@ class PcpEnv(Environment):
             b = bot[idx] if idx < len(bot) else "#"
             total += 1.0 if t == b else -1.0
         return total / len(next_state.per_trace)
-
-
-def pcp_env(dominoes: DominoSet, max_dominoes: int | None = None, beta: int = 10) -> PcpEnv:
-    return PcpEnv(dominoes, beta=beta, max_dominoes=max_dominoes)
 
 
 def pcp_oracle(dominoes: DominoSet, max_len: int):
@@ -544,54 +520,37 @@ def pcp_oracle(dominoes: DominoSet, max_len: int):
 # ---------------------------------------------------------------------------
 # Shared-resource grid
 
-@dataclass(frozen=True)
-class ResourceGridConfig:
-    grid: GridMap
-    delta: int
-    agents: int = 2
-
-    def __post_init__(self):
-        resources = [c for c, tag in self.grid.special.items() if tag == "resource"]
-        if len(resources) != 1:
-            raise ValueError(f"resource grid needs exactly one resource cell, found {len(resources)}")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-
-    @property
-    def resource_cell(self):
-        return next(c for c, tag in self.grid.special.items() if tag == "resource")
-
-
 class ResourceEnv(Environment):
     """Agents collect energy by arriving at the single resource cell.
 
     Energy increments on arrival (moving onto the cell), not while parked on
     it, so sustained collection requires stepping off and back.  The
     ``resource`` proposition marks the arrival step; labels also expose the
-    ``energy`` valuation.
+    ``energy`` valuation.  There is one agent per start on the map.
     """
 
     kind = "resource"
+    file_key = "map"
     actions = GRID_ACTIONS
     metric_columns = ("min", "max", "avg")
 
-    def __init__(self, cfg: ResourceGridConfig, beta: int = 100):
-        self.cfg = cfg
-        self.grid = cfg.grid
-        self.arity = cfg.agents
+    def __init__(self, grid: GridMap, beta: int = 100):
+        resources = [c for c, tag in grid.special.items() if tag == "resource"]
+        if len(resources) != 1:
+            raise ValueError(f"resource grid needs exactly one resource cell, found {len(resources)}")
+        self.grid = grid
+        self.resource = resources[0]
+        self.arity = len(grid.starts)
         self.beta = beta
-        if len(self.grid.starts) < self.arity:
-            raise ArityMismatchError(
-                f"map provides {len(self.grid.starts)} starts, need {self.arity}")
 
     def reset(self, seed: int) -> JointState:
-        per = tuple((x, y, 0, False) for x, y in self.grid.starts[: self.arity])
+        per = tuple((x, y, 0, False) for x, y in self.grid.starts)
         return JointState(per, 0)
 
     def step(self, state: JointState, action: JointAction) -> JointState:
         self.check_step(state)
         self.check_action(action)
-        res = self.cfg.resource_cell
+        res = self.resource
         per = []
         for (x, y, energy, _), act in zip(state.per_trace, action.per_trace):
             nxt = _move(self.grid, (x, y), act)
@@ -627,54 +586,28 @@ class ResourceEnv(Environment):
                 "avg": sum(energies) / len(energies)}
 
 
-def resource_env(cfg: ResourceGridConfig, beta: int = 100) -> ResourceEnv:
-    return ResourceEnv(cfg, beta)
-
-
-def make_resource_grid(width: int = 4, height: int = 4, resource=(2, 1),
-                       starts=((0, 0), (3, 3))) -> GridMap:
-    return GridMap(width, height, frozenset(), tuple(starts), (None,) * len(starts),
-                   {tuple(resource): "resource"})
-
-
 # ---------------------------------------------------------------------------
 # Construction from configuration
 
-# Keys each kind reads from its config section besides "kind" and "beta".
-ENV_KEYS = {
-    "grid": ("map", "agents"),
-    "wildfire": (),
-    "pcp": ("dominoes", "max_dominoes"),
-    "resource": ("map", "width", "height", "delta", "agents"),
-}
+ENVIRONMENTS = {cls.kind: cls for cls in (GridWorldEnv, WildfireEnv, PcpEnv, ResourceEnv)}
+_LOADERS = {"map": load_map_file, "dominoes": load_domino_file}
 
 
 def build_env(section: dict, base_dir=None) -> Environment:
-    """Instantiate an environment from a flat config section."""
+    """Instantiate an environment from a flat config section: ``kind``, the
+    kind's ``file_key`` (a path relative to `base_dir`) and optionally ``beta``."""
     kind = section.get("kind")
-    if kind not in ENV_KEYS:
+    cls = ENVIRONMENTS.get(kind)
+    if cls is None:
         raise KindMismatchError(f"unknown environment kind {kind!r}")
-    unknown = sorted(set(section) - {"kind", "beta", *ENV_KEYS[kind]})
+    unknown = sorted(set(section) - {"kind", "beta", cls.file_key})
     if unknown:
         raise ValueError(f"unknown key(s) {', '.join(unknown)} for environment kind {kind}")
-    base = Path(base_dir) if base_dir is not None else Path(".")
-    beta = int(section["beta"]) if "beta" in section else None
-
-    if kind == "grid":
-        grid = load_map_file(base / section["map"])
-        n = int(section.get("agents", len(grid.starts)))
-        return gridworld_env(grid, n, beta if beta is not None else 300)
-    if kind == "wildfire":
-        return wildfire_env(beta if beta is not None else 8)
-    if kind == "pcp":
-        dominoes = load_domino_file(base / section["dominoes"])
-        max_dom = int(section["max_dominoes"]) if "max_dominoes" in section else None
-        return pcp_env(dominoes, max_dominoes=max_dom, beta=beta if beta is not None else 10)
-    # resource
-    if "map" in section:
-        grid = load_map_file(base / section["map"])
-    else:
-        grid = make_resource_grid(int(section.get("width", 4)), int(section.get("height", 4)))
-    cfg = ResourceGridConfig(grid, delta=int(section.get("delta", 10)),
-                             agents=int(section.get("agents", 2)))
-    return resource_env(cfg, beta if beta is not None else 100)
+    args = []
+    if cls.file_key:
+        if cls.file_key not in section:
+            raise ValueError(f"environment kind {kind} needs a {cls.file_key} key")
+        base = Path(base_dir) if base_dir is not None else Path(".")
+        args.append(_LOADERS[cls.file_key](base / section[cls.file_key]))
+    kwargs = {"beta": int(section["beta"])} if "beta" in section else {}
+    return cls(*args, **kwargs)

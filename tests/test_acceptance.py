@@ -17,7 +17,7 @@ from hyperq.harness import ExperimentConfig, cmd_train
 from hyperq.learner import Hyperparams, train
 from hyperq.robustness import RobustnessConfig, boolean_holds, boolean_sat, eval_hyper, eval_ltl, zip_traces
 from hyperq.skolem import skolemize
-from hyperq.worlds import concat_words, load_domino_file, pcp_env, pcp_oracle
+from hyperq.worlds import PcpEnv, concat_words, load_domino_file, pcp_oracle
 
 from oracles import random_boolean_body, random_formula, random_propositional, random_trace
 
@@ -183,7 +183,7 @@ def test_criterion_6_pcp():
     h = Hyperparams(xi=150, learning_rate=cfg.hyperparams.learning_rate,
                     epsilon_decay_episodes=100, epsilon_end=0.2, beta=10)
     for seed in cfg.seeds[:5]:
-        env = pcp_env(unsolvable, beta=10)
+        env = PcpEnv(unsolvable, beta=10)
         result = train(env, f, h, seed)
         false_matches += result.metrics.rows[-1]["tot_done"]
 

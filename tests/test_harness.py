@@ -17,7 +17,7 @@ from hyperq.harness import (
     write_artifacts,
 )
 from hyperq.learner import Hyperparams, train
-from hyperq.worlds import load_domino_file, pcp_env, wildfire_env
+from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file
 
 
 def write_micro_config(tmp_path, out_name="out", xi=15, reps=2, formula=None, extra_env="",
@@ -75,8 +75,39 @@ def test_config_rejects_unknown_hyperparameter(tmp_path, capsys):
 
 
 def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
-    assert cmd_train(write_micro_config(tmp_path, extra_env="agnets = 7")) == 2
-    assert "agnets" in capsys.readouterr().err
+    configs = hq.bundled("configs")
+    grid = f"kind = grid\nmap = {configs / '../maps/cross4.map'}"
+    resource = f"kind = resource\nmap = {configs / '../maps/fair4.map'}"
+    pcp = f"kind = pcp\ndominoes = {configs / '../dominoes/k3_solvable.dom'}"
+    # a misspelling, then the keys the environments no longer read
+    for env, line in (("kind = wildfire\nbeta = 4", "agnets = 7"), (resource, "delta = 10"),
+                      (grid, "agents = 2"), (resource, "agents = 2"), (resource, "width = 4"),
+                      (pcp, "max_dominoes = 3")):
+        key = line.split()[0]
+        p = write_micro_config(tmp_path, out_name=key, env=env, extra_env=line)
+        assert cmd_train(p) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown key(s) {key} for environment kind"), err
+        assert not (tmp_path / key).exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("repetitions = 1", "repetitions = two", "repetitions must be an integer, got 'two'"),
+    ("base_seed = 3", "base_seed = 1.5", "base_seed must be an integer, got '1.5'"),
+    ("base_seed = 3", "seeds = x", "seeds must be an integer, got 'x'"),
+    ("xi = 15", "xi = many", "xi must be an integer, got 'many'"),
+    ("xi = 15", "xi = 15\ngamma = high", "gamma must be a number, got 'high'"),
+    ("beta = 4", "beta = 4\nbeta = 5", "option 'beta' in section 'environment' already exists"),
+], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key"])
+def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
+    p = write_micro_config(tmp_path, reps=1)
+    p.write_text(p.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.load(p)
+    assert cmd_train(p) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and message in err
+    assert cmd_eval(tmp_path / "nothing.txt", p) == 2
 
 
 def test_config_seed_list_must_match_repetitions(tmp_path):
@@ -226,9 +257,9 @@ def test_mismatched_setup_exits_2(tmp_path, capsys):
 
 
 def test_artifacts_write_read_round_trip(tmp_path):
-    wildfire = train(wildfire_env(6), hq.load_formula(hq.bundled("formulas/rescue.hltl")),
+    wildfire = train(WildfireEnv(6), hq.load_formula(hq.bundled("formulas/rescue.hltl")),
                      Hyperparams(xi=30, learning_rate=1.0), seed=2)
-    pcp = train(pcp_env(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")), beta=6),
+    pcp = train(PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")), beta=6),
                 hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")),
                 Hyperparams(xi=30, learning_rate=0.7), seed=2)
     for i, result in enumerate((wildfire, pcp)):
@@ -282,8 +313,11 @@ def test_cmd_oracle_boolean_sat(tmp_path, capsys):
     bad_traces = tmp_path / "bad.txt"
     bad_traces.write_text("p | x=high\n")
     missing = tmp_path / "missing.txt"
+    valuation = tmp_path / "valuation.hltl"
+    valuation.write_text("exists t1. F [ v@t1 < 3 ]\n")
     for f, t, culprit in ((missing, traces, missing), (bad_formula, traces, bad_formula),
-                          (formula, missing, missing), (formula, bad_traces, bad_traces)):
+                          (formula, missing, missing), (formula, bad_traces, bad_traces),
+                          (valuation, traces, traces)):
         assert cmd_oracle("boolean-sat", formula=f, traces=t) == 2
         assert capsys.readouterr().err.startswith(f"error: {culprit}: ")
 
@@ -298,6 +332,9 @@ def test_bundled_config_trains(config):
 
 def test_main_dispatches(capsys, tmp_path):
     assert main(["check", str(hq.bundled("formulas/safe_rl.hltl"))]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["skolemize", str(hq.bundled("formulas/safe_rl.hltl"))])
     capsys.readouterr()
     assert main(["oracle", "pcp", "--dominoes", str(hq.bundled("dominoes/k3_solvable.dom")),
                  "--max-len", "6"]) == 0

@@ -15,7 +15,7 @@ from hyperq.learner import (
 )
 from hyperq.robustness import RobustnessConfig
 from hyperq.skolem import check_consistency, skolemize
-from hyperq.worlds import load_domino_file, pcp_env, wildfire_env
+from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file
 
 from oracles import value_iteration
 
@@ -72,7 +72,7 @@ def test_greedy_policy_invariant_under_reward_scaling():
 def test_q_values_bounded_during_training():
     f = rescue_formula()
     h = Hyperparams(xi=60, learning_rate=1.0, gamma=0.99)
-    res = train(wildfire_env(8), f, h, seed=5)
+    res = train(WildfireEnv(8), f, h, seed=5)
     bound = h.rho_max / (1.0 - h.gamma) + 1e-9
     for row in res.q.table.values():
         for v in row:
@@ -82,14 +82,14 @@ def test_q_values_bounded_during_training():
 
 def test_immediate_reward_empty_prefix_is_minimum():
     d = load_domino_file(hq.bundled("dominoes/k3_solvable.dom"))
-    env = pcp_env(d)
+    env = PcpEnv(d)
     sk = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")))
     traces = env.trace_prefix(env.reset(0))
     assert immediate_reward(list(traces), sk, CFG) == CFG.rho_min
 
 
 def test_immediate_reward_start_state_negative():
-    env = wildfire_env(8)
+    env = WildfireEnv(8)
     sk = skolemize(rescue_formula())
     labels = env.label_of(env.reset(0))
     traces = [hq.Trace((lab,)) for lab in labels]
@@ -97,7 +97,7 @@ def test_immediate_reward_start_state_negative():
 
 
 def test_immediate_reward_on_optimal_paths_positive():
-    env = wildfire_env(8)
+    env = WildfireEnv(8)
     sk = skolemize(rescue_formula())
     p1 = env.path_trace(list("adefcfi"))
     p2 = env.path_trace(list("adghef") + ["f"])
@@ -107,14 +107,14 @@ def test_immediate_reward_on_optimal_paths_positive():
 def test_train_rejects_arity_mismatch():
     f = hq.parse_formula("forall t1. F a@t1")
     with pytest.raises(ArityMismatchError):
-        train(wildfire_env(4), f, Hyperparams(xi=1), seed=0)
+        train(WildfireEnv(4), f, Hyperparams(xi=1), seed=0)
 
 
 def test_train_metrics_deterministic():
     f = rescue_formula()
     h = Hyperparams(xi=40, learning_rate=1.0)
-    first = train(wildfire_env(6), f, h, seed=11)
-    second = train(wildfire_env(6), f, h, seed=11)
+    first = train(WildfireEnv(6), f, h, seed=11)
+    second = train(WildfireEnv(6), f, h, seed=11)
     assert first.metrics.rows == second.metrics.rows
     assert first.final_record.terminal_rho == second.final_record.terminal_rho
 
@@ -122,7 +122,7 @@ def test_train_metrics_deterministic():
 def test_prefix_reward_final_step_equals_full_episode_robustness():
     f = rescue_formula()
     h = Hyperparams(xi=5, learning_rate=1.0)
-    res = train(wildfire_env(6), f, h, seed=3)
+    res = train(WildfireEnv(6), f, h, seed=3)
     rec = res.final_record
     assert rec.rhos[-1] == rec.terminal_rho
     assert rec.terminal_rho == hq.eval_hyper(rec.traces, skolemize(f), h.config())
@@ -130,12 +130,12 @@ def test_prefix_reward_final_step_equals_full_episode_robustness():
 
 def test_metric_columns_per_environment():
     f = rescue_formula()
-    res = train(wildfire_env(4), f, Hyperparams(xi=3), seed=1)
+    res = train(WildfireEnv(4), f, Hyperparams(xi=3), seed=1)
     assert res.metrics.columns == ["episode", "rho"]
 
     d = load_domino_file(hq.bundled("dominoes/k3_solvable.dom"))
     fp = hq.load_formula(hq.bundled("formulas/pcp_ab.hltl"))
-    res = train(pcp_env(d, beta=4), fp, Hyperparams(xi=3), seed=1)
+    res = train(PcpEnv(d, beta=4), fp, Hyperparams(xi=3), seed=1)
     assert res.metrics.columns == ["episode", "tot_done", "rho"]
     done = [row["tot_done"] for row in res.metrics.rows]
     assert done == sorted(done)  # cumulative
@@ -144,7 +144,7 @@ def test_metric_columns_per_environment():
 def test_greedy_rollout_untrained_takes_first_action():
     from hyperq.learner import PolicySet
 
-    env = wildfire_env(5)
+    env = WildfireEnv(5)
     sk = skolemize(rescue_formula())
     rec = greedy_rollout(PolicySet({}), env, sk, CFG, seed=0)
     assert rec.steps == 5
@@ -155,7 +155,7 @@ def test_greedy_rollout_untrained_takes_first_action():
 def test_extracted_witnesses_consistent_with_final_rollout():
     f = rescue_formula()
     h = Hyperparams(xi=150, learning_rate=1.0)
-    env = wildfire_env(6)
+    env = WildfireEnv(6)
     res = train(env, f, h, seed=2)
     rec = res.final_record
     assignment = {q.var: t for q, t in zip(f.prefix, rec.traces)}
@@ -165,7 +165,7 @@ def test_extracted_witnesses_consistent_with_final_rollout():
 def test_policy_rollout_reproduces_final_training_rollout():
     f = rescue_formula()
     h = Hyperparams(xi=120, learning_rate=1.0)
-    env = wildfire_env(6)
+    env = WildfireEnv(6)
     res = train(env, f, h, seed=4)
     replay = greedy_rollout(res.policies, env, skolemize(f), h.config(), seed=4)
     assert replay.actions == res.final_record.actions

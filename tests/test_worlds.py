@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import deque
 
@@ -5,31 +6,31 @@ import pytest
 
 import hyperq as hq
 from hyperq.env import EpisodeExhaustedError, InvalidActionError, JointAction
+from hyperq.harness import cmd_train
 from hyperq.learner import Hyperparams, episode_bound
 from hyperq.robustness import RobustnessConfig
 from hyperq.skolem import skolemize
 from hyperq.worlds import (
+    ENVIRONMENTS,
     BoundTooLargeError,
     DominoSet,
     GridMap,
+    GridWorldEnv,
     InvalidDominoError,
     KindMismatchError,
     MissingStartError,
     NonRectangularError,
-    ResourceGridConfig,
+    PcpEnv,
+    ResourceEnv,
     UnknownGlyphError,
+    WildfireEnv,
     build_env,
     concat_words,
-    gridworld_env,
     load_domino_file,
     load_dominoes,
     load_map,
     load_map_file,
-    make_resource_grid,
-    pcp_env,
     pcp_oracle,
-    resource_env,
-    wildfire_env,
 )
 
 CFG = RobustnessConfig()
@@ -105,7 +106,7 @@ def test_cross4_topology():
 
 def walled_env():
     grid = load_map("..2\n.#.\n1..\n\n1 = goal 2\n2 = goal 1\n")
-    return gridworld_env(grid, 2, beta=10)
+    return GridWorldEnv(grid, beta=10)
 
 
 def test_grid_motion_and_blocking():
@@ -183,7 +184,7 @@ def test_reset_deterministic():
 # wildfire
 
 def test_wildfire_reset_both_at_a():
-    env = wildfire_env()
+    env = WildfireEnv()
     s = env.reset(3)
     assert s.per_trace[0][:2] == (0, 0) and s.per_trace[1][:2] == (0, 0)
     labs = env.label_of(s)
@@ -191,7 +192,7 @@ def test_wildfire_reset_both_at_a():
 
 
 def test_wildfire_cell_indexing_column_major():
-    env = wildfire_env()
+    env = WildfireEnv()
     expected = {"a": 0, "d": 1, "g": 2, "b": 3, "e": 4, "h": 5, "c": 6, "f": 7, "i": 8}
     for name, idx in expected.items():
         cell = env.cells_by_name[name]
@@ -199,7 +200,7 @@ def test_wildfire_cell_indexing_column_major():
 
 
 def test_wildfire_fire_goes_out_after_first_agent_visit():
-    env = wildfire_env()
+    env = WildfireEnv()
     s = env.reset(0)
     assert s.per_trace[0][2] == frozenset({"c", "f", "i"})
     # agent 1 walks a -> b -> c (a burning cell)
@@ -211,7 +212,7 @@ def test_wildfire_fire_goes_out_after_first_agent_visit():
 
 
 def test_wildfire_victim_bookkeeping():
-    env = wildfire_env()
+    env = WildfireEnv()
     s = env.reset(0)
     # agent 2 reaches g (safe victim) while agent 1 idles
     for a in (("stay", "up"), ("stay", "up")):
@@ -221,7 +222,7 @@ def test_wildfire_victim_bookkeeping():
 
 
 def test_wildfire_early_fire_entry_flagged():
-    env = wildfire_env()
+    env = WildfireEnv()
     s = env.reset(0)
     # agent 2 runs straight into burning f: a -> b -> c -> f
     for a in (("stay", "right"), ("stay", "right"), ("stay", "up")):
@@ -230,7 +231,7 @@ def test_wildfire_early_fire_entry_flagged():
 
 
 def test_wildfire_optimal_paths_satisfy_objective():
-    env = wildfire_env()
+    env = WildfireEnv()
     f = hq.load_formula(hq.bundled("formulas/rescue.hltl"))
     sk = skolemize(f)
     p1 = env.path_trace(list("adefcfi"))
@@ -239,7 +240,7 @@ def test_wildfire_optimal_paths_satisfy_objective():
 
 
 def test_wildfire_early_entry_violates_objective():
-    env = wildfire_env()
+    env = WildfireEnv()
     f = hq.load_formula(hq.bundled("formulas/rescue.hltl"))
     sk = skolemize(f)
     p1 = env.path_trace(list("adefcfi"))
@@ -261,7 +262,7 @@ def test_domino_set_validation():
 
 def test_pcp_words_match_independent_concatenation():
     d = load_domino_file(hq.bundled("dominoes/k3_solvable.dom"))
-    env = pcp_env(d)
+    env = PcpEnv(d)
     rng = random.Random(5)
     s = env.reset(0)
     for _ in range(6):
@@ -274,7 +275,7 @@ def test_pcp_words_match_independent_concatenation():
 
 
 def test_pcp_single_identity_domino_matches():
-    env = pcp_env(DominoSet((("a", "a"),)))
+    env = PcpEnv(DominoSet((("a", "a"),)))
     s = env.reset(0)
     s = env.step(s, JointAction(("dom_1", "dom_1")))
     s = env.step(s, JointAction(("dom_#", "dom_#")))
@@ -282,7 +283,7 @@ def test_pcp_single_identity_domino_matches():
 
 
 def test_pcp_terminated_slot_ignores_further_actions():
-    env = pcp_env(DominoSet((("a", "a"),)))
+    env = PcpEnv(DominoSet((("a", "a"),)))
     s = env.reset(0)
     s = env.step(s, JointAction(("dom_#", "dom_1")))
     s = env.step(s, JointAction(("dom_1", "dom_1")))
@@ -291,7 +292,7 @@ def test_pcp_terminated_slot_ignores_further_actions():
 
 
 def test_pcp_unbalanced_set_never_matches():
-    env = pcp_env(DominoSet((("ab", "a"),)))
+    env = PcpEnv(DominoSet((("ab", "a"),)))
     rng = random.Random(9)
     for _ in range(50):
         s = env.reset(0)
@@ -301,16 +302,8 @@ def test_pcp_unbalanced_set_never_matches():
         assert not env.match_achieved(s.per_trace[1])
 
 
-def test_pcp_domino_cap():
-    env = pcp_env(DominoSet((("a", "a"),)), max_dominoes=2, beta=5)
-    s = env.reset(0)
-    for _ in range(4):
-        s = env.step(s, JointAction(("dom_1", "dom_1")))
-    assert s.per_trace[0][0] == (1, 1)
-
-
 def test_pcp_empty_termination_is_not_a_match():
-    env = pcp_env(DominoSet((("a", "a"),)))
+    env = PcpEnv(DominoSet((("a", "a"),)))
     s = env.reset(0)
     s = env.step(s, JointAction(("dom_#", "dom_#")))
     assert env.match_achieved(s.per_trace[1]) is False
@@ -350,14 +343,14 @@ def test_pcp_oracle_bound_check():
 # resource grid
 
 def make_resource():
-    cfg = ResourceGridConfig(make_resource_grid(), delta=10, agents=2)
-    return resource_env(cfg, beta=20)
+    return ResourceEnv(load_map_file(hq.bundled("maps/fair4.map")), beta=20)
 
 
 def test_resource_requires_single_resource_cell():
-    grid = GridMap(3, 3, frozenset(), ((0, 0), (2, 2)), (None, None), {})
-    with pytest.raises(ValueError):
-        ResourceGridConfig(grid, delta=10)
+    for special in ({}, {(0, 1): "resource", (1, 1): "resource"}):
+        grid = GridMap(3, 3, frozenset(), ((0, 0), (2, 2)), (None, None), special)
+        with pytest.raises(ValueError):
+            ResourceEnv(grid)
 
 
 def test_resource_energy_increments_on_arrival_only():
@@ -415,7 +408,7 @@ def test_saferl_baseline_cases():
 
 def test_pcp_baseline_letter_agreement():
     d = DominoSet((("a", "a"), ("ab", "b")))
-    env = pcp_env(d)
+    env = PcpEnv(d)
     s0 = env.reset(0)
     s1 = env.step(s0, JointAction(("dom_1", "dom_2")))
     # index 0: slot 1 agrees (a/a): +1; slot 2 disagrees (a/b): -1
@@ -435,14 +428,30 @@ def test_baseline_kind_mismatch():
 # ---------------------------------------------------------------------------
 # construction from config sections
 
-def test_build_env_kinds(tmp_path):
+def test_build_env_kinds(tmp_path, capsys):
     base = hq.bundled("configs")
-    assert build_env({"kind": "wildfire", "beta": "6"}, base).beta == 6
-    grid_env = build_env({"kind": "grid", "map": "../maps/cross4.map", "beta": "12"}, base)
-    assert grid_env.kind == "grid" and grid_env.beta == 12
-    pcp = build_env({"kind": "pcp", "dominoes": "../dominoes/k3_solvable.dom"}, base)
-    assert pcp.actions[-1] == "dom_#"
-    res = build_env({"kind": "resource", "delta": "10"}, base)
-    assert res.kind == "resource"
+    files = {"grid": "../maps/cross4.map", "resource": "../maps/fair4.map",
+             "pcp": "../dominoes/k3_solvable.dom"}
+    for kind, cls in ENVIRONMENTS.items():
+        section = {"kind": kind}
+        if cls.file_key:
+            section[cls.file_key] = files[kind]
+        default = build_env(section, base)
+        assert type(default) is cls and default.kind == kind
+        assert default.beta == inspect.signature(cls).parameters["beta"].default
+        assert build_env(dict(section, beta="6"), base).beta == 6
+    assert set(ENVIRONMENTS) == {"grid", "wildfire", "pcp", "resource"}
+    assert build_env({"kind": "grid", "map": "../maps/cross4.map"}, base).arity == 2
+    assert build_env({"kind": "pcp", "dominoes": files["pcp"]}, base).actions[-1] == "dom_#"
     with pytest.raises(KindMismatchError):
         build_env({"kind": "venus"}, base)
+    for kind, key in (("grid", "map"), ("resource", "map"), ("pcp", "dominoes")):
+        with pytest.raises(ValueError, match=f"needs a {key} key"):
+            build_env({"kind": kind}, base)
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(f"[experiment]\nformula = {hq.bundled('formulas/pcp_ab.hltl')}\n"
+                       f"output_dir = {tmp_path / kind}\n[environment]\nkind = {kind}\n")
+        assert cmd_train(cfg) == 2
+        assert capsys.readouterr().err == \
+            f"config error: environment kind {kind} needs a {key} key\n"
+        assert not (tmp_path / kind).exists()
