@@ -3,8 +3,12 @@
 One action-value function is learned over the joint state/action space of all
 trace slots; the per-step reward is the robustness of the episode prefix
 evaluated against the skolemized body, so no hand-written reward function is
-involved.  Per-slot greedy policies and witness tables for existential
-quantifiers are projected out of the trained function.
+involved.  The episode's tracker keeps the zipped prefix and scores it
+incrementally with a `PrefixEvaluator`, recomputing atoms only from the
+lowest position that changed since the previous step; the terminal reward
+is one from-scratch evaluation of the whole episode.  Per-slot greedy
+policies and witness tables for existential quantifiers are projected out
+of the trained function.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .env import ArityMismatchError, Environment, EpisodeRecord, JointAction, JointState
 from .formula import Formula
-from .robustness import RobustnessConfig, Trace, eval_hyper
+from .robustness import LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, eval_hyper
 from .skolem import SkolemizedFormula, WitnessTable, skolemize, witness_key
 from .worlds import KindMismatchError
 
@@ -191,24 +195,55 @@ def episode_bound(env: Environment, sk: SkolemizedFormula, h: Hyperparams) -> in
 
 
 class _EpisodeTracker:
-    """Accumulates per-slot traces for one episode (per-step labels unless the
-    environment derives traces itself, as the domino game does)."""
+    """The zipped columns of one episode's prefix, one tuple of labels per
+    position, scored incrementally.
 
-    def __init__(self, env: Environment, state: JointState):
+    A world without `trace_prefix` appends the column `label_of` returns at
+    each step.  A world with it (the domino game) may fill in earlier
+    positions later, so each new zip is compared with the previous one to
+    find the lowest position that changed.  `rho` re-scores the prefix from
+    that position on with `evaluator`.
+    """
+
+    def __init__(self, env: Environment, state: JointState,
+                 evaluator: PrefixEvaluator | None = None):
         self.env = env
         self.hooked = env.trace_prefix(state) is not None
-        self.labels = [list(env.label_of(state))] if not self.hooked else None
-        self.state = state
+        self.evaluator = evaluator
+        self.columns = []
+        self.changed = 0      # lowest position changed since the last `rho`
+        self.advance(state)
 
     def advance(self, state: JointState):
-        self.state = state
         if not self.hooked:
-            self.labels.append(list(self.env.label_of(state)))
+            self.changed = min(self.changed, len(self.columns))
+            self.columns.append(tuple(self.env.label_of(state)))
+            return
+        self.slots = tuple(self.env.trace_prefix(state))
+        columns = list(zip(*self.slots))
+        old, lo = self.columns, 0
+        common = min(len(old), len(columns))
+        while lo < common and old[lo] == columns[lo]:
+            lo += 1
+        self.changed = min(self.changed, lo)
+        self.columns = columns
+
+    def rho(self) -> float:
+        """Robustness of the prefix; the minimum while some slot is empty."""
+        if self.hooked:
+            lengths = {len(t) for t in self.slots}
+            if 0 in lengths:
+                return self.evaluator.rho_min
+            if len(lengths) > 1:
+                raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
+        rho = self.evaluator.update(self.columns, self.changed)
+        self.changed = len(self.columns)
+        return rho
 
     def traces(self) -> list:
         if self.hooked:
-            return list(self.env.trace_prefix(self.state))
-        return [Trace(tuple(row[i] for row in self.labels)) for i in range(self.env.arity)]
+            return list(self.slots)
+        return [Trace(labels) for labels in zip(*self.columns)]
 
 
 def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choose,
@@ -216,18 +251,18 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     """Run one episode of `beta` steps, scoring every prefix by its robustness.
 
     `choose(state)` returns the JointAction to take; `on_step(state, action,
-    next_state, rho)` runs after each step.  An episode without steps ends at
-    the robustness of the start prefix.
+    next_state, rho)` runs after each step.  The terminal robustness is that
+    of the whole episode, the start prefix for an episode without steps.
     """
     record = EpisodeRecord(seed=seed)
     state = env.reset(seed)
     record.states.append(state)
-    tracker = _EpisodeTracker(env, state)
+    tracker = _EpisodeTracker(env, state, PrefixEvaluator(sk.plan, sk.arity, cfg))
     for _ in range(beta):
         action = choose(state)
         nxt = env.step(state, action)
         tracker.advance(nxt)
-        rho = immediate_reward(tracker.traces(), sk, cfg)
+        rho = tracker.rho()
         if on_step is not None:
             on_step(state, action, nxt, rho)
         record.states.append(nxt)
@@ -235,7 +270,7 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         record.rhos.append(rho)
         state = nxt
     record.traces = tracker.traces()
-    record.terminal_rho = record.rhos[-1] if record.rhos else immediate_reward(record.traces, sk, cfg)
+    record.terminal_rho = immediate_reward(record.traces, sk, cfg)
     return record
 
 

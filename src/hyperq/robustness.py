@@ -6,6 +6,15 @@ predicates contribute their clamped margin, negation flips sign, conjunction
 and disjunction take min and max, and the temporal operators fold min/max
 over trace positions.  Evaluating past the end of a window yields rho_min.
 
+A body is compiled once into a `Plan`, one step per distinct subformula in
+post-order.  A `PrefixEvaluator` runs the plan over float64 arrays, one value
+per position and subformula, as online robust monitors keep per-subformula
+signals (Donze, Ferrere and Maler, CAV 2013).  It keeps each atom's values
+between calls, so an episode's growing prefix is scored after every step by
+recomputing atoms only from the lowest position that changed; operators are
+recomputed over the whole prefix.  `eval_ltl` and `eval_hyper` are one-shot
+uses of the same evaluator.
+
 A separate Boolean evaluator implements the positional satisfaction relation
 directly (with explicit quantifier enumeration over a finite trace set) and
 serves as an independent oracle: for formulas whose atoms are all Boolean,
@@ -16,6 +25,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .formula import (
     EXISTS,
@@ -33,6 +44,7 @@ from .formula import (
     Predicate,
     TrueNode,
     Until,
+    children_of,
 )
 
 
@@ -146,8 +158,7 @@ def zip_traces(traces) -> ZippedTrace:
     lengths = {len(t) for t in traces}
     if len(lengths) != 1:
         raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
-    columns = tuple(tuple(t[i] for t in traces) for i in range(lengths.pop()))
-    return ZippedTrace(columns, arity=len(traces))
+    return ZippedTrace(tuple(zip(*traces)), arity=len(traces))
 
 
 def ordered_union(exist_traces: dict, univ_traces: dict) -> list:
@@ -207,95 +218,183 @@ def _slot_of(target, arity: int) -> int:
     return idx - 1
 
 
-def _atom_values(atom, z: ZippedTrace, lo: int, hi: int, cfg: RobustnessConfig) -> list:
-    """Per-position robustness of one atom over columns [lo, hi)."""
+def _atom_function(node, arity: int, cfg: RobustnessConfig):
+    """Function from a run of columns to the atom's robustness at each."""
     rmax, rmin = cfg.rho_max, cfg.rho_min
-    out = []
-    if isinstance(atom, BoolProp):
-        slot = _slot_of(atom.trace, z.arity)
-        for i in range(lo, hi):
-            out.append(rmax if atom.prop in z.columns[i][slot].props else rmin)
+    if isinstance(node, TrueNode):
+        return lambda cols: [rmax] * len(cols)
+    if isinstance(node, FalseNode):
+        return lambda cols: [rmin] * len(cols)
+    if isinstance(node, BoolProp):
+        slot, prop = _slot_of(node.trace, arity), node.prop
+        return lambda cols: [rmax if prop in col[slot].props else rmin for col in cols]
+    slots = [_slot_of(a, arity) for a in node.args]
+    name, constant, comparator = node.valuation, node.constant, node.comparator
+    abs_diff = node.abs_diff
+
+    def values(cols):
+        out = []
+        for col in cols:
+            if abs_diff:
+                v = abs(col[slots[0]].value(name) - col[slots[1]].value(name))
+            else:
+                v = col[slots[0]].value(name)
+            if comparator == "=":
+                out.append(rmax if v == constant else rmin)
+            else:
+                margin = constant - v if comparator == "<" else v - constant
+                out.append(min(rmax, max(rmin, margin)))
         return out
-    slots = [_slot_of(a, z.arity) for a in atom.args]
-    for i in range(lo, hi):
-        col = z.columns[i]
-        if atom.abs_diff:
-            v = abs(col[slots[0]].value(atom.valuation) - col[slots[1]].value(atom.valuation))
-        else:
-            v = col[slots[0]].value(atom.valuation)
-        if atom.comparator == "=":
-            out.append(rmax if v == atom.constant else rmin)
-        else:
-            margin = atom.constant - v if atom.comparator == "<" else v - atom.constant
-            out.append(min(rmax, max(rmin, margin)))
+
+    return values
+
+
+def _suffix(ufunc, c):
+    """Suffix minimum or maximum of `c`.
+
+    Among equal values the later position's wins, as in a right-to-left fold
+    that replaces its accumulator only on a strict improvement; that decides
+    the sign when 0.0 and -0.0 tie.  The result is monotone, so a zero can
+    only occur when its two ends do not share a strict sign.
+    """
+    out = ufunc.accumulate(c[::-1])[::-1]
+    if out[0] * out[-1] <= 0.0:
+        zero = out == 0.0
+        if zero.any():
+            out[zero] = c[np.flatnonzero(c == 0.0)[-1]]
     return out
 
 
-def _node_values(node: LtlNode, z: ZippedTrace, lo: int, hi: int, cfg: RobustnessConfig,
-                 memo: dict) -> list:
-    """Dynamic program: robustness of `node` at every position in [lo, hi).
+def _until(lvals, rvals, rmin: float):
+    out = lvals.tolist()
+    rs = rvals.tolist()
+    acc = rmin  # no witness position yet
+    for i in range(len(out) - 1, -1, -1):
+        lv = out[i]
+        carry = lv if lv < acc else acc
+        rv = rs[i]
+        acc = rv if rv > carry else carry
+        out[i] = acc
+    return np.array(out)
 
-    Temporal operators are suffix recursions over the shared window end, so
-    each node costs O(window) once its children are tabulated.
+
+def _next(cvals, rmin: float):
+    out = np.empty_like(cvals)
+    out[:-1] = cvals[1:]
+    out[-1] = rmin
+    return out
+
+
+def _operator(node, kids):
+    """Function from the list of step arrays and rho_min to this operator's
+    array.
+
+    On a tie of 0.0 and -0.0, numpy's minimum and maximum return their
+    second argument, so & and | keep the right operand and -> the negated
+    left one, as a scalar `a if a < b else b` does.
     """
-    key = id(node)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    rmax, rmin = cfg.rho_max, cfg.rho_min
-    n = hi - lo
-    if isinstance(node, TrueNode):
-        vals = [rmax] * n
-    elif isinstance(node, FalseNode):
-        vals = [rmin] * n
-    elif isinstance(node, (BoolProp, Predicate)):
-        vals = _atom_values(node, z, lo, hi, cfg)
-    elif isinstance(node, Not):
-        vals = [-v for v in _node_values(node.child, z, lo, hi, cfg, memo)]
-    elif isinstance(node, And):
-        lvals = _node_values(node.left, z, lo, hi, cfg, memo)
-        rvals = _node_values(node.right, z, lo, hi, cfg, memo)
-        vals = [a if a < b else b for a, b in zip(lvals, rvals)]
-    elif isinstance(node, Or):
-        lvals = _node_values(node.left, z, lo, hi, cfg, memo)
-        rvals = _node_values(node.right, z, lo, hi, cfg, memo)
-        vals = [a if a > b else b for a, b in zip(lvals, rvals)]
-    elif isinstance(node, Implies):
-        lvals = _node_values(node.left, z, lo, hi, cfg, memo)
-        rvals = _node_values(node.right, z, lo, hi, cfg, memo)
-        vals = [b if -a < b else -a for a, b in zip(lvals, rvals)]
-    elif isinstance(node, Next):
-        cvals = _node_values(node.child, z, lo, hi, cfg, memo)
-        vals = cvals[1:] + [rmin]
-    elif isinstance(node, Always):
-        cvals = _node_values(node.child, z, lo, hi, cfg, memo)
-        vals = [0.0] * n
-        acc = rmax
-        for i in range(n - 1, -1, -1):
-            c = cvals[i]
-            acc = c if c < acc else acc
-            vals[i] = acc
-    elif isinstance(node, Eventually):
-        cvals = _node_values(node.child, z, lo, hi, cfg, memo)
-        vals = [0.0] * n
-        acc = rmin
-        for i in range(n - 1, -1, -1):
-            c = cvals[i]
-            acc = c if c > acc else acc
-            vals[i] = acc
-    elif isinstance(node, Until):
-        lvals = _node_values(node.left, z, lo, hi, cfg, memo)
-        rvals = _node_values(node.right, z, lo, hi, cfg, memo)
-        vals = [0.0] * n
-        acc = rmin  # no witness position yet
-        for i in range(n - 1, -1, -1):
-            carry = lvals[i] if lvals[i] < acc else acc
-            acc = rvals[i] if rvals[i] > carry else carry
-            vals[i] = acc
-    else:
-        raise TypeError(f"cannot evaluate node {node!r}")
-    memo[key] = vals
-    return vals
+    a = kids[0]
+    if isinstance(node, Not):
+        return lambda v, rmin: np.negative(v[a])
+    if isinstance(node, Next):
+        return lambda v, rmin: _next(v[a], rmin)
+    if isinstance(node, Always):
+        return lambda v, rmin: _suffix(np.minimum, v[a])
+    if isinstance(node, Eventually):
+        return lambda v, rmin: _suffix(np.maximum, v[a])
+    b = kids[1]
+    if isinstance(node, And):
+        return lambda v, rmin: np.minimum(v[a], v[b])
+    if isinstance(node, Or):
+        return lambda v, rmin: np.maximum(v[a], v[b])
+    if isinstance(node, Implies):
+        return lambda v, rmin: np.maximum(v[b], np.negative(v[a]))
+    if isinstance(node, Until):
+        return lambda v, rmin: _until(v[a], v[b], rmin)
+    raise TypeError(f"cannot evaluate node {node!r}")
+
+
+class Plan:
+    """Post-order evaluation plan of one quantifier-free body.
+
+    Structurally equal subformulas share one step: an atom is keyed by its
+    node (a frozen dataclass), an operator by its type and the steps of its
+    children, so no key hashes a whole subtree.  `steps` lists the distinct
+    nodes, each after its children, with the step indices of those
+    children; the body is the last step.  `atoms` are the (step, node) pairs
+    of the leaves and `ops` the (step, operator function) pairs of the
+    other steps.
+    """
+
+    def __init__(self, body: LtlNode):
+        steps = []
+        index = {}
+
+        def visit(node) -> int:
+            kids = tuple(visit(c) for c in children_of(node))
+            key = (type(node), kids) if kids else node
+            known = index.get(key)
+            if known is None:
+                known = index[key] = len(steps)
+                steps.append((node, kids))
+            return known
+
+        visit(body)
+        self.steps = tuple(steps)
+        self.atoms = tuple((i, node) for i, (node, kids) in enumerate(steps) if not kids)
+        self.ops = tuple((i, _operator(node, kids)) for i, (node, kids) in enumerate(steps) if kids)
+
+    def __len__(self):
+        return len(self.steps)
+
+
+class PrefixEvaluator:
+    """Robustness at position 0 of a zipped prefix that grows or is rewritten.
+
+    Each atom's values are kept per position in a float64 array.  `update`
+    recomputes them only from the lowest position that changed since the
+    previous update; the operators then run over whole arrays, since a
+    temporal operator's value at a position depends on every later one.
+    Min, max, negation and shifts are exact in float64, so the result equals
+    a from-scratch evaluation bit for bit.
+    """
+
+    def __init__(self, plan: Plan, arity: int, cfg: RobustnessConfig):
+        self.arity = arity
+        self.rho_min = cfg.rho_min
+        self._ops = plan.ops
+        self._atom_steps = [step for step, _ in plan.atoms]
+        self._values = [_atom_function(node, arity, cfg) for _, node in plan.atoms]
+        self._store = np.empty((len(self._values), 16))   # one row per atom
+        self._vals = [None] * len(plan)
+        self._n = 0            # positions the atom store holds
+
+    def update(self, columns, lo: int = 0) -> float:
+        """Robustness of `columns` (one tuple of labels per position) when
+        positions before `lo` are unchanged since the previous update; the
+        minimum for an empty prefix."""
+        n = len(columns)
+        if n == 0:
+            return self.rho_min
+        if len(columns[0]) != self.arity:
+            raise LengthMismatchError(f"expected {self.arity} traces, got {len(columns[0])}")
+        lo = self._n = min(lo, self._n)
+        store = self._store
+        if n > store.shape[1]:
+            store = np.empty((len(self._values), max(n, 2 * store.shape[1])))
+            store[:, :lo] = self._store[:, :lo]
+            self._store = store
+        if lo < n:
+            tail = columns[lo:]
+            store[:, lo:n] = [values(tail) for values in self._values]
+        self._n = n
+        v = self._vals
+        for step, row in zip(self._atom_steps, store[:, :n]):
+            v[step] = row
+        rmin = self.rho_min
+        for step, op in self._ops:
+            v[step] = op(v, rmin)
+        return float(v[-1][0])
 
 
 def eval_ltl(z: ZippedTrace, window, body: LtlNode, cfg: RobustnessConfig) -> float:
@@ -308,7 +407,7 @@ def eval_ltl(z: ZippedTrace, window, body: LtlNode, cfg: RobustnessConfig) -> fl
         raise WindowOutOfRangeError(f"window {window} outside trace of length {len(z)}")
     if lo >= hi:
         return cfg.rho_min
-    return _node_values(body, z, lo, hi, cfg, {})[0]
+    return PrefixEvaluator(Plan(body), z.arity, cfg).update(z.columns[lo:hi])
 
 
 def eval_hyper(assignment, sk, cfg: RobustnessConfig) -> float:
@@ -321,7 +420,7 @@ def eval_hyper(assignment, sk, cfg: RobustnessConfig) -> float:
     if len(traces) != sk.arity:
         raise LengthMismatchError(f"expected {sk.arity} traces, got {len(traces)}")
     z = zip_traces(traces)
-    return eval_ltl(z, (0, len(z)), sk.body, cfg)
+    return PrefixEvaluator(sk.plan, z.arity, cfg).update(z.columns)
 
 
 # ---------------------------------------------------------------------------

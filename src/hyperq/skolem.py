@@ -10,6 +10,7 @@ prefix slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .formula import (
     EXISTS,
@@ -31,6 +32,7 @@ from .formula import (
     Until,
     validate,
 )
+from .robustness import Plan
 
 
 class NotClosedError(FormulaError):
@@ -67,6 +69,11 @@ class SkolemizedFormula:
     universal_vars: tuple[TraceVar, ...]
     body: LtlNode
     arity: int
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The body's evaluation plan, compiled on first use."""
+        return Plan(self.body)
 
 
 def _require_closed(f: Formula):

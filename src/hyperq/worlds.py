@@ -609,5 +609,13 @@ def build_env(section: dict, base_dir=None) -> Environment:
             raise ValueError(f"environment kind {kind} needs a {cls.file_key} key")
         base = Path(base_dir) if base_dir is not None else Path(".")
         args.append(_LOADERS[cls.file_key](base / section[cls.file_key]))
-    kwargs = {"beta": int(section["beta"])} if "beta" in section else {}
+    kwargs = {}
+    if "beta" in section:
+        raw = section["beta"]
+        try:
+            kwargs["beta"] = int(raw)
+        except ValueError:
+            kwargs["beta"] = 0
+        if kwargs["beta"] < 1:
+            raise ValueError(f"[environment] beta must be a positive integer, got {raw!r}")
     return cls(*args, **kwargs)

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 import hyperq as hq
-from hyperq.env import ArityMismatchError
+from hyperq.env import ArityMismatchError, Environment, JointAction, JointState
+from hyperq.formula import children_of
 from hyperq.learner import (
     Hyperparams,
     TabularQ,
@@ -11,13 +13,14 @@ from hyperq.learner import (
     greedy_rollout,
     immediate_reward,
     q_update,
+    rollout,
     train,
 )
-from hyperq.robustness import RobustnessConfig
+from hyperq.robustness import LengthMismatchError, RobustnessConfig, Trace, zip_traces
 from hyperq.skolem import check_consistency, skolemize
 from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file
 
-from oracles import value_iteration
+from oracles import naive_eval, random_formula, random_label, value_iteration
 
 CFG = RobustnessConfig()
 
@@ -184,3 +187,123 @@ def test_hyperparams_validation():
     for decay in (0, -5):
         with pytest.raises(ValueError):
             Hyperparams(epsilon_decay_episodes=decay)
+
+
+# ---------------------------------------------------------------------------
+# Per-step rewards of rollout against the naive oracle
+
+class _LabelScript(Environment):
+    """Append-only world: after t steps the prefix is columns[0..t]."""
+
+    kind = "label-script"
+    actions = ("go",)
+
+    def __init__(self, columns):
+        self.columns = columns
+        self.arity = len(columns[0])
+        self.beta = len(columns) - 1
+
+    def reset(self, seed):
+        return JointState(("start",) * self.arity, 0)
+
+    def step(self, state, action):
+        return JointState(state.per_trace, state.step_count + 1)
+
+    def label_of(self, state):
+        return self.columns[state.step_count]
+
+    def prefix(self, t):
+        return [Trace(labels) for labels in zip(*self.columns[:t + 1])]
+
+
+class _PrefixScript(_LabelScript):
+    """A `trace_prefix` world: after t steps the traces are prefixes[t]."""
+
+    kind = "prefix-script"
+
+    def __init__(self, prefixes):
+        self.prefixes = prefixes
+        self.arity = len(prefixes[0])
+        self.beta = len(prefixes) - 1
+
+    def trace_prefix(self, state):
+        return self.prefixes[state.step_count]
+
+    def prefix(self, t):
+        return list(self.prefixes[t])
+
+
+def _rewrite_script(rng, arity, steps):
+    """Equal-length slot traces per step; each step rewrites every position
+    from a random index on and grows by zero to three positions."""
+    cols = []
+    script = []
+    for _ in range(steps + 1):
+        keep = rng.randint(0, len(cols))
+        grow = rng.choice([0, 1, 1, 2, 3])
+        cols = cols[:keep] + [tuple(random_label(rng, True) for _ in range(arity))
+                              for _ in range(len(cols) - keep + grow)]
+        script.append(tuple(Trace(labels) for labels in zip(*cols)) if cols
+                      else tuple(Trace() for _ in range(arity)))
+    return script
+
+
+def _assert_rewards_match_oracle(env, sk):
+    record = rollout(env, sk, CFG, lambda s: JointAction(("go",) * env.arity), 0, env.beta)
+    assert len(record.rhos) == env.beta
+    for t, rho in enumerate(record.rhos, start=1):
+        traces = env.prefix(t)
+        if any(len(tr) == 0 for tr in traces):
+            expected = CFG.rho_min
+        else:
+            z = zip_traces(traces)
+            expected = naive_eval(z, 0, len(z), sk.body, CFG)
+        assert rho == expected, (t, rho, expected)
+    assert record.terminal_rho == record.rhos[-1]
+
+
+def test_rollout_rewards_match_naive_oracle_append_only():
+    rng = random.Random(101)
+    for _ in range(150):
+        sk = skolemize(random_formula(rng, max_depth=3, max_vars=2))
+        steps = rng.randint(1, 40)
+        columns = [tuple(random_label(rng, True) for _ in range(sk.arity))
+                   for _ in range(steps + 1)]
+        _assert_rewards_match_oracle(_LabelScript(columns), sk)
+
+
+def test_rollout_rewards_match_naive_oracle_rewritten_prefix():
+    rng = random.Random(202)
+    for _ in range(150):
+        sk = skolemize(random_formula(rng, max_depth=4, max_vars=2))
+        script = _rewrite_script(rng, sk.arity, rng.randint(1, 16))
+        _assert_rewards_match_oracle(_PrefixScript(script), sk)
+
+
+def test_rollout_rejects_unequal_slot_lengths():
+    sk = skolemize(hq.parse_formula("forall t1. forall t2. F p@t1 & F p@t2"))
+    label = random_label(random.Random(1))
+    env = _PrefixScript([(Trace(), Trace()), (Trace((label,) * 2), Trace((label,) * 3))])
+    with pytest.raises(LengthMismatchError):
+        rollout(env, sk, CFG, lambda s: JointAction(("go", "go")), 0, 1)
+
+
+def test_rollout_empty_slot_scores_minimum():
+    sk = skolemize(hq.parse_formula("forall t1. forall t2. F true | G true"))
+    full = Trace((random_label(random.Random(3)),) * 2)
+    env = _PrefixScript([(Trace(), Trace()), (full, Trace()), (full, full)])
+    record = rollout(env, sk, CFG, lambda s: JointAction(("go", "go")), 0, 2)
+    assert record.rhos == [CFG.rho_min, CFG.rho_max]
+
+
+def test_plan_has_one_step_per_distinct_subformula():
+    sk = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")))
+    distinct = set()
+    stack = [sk.body]
+    while stack:
+        node = stack.pop()
+        distinct.add(node)
+        stack.extend(children_of(node))
+    assert len(sk.plan) == len(distinct) == 54
+    assert sk.plan.steps[-1][0] == sk.body
+    assert sk.plan is sk.plan

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -216,6 +217,32 @@ def test_matches_naive_recursive_evaluator():
         z = zip_traces(traces)
         lo = rng.randint(0, length)
         assert eval_ltl(z, (lo, length), f.body, CFG) == naive_eval(z, lo, length, f.body, CFG)
+
+
+def test_signed_zero_ties_follow_scalar_folds():
+    # a zero margin and its negation tie; the kept zero's sign is that of a
+    # scalar fold: & | keep the right operand, -> the negated left one, and
+    # G F U the later position (a right-to-left fold replaces only on a strict
+    # improvement)
+    z = zip_traces([Trace((Label(frozenset({"p"}), {"v": 1.0}), Label(frozenset(), {"v": 1.0})))])
+    zero = "[ v@t1 < 1 ]"                                  # +0.0 at both positions
+    c = f"((p@t1 & {zero}) | (!p@t1 & !{zero}))"           # +0.0, then -0.0
+
+    def sign(text):
+        rho = eval_ltl(z, (0, 2), body_of(f"forall t1. {text}"), CFG)
+        assert rho == 0.0
+        return math.copysign(1.0, rho)
+
+    assert sign(f"{zero} & !{zero}") == -1.0
+    assert sign(f"!{zero} & {zero}") == 1.0
+    assert sign(f"{zero} | !{zero}") == -1.0
+    assert sign(f"!{zero} -> !{zero}") == 1.0
+    assert sign(f"{zero} -> {zero}") == -1.0
+    assert sign(f"G {c}") == -1.0
+    assert sign(f"F {c}") == -1.0
+    assert sign(f"true U {c}") == -1.0
+    assert sign(f"X {c}") == -1.0
+    assert sign(c) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -455,3 +455,14 @@ def test_build_env_kinds(tmp_path, capsys):
         assert capsys.readouterr().err == \
             f"config error: environment kind {kind} needs a {key} key\n"
         assert not (tmp_path / kind).exists()
+    for raw in ("eight", "0", "-4"):
+        with pytest.raises(ValueError, match=r"\[environment\] beta must be a positive integer"):
+            build_env({"kind": "wildfire", "beta": raw}, base)
+        cfg = tmp_path / "beta.ini"
+        cfg.write_text(f"[experiment]\nformula = {hq.bundled('formulas/rescue.hltl')}\n"
+                       f"output_dir = {tmp_path / 'beta'}\n[environment]\nkind = wildfire\n"
+                       f"beta = {raw}\n")
+        assert cmd_train(cfg) == 2
+        assert capsys.readouterr().err == \
+            f"config error: [environment] beta must be a positive integer, got '{raw}'\n"
+        assert not (tmp_path / "beta").exists()
