@@ -34,7 +34,6 @@ from .robustness import (
     boolean_sat,
     eval_hyper,
     eval_ltl,
-    ordered_union,
     sat_verdict,
     zip_traces,
 )

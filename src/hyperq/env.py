@@ -63,7 +63,7 @@ class Environment:
     by all slots), `arity` the number of trace slots, and `beta` the episode
     length bound.  `metric_columns` are the training CSV columns between
     ``episode`` and ``rho``.  A world with a hand-crafted comparison reward
-    names it in `baseline` and implements `baseline_reward(prev_state,
+    (``reward_mode = baseline``) defines `baseline_reward(prev_state,
     action, next_state)`.
     """
 
@@ -73,7 +73,6 @@ class Environment:
     arity: int = 0
     beta: int = 0
     metric_columns: tuple = ()
-    baseline: str | None = None
 
     def reset(self, seed: int) -> JointState:
         raise NotImplementedError

@@ -67,7 +67,6 @@ class ExperimentConfig:
     formula_path: Path
     environment: dict
     hyperparams: Hyperparams
-    repetitions: int
     seeds: list
     output_dir: Path
     base_dir: Path
@@ -102,6 +101,8 @@ class ExperimentConfig:
         else:
             base_seed = _number(int, "base_seed", exp.get("base_seed", "1"))
             seeds = [base_seed + i for i in range(reps)]
+        if min(seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
 
         hp_section = dict(parser["hyperparams"]) if "hyperparams" in parser else {}
         hyperparams = _parse_hyperparams(hp_section)
@@ -113,7 +114,6 @@ class ExperimentConfig:
             formula_path=formula_path,
             environment=dict(parser["environment"]),
             hyperparams=hyperparams,
-            repetitions=reps,
             seeds=seeds,
             output_dir=out,
             base_dir=base,
@@ -233,13 +233,15 @@ def read_artifacts(path) -> tuple:
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         try:
             if line.startswith("policy "):
-                current_policy = int(line.split()[1])
+                _, index = line.split()
+                current_policy = int(index)
                 current_witness = None
                 policies.policies[current_policy] = {}
             elif line.startswith("witness "):
                 head, deps_part = line.split(" deps=")
+                _, index = head.split()
                 deps = tuple(int(d) for d in deps_part.split(",") if d)
-                current_witness = WitnessTable(int(head.split()[1]), deps)
+                current_witness = WitnessTable(int(index), deps)
                 witnesses.append(current_witness)
                 current_policy = None
             elif current_policy is not None and line:
@@ -300,19 +302,13 @@ def _aggregate(all_metrics) -> TrainMetrics:
     return TrainMetrics(columns, rows)
 
 
-def cmd_train(config_path, out=None, reps=None, seed=None) -> int:
+def cmd_train(config_path, out=None) -> int:
     try:
         cfg = ExperimentConfig.load(config_path)
         f, _, env, _ = cfg.setup()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if reps is not None:
-        cfg.repetitions = reps
-        base = seed if seed is not None else cfg.seeds[0]
-        cfg.seeds = [base + i for i in range(reps)]
-    elif seed is not None:
-        cfg.seeds = [seed + i for i in range(cfg.repetitions)]
     out_dir = Path(out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rob_cfg = cfg.hyperparams.config()
@@ -334,7 +330,7 @@ def cmd_train(config_path, out=None, reps=None, seed=None) -> int:
 
     for rep_seed, verdict, rho in summary.verdicts:
         print(f"seed {rep_seed}: {verdict.value} (terminal rho {rho})")
-    print(f"repetitions: {cfg.repetitions}")
+    print(f"repetitions: {len(cfg.seeds)}")
     print(f"satisfaction_rate: {summary.satisfaction_rate}")
     print(f"mean_terminal_rho: {summary.mean_terminal_rho}")
     print(f"wall_clock_seconds: {summary.wall_clock_seconds:.2f}")
@@ -423,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run a training experiment from a config file")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", help=f"output directory (overrides ${OUTPUT_DIR_ENV} and config)")
-    p_train.add_argument("--reps", type=int)
-    p_train.add_argument("--seed", type=int)
 
     p_eval = sub.add_parser("eval", help="greedy rollout of trained artifacts")
     p_eval.add_argument("--policy", required=True, help="artifacts file written by train")
@@ -446,7 +440,7 @@ def main(argv=None) -> int:
     if args.command == "check":
         return cmd_check(args.formula)
     if args.command == "train":
-        return cmd_train(args.config, out=args.out, reps=args.reps, seed=args.seed)
+        return cmd_train(args.config, out=args.out)
     if args.command == "eval":
         return cmd_eval(args.policy, args.config)
     if args.command == "oracle":

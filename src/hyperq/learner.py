@@ -25,7 +25,7 @@ from .skolem import SkolemizedFormula, WitnessTable, skolemize, witness_key
 from .worlds import KindMismatchError
 
 
-REWARD_MODES = ("prefix", "baseline_saferl", "baseline_pcp")
+REWARD_MODES = ("prefix", "baseline")
 
 
 @dataclass
@@ -43,6 +43,8 @@ class Hyperparams:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
+        if not 0.0 < self.learning_rate <= 1.0:
+            raise ValueError("learning_rate must lie in (0, 1]")
         if not self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need epsilon_end <= epsilon_start <= 1")
         if self.xi < 1 or self.beta < 0:
@@ -51,6 +53,7 @@ class Hyperparams:
             raise ValueError("epsilon_decay_episodes must be >= 1")
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
+        self.config()  # rejects a rho_max that is not positive and finite
 
     def epsilon(self, episode: int) -> float:
         horizon = self.epsilon_decay_episodes
@@ -188,9 +191,8 @@ def episode_bound(env: Environment, sk: SkolemizedFormula, h: Hyperparams) -> in
             f"formula quantifies {sk.arity} traces, environment has {env.arity} slots")
     if h.beta > env.beta:
         raise ValueError(f"hyperparameter beta {h.beta} exceeds the environment's bound {env.beta}")
-    baseline = h.reward_mode.partition("baseline_")[2]
-    if baseline and baseline != env.baseline:
-        raise KindMismatchError(f"{baseline} baseline reward does not apply to a {env.kind} environment")
+    if h.reward_mode == "baseline" and not hasattr(env, "baseline_reward"):
+        raise KindMismatchError(f"a {env.kind} environment has no baseline reward")
     return h.beta or env.beta
 
 
@@ -286,7 +288,7 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     joint_actions = [JointAction(a) for a in itertools.product(env.actions, repeat=env.arity)]
     action_index = {a.per_trace: i for i, a in enumerate(joint_actions)}
     q = TabularQ(len(joint_actions))
-    baseline = h.reward_mode != "prefix"
+    baseline = h.reward_mode == "baseline"
 
     # explore and learn see the ep_rng and eps of the episode being run
     def explore(state):
@@ -313,12 +315,12 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
 
     final = rollout(env, sk, cfg,
                     lambda s: joint_actions[q.best(env.encode(s), prefer_tried=True)], seed, beta)
-    policies, witnesses = extract_policies(q, env, sk, [final])
+    policies, witnesses = extract_policies(env, sk, final)
     return TrainResult(q, policies, witnesses, metrics, final)
 
 
-def extract_policies(q, env: Environment, sk: SkolemizedFormula, episodes: list):
-    """Project per-slot policies and witness tables out of greedy episodes.
+def extract_policies(env: Environment, sk: SkolemizedFormula, record: EpisodeRecord):
+    """Project per-slot policies and witness tables out of a greedy episode.
 
     The policy of slot i maps the slot's observed state to the i-th component
     of the joint action taken there.  Witness tables record, for every step t,
@@ -327,26 +329,25 @@ def extract_policies(q, env: Environment, sk: SkolemizedFormula, episodes: list)
     """
     policies = PolicySet({i + 1: {} for i in range(env.arity)})
     witnesses = [WitnessTable(d.exist_index, d.deps) for d in sk.decls]
-    for record in episodes:
-        tracker = _EpisodeTracker(env, record.states[0])
-        for t, state in enumerate(record.states):
-            if t:
-                tracker.advance(state)
-            traces = tracker.traces()
-            for table in witnesses:
-                e = table.exist_index - 1
-                key = witness_key(tuple(traces[j - 1] for j in table.deps))
-                table.record(key, traces[e], tuple(a[e] for a in record.actions[:t]))
-            if t < record.steps:
-                for i, slot in enumerate(state.per_trace):
-                    policies.policies[i + 1][state_key(slot)] = record.actions[t][i]
+    tracker = _EpisodeTracker(env, record.states[0])
+    for t, state in enumerate(record.states):
+        if t:
+            tracker.advance(state)
+        traces = tracker.traces()
+        for table in witnesses:
+            e = table.exist_index - 1
+            key = witness_key(tuple(traces[j - 1] for j in table.deps))
+            table.record(key, traces[e], tuple(a[e] for a in record.actions[:t]))
+        if t < record.steps:
+            for i, slot in enumerate(state.per_trace):
+                policies.policies[i + 1][state_key(slot)] = record.actions[t][i]
     return policies, witnesses
 
 
 def greedy_rollout(policies: PolicySet, env: Environment, sk: SkolemizedFormula,
-                   cfg: RobustnessConfig, seed: int = 0, beta: int | None = None) -> EpisodeRecord:
-    """Deterministic episode of `beta` steps (default: the environment's bound)
-    under the extracted per-slot policies.
+                   cfg: RobustnessConfig, seed: int, beta: int) -> EpisodeRecord:
+    """Deterministic episode of `beta` steps (see `episode_bound`) under the
+    extracted per-slot policies.
 
     States never seen during extraction fall back to the first action.
     """
@@ -356,4 +357,4 @@ def greedy_rollout(policies: PolicySet, env: Environment, sk: SkolemizedFormula,
         return JointAction(tuple(policies.action_for(i + 1, slot, default)
                                  for i, slot in enumerate(state.per_trace)))
 
-    return rollout(env, sk, cfg, choose, seed, env.beta if beta is None else beta)
+    return rollout(env, sk, cfg, choose, seed, beta)

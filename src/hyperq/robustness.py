@@ -24,6 +24,7 @@ robustness equals rho_max exactly when the Boolean relation holds.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +54,6 @@ class LengthMismatchError(ValueError):
 
 
 class EmptyInputError(ValueError):
-    pass
-
-
-class DuplicateIndexError(ValueError):
     pass
 
 
@@ -161,17 +158,6 @@ def zip_traces(traces) -> ZippedTrace:
     return ZippedTrace(tuple(zip(*traces)), arity=len(traces))
 
 
-def ordered_union(exist_traces: dict, univ_traces: dict) -> list:
-    """Merge index->trace maps back into quantifier-prefix order."""
-    merged = {}
-    for src in (exist_traces, univ_traces):
-        for idx, t in src.items():
-            if idx in merged:
-                raise DuplicateIndexError(f"quantifier index {idx} assigned twice")
-            merged[idx] = t
-    return [merged[i] for i in sorted(merged)]
-
-
 # ---------------------------------------------------------------------------
 # Robustness configuration and verdicts
 
@@ -180,8 +166,8 @@ class RobustnessConfig:
     rho_max: float = 100.0
 
     def __post_init__(self):
-        if self.rho_max <= 0:
-            raise ValueError("rho_max must be positive")
+        if not (self.rho_max > 0 and math.isfinite(self.rho_max)):
+            raise ValueError(f"rho_max must be positive and finite, got {self.rho_max}")
 
     @property
     def rho_min(self) -> float:

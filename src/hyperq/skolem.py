@@ -13,23 +13,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .formula import (
-    EXISTS,
     FORALL,
-    And,
     BoolProp,
-    Eventually,
-    Always,
     Formula,
     FormulaError,
-    Implies,
     LtlNode,
-    Next,
-    Not,
-    Or,
     Predicate,
     SkolemRef,
     TraceVar,
-    Until,
+    children_of,
     validate,
 )
 from .robustness import Plan
@@ -105,22 +97,9 @@ def _retag(node: LtlNode, refs: dict[int, SkolemRef]) -> LtlNode:
     if isinstance(node, Predicate):
         return Predicate(node.valuation, tuple(target(a) for a in node.args),
                          node.comparator, node.constant, node.abs_diff)
-    if isinstance(node, Not):
-        return Not(_retag(node.child, refs))
-    if isinstance(node, Next):
-        return Next(_retag(node.child, refs))
-    if isinstance(node, Eventually):
-        return Eventually(_retag(node.child, refs))
-    if isinstance(node, Always):
-        return Always(_retag(node.child, refs))
-    if isinstance(node, And):
-        return And(_retag(node.left, refs), _retag(node.right, refs))
-    if isinstance(node, Or):
-        return Or(_retag(node.left, refs), _retag(node.right, refs))
-    if isinstance(node, Implies):
-        return Implies(_retag(node.left, refs), _retag(node.right, refs))
-    if isinstance(node, Until):
-        return Until(_retag(node.left, refs), _retag(node.right, refs))
+    kids = children_of(node)
+    if kids:
+        return type(node)(*(_retag(kid, refs) for kid in kids))
     return node
 
 

@@ -169,7 +169,6 @@ class GridWorldEnv(Environment):
     file_key = "map"
     actions = GRID_ACTIONS
     metric_columns = ("total_done", "total_col")
-    baseline = "saferl"
 
     def __init__(self, grid: GridMap, beta: int = 300):
         missing = [i + 1 for i, g in enumerate(grid.goals) if g is None]
@@ -351,14 +350,6 @@ class DominoSet:
     def k(self) -> int:
         return len(self.dominoes)
 
-    @property
-    def alphabet(self) -> tuple:
-        seen = set()
-        for top, bot in self.dominoes:
-            seen.update(top)
-            seen.update(bot)
-        return tuple(sorted(seen))
-
 
 def load_dominoes(text: str) -> DominoSet:
     """One `top|bottom` pair per line; `#` starts a comment line."""
@@ -389,7 +380,7 @@ def _letter_prop(side: str, ch: str) -> str:
     return f"{side}_hash" if ch == "#" else f"{side}_{ch}"
 
 
-def unroll_words(top: str, bot: str, length: int, terminated: bool = True) -> Trace:
+def unroll_words(top: str, bot: str, length: int, terminated: bool) -> Trace:
     """Letter-aligned trace: position i carries the i-th top and bottom letters.
 
     Past a word's end the position carries '#' once the sequence has
@@ -424,7 +415,6 @@ class PcpEnv(Environment):
     file_key = "dominoes"
     arity = 2
     metric_columns = ("tot_done",)
-    baseline = "pcp"
 
     def __init__(self, dominoes: DominoSet, beta: int = 10):
         self.dominoes = dominoes
@@ -455,17 +445,11 @@ class PcpEnv(Environment):
             bot += "#"
         return top, bot
 
-    def _natural_length(self, slot) -> int:
-        top, bot = self.slot_words(slot)
-        return max(len(top), len(bot))
-
     def trace_prefix(self, state: JointState) -> tuple:
-        length = max(self._natural_length(s) for s in state.per_trace)
-        out = []
-        for slot in state.per_trace:
-            top, bot = self.slot_words(slot)
-            out.append(unroll_words(top, bot, length, terminated=slot[1]))
-        return tuple(out)
+        words = [self.slot_words(slot) for slot in state.per_trace]
+        length = max(len(w) for pair in words for w in pair)
+        return tuple(unroll_words(top, bot, length, done)
+                     for (top, bot), (_, done) in zip(words, state.per_trace))
 
     def match_achieved(self, slot) -> bool:
         """Terminated with equal nonempty words."""

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ epsilon_decay_episodes = 10
 
 def test_config_load_bundled():
     cfg = ExperimentConfig.load(hq.bundled("configs/wildfire.ini"))
-    assert cfg.repetitions == 10
+    assert len(cfg.seeds) == 10
     assert cfg.seeds == list(range(1, 11))
     assert cfg.environment["kind"] == "wildfire"
     assert cfg.hyperparams.gamma == 0.99
@@ -98,15 +99,26 @@ def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
     ("xi = 15", "xi = many", "xi must be an integer, got 'many'"),
     ("xi = 15", "xi = 15\ngamma = high", "gamma must be a number, got 'high'"),
     ("beta = 4", "beta = 4\nbeta = 5", "option 'beta' in section 'environment' already exists"),
-], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key"])
+    ("base_seed = 3", "base_seed = -3", "seeds must be non-negative, got -3"),
+    ("repetitions = 1", "repetitions = 2\nseeds = 2 -1", "seeds must be non-negative, got -1"),
+    ("xi = 15", "xi = 15\nrho_max = -1", "rho_max must be positive and finite, got -1.0"),
+    ("xi = 15", "xi = 15\nrho_max = 0", "rho_max must be positive and finite, got 0.0"),
+    ("xi = 15", "xi = 15\nrho_max = nan", "rho_max must be positive and finite, got nan"),
+    ("xi = 15", "xi = 15\nrho_max = inf", "rho_max must be positive and finite, got inf"),
+    ("learning_rate = 1.0", "learning_rate = nan", "learning_rate must lie in (0, 1]"),
+    ("learning_rate = 1.0", "learning_rate = -2", "learning_rate must lie in (0, 1]"),
+], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key", "negative_base_seed",
+        "negative_seed", "rho_max_negative", "rho_max_zero", "rho_max_nan", "rho_max_inf",
+        "learning_rate_nan", "learning_rate_negative"])
 def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
     p = write_micro_config(tmp_path, reps=1)
     p.write_text(p.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         ExperimentConfig.load(p)
     assert cmd_train(p) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out").exists()
     assert cmd_eval(tmp_path / "nothing.txt", p) == 2
 
 
@@ -250,10 +262,14 @@ def test_mismatched_setup_exits_2(tmp_path, capsys):
         assert cmd_eval(artifact, bad) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2 and all(line.startswith("config error: ") for line in lines)
-    bad = write_micro_config(tmp_path, "baseline", xi=5, reps=1,
-                             extra_hp="reward_mode = baseline_pcp")
-    assert cmd_train(bad) == 2
-    assert "config error" in capsys.readouterr().err
+    # reward_mode names no world family: a world offers baseline_reward or not
+    for mode, message in (("baseline", "a wildfire environment has no baseline reward"),
+                          ("baseline_saferl", "unknown reward mode 'baseline_saferl'")):
+        bad = write_micro_config(tmp_path, mode, xi=5, reps=1, extra_hp=f"reward_mode = {mode}")
+        assert cmd_train(bad) == 2
+        assert not (tmp_path / mode).exists()
+        assert cmd_eval(artifact, bad) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n" * 2
 
 
 def test_artifacts_write_read_round_trip(tmp_path):
@@ -273,11 +289,12 @@ def test_artifacts_write_read_round_trip(tmp_path):
 
 def test_cmd_eval_malformed_artifact(tmp_path, capsys):
     cfg = write_micro_config(tmp_path, xi=5, reps=1)
-    for text in ("witness 2 deps=1\nno tabs here\n", "policy x\n", "stray line\n"):
+    for text in ("witness 2 deps=1\nno tabs here\n", "policy x\n", "stray line\n",
+                 "policy \n", "witness  deps=\n"):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
-        assert cmd_eval(bad, cfg) == 2
-    assert "bad.txt:" in capsys.readouterr().err
+        assert cmd_eval(bad, cfg) == 2, text
+        assert "bad.txt:" in capsys.readouterr().err, text
 
 
 def test_cmd_eval_missing_artifact(tmp_path):
@@ -341,3 +358,14 @@ def test_main_dispatches(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # seeds come from the config only
+    cfg = write_micro_config(tmp_path, xi=5, reps=1)
+    for flag in ("--reps", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg), flag, "2"])
+        assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--out"}

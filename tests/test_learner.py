@@ -9,6 +9,7 @@ from hyperq.formula import children_of
 from hyperq.learner import (
     Hyperparams,
     TabularQ,
+    episode_bound,
     extract_policies,
     greedy_rollout,
     immediate_reward,
@@ -149,7 +150,8 @@ def test_greedy_rollout_untrained_takes_first_action():
 
     env = WildfireEnv(5)
     sk = skolemize(rescue_formula())
-    rec = greedy_rollout(PolicySet({}), env, sk, CFG, seed=0)
+    rec = greedy_rollout(PolicySet({}), env, sk, CFG, seed=0,
+                         beta=episode_bound(env, sk, Hyperparams()))
     assert rec.steps == 5
     assert all(a == ("stay", "stay") for a in rec.actions)
     assert len(rec.rhos) == rec.steps
@@ -170,7 +172,9 @@ def test_policy_rollout_reproduces_final_training_rollout():
     h = Hyperparams(xi=120, learning_rate=1.0)
     env = WildfireEnv(6)
     res = train(env, f, h, seed=4)
-    replay = greedy_rollout(res.policies, env, skolemize(f), h.config(), seed=4)
+    sk = skolemize(f)
+    replay = greedy_rollout(res.policies, env, sk, h.config(), seed=4,
+                            beta=episode_bound(env, sk, h))
     assert replay.actions == res.final_record.actions
     assert replay.terminal_rho == res.final_record.terminal_rho
 

@@ -7,7 +7,6 @@ import pytest
 import hyperq as hq
 from hyperq.formula import parse_formula
 from hyperq.robustness import (
-    DuplicateIndexError,
     EmptyInputError,
     Label,
     LengthMismatchError,
@@ -19,7 +18,6 @@ from hyperq.robustness import (
     boolean_sat,
     eval_hyper,
     eval_ltl,
-    ordered_union,
     sat_verdict,
     zip_traces,
 )
@@ -74,21 +72,6 @@ def test_zip_projection_recovers_traces():
     z = zip_traces(ts)
     for k, t in enumerate(ts):
         assert [c[k] for c in z.columns] == list(t.labels)
-
-
-def test_ordered_union_interleaves_by_index():
-    t_e, t_u = labels({"e"}), labels({"u"})
-    assert ordered_union({2: t_e}, {1: t_u}) == [t_u, t_e]
-
-
-def test_ordered_union_universal_only():
-    a, b = labels({"a"}), labels({"b"})
-    assert ordered_union({}, {1: a, 2: b}) == [a, b]
-
-
-def test_ordered_union_rejects_duplicates():
-    with pytest.raises(DuplicateIndexError):
-        ordered_union({1: labels()}, {1: labels()})
 
 
 # ---------------------------------------------------------------------------

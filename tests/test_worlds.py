@@ -418,11 +418,13 @@ def test_pcp_baseline_letter_agreement():
 def test_baseline_kind_mismatch():
     env = walled_env()
     sk = skolemize(hq.load_formula(hq.bundled("formulas/safe_rl.hltl")))
-    assert episode_bound(env, sk, Hyperparams(reward_mode="baseline_saferl")) == env.beta
+    assert episode_bound(env, sk, Hyperparams(reward_mode="baseline")) == env.beta
+    rescue = skolemize(hq.load_formula(hq.bundled("formulas/rescue.hltl")))
     with pytest.raises(KindMismatchError):
-        episode_bound(env, sk, Hyperparams(reward_mode="baseline_pcp"))
-    with pytest.raises(ValueError):
-        Hyperparams(reward_mode="baseline_nonsense")
+        episode_bound(WildfireEnv(), rescue, Hyperparams(reward_mode="baseline"))
+    for family in ("baseline_saferl", "baseline_pcp", "baseline_nonsense"):
+        with pytest.raises(ValueError):
+            Hyperparams(reward_mode=family)
 
 
 # ---------------------------------------------------------------------------
