@@ -3,10 +3,10 @@
 One action-value function is learned over the joint state/action space of all
 trace slots; the per-step reward is the robustness of the episode prefix
 evaluated against the skolemized body, so no hand-written reward function is
-involved.  The episode's tracker keeps the zipped prefix and scores it
-incrementally with a `PrefixEvaluator`, recomputing atoms only from the
-lowest position that changed since the previous step; the terminal reward
-is one from-scratch evaluation of the whole episode.  Per-slot greedy
+involved.  The episode's tracker keeps the zipped prefix and scores it with
+a `PrefixEvaluator`, which recomputes each subformula only from the lowest
+position that changed since the previous step; the terminal reward is one
+from-scratch evaluation of the whole episode.  Per-slot greedy
 policies and witness tables for existential quantifiers are projected out
 of the trained function.
 """
@@ -45,8 +45,8 @@ class Hyperparams:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
-        if not self.epsilon_end <= self.epsilon_start <= 1.0:
-            raise ValueError("need epsilon_end <= epsilon_start <= 1")
+        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
+            raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if self.xi < 1 or self.beta < 0:
             raise ValueError("xi must be >= 1 and beta >= 0")
         if self.epsilon_decay_episodes is not None and self.epsilon_decay_episodes < 1:
@@ -210,18 +210,25 @@ class _EpisodeTracker:
     def __init__(self, env: Environment, state: JointState,
                  evaluator: PrefixEvaluator | None = None):
         self.env = env
-        self.hooked = env.trace_prefix(state) is not None
         self.evaluator = evaluator
         self.columns = []
         self.changed = 0      # lowest position changed since the last `rho`
-        self.advance(state)
+        slots = env.trace_prefix(state)
+        self.hooked = slots is not None
+        if self.hooked:
+            self._rezip(slots)
+        else:
+            self.columns.append(tuple(env.label_of(state)))
 
     def advance(self, state: JointState):
-        if not self.hooked:
+        if self.hooked:
+            self._rezip(self.env.trace_prefix(state))
+        else:
             self.changed = min(self.changed, len(self.columns))
             self.columns.append(tuple(self.env.label_of(state)))
-            return
-        self.slots = tuple(self.env.trace_prefix(state))
+
+    def _rezip(self, slots):
+        self.slots = tuple(slots)
         columns = list(zip(*self.slots))
         old, lo = self.columns, 0
         common = min(len(old), len(columns))

@@ -7,13 +7,16 @@ and disjunction take min and max, and the temporal operators fold min/max
 over trace positions.  Evaluating past the end of a window yields rho_min.
 
 A body is compiled once into a `Plan`, one step per distinct subformula in
-post-order.  A `PrefixEvaluator` runs the plan over float64 arrays, one value
-per position and subformula, as online robust monitors keep per-subformula
-signals (Donze, Ferrere and Maler, CAV 2013).  It keeps each atom's values
-between calls, so an episode's growing prefix is scored after every step by
-recomputing atoms only from the lowest position that changed; operators are
-recomputed over the whole prefix.  `eval_ltl` and `eval_hyper` are one-shot
-uses of the same evaluator.
+post-order, whose step functions are built once per plan.  A
+`PrefixEvaluator` runs them over Python floats, as online robust monitors
+keep per-subformula signals (Donze, Ferrere and Maler, CAV 2013): a list
+with one value per position for each step that needs them, one value for a
+step read only at position 0.  It keeps these between calls, so an
+episode's growing prefix is scored after every step from the lowest
+position that changed: G and F at position 0 fold in the appended
+positions, and the backward recurrences of G, F, U and X stop below the
+change as soon as a value comes out unchanged.  `eval_ltl` and `eval_hyper`
+are one-shot uses of the same evaluator.
 
 A separate Boolean evaluator implements the positional satisfaction relation
 directly (with explicit quantifier enumeration over a finite trace set) and
@@ -26,8 +29,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .formula import (
     EXISTS,
@@ -205,8 +206,9 @@ def _slot_of(target, arity: int) -> int:
 
 
 def _atom_function(node, arity: int, cfg: RobustnessConfig):
-    """Function from a run of columns to the atom's robustness at each."""
-    rmax, rmin = cfg.rho_max, cfg.rho_min
+    """Function from a run of columns to the list of the atom's robustness
+    at each, as floats."""
+    rmax, rmin = float(cfg.rho_max), float(cfg.rho_min)
     if isinstance(node, TrueNode):
         return lambda cols: [rmax] * len(cols)
     if isinstance(node, FalseNode):
@@ -229,75 +231,175 @@ def _atom_function(node, arity: int, cfg: RobustnessConfig):
                 out.append(rmax if v == constant else rmin)
             else:
                 margin = constant - v if comparator == "<" else v - constant
-                out.append(min(rmax, max(rmin, margin)))
+                out.append(float(min(rmax, max(rmin, margin))))
         return out
 
     return values
 
 
-def _suffix(ufunc, c):
-    """Suffix minimum or maximum of `c`.
-
-    Among equal values the later position's wins, as in a right-to-left fold
-    that replaces its accumulator only on a strict improvement; that decides
-    the sign when 0.0 and -0.0 tie.  The result is monotone, so a zero can
-    only occur when its two ends do not share a strict sign.
-    """
-    out = ufunc.accumulate(c[::-1])[::-1]
-    if out[0] * out[-1] <= 0.0:
-        zero = out == 0.0
-        if zero.any():
-            out[zero] = c[np.flatnonzero(c == 0.0)[-1]]
-    return out
+def _unchanged(old: float, new: float) -> bool:
+    """Whether `new` equals `old` bit for bit, the sign of a zero included."""
+    return old == new and (new != 0.0 or math.copysign(1.0, old) == math.copysign(1.0, new))
 
 
-def _until(lvals, rvals, rmin: float):
-    out = lvals.tolist()
-    rs = rvals.tolist()
-    acc = rmin  # no witness position yet
-    for i in range(len(out) - 1, -1, -1):
-        lv = out[i]
-        carry = lv if lv < acc else acc
-        rv = rs[i]
-        acc = rv if rv > carry else carry
-        out[i] = acc
-    return np.array(out)
+def _head_step(node, i: int, kids, rmin: float):
+    """Function (values, lows, n, m) that sets step `i`'s value at position 0.
 
-
-def _next(cvals, rmin: float):
-    out = np.empty_like(cvals)
-    out[:-1] = cvals[1:]
-    out[-1] = rmin
-    return out
-
-
-def _operator(node, kids):
-    """Function from the list of step arrays and rho_min to this operator's
-    array.
-
-    On a tie of 0.0 and -0.0, numpy's minimum and maximum return their
-    second argument, so & and | keep the right operand and -> the negated
-    left one, as a scalar `a if a < b else b` does.
+    `values[k]` is step k's list (one value per position, or one value for
+    another position-0 step), `lows[k]` the lowest position at which step k
+    changed in this update, `n` the prefix length and `m` the previous one.
+    Ties of 0.0 and -0.0 keep what a scalar fold keeps: & and | the right
+    operand, -> the negated left one, and G and F the later position.
     """
     a = kids[0]
     if isinstance(node, Not):
-        return lambda v, rmin: np.negative(v[a])
+        def step(v, low, n, m):
+            v[i][0] = -v[a][0]
+    elif isinstance(node, Next):
+        def step(v, low, n, m):
+            v[i][0] = v[a][1] if n > 1 else rmin
+    elif isinstance(node, (Always, Eventually)):
+        least = isinstance(node, Always)
+        extreme = min if least else max
+
+        def step(v, low, n, m):
+            k = low[a]
+            if 0 < m <= k:      # only appended positions changed: fold them in
+                acc = v[i][0]
+                for x in v[a][k:]:
+                    if (x <= acc) if least else (x >= acc):
+                        acc = x
+                v[i][0] = acc
+            else:               # the first minimum of the reversed list is the last one
+                v[i][0] = extreme(reversed(v[a]))
+    elif isinstance(node, And):
+        b = kids[1]
+
+        def step(v, low, n, m):
+            x, y = v[a][0], v[b][0]
+            v[i][0] = x if x < y else y
+    elif isinstance(node, Or):
+        b = kids[1]
+
+        def step(v, low, n, m):
+            x, y = v[a][0], v[b][0]
+            v[i][0] = x if x > y else y
+    elif isinstance(node, Implies):
+        b = kids[1]
+
+        def step(v, low, n, m):
+            x, y = -v[a][0], v[b][0]
+            v[i][0] = y if y > x else x
+    else:
+        raise TypeError(f"cannot evaluate node {node!r} at position 0 alone")
+    return step
+
+
+def _row_step(node, i: int, kids, rmin: float):
+    """Function (values, lows, n, m) that brings step `i`'s per-position list
+    up to date and sets `lows[i]` to the lowest position it changed (n when
+    none did); arguments as for `_head_step`.
+
+    Pointwise operators recompute from their children's lowest change.  The
+    temporal ones are backward recurrences v[j] = f(children[j], v[j + 1]):
+    recomputed from the end down to the children's lowest change, and below
+    it only until a value comes out unchanged, since every lower one then is.
+    """
+    a = kids[0]
+    if isinstance(node, Not):
+        def step(v, low, n, m):
+            k = low[i] = low[a]
+            if k < n:
+                v[i][k:] = [-x for x in v[a][k:]]
+        return step
     if isinstance(node, Next):
-        return lambda v, rmin: _next(v[a], rmin)
-    if isinstance(node, Always):
-        return lambda v, rmin: _suffix(np.minimum, v[a])
-    if isinstance(node, Eventually):
-        return lambda v, rmin: _suffix(np.maximum, v[a])
+        def step(v, low, n, m):
+            k = low[a]
+            if k < n:
+                k = k - 1 if k else 0
+                out = v[i]
+                out[k:] = v[a][k + 1:]
+                out.append(rmin)
+            low[i] = k
+        return step
+    if isinstance(node, (Always, Eventually)):
+        least = isinstance(node, Always)
+
+        def step(v, low, n, m):
+            k = low[a]
+            if k >= n:
+                low[i] = n
+                return
+            c, out = v[a], v[i]
+            out[k:] = c[k:]
+            acc = out[-1]
+            for j in range(n - 2, k - 1, -1):
+                x = out[j]
+                if (x < acc) if least else (x > acc):
+                    acc = x
+                else:
+                    out[j] = acc
+            j = k - 1
+            while j >= 0:
+                x = c[j]
+                if (x < acc) if least else (x > acc):
+                    acc = x
+                if _unchanged(out[j], acc):
+                    break
+                out[j] = acc
+                j -= 1
+            low[i] = j + 1
+        return step
+    if isinstance(node, Until):
+        b = kids[1]
+
+        def step(v, low, n, m):
+            k = min(low[a], low[b])
+            if k >= n:
+                low[i] = n
+                return
+            left, right, out = v[a], v[b], v[i]
+            out[k:] = right[k:]
+            acc = rmin                      # no witness position yet
+            for j in range(n - 1, k - 1, -1):
+                x = left[j]
+                carry = x if x < acc else acc
+                y = out[j]
+                acc = out[j] = y if y > carry else carry
+            j = k - 1
+            while j >= 0:
+                x = left[j]
+                carry = x if x < acc else acc
+                y = right[j]
+                acc = y if y > carry else carry
+                if _unchanged(out[j], acc):
+                    break
+                out[j] = acc
+                j -= 1
+            low[i] = j + 1
+        return step
     b = kids[1]
     if isinstance(node, And):
-        return lambda v, rmin: np.minimum(v[a], v[b])
-    if isinstance(node, Or):
-        return lambda v, rmin: np.maximum(v[a], v[b])
-    if isinstance(node, Implies):
-        return lambda v, rmin: np.maximum(v[b], np.negative(v[a]))
-    if isinstance(node, Until):
-        return lambda v, rmin: _until(v[a], v[b], rmin)
-    raise TypeError(f"cannot evaluate node {node!r}")
+        def step(v, low, n, m):
+            k = low[i] = min(low[a], low[b])
+            if k < n:
+                v[i][k:] = [x if x < y else y for x, y in zip(v[a][k:], v[b][k:])]
+    elif isinstance(node, Or):
+        def step(v, low, n, m):
+            k = low[i] = min(low[a], low[b])
+            if k < n:
+                v[i][k:] = [x if x > y else y for x, y in zip(v[a][k:], v[b][k:])]
+    elif isinstance(node, Implies):
+        def step(v, low, n, m):
+            k = low[i] = min(low[a], low[b])
+            if k < n:
+                v[i][k:] = [y if y > -x else -x for x, y in zip(v[a][k:], v[b][k:])]
+    else:
+        raise TypeError(f"cannot evaluate node {node!r}")
+    return step
+
+
+_POINTWISE = (Not, And, Or, Implies)
 
 
 class Plan:
@@ -308,8 +410,13 @@ class Plan:
     children, so no key hashes a whole subtree.  `steps` lists the distinct
     nodes, each after its children, with the step indices of those
     children; the body is the last step.  `atoms` are the (step, node) pairs
-    of the leaves and `ops` the (step, operator function) pairs of the
-    other steps.
+    of the leaves.
+
+    `whole[i]` says whether step i keeps one value per position.  Atoms and
+    U always do.  Any other step that only !, &, | and -> steps read on the
+    way to the body is needed at position 0 alone and keeps one value.
+    `program` builds the step functions once per plan, slot count and
+    configuration.
     """
 
     def __init__(self, body: LtlNode):
@@ -328,32 +435,54 @@ class Plan:
         visit(body)
         self.steps = tuple(steps)
         self.atoms = tuple((i, node) for i, (node, kids) in enumerate(steps) if not kids)
-        self.ops = tuple((i, _operator(node, kids)) for i, (node, kids) in enumerate(steps) if kids)
+        whole = [False] * len(steps)
+        for i in range(len(steps) - 1, -1, -1):       # every reader before what it reads
+            node, kids = steps[i]
+            whole[i] = whole[i] or not kids or isinstance(node, Until)
+            if whole[i] or not isinstance(node, _POINTWISE):
+                for k in kids:
+                    whole[k] = True
+        self.whole = tuple(whole)
+        self._programs = {}
 
     def __len__(self):
         return len(self.steps)
+
+    def program(self, arity: int, cfg: RobustnessConfig):
+        """(atoms, ops): the (step, function from columns to values) pair of
+        each atom and the step function of each operator, in plan order."""
+        program = self._programs.get((arity, cfg))
+        if program is None:
+            rmin = float(cfg.rho_min)
+            atoms = tuple((i, _atom_function(node, arity, cfg)) for i, node in self.atoms)
+            ops = tuple((_row_step if self.whole[i] else _head_step)(node, i, kids, rmin)
+                        for i, (node, kids) in enumerate(self.steps) if kids)
+            program = self._programs[(arity, cfg)] = (atoms, ops)
+        return program
 
 
 class PrefixEvaluator:
     """Robustness at position 0 of a zipped prefix that grows or is rewritten.
 
-    Each atom's values are kept per position in a float64 array.  `update`
-    recomputes them only from the lowest position that changed since the
-    previous update; the operators then run over whole arrays, since a
-    temporal operator's value at a position depends on every later one.
-    Min, max, negation and shifts are exact in float64, so the result equals
-    a from-scratch evaluation bit for bit.
+    The values are Python floats: a list per position for each step that
+    keeps a value per position, and one value for each step needed at
+    position 0 alone (see `Plan`).  `update` recomputes atoms only from the
+    lowest position that changed since the previous update, and every
+    operator step reports the lowest position it changed to its readers.  G
+    and F at position 0 fold in appended positions in O(1) each; the
+    per-position recurrences of G, F, U and X stop below the change as soon
+    as a value comes out unchanged.  Min, max and negation are exact, ties
+    of 0.0 and -0.0 follow the scalar folds, so the result equals a
+    from-scratch evaluation bit for bit, the sign of a zero included.
     """
 
     def __init__(self, plan: Plan, arity: int, cfg: RobustnessConfig):
         self.arity = arity
         self.rho_min = cfg.rho_min
-        self._ops = plan.ops
-        self._atom_steps = [step for step, _ in plan.atoms]
-        self._values = [_atom_function(node, arity, cfg) for _, node in plan.atoms]
-        self._store = np.empty((len(self._values), 16))   # one row per atom
-        self._vals = [None] * len(plan)
-        self._n = 0            # positions the atom store holds
+        self._atoms, self._ops = plan.program(arity, cfg)
+        self._vals = [[] if whole else [None] for whole in plan.whole]
+        self._low = [0] * len(plan)
+        self._n = 0            # prefix length at the previous update
 
     def update(self, columns, lo: int = 0) -> float:
         """Robustness of `columns` (one tuple of labels per position) when
@@ -364,23 +493,17 @@ class PrefixEvaluator:
             return self.rho_min
         if len(columns[0]) != self.arity:
             raise LengthMismatchError(f"expected {self.arity} traces, got {len(columns[0])}")
-        lo = self._n = min(lo, self._n)
-        store = self._store
-        if n > store.shape[1]:
-            store = np.empty((len(self._values), max(n, 2 * store.shape[1])))
-            store[:, :lo] = self._store[:, :lo]
-            self._store = store
-        if lo < n:
-            tail = columns[lo:]
-            store[:, lo:n] = [values(tail) for values in self._values]
+        m = self._n
+        lo = min(lo, m) if n >= m else min(lo, n - 1)    # a shorter prefix ends anew
+        v, low = self._vals, self._low
+        tail = columns[lo:]
+        for step, values in self._atoms:
+            v[step][lo:] = values(tail)
+            low[step] = lo
+        for op in self._ops:
+            op(v, low, n, m)
         self._n = n
-        v = self._vals
-        for step, row in zip(self._atom_steps, store[:, :n]):
-            v[step] = row
-        rmin = self.rho_min
-        for step, op in self._ops:
-            v[step] = op(v, rmin)
-        return float(v[-1][0])
+        return v[-1][0]
 
 
 def eval_ltl(z: ZippedTrace, window, body: LtlNode, cfg: RobustnessConfig) -> float:

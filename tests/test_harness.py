@@ -107,9 +107,12 @@ def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
     ("xi = 15", "xi = 15\nrho_max = inf", "rho_max must be positive and finite, got inf"),
     ("learning_rate = 1.0", "learning_rate = nan", "learning_rate must lie in (0, 1]"),
     ("learning_rate = 1.0", "learning_rate = -2", "learning_rate must lie in (0, 1]"),
+    ("xi = 15", "xi = 15\nepsilon_start = -1\nepsilon_end = -3",
+     "need 0 <= epsilon_end <= epsilon_start <= 1"),
+    ("xi = 15", "xi = 15\nepsilon_end = -0.5", "need 0 <= epsilon_end <= epsilon_start <= 1"),
 ], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key", "negative_base_seed",
         "negative_seed", "rho_max_negative", "rho_max_zero", "rho_max_nan", "rho_max_inf",
-        "learning_rate_nan", "learning_rate_negative"])
+        "learning_rate_nan", "learning_rate_negative", "epsilon_negative", "epsilon_end_negative"])
 def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
     p = write_micro_config(tmp_path, reps=1)
     p.write_text(p.read_text().replace(f"\n{old}\n", f"\n{new}\n"))

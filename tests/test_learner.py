@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,7 +18,14 @@ from hyperq.learner import (
     rollout,
     train,
 )
-from hyperq.robustness import LengthMismatchError, RobustnessConfig, Trace, zip_traces
+from hyperq.robustness import (
+    Label,
+    LengthMismatchError,
+    RobustnessConfig,
+    Trace,
+    eval_hyper,
+    zip_traces,
+)
 from hyperq.skolem import check_consistency, skolemize
 from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file
 
@@ -184,6 +192,9 @@ def test_hyperparams_validation():
         Hyperparams(gamma=1.5)
     with pytest.raises(ValueError):
         Hyperparams(epsilon_start=0.2, epsilon_end=0.5)
+    for start, end in ((-1, -3), (1.0, -0.5), (0.5, -1e-9)):
+        with pytest.raises(ValueError):
+            Hyperparams(epsilon_start=start, epsilon_end=end)
     with pytest.raises(ValueError):
         Hyperparams(reward_mode="bogus")
     with pytest.raises(ValueError):
@@ -237,7 +248,7 @@ class _PrefixScript(_LabelScript):
         return list(self.prefixes[t])
 
 
-def _rewrite_script(rng, arity, steps):
+def _rewrite_script(rng, arity, steps, make_label=lambda rng: random_label(rng, True)):
     """Equal-length slot traces per step; each step rewrites every position
     from a random index on and grows by zero to three positions."""
     cols = []
@@ -245,7 +256,7 @@ def _rewrite_script(rng, arity, steps):
     for _ in range(steps + 1):
         keep = rng.randint(0, len(cols))
         grow = rng.choice([0, 1, 1, 2, 3])
-        cols = cols[:keep] + [tuple(random_label(rng, True) for _ in range(arity))
+        cols = cols[:keep] + [tuple(make_label(rng) for _ in range(arity))
                               for _ in range(len(cols) - keep + grow)]
         script.append(tuple(Trace(labels) for labels in zip(*cols)) if cols
                       else tuple(Trace() for _ in range(arity)))
@@ -284,6 +295,63 @@ def test_rollout_rewards_match_naive_oracle_rewritten_prefix():
         _assert_rewards_match_oracle(_PrefixScript(script), sk)
 
 
+# Per-step rewards of rollout against a from-scratch evaluation, zero signs
+# included.  Where v = 1, `c` is +0.0 if p holds and -0.0 if not (as in
+# test_signed_zero_ties_follow_scalar_folds); where v is 0 or 2 it is +-1.
+
+_ZERO = "[ v@t1 < 1 ]"
+_C = f"((p@t1 & {_ZERO}) | (!p@t1 & !{_ZERO}))"
+_SIGNED_ZERO_BODIES = ["G {c}", "F {c}", "X G {c}", "X F {c}", "X (true U {c})",
+                       "F X G {c}", "G F {c}", "F G {c}", "X ({c} U X {c})",
+                       "!X G !{c} & X F {c}"]
+
+
+def _zero_label(rng):
+    props = frozenset({"p"}) if rng.random() < 0.5 else frozenset()
+    return Label(props, {"v": float(rng.choice([0, 1, 1, 1, 2]))})
+
+
+def _signed_zero_formula(body):
+    return skolemize(hq.parse_formula("forall t1. " + body.format(c=_C)))
+
+
+def _assert_rewards_match_from_scratch(env, sk):
+    record = rollout(env, sk, CFG, lambda s: JointAction(("go",) * env.arity), 0, env.beta)
+    for t, rho in enumerate(record.rhos, start=1):
+        traces = env.prefix(t)
+        if any(len(tr) == 0 for tr in traces):
+            expected = CFG.rho_min
+        else:
+            expected = eval_hyper(traces, sk, CFG)
+        assert (rho, math.copysign(1.0, rho)) == (expected, math.copysign(1.0, expected)), \
+            (t, rho, expected)
+
+
+@pytest.mark.parametrize("body", _SIGNED_ZERO_BODIES)
+def test_rollout_rewards_keep_zero_signs_append_only(body):
+    sk = _signed_zero_formula(body)
+    rng = random.Random(body)
+    for _ in range(40):
+        columns = [(_zero_label(rng),) for _ in range(rng.randint(2, 30))]
+        _assert_rewards_match_from_scratch(_LabelScript(columns), sk)
+
+
+@pytest.mark.parametrize("body", _SIGNED_ZERO_BODIES)
+def test_rollout_rewards_keep_zero_signs_rewritten_prefix(body):
+    sk = _signed_zero_formula(body)
+    rng = random.Random(body)
+    for _ in range(40):
+        script = _rewrite_script(rng, 1, rng.randint(2, 16), _zero_label)
+        _assert_rewards_match_from_scratch(_PrefixScript(script), sk)
+
+
+def test_rollout_rewards_keep_zero_signs_300_steps_nested():
+    sk = _signed_zero_formula("(G F {c} | X F G {c}) & X ({c} U (F G {c} U X G F {c}))")
+    rng = random.Random(300)
+    columns = [(_zero_label(rng),) for _ in range(301)]
+    _assert_rewards_match_from_scratch(_LabelScript(columns), sk)
+
+
 def test_rollout_rejects_unequal_slot_lengths():
     sk = skolemize(hq.parse_formula("forall t1. forall t2. F p@t1 & F p@t2"))
     label = random_label(random.Random(1))
@@ -311,3 +379,20 @@ def test_plan_has_one_step_per_distinct_subformula():
     assert len(sk.plan) == len(distinct) == 54
     assert sk.plan.steps[-1][0] == sk.body
     assert sk.plan is sk.plan
+
+
+def test_plan_keeps_one_value_for_steps_read_at_position_zero_alone():
+    # a step that only !, &, | and -> read on the way to the body is needed
+    # at position 0 alone; atoms, U and whatever a temporal operator reads
+    # keep one value per position
+    def heads(text):
+        plan = skolemize(hq.parse_formula(text)).plan
+        return [type(node).__name__ for (node, _), whole in zip(plan.steps, plan.whole)
+                if not whole]
+
+    assert heads("forall t1. G F p@t1 & !X q@t1") == ["Always", "Next", "Not", "And"]
+    assert heads("forall t1. p@t1 U G q@t1") == []
+    assert heads("forall t1. X !(p@t1 & q@t1)") == ["Next"]
+    for name, count in (("fairness", 5), ("safe_rl", 5), ("pcp_ab", 0)):
+        sk = skolemize(hq.load_formula(hq.bundled(f"formulas/{name}.hltl")))
+        assert sum(not whole for whole in sk.plan.whole) == count
