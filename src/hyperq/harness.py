@@ -42,7 +42,14 @@ from .learner import (
     greedy_rollout,
     train,
 )
-from .robustness import Trace, UnknownValuationError, Verdict, boolean_sat, sat_verdict
+from .robustness import (
+    PrefixEvaluator,
+    Trace,
+    UnknownValuationError,
+    Verdict,
+    boolean_sat,
+    sat_verdict,
+)
 from .skolem import WitnessTable, check_consistency, format_skolemized, skolemize
 from .worlds import BoundTooLargeError, build_env, load_domino_file, pcp_oracle
 
@@ -129,7 +136,10 @@ class ExperimentConfig:
         """Formula, skolemized formula, environment and episode length.
 
         Raises ConfigError when the formula or an environment file cannot be
-        read or parsed, or when the pieces do not fit together.
+        read or parsed, or when the pieces do not fit together.  That
+        includes a formula that reads a valuation the labels of the start
+        state lack; a world whose start state labels no position (the
+        domino game) shows that only in the first episode's steps.
         """
         try:
             f = self.load_formula()
@@ -142,9 +152,23 @@ class ExperimentConfig:
         sk = skolemize(f)
         try:
             env = self.make_env()
-            return f, sk, env, episode_bound(env, sk, self.hyperparams)
+            beta = episode_bound(env, sk, self.hyperparams)
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
+        state = env.reset(self.seeds[0])
+        slots = env.trace_prefix(state)
+        start = [tuple(env.label_of(state))] if slots is None else list(zip(*slots))[:1]
+        try:
+            PrefixEvaluator(sk.plan, env.arity, self.hyperparams.config()).update(start)
+        except UnknownValuationError as exc:
+            raise _lacking_valuation(exc, env) from None
+        return f, sk, env, beta
+
+
+def _lacking_valuation(exc: UnknownValuationError, env: Environment) -> ConfigError:
+    """The config error for a formula that reads a valuation `env`'s labels lack."""
+    return ConfigError(f"the formula reads valuation {exc.args[0]!r}, "
+                       f"which {env.kind} labels lack")
 
 
 def _number(kind, key: str, raw: str):
@@ -316,7 +340,11 @@ def cmd_train(config_path, out=None) -> int:
     started = time.perf_counter()
     all_metrics = []
     for rep_seed in cfg.seeds:
-        result = train(env, f, cfg.hyperparams, rep_seed)
+        try:
+            result = train(env, f, cfg.hyperparams, rep_seed)
+        except UnknownValuationError as exc:
+            print(f"config error: {_lacking_valuation(exc, env)}", file=sys.stderr)
+            return 2
         all_metrics.append(result.metrics)
         with open(out_dir / f"run_{rep_seed}.csv", "w", encoding="utf-8", newline="\n") as fh:
             result.metrics.write_csv(fh)
@@ -351,7 +379,11 @@ def cmd_eval(policy_path, config_path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rob_cfg = cfg.hyperparams.config()
-    record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
+    try:
+        record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
+    except UnknownValuationError as exc:
+        print(f"config error: {_lacking_valuation(exc, env)}", file=sys.stderr)
+        return 2
     for t, rho in enumerate(record.rhos):
         print(f"step {t + 1}: rho {rho}")
     verdict = sat_verdict(record.terminal_rho, rob_cfg)

@@ -7,16 +7,21 @@ and disjunction take min and max, and the temporal operators fold min/max
 over trace positions.  Evaluating past the end of a window yields rho_min.
 
 A body is compiled once into a `Plan`, one step per distinct subformula in
-post-order, whose step functions are built once per plan.  A
-`PrefixEvaluator` runs them over Python floats, as online robust monitors
-keep per-subformula signals (Donze, Ferrere and Maler, CAV 2013): a list
-with one value per position for each step that needs them, one value for a
-step read only at position 0.  It keeps these between calls, so an
-episode's growing prefix is scored after every step from the lowest
-position that changed: G and F at position 0 fold in the appended
-positions, and the backward recurrences of G, F, U and X stop below the
-change as soon as a value comes out unchanged.  `eval_ltl` and `eval_hyper`
-are one-shot uses of the same evaluator.
+post-order.  The atoms and the !, &, | and -> steps above atoms alone are
+the plan's pointwise region.  As online robust monitors do (Donze, Ferrere
+and Maler, CAV 2013), that region is computed position by position with no
+signal per subformula: the plan generates the source of one kernel that
+loops once over the changed positions and keeps every such step in a local.
+The source is compiled once per process for each shape of region, and the
+plan builds the kernel and the step functions of its other operators once.
+A `PrefixEvaluator` runs them over Python floats: a list with one value per
+position for each remaining step that needs them, one value for a step read
+only at position 0.  It keeps these between calls, so an episode's growing
+prefix is scored after every step from the lowest position that changed: G
+and F at position 0 fold in the appended positions, and the backward
+recurrences of G, F, U and X stop below the change as soon as a value comes
+out unchanged.  `eval_ltl` and `eval_hyper` are one-shot uses of the same
+evaluator.
 
 A separate Boolean evaluator implements the positional satisfaction relation
 directly (with explicit quantifier enumeration over a finite trace set) and
@@ -27,6 +32,7 @@ robustness equals rho_max exactly when the Boolean relation holds.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -205,38 +211,6 @@ def _slot_of(target, arity: int) -> int:
     return idx - 1
 
 
-def _atom_function(node, arity: int, cfg: RobustnessConfig):
-    """Function from a run of columns to the list of the atom's robustness
-    at each, as floats."""
-    rmax, rmin = float(cfg.rho_max), float(cfg.rho_min)
-    if isinstance(node, TrueNode):
-        return lambda cols: [rmax] * len(cols)
-    if isinstance(node, FalseNode):
-        return lambda cols: [rmin] * len(cols)
-    if isinstance(node, BoolProp):
-        slot, prop = _slot_of(node.trace, arity), node.prop
-        return lambda cols: [rmax if prop in col[slot].props else rmin for col in cols]
-    slots = [_slot_of(a, arity) for a in node.args]
-    name, constant, comparator = node.valuation, node.constant, node.comparator
-    abs_diff = node.abs_diff
-
-    def values(cols):
-        out = []
-        for col in cols:
-            if abs_diff:
-                v = abs(col[slots[0]].value(name) - col[slots[1]].value(name))
-            else:
-                v = col[slots[0]].value(name)
-            if comparator == "=":
-                out.append(rmax if v == constant else rmin)
-            else:
-                margin = constant - v if comparator == "<" else v - constant
-                out.append(float(min(rmax, max(rmin, margin))))
-        return out
-
-    return values
-
-
 def _unchanged(old: float, new: float) -> bool:
     """Whether `new` equals `old` bit for bit, the sign of a zero included."""
     return old == new and (new != 0.0 or math.copysign(1.0, old) == math.copysign(1.0, new))
@@ -402,6 +376,107 @@ def _row_step(node, i: int, kids, rmin: float):
 _POINTWISE = (Not, And, Or, Implies)
 
 
+def _kernel_lines(plan, targets, arity: int, const):
+    """Statements that set local `x{i}` for every fused step that `targets`
+    read, in plan order, from the column `col` of one position."""
+    need, stack = set(), list(targets)
+    while stack:
+        k = stack.pop()
+        if k not in need:
+            need.add(k)
+            stack.extend(plan.steps[k][1])
+    lines, loaded = [], set()
+
+    def read(attr, target):
+        """Local holding the target slot label's `attr` at this position."""
+        slot = _slot_of(target, arity)
+        local = f"{'p' if attr == 'props' else 'd'}{slot}"
+        if local not in loaded:
+            loaded.add(local)
+            lines.append(f"{local} = col[{slot}].{attr}")
+        return local
+
+    for i in sorted(need):
+        node, kids = plan.steps[i]
+        x = f"x{i}"
+        if isinstance(node, TrueNode):
+            lines.append(f"{x} = R")
+        elif isinstance(node, FalseNode):
+            lines.append(f"{x} = N")
+        elif isinstance(node, BoolProp):
+            lines.append(f"{x} = R if {const(node.prop)} in {read('props', node.trace)} else N")
+        elif isinstance(node, Predicate):
+            name = const(node.valuation)
+            v = [f"{read('valuations', a)}[{name}]" for a in node.args]
+            lines.append(f"{x} = abs({v[0]} - {v[1]})" if node.abs_diff else f"{x} = {v[0]}")
+            c = const(float(node.constant))
+            if node.comparator == "=":
+                lines.append(f"{x} = R if {x} == {c} else N")
+            else:
+                lines.append(f"{x} = {c} - {x}" if node.comparator == "<" else f"{x} = {x} - {c}")
+                lines.append(f"{x} = {x} if {x} > N else N")
+                lines.append(f"{x} = {x} if {x} < R else R")
+        else:
+            a = f"x{kids[0]}"
+            b = f"x{kids[-1]}"
+            if isinstance(node, Not):
+                lines.append(f"{x} = -{a}")
+            elif isinstance(node, And):
+                lines.append(f"{x} = {a} if {a} < {b} else {b}")
+            elif isinstance(node, Or):
+                lines.append(f"{x} = {a} if {a} > {b} else {b}")
+            else:
+                lines.append(f"{x} = -{a}")
+                lines.append(f"{x} = {b} if {b} > {x} else {x}")
+    return lines
+
+
+def _kernel_source(plan, arity: int) -> tuple:
+    """(source, constants): the source of a function `make(R, N, k0, k1, ...)`
+    that returns the plan's kernel, and the props, valuation names and
+    predicate constants to pass as k0, k1, ...
+
+    The kernel `kernel(v, low, cols, lo)` computes every fused step
+    of the plan as a local, position by position from `lo` on, and stores
+    each root: appended to its list when it keeps one value per position, as
+    its one value when position 0 is among the changed ones otherwise.
+    """
+    constants = []
+
+    def const(c):
+        constants.append(c)
+        return f"k{len(constants) - 1}"
+
+    rows = [i for i in plan.roots if plan.whole[i]]
+    heads = [i for i in plan.roots if not plan.whole[i]]
+    body = [f"o{i} = v[{i}]" for i in rows] + [f"del o{i}[lo:]" for i in rows] + ["try:"]
+    if heads:
+        lines = _kernel_lines(plan, heads, arity, const)
+        lines += [f"v[{i}][0] = x{i}" for i in heads]
+        body += ["    if lo == 0:", "        col = cols[0]"] + [f"        {s}" for s in lines]
+    if rows:
+        lines = _kernel_lines(plan, rows, arity, const)
+        lines += [f"o{i}.append(x{i})" for i in rows]
+        body += ["    for col in cols[lo:]:"] + [f"        {s}" for s in lines]
+    body += ["except KeyError as exc:",
+             "    raise UnknownValuationError(*exc.args) from None"]
+    body += [f"low[{i}] = lo" for i in plan.roots]
+    params = ", ".join(["R", "N"] + [f"k{j}" for j in range(len(constants))])
+    source = "\n".join([f"def make({params}):",
+                        "    def kernel(v, low, cols, lo):",
+                        *(f"        {s}" for s in body),
+                        "    return kernel", ""])
+    return source, tuple(constants)
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The `make` function of a kernel source, compiled once per process."""
+    namespace = {"UnknownValuationError": UnknownValuationError}
+    exec(compile(source, "<robustness kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
 class Plan:
     """Post-order evaluation plan of one quantifier-free body.
 
@@ -409,14 +484,21 @@ class Plan:
     node (a frozen dataclass), an operator by its type and the steps of its
     children, so no key hashes a whole subtree.  `steps` lists the distinct
     nodes, each after its children, with the step indices of those
-    children; the body is the last step.  `atoms` are the (step, node) pairs
-    of the leaves.
+    children; the body is the last step.
 
     `whole[i]` says whether step i keeps one value per position.  Atoms and
     U always do.  Any other step that only !, &, | and -> steps read on the
     way to the body is needed at position 0 alone and keeps one value.
-    `program` builds the step functions once per plan, slot count and
-    configuration.
+
+    `fused[i]` says whether step i is an atom, or a !, &, | or -> step whose
+    children are all fused.  The fused steps are computed position by
+    position in one generated kernel, without a list of their own; only the
+    `roots`, the fused steps that a non-fused step reads (and the body, when
+    it is fused), are stored.  `program` builds the kernel and the step
+    functions of the other steps once per plan, slot count and
+    configuration.  The kernel source names its props, valuations and
+    constants by parameter, so it is compiled once per process for all
+    plans of one shape.
     """
 
     def __init__(self, body: LtlNode):
@@ -434,7 +516,6 @@ class Plan:
 
         visit(body)
         self.steps = tuple(steps)
-        self.atoms = tuple((i, node) for i, (node, kids) in enumerate(steps) if not kids)
         whole = [False] * len(steps)
         for i in range(len(steps) - 1, -1, -1):       # every reader before what it reads
             node, kids = steps[i]
@@ -443,21 +524,31 @@ class Plan:
                 for k in kids:
                     whole[k] = True
         self.whole = tuple(whole)
+        fused = []
+        for node, kids in steps:                      # every child before its readers
+            fused.append(not kids or isinstance(node, _POINTWISE) and all(fused[k] for k in kids))
+        self.fused = tuple(fused)
+        roots = {len(steps) - 1} if fused[-1] else set()
+        for (node, kids), f in zip(steps, fused):
+            if not f:
+                roots.update(k for k in kids if fused[k])
+        self.roots = tuple(sorted(roots))
         self._programs = {}
 
     def __len__(self):
         return len(self.steps)
 
     def program(self, arity: int, cfg: RobustnessConfig):
-        """(atoms, ops): the (step, function from columns to values) pair of
-        each atom and the step function of each operator, in plan order."""
+        """(kernel, ops): the kernel of the fused steps and the step
+        function of each other operator, in plan order."""
         program = self._programs.get((arity, cfg))
         if program is None:
-            rmin = float(cfg.rho_min)
-            atoms = tuple((i, _atom_function(node, arity, cfg)) for i, node in self.atoms)
+            rmax, rmin = float(cfg.rho_max), float(cfg.rho_min)
+            source, constants = _kernel_source(self, arity)
+            kernel = _compiled(source)(rmax, rmin, *constants)
             ops = tuple((_row_step if self.whole[i] else _head_step)(node, i, kids, rmin)
-                        for i, (node, kids) in enumerate(self.steps) if kids)
-            program = self._programs[(arity, cfg)] = (atoms, ops)
+                        for i, (node, kids) in enumerate(self.steps) if not self.fused[i])
+            program = self._programs[(arity, cfg)] = (kernel, ops)
         return program
 
 
@@ -466,20 +557,23 @@ class PrefixEvaluator:
 
     The values are Python floats: a list per position for each step that
     keeps a value per position, and one value for each step needed at
-    position 0 alone (see `Plan`).  `update` recomputes atoms only from the
-    lowest position that changed since the previous update, and every
-    operator step reports the lowest position it changed to its readers.  G
-    and F at position 0 fold in appended positions in O(1) each; the
-    per-position recurrences of G, F, U and X stop below the change as soon
-    as a value comes out unchanged.  Min, max and negation are exact, ties
-    of 0.0 and -0.0 follow the scalar folds, so the result equals a
-    from-scratch evaluation bit for bit, the sign of a zero included.
+    position 0 alone (see `Plan`).  `update` first runs the plan's kernel
+    from the lowest position that changed since the previous update: one
+    loop over the changed columns computes every atom and every pointwise
+    step above atoms alone, and stores only the kernel's roots.  Then each
+    other operator step runs and reports the lowest position it changed to
+    its readers.  G and F at position 0 fold in appended positions in O(1)
+    each; the per-position recurrences of G, F, U and X stop below the
+    change as soon as a value comes out unchanged.  Min, max and negation
+    are exact, ties of 0.0 and -0.0 follow the scalar folds, so the result
+    equals a from-scratch evaluation bit for bit, the sign of a zero
+    included.
     """
 
     def __init__(self, plan: Plan, arity: int, cfg: RobustnessConfig):
         self.arity = arity
         self.rho_min = cfg.rho_min
-        self._atoms, self._ops = plan.program(arity, cfg)
+        self._kernel, self._ops = plan.program(arity, cfg)
         self._vals = [[] if whole else [None] for whole in plan.whole]
         self._low = [0] * len(plan)
         self._n = 0            # prefix length at the previous update
@@ -496,10 +590,7 @@ class PrefixEvaluator:
         m = self._n
         lo = min(lo, m) if n >= m else min(lo, n - 1)    # a shorter prefix ends anew
         v, low = self._vals, self._low
-        tail = columns[lo:]
-        for step, values in self._atoms:
-            v[step][lo:] = values(tail)
-            low[step] = lo
+        self._kernel(v, low, columns, lo)
         for op in self._ops:
             op(v, low, n, m)
         self._n = n

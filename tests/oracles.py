@@ -24,6 +24,7 @@ from hyperq.formula import (
     TraceVar,
     TrueNode,
     Until,
+    children_of,
 )
 from hyperq.robustness import Label, Trace
 
@@ -73,6 +74,49 @@ def naive_eval(z, lo, hi, node, cfg):
                 hold = min(hold, naive_eval(z, j, hi, node.left, cfg))
             best = max(best, hold)
         return best
+    raise TypeError(node)
+
+
+def signed_eval(z, lo, hi, node, cfg):
+    """`naive_eval`'s rules, with each tie of 0.0 and -0.0 kept as the
+    package's scalar folds keep it: & and | the right operand, -> the negated
+    left one, and G, F and U the later position."""
+    if lo >= hi:
+        return cfg.rho_min
+    if not children_of(node):
+        return naive_eval(z, lo, hi, node, cfg)
+
+    def at(child, i=lo):
+        return signed_eval(z, i, hi, child, cfg)
+
+    if isinstance(node, Not):
+        return -at(node.child)
+    if isinstance(node, And):
+        x, y = at(node.left), at(node.right)
+        return x if x < y else y
+    if isinstance(node, Or):
+        x, y = at(node.left), at(node.right)
+        return x if x > y else y
+    if isinstance(node, Implies):
+        x, y = -at(node.left), at(node.right)
+        return y if y > x else x
+    if isinstance(node, Next):
+        return at(node.child, lo + 1)
+    if isinstance(node, (Always, Eventually)):
+        acc = at(node.child, hi - 1)
+        for i in range(hi - 2, lo - 1, -1):
+            x = at(node.child, i)
+            if (x < acc) if isinstance(node, Always) else (x > acc):
+                acc = x
+        return acc
+    if isinstance(node, Until):
+        acc = cfg.rho_min
+        for i in range(hi - 1, lo - 1, -1):
+            x = at(node.left, i)
+            carry = x if x < acc else acc
+            y = at(node.right, i)
+            acc = y if y > carry else carry
+        return acc
     raise TypeError(node)
 
 

@@ -275,6 +275,30 @@ def test_mismatched_setup_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"config error: {message}\n" * 2
 
 
+def test_formula_reading_a_valuation_the_world_lacks_exits_2(tmp_path, capsys):
+    cfg = write_micro_config(tmp_path, out_name="ok", xi=5, reps=1)
+    assert cmd_train(cfg) == 0
+    artifact = tmp_path / "ok" / "artifacts_3.txt"
+    formulas = hq.bundled("formulas")
+    valued = tmp_path / "valued.hltl"
+    valued.write_text("forall t1. exists t2. G [ v@t1 < 3 ]\n")
+    # the grid's start state labels a position, so setup finds it before
+    # any output directory exists; the domino game's labels its first
+    # position only after a step
+    grid = write_micro_config(tmp_path, "grid", xi=5, reps=1, formula=formulas / "fairness.hltl",
+                              env=f"kind = grid\nmap = {hq.bundled('maps/cross4.map')}")
+    with pytest.raises(ConfigError, match="valuation 'energy', which grid labels lack"):
+        ExperimentConfig.load(grid).setup()
+    pcp = write_micro_config(tmp_path, "pcp", xi=5, reps=1, formula=valued,
+                             env=f"kind = pcp\ndominoes = {hq.bundled('dominoes/k3_solvable.dom')}")
+    for bad, world, name in ((grid, "grid", "energy"), (pcp, "pcp", "v")):
+        assert cmd_train(bad) == 2
+        assert cmd_eval(artifact, bad) == 2
+        message = f"config error: the formula reads valuation {name!r}, which {world} labels lack\n"
+        assert capsys.readouterr().err == message * 2
+    assert not (tmp_path / "grid").exists()
+
+
 def test_artifacts_write_read_round_trip(tmp_path):
     wildfire = train(WildfireEnv(6), hq.load_formula(hq.bundled("formulas/rescue.hltl")),
                      Hyperparams(xi=30, learning_rate=1.0), seed=2)

@@ -29,7 +29,7 @@ from hyperq.robustness import (
 from hyperq.skolem import check_consistency, skolemize
 from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file
 
-from oracles import naive_eval, random_formula, random_label, value_iteration
+from oracles import naive_eval, random_formula, random_label, signed_eval, value_iteration
 
 CFG = RobustnessConfig()
 
@@ -350,6 +350,78 @@ def test_rollout_rewards_keep_zero_signs_300_steps_nested():
     rng = random.Random(300)
     columns = [(_zero_label(rng),) for _ in range(301)]
     _assert_rewards_match_from_scratch(_LabelScript(columns), sk)
+
+
+# Rewards over bodies whose pointwise parts the plan's kernel computes: each
+# reward is compared bit for bit with a from-scratch `eval_hyper` and with
+# `signed_eval`, and by value with `naive_eval` (whose min and max keep the
+# left operand of a tie, so its zero signs differ).  v is one of -1, -0.0,
+# 0.0 and 1, so the predicates' margins include both zeros.
+
+_KERNEL_BODIES = [
+    # all pointwise
+    "[ v@t1 > 0 ] -> ![ v@t2 < 0 ] | a@t1 & [ v@t2 > 0 ]",
+    # a root read at position 0 only
+    "([ v@t1 > 0 ] & ![ v@t2 < 0 ]) & G b@t2",
+    # a root read by F and by |
+    "F ([ v@t1 > 0 ] & ![ v@t2 > 0 ]) | ([ v@t1 > 0 ] & ![ v@t2 > 0 ])",
+    # abs-diff predicates under ->
+    "G (a@t1 -> ![ |v@t1 - v@t2| > 0 ]) & ([ v@t1 > 0 ] -> [ |v@t1 - v@t2| < 1 ])",
+]
+
+
+def _kernel_label(rng):
+    props = frozenset(p for p in ("a", "b") if rng.random() < 0.5)
+    return Label(props, {"v": rng.choice([-1.0, -0.0, 0.0, 0.0, 1.0])})
+
+
+def _assert_rewards_match_all(env, sk):
+    record = rollout(env, sk, CFG, lambda s: JointAction(("go",) * env.arity), 0, env.beta)
+    for t, rho in enumerate(record.rhos, start=1):
+        traces = env.prefix(t)
+        if any(len(tr) == 0 for tr in traces):
+            expected = [CFG.rho_min] * 3
+        else:
+            z = zip_traces(traces)
+            expected = [eval_hyper(traces, sk, CFG), signed_eval(z, 0, len(z), sk.body, CFG),
+                        naive_eval(z, 0, len(z), sk.body, CFG)]
+        signed = [(x, math.copysign(1.0, x)) for x in expected[:2]]
+        assert signed == [(rho, math.copysign(1.0, rho))] * 2 and rho == expected[2], \
+            (t, rho, expected)
+
+
+@pytest.mark.parametrize("body", _KERNEL_BODIES)
+def test_kernel_rewards_bit_identical_append_only(body):
+    sk = skolemize(hq.parse_formula("forall t1. forall t2. " + body))
+    rng = random.Random(body)
+    for _ in range(40):
+        columns = [(_kernel_label(rng), _kernel_label(rng)) for _ in range(rng.randint(2, 30))]
+        _assert_rewards_match_all(_LabelScript(columns), sk)
+
+
+@pytest.mark.parametrize("body", _KERNEL_BODIES)
+def test_kernel_rewards_bit_identical_rewritten_prefix(body):
+    sk = skolemize(hq.parse_formula("forall t1. forall t2. " + body))
+    rng = random.Random(body)
+    for _ in range(40):
+        script = _rewrite_script(rng, 2, rng.randint(2, 16), _kernel_label)
+        _assert_rewards_match_all(_PrefixScript(script), sk)
+
+
+def test_kernel_bodies_cover_their_shapes():
+    # the cases above reach what they are named for: a body the kernel
+    # computes alone, a root kept at position 0 alone, a root read by a
+    # temporal and a head step, and an abs-diff predicate under ->
+    plans = [skolemize(hq.parse_formula("forall t1. forall t2. " + b)).plan
+             for b in _KERNEL_BODIES]
+    assert all(plans[0].fused) and plans[0].roots == (len(plans[0]) - 1,)
+    head_roots = [i for i in plans[1].roots if not plans[1].whole[i]]
+    assert [type(plans[1].steps[i][0]).__name__ for i in head_roots] == ["And"]
+    shared = plans[2].steps[-1][1][1]          # the right operand of |
+    assert shared in plans[2].roots and plans[2].whole[shared]
+    assert {type(plans[2].steps[i][0]).__name__ for i, (_, kids) in enumerate(plans[2].steps)
+            if shared in kids} == {"Eventually", "Or"}
+    assert sum(getattr(node, "abs_diff", False) for node, _ in plans[3].steps) == 2
 
 
 def test_rollout_rejects_unequal_slot_lengths():

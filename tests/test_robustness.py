@@ -10,6 +10,8 @@ from hyperq.robustness import (
     EmptyInputError,
     Label,
     LengthMismatchError,
+    Plan,
+    PrefixEvaluator,
     RobustnessConfig,
     Trace,
     UnknownValuationError,
@@ -114,6 +116,42 @@ def test_unknown_valuation():
     z = zip_traces([labels({"p"})])
     with pytest.raises(UnknownValuationError):
         eval_ltl(z, (0, 1), body_of("forall t1. [ loc@t1 < 5 ]"), CFG)
+
+
+@pytest.mark.parametrize("text", ["forall t1. [ loc@t1 < 5 ]",
+                                  "forall t1. forall t2. G [ |loc@t1 - loc@t2| < 5 ]"])
+def test_kernel_raises_unknown_valuation(text):
+    # the generated kernel turns a missing valuation into the package's
+    # error, in a first update and in a later one alike
+    f = parse_formula(text)
+    arity = len(f.prefix)
+    with pytest.raises(UnknownValuationError) as first:
+        eval_ltl(zip_traces([labels({"p"})] * arity), (0, 1), f.body, CFG)
+    assert first.type is UnknownValuationError and first.value.args == ("loc",)
+    evaluator = PrefixEvaluator(Plan(f.body), arity, CFG)
+    good = tuple(Label(frozenset(), {"loc": 1.0}) for _ in range(arity))
+    evaluator.update([good])
+    with pytest.raises(UnknownValuationError) as later:
+        evaluator.update([good, (Label(),) * arity], 1)
+    assert later.type is UnknownValuationError and later.value.args == ("loc",)
+
+
+def test_plans_of_one_formula_share_one_compiled_kernel():
+    # eval skolemizes anew, so its plan must not compile the kernel again
+    path = hq.bundled("formulas/pcp_ab.hltl")
+    first, second = (skolemize(hq.load_formula(path)).plan for _ in range(2))
+    assert first is not second
+    kernels = [plan.program(2, CFG)[0] for plan in (first, second)]
+    assert kernels[0] is not kernels[1]
+    assert kernels[0].__code__ is kernels[1].__code__
+
+
+def test_pcp_program_is_one_kernel_and_five_operator_steps():
+    plan = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl"))).plan
+    kernel, ops = plan.program(2, CFG)
+    assert callable(kernel) and len(ops) == 5
+    assert sorted(type(node).__name__ for (node, _), fused in zip(plan.steps, plan.fused)
+                  if not fused) == ["Always", "And", "Until", "Until", "Until"]
 
 
 def test_equality_predicate_is_boolean_valued():

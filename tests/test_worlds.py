@@ -7,7 +7,7 @@ import pytest
 import hyperq as hq
 from hyperq.env import EpisodeExhaustedError, InvalidActionError, JointAction
 from hyperq.harness import cmd_train
-from hyperq.learner import Hyperparams, episode_bound
+from hyperq.learner import Hyperparams, _EpisodeTracker, episode_bound
 from hyperq.robustness import RobustnessConfig
 from hyperq.skolem import skolemize
 from hyperq.worlds import (
@@ -307,6 +307,57 @@ def test_pcp_empty_termination_is_not_a_match():
     s = env.reset(0)
     s = env.step(s, JointAction(("dom_#", "dom_#")))
     assert env.match_achieved(s.per_trace[1]) is False
+
+
+def _letter_props(env, state):
+    """Per slot, the props of each position, unrolled letter by letter."""
+    words = [env.slot_words(slot) for slot in state.per_trace]
+    length = max(len(w) for pair in words for w in pair)
+    out = []
+    for (top, bot), (_, done) in zip(words, state.per_trace):
+        trace = []
+        for i in range(length):
+            props = set()
+            for side, word in (("top", top), ("bot", bot)):
+                if i < len(word):
+                    props.add(f"{side}_hash" if word[i] == "#" else f"{side}_{word[i]}")
+                elif done:
+                    props.add(f"{side}_hash")
+            trace.append(frozenset(props))
+        out.append(trace)
+    return out
+
+
+def test_pcp_shared_letter_labels_unroll_like_letters():
+    # every pcp-k3 state reachable in 4 steps: trace_prefix gives the
+    # letter-by-letter props through shared labels, and the episode tracker
+    # finds the same lowest changed position as a comparison of those props
+    env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")))
+    joint = [JointAction((a, b)) for a in env.actions for b in env.actions]
+    level = {(): env.reset(0)}
+    by_props, steps = {}, 0
+    for _ in range(4):
+        following = {}
+        for state in level.values():
+            before = list(zip(*_letter_props(env, state)))
+            for action in joint:
+                nxt = env.step(state, action)
+                following.setdefault(nxt.per_trace, nxt)
+                slots = env.trace_prefix(nxt)
+                expected = _letter_props(env, nxt)
+                assert [[label.props for label in t] for t in slots] == expected
+                for label in (label for t in slots for label in t):
+                    assert by_props.setdefault(label.props, label) is label
+                after = list(zip(*expected))
+                lo = next((i for i, (x, y) in enumerate(zip(before, after)) if x != y),
+                          min(len(before), len(after)))
+                tracker = _EpisodeTracker(env, state)
+                tracker.changed = len(tracker.columns)      # as after scoring `state`
+                tracker.advance(nxt)
+                assert tracker.changed == lo
+                steps += 1
+        level = following
+    assert len(level) > 1000 and steps > 10000
 
 
 def test_pcp_oracle_identity():
