@@ -43,7 +43,6 @@ from .learner import (
     train,
 )
 from .robustness import (
-    PrefixEvaluator,
     Trace,
     UnknownValuationError,
     Verdict,
@@ -136,10 +135,9 @@ class ExperimentConfig:
         """Formula, skolemized formula, environment and episode length.
 
         Raises ConfigError when the formula or an environment file cannot be
-        read or parsed, or when the pieces do not fit together.  That
-        includes a formula that reads a valuation the labels of the start
-        state lack; a world whose start state labels no position (the
-        domino game) shows that only in the first episode's steps.
+        read or parsed, or when the pieces do not fit together.  A formula
+        that reads a valuation the world's labels lack shows only in the
+        first episode's steps, as an UnknownValuationError.
         """
         try:
             f = self.load_formula()
@@ -155,20 +153,13 @@ class ExperimentConfig:
             beta = episode_bound(env, sk, self.hyperparams)
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
-        state = env.reset(self.seeds[0])
-        slots = env.trace_prefix(state)
-        start = [tuple(env.label_of(state))] if slots is None else list(zip(*slots))[:1]
-        try:
-            PrefixEvaluator(sk.plan, env.arity, self.hyperparams.config()).update(start)
-        except UnknownValuationError as exc:
-            raise _lacking_valuation(exc, env) from None
         return f, sk, env, beta
 
 
-def _lacking_valuation(exc: UnknownValuationError, env: Environment) -> ConfigError:
-    """The config error for a formula that reads a valuation `env`'s labels lack."""
-    return ConfigError(f"the formula reads valuation {exc.args[0]!r}, "
-                       f"which {env.kind} labels lack")
+def _lacking_valuation(exc: UnknownValuationError, env: Environment) -> str:
+    """The config error line for a formula that reads a valuation `env`'s labels lack."""
+    return (f"config error: the formula reads valuation {exc.args[0]!r}, "
+            f"which {env.kind} labels lack")
 
 
 def _number(kind, key: str, raw: str):
@@ -334,7 +325,6 @@ def cmd_train(config_path, out=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rob_cfg = cfg.hyperparams.config()
     summary = RunSummary()
     started = time.perf_counter()
@@ -343,8 +333,9 @@ def cmd_train(config_path, out=None) -> int:
         try:
             result = train(env, f, cfg.hyperparams, rep_seed)
         except UnknownValuationError as exc:
-            print(f"config error: {_lacking_valuation(exc, env)}", file=sys.stderr)
+            print(_lacking_valuation(exc, env), file=sys.stderr)
             return 2
+        out_dir.mkdir(parents=True, exist_ok=True)
         all_metrics.append(result.metrics)
         with open(out_dir / f"run_{rep_seed}.csv", "w", encoding="utf-8", newline="\n") as fh:
             result.metrics.write_csv(fh)
@@ -382,7 +373,7 @@ def cmd_eval(policy_path, config_path) -> int:
     try:
         record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
     except UnknownValuationError as exc:
-        print(f"config error: {_lacking_valuation(exc, env)}", file=sys.stderr)
+        print(_lacking_valuation(exc, env), file=sys.stderr)
         return 2
     for t, rho in enumerate(record.rhos):
         print(f"step {t + 1}: rho {rho}")

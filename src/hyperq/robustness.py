@@ -10,18 +10,19 @@ A body is compiled once into a `Plan`, one step per distinct subformula in
 post-order.  The atoms and the !, &, | and -> steps above atoms alone are
 the plan's pointwise region.  As online robust monitors do (Donze, Ferrere
 and Maler, CAV 2013), that region is computed position by position with no
-signal per subformula: the plan generates the source of one kernel that
-loops once over the changed positions and keeps every such step in a local.
-The source is compiled once per process for each shape of region, and the
-plan builds the kernel and the step functions of its other operators once.
-A `PrefixEvaluator` runs them over Python floats: a list with one value per
-position for each remaining step that needs them, one value for a step read
-only at position 0.  It keeps these between calls, so an episode's growing
-prefix is scored after every step from the lowest position that changed: G
-and F at position 0 fold in the appended positions, and the backward
-recurrences of G, F, U and X stop below the change as soon as a value comes
-out unchanged.  `eval_ltl` and `eval_hyper` are one-shot uses of the same
-evaluator.
+signal per subformula.  The plan generates the source of one program: a
+loop over the changed positions that keeps every such step in a local, then
+every other step in plan order, a pointwise one written out from the same
+expression (`_POINTWISE` states each operator and its tie rule once) and a
+temporal one as a call of its step function.  The source is compiled once
+per process for each shape of plan.  A `PrefixEvaluator` runs the program
+over Python floats: a list with one value per position for each remaining
+step that needs them, one value for a step read only at position 0.  It
+keeps these between calls, so an episode's growing prefix is scored after
+every step from the lowest position that changed: G and F at position 0
+fold in the appended positions, and the backward recurrences of G, F, U and
+X stop below the change as soon as a value comes out unchanged.  `eval_ltl`
+and `eval_hyper` are one-shot uses of the same evaluator.
 
 A separate Boolean evaluator implements the positional satisfaction relation
 directly (with explicit quantifier enumeration over a finite trace set) and
@@ -87,6 +88,15 @@ class Label:
             return self.valuations[name]
         except KeyError:
             raise UnknownValuationError(name) from None
+
+    def __eq__(self, other):
+        """Equal props and valuations, a 0.0 and a -0.0 valuation unequal:
+        they give a predicate margins of opposite sign."""
+        if not isinstance(other, Label):
+            return NotImplemented
+        return (self.props == other.props and self.valuations == other.valuations
+                and all(_unchanged(x, other.valuations[k])
+                        for k, x in self.valuations.items() if x == 0.0))
 
 
 def _format_value(v: float) -> str:
@@ -217,19 +227,17 @@ def _unchanged(old: float, new: float) -> bool:
 
 
 def _head_step(node, i: int, kids, rmin: float):
-    """Function (values, lows, n, m) that sets step `i`'s value at position 0.
+    """Function (values, lows, n, m) that sets temporal step `i`'s value at
+    position 0.
 
     `values[k]` is step k's list (one value per position, or one value for
     another position-0 step), `lows[k]` the lowest position at which step k
     changed in this update, `n` the prefix length and `m` the previous one.
-    Ties of 0.0 and -0.0 keep what a scalar fold keeps: & and | the right
-    operand, -> the negated left one, and G and F the later position.
+    Ties of 0.0 and -0.0 keep what a scalar fold keeps: G and F the later
+    position.
     """
     a = kids[0]
-    if isinstance(node, Not):
-        def step(v, low, n, m):
-            v[i][0] = -v[a][0]
-    elif isinstance(node, Next):
+    if isinstance(node, Next):
         def step(v, low, n, m):
             v[i][0] = v[a][1] if n > 1 else rmin
     elif isinstance(node, (Always, Eventually)):
@@ -246,46 +254,21 @@ def _head_step(node, i: int, kids, rmin: float):
                 v[i][0] = acc
             else:               # the first minimum of the reversed list is the last one
                 v[i][0] = extreme(reversed(v[a]))
-    elif isinstance(node, And):
-        b = kids[1]
-
-        def step(v, low, n, m):
-            x, y = v[a][0], v[b][0]
-            v[i][0] = x if x < y else y
-    elif isinstance(node, Or):
-        b = kids[1]
-
-        def step(v, low, n, m):
-            x, y = v[a][0], v[b][0]
-            v[i][0] = x if x > y else y
-    elif isinstance(node, Implies):
-        b = kids[1]
-
-        def step(v, low, n, m):
-            x, y = -v[a][0], v[b][0]
-            v[i][0] = y if y > x else x
     else:
         raise TypeError(f"cannot evaluate node {node!r} at position 0 alone")
     return step
 
 
 def _row_step(node, i: int, kids, rmin: float):
-    """Function (values, lows, n, m) that brings step `i`'s per-position list
-    up to date and sets `lows[i]` to the lowest position it changed (n when
-    none did); arguments as for `_head_step`.
+    """Function (values, lows, n, m) that brings temporal step `i`'s
+    per-position list up to date and sets `lows[i]` to the lowest position
+    it changed (n when none did); arguments as for `_head_step`.
 
-    Pointwise operators recompute from their children's lowest change.  The
-    temporal ones are backward recurrences v[j] = f(children[j], v[j + 1]):
+    Each is a backward recurrence v[j] = f(children[j], v[j + 1]):
     recomputed from the end down to the children's lowest change, and below
     it only until a value comes out unchanged, since every lower one then is.
     """
     a = kids[0]
-    if isinstance(node, Not):
-        def step(v, low, n, m):
-            k = low[i] = low[a]
-            if k < n:
-                v[i][k:] = [-x for x in v[a][k:]]
-        return step
     if isinstance(node, Next):
         def step(v, low, n, m):
             k = low[a]
@@ -352,28 +335,18 @@ def _row_step(node, i: int, kids, rmin: float):
                 j -= 1
             low[i] = j + 1
         return step
-    b = kids[1]
-    if isinstance(node, And):
-        def step(v, low, n, m):
-            k = low[i] = min(low[a], low[b])
-            if k < n:
-                v[i][k:] = [x if x < y else y for x, y in zip(v[a][k:], v[b][k:])]
-    elif isinstance(node, Or):
-        def step(v, low, n, m):
-            k = low[i] = min(low[a], low[b])
-            if k < n:
-                v[i][k:] = [x if x > y else y for x, y in zip(v[a][k:], v[b][k:])]
-    elif isinstance(node, Implies):
-        def step(v, low, n, m):
-            k = low[i] = min(low[a], low[b])
-            if k < n:
-                v[i][k:] = [y if y > -x else -x for x, y in zip(v[a][k:], v[b][k:])]
-    else:
-        raise TypeError(f"cannot evaluate node {node!r}")
-    return step
+    raise TypeError(f"cannot evaluate node {node!r}")
 
 
-_POINTWISE = (Not, And, Or, Implies)
+# The pointwise operators over operands {a} and {b}.  Ties of 0.0 and -0.0
+# keep what a scalar fold keeps: & and | the right operand, -> the negated
+# left one.
+_POINTWISE = {
+    Not: "-{a}",
+    And: "{a} if {a} < {b} else {b}",
+    Or: "{a} if {a} > {b} else {b}",
+    Implies: "{b} if {b} > -{a} else -{a}",
+}
 
 
 def _kernel_lines(plan, targets, arity: int, const):
@@ -417,31 +390,28 @@ def _kernel_lines(plan, targets, arity: int, const):
                 lines.append(f"{x} = {x} if {x} > N else N")
                 lines.append(f"{x} = {x} if {x} < R else R")
         else:
-            a = f"x{kids[0]}"
-            b = f"x{kids[-1]}"
-            if isinstance(node, Not):
-                lines.append(f"{x} = -{a}")
-            elif isinstance(node, And):
-                lines.append(f"{x} = {a} if {a} < {b} else {b}")
-            elif isinstance(node, Or):
-                lines.append(f"{x} = {a} if {a} > {b} else {b}")
-            else:
-                lines.append(f"{x} = -{a}")
-                lines.append(f"{x} = {b} if {b} > {x} else {x}")
+            lines.append(f"{x} = " + _POINTWISE[type(node)].format(a=f"x{kids[0]}",
+                                                                   b=f"x{kids[-1]}"))
     return lines
 
 
 def _kernel_source(plan, arity: int) -> tuple:
-    """(source, constants): the source of a function `make(R, N, k0, k1, ...)`
-    that returns the plan's kernel, and the props, valuation names and
-    predicate constants to pass as k0, k1, ...
+    """(source, constants, temporal): the source of a function
+    `make(R, N, k0, k1, ..., t0, t1, ...)` that returns the plan's program,
+    the props, valuation names and predicate constants to pass as k0, k1,
+    ..., and the temporal steps, as (node, index, kids), whose step
+    functions to pass as t0, t1, ...
 
-    The kernel `kernel(v, low, cols, lo)` computes every fused step
-    of the plan as a local, position by position from `lo` on, and stores
-    each root: appended to its list when it keeps one value per position, as
-    its one value when position 0 is among the changed ones otherwise.
+    The program `run(v, low, cols, lo, n, m)` first computes every fused
+    step as a local, position by position from `lo` on, and stores each
+    root: appended to its list when it keeps one value per position, as its
+    one value when position 0 is among the changed ones otherwise.  Then it
+    runs every other step in plan order.  A pointwise step is its
+    `_POINTWISE` expression, either at position 0 or as one list
+    comprehension from its operands' lowest change on; a temporal step is a
+    call of its `_head_step` or `_row_step` function.
     """
-    constants = []
+    constants, temporal = [], []
 
     def const(c):
         constants.append(c)
@@ -461,17 +431,34 @@ def _kernel_source(plan, arity: int) -> tuple:
     body += ["except KeyError as exc:",
              "    raise UnknownValuationError(*exc.args) from None"]
     body += [f"low[{i}] = lo" for i in plan.roots]
-    params = ", ".join(["R", "N"] + [f"k{j}" for j in range(len(constants))])
-    source = "\n".join([f"def make({params}):",
-                        "    def kernel(v, low, cols, lo):",
+    for i, (node, kids) in enumerate(plan.steps):
+        if plan.fused[i]:
+            continue
+        expr = _POINTWISE.get(type(node))
+        if expr is None:
+            body.append(f"t{len(temporal)}(v, low, n, m)")
+            temporal.append((node, i, kids))
+        elif not plan.whole[i]:
+            body.append(f"v[{i}][0] = " + expr.format(a=f"v[{kids[0]}][0]", b=f"v[{kids[-1]}][0]"))
+        else:
+            a, b = kids[0], kids[-1]
+            lowest, items, names = ((f"low[{a}]", f"v[{a}][k:]", "a") if len(kids) == 1 else
+                                    (f"min(low[{a}], low[{b}])", f"zip(v[{a}][k:], v[{b}][k:])",
+                                     "a, b"))
+            body += [f"k = low[{i}] = {lowest}", "if k < n:",
+                     f"    v[{i}][k:] = [{expr.format(a='a', b='b')} for {names} in {items}]"]
+    params = ["R", "N"] + [f"k{j}" for j in range(len(constants))]
+    params += [f"t{j}" for j in range(len(temporal))]
+    source = "\n".join([f"def make({', '.join(params)}):",
+                        "    def run(v, low, cols, lo, n, m):",
                         *(f"        {s}" for s in body),
-                        "    return kernel", ""])
-    return source, tuple(constants)
+                        "    return run", ""])
+    return source, tuple(constants), tuple(temporal)
 
 
 @functools.lru_cache(maxsize=256)
 def _compiled(source: str):
-    """The `make` function of a kernel source, compiled once per process."""
+    """The `make` function of a program source, compiled once per process."""
     namespace = {"UnknownValuationError": UnknownValuationError}
     exec(compile(source, "<robustness kernel>", "exec"), namespace)
     return namespace["make"]
@@ -492,13 +479,15 @@ class Plan:
 
     `fused[i]` says whether step i is an atom, or a !, &, | or -> step whose
     children are all fused.  The fused steps are computed position by
-    position in one generated kernel, without a list of their own; only the
-    `roots`, the fused steps that a non-fused step reads (and the body, when
-    it is fused), are stored.  `program` builds the kernel and the step
-    functions of the other steps once per plan, slot count and
-    configuration.  The kernel source names its props, valuations and
-    constants by parameter, so it is compiled once per process for all
-    plans of one shape.
+    position in one loop, without a list of their own; only the `roots`, the
+    fused steps that a non-fused step reads (and the body, when it is
+    fused), are stored.  `program` generates one function per plan, slot
+    count and configuration that runs that loop and then every other step
+    in plan order: a pointwise step written out from the same expression as
+    in the loop, a temporal step as a call of its step function.  The
+    source names its props, valuations, constants and step functions by
+    parameter, so it is compiled once per process for all plans of one
+    shape.
     """
 
     def __init__(self, body: LtlNode):
@@ -520,13 +509,13 @@ class Plan:
         for i in range(len(steps) - 1, -1, -1):       # every reader before what it reads
             node, kids = steps[i]
             whole[i] = whole[i] or not kids or isinstance(node, Until)
-            if whole[i] or not isinstance(node, _POINTWISE):
+            if whole[i] or type(node) not in _POINTWISE:
                 for k in kids:
                     whole[k] = True
         self.whole = tuple(whole)
         fused = []
         for node, kids in steps:                      # every child before its readers
-            fused.append(not kids or isinstance(node, _POINTWISE) and all(fused[k] for k in kids))
+            fused.append(not kids or type(node) in _POINTWISE and all(fused[k] for k in kids))
         self.fused = tuple(fused)
         roots = {len(steps) - 1} if fused[-1] else set()
         for (node, kids), f in zip(steps, fused):
@@ -539,16 +528,16 @@ class Plan:
         return len(self.steps)
 
     def program(self, arity: int, cfg: RobustnessConfig):
-        """(kernel, ops): the kernel of the fused steps and the step
-        function of each other operator, in plan order."""
+        """The function `run(values, lows, columns, lo, n, m)` that brings
+        every step up to date (see `_kernel_source`)."""
         program = self._programs.get((arity, cfg))
         if program is None:
             rmax, rmin = float(cfg.rho_max), float(cfg.rho_min)
-            source, constants = _kernel_source(self, arity)
-            kernel = _compiled(source)(rmax, rmin, *constants)
-            ops = tuple((_row_step if self.whole[i] else _head_step)(node, i, kids, rmin)
-                        for i, (node, kids) in enumerate(self.steps) if not self.fused[i])
-            program = self._programs[(arity, cfg)] = (kernel, ops)
+            source, constants, temporal = _kernel_source(self, arity)
+            steps = [(_row_step if self.whole[i] else _head_step)(node, i, kids, rmin)
+                     for node, i, kids in temporal]
+            program = self._programs[(arity, cfg)] = _compiled(source)(rmax, rmin, *constants,
+                                                                        *steps)
         return program
 
 
@@ -557,11 +546,11 @@ class PrefixEvaluator:
 
     The values are Python floats: a list per position for each step that
     keeps a value per position, and one value for each step needed at
-    position 0 alone (see `Plan`).  `update` first runs the plan's kernel
-    from the lowest position that changed since the previous update: one
-    loop over the changed columns computes every atom and every pointwise
-    step above atoms alone, and stores only the kernel's roots.  Then each
-    other operator step runs and reports the lowest position it changed to
+    position 0 alone (see `Plan`).  `update` makes one call of the plan's
+    program from the lowest position that changed since the previous
+    update: one loop over the changed columns computes every atom and every
+    pointwise step above atoms alone, and stores only the plan's roots.
+    Then each other step runs and reports the lowest position it changed to
     its readers.  G and F at position 0 fold in appended positions in O(1)
     each; the per-position recurrences of G, F, U and X stop below the
     change as soon as a value comes out unchanged.  Min, max and negation
@@ -573,7 +562,7 @@ class PrefixEvaluator:
     def __init__(self, plan: Plan, arity: int, cfg: RobustnessConfig):
         self.arity = arity
         self.rho_min = cfg.rho_min
-        self._kernel, self._ops = plan.program(arity, cfg)
+        self._program = plan.program(arity, cfg)
         self._vals = [[] if whole else [None] for whole in plan.whole]
         self._low = [0] * len(plan)
         self._n = 0            # prefix length at the previous update
@@ -589,12 +578,9 @@ class PrefixEvaluator:
             raise LengthMismatchError(f"expected {self.arity} traces, got {len(columns[0])}")
         m = self._n
         lo = min(lo, m) if n >= m else min(lo, n - 1)    # a shorter prefix ends anew
-        v, low = self._vals, self._low
-        self._kernel(v, low, columns, lo)
-        for op in self._ops:
-            op(v, low, n, m)
+        self._program(self._vals, self._low, columns, lo, n, m)
         self._n = n
-        return v[-1][0]
+        return self._vals[-1][0]
 
 
 def eval_ltl(z: ZippedTrace, window, body: LtlNode, cfg: RobustnessConfig) -> float:

@@ -157,7 +157,8 @@ def witness_key(traces: tuple) -> tuple:
 
 
 def check_consistency(assignment: dict, witnesses: list[WitnessTable]) -> bool:
-    """True iff every existential trace equals its witness output.
+    """True iff every existential trace equals its witness output as text,
+    the form artifacts store traces in (a 0.0 and a -0.0 valuation match).
 
     `assignment` maps TraceVar (or its 1-based index) to a Trace and must
     cover the whole prefix; all traces must share one length.
@@ -173,6 +174,6 @@ def check_consistency(assignment: dict, witnesses: list[WitnessTable]) -> bool:
             raise MissingWitnessError(f"no assignment for existential index {table.exist_index}")
         key = witness_key(tuple(by_index[j] for j in table.deps))
         recorded, _actions = table.lookup(key)
-        if recorded != by_index[table.exist_index]:
+        if recorded.to_text() != by_index[table.exist_index].to_text():
             return False
     return True

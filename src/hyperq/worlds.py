@@ -126,6 +126,8 @@ def load_map(text: str) -> GridMap:
         if tag == "goal":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise UnknownGlyphError(f"goal legend needs an agent number: {line.strip()!r}")
+            if int(parts[1]) in goals_by_agent:
+                raise UnknownGlyphError(f"agent {parts[1]} has a second goal: {line.strip()!r}")
             goals_by_agent[int(parts[1])] = glyph_cells[glyph]
         elif tag == "resource":
             special[glyph_cells[glyph]] = tag
@@ -137,6 +139,9 @@ def load_map(text: str) -> GridMap:
         raise MissingStartError("map declares no agent starts")
     if sorted(starts_by_digit) != [str(i) for i in range(1, n + 1)]:
         raise MissingStartError(f"agent start glyphs must be 1..{n}")
+    unknown = sorted(set(goals_by_agent) - set(range(1, n + 1)))
+    if unknown:
+        raise UnknownGlyphError(f"goal legend names agent {unknown[0]}, but the map has {n}")
     starts = tuple(starts_by_digit[str(i)] for i in range(1, n + 1))
     goals = tuple(goals_by_agent.get(i) for i in range(1, n + 1))
     return GridMap(width, height, frozenset(walls), starts, goals, special)
@@ -489,8 +494,8 @@ def pcp_oracle(dominoes: DominoSet, max_len: int):
     Explores sequences in length order; partial sequences whose words already
     disagree on a shared position can never extend to a match and are pruned.
     """
-    if max_len > 12:
-        raise BoundTooLargeError(f"search bound {max_len} exceeds 12")
+    if not 1 <= max_len <= 12:
+        raise BoundTooLargeError(f"search bound {max_len} outside 1..12")
     frontier = [((), "", "")]
     for _ in range(max_len):
         nxt = []

@@ -282,13 +282,10 @@ def test_formula_reading_a_valuation_the_world_lacks_exits_2(tmp_path, capsys):
     formulas = hq.bundled("formulas")
     valued = tmp_path / "valued.hltl"
     valued.write_text("forall t1. exists t2. G [ v@t1 < 3 ]\n")
-    # the grid's start state labels a position, so setup finds it before
-    # any output directory exists; the domino game's labels its first
-    # position only after a step
+    # the first episode's first step finds it, before any output directory
+    # exists
     grid = write_micro_config(tmp_path, "grid", xi=5, reps=1, formula=formulas / "fairness.hltl",
                               env=f"kind = grid\nmap = {hq.bundled('maps/cross4.map')}")
-    with pytest.raises(ConfigError, match="valuation 'energy', which grid labels lack"):
-        ExperimentConfig.load(grid).setup()
     pcp = write_micro_config(tmp_path, "pcp", xi=5, reps=1, formula=valued,
                              env=f"kind = pcp\ndominoes = {hq.bundled('dominoes/k3_solvable.dom')}")
     for bad, world, name in ((grid, "grid", "energy"), (pcp, "pcp", "v")):
@@ -296,7 +293,19 @@ def test_formula_reading_a_valuation_the_world_lacks_exits_2(tmp_path, capsys):
         assert cmd_eval(artifact, bad) == 2
         message = f"config error: the formula reads valuation {name!r}, which {world} labels lack\n"
         assert capsys.readouterr().err == message * 2
-    assert not (tmp_path / "grid").exists()
+    assert not (tmp_path / "grid").exists() and not (tmp_path / "pcp").exists()
+
+
+def test_cmd_train_rejects_malformed_map_legend(tmp_path, capsys):
+    formula = tmp_path / "f.hltl"
+    formula.write_text("forall t1. F goal1@t1\n")
+    grid = tmp_path / "legend.map"
+    cfg = write_micro_config(tmp_path, "legend", formula=formula, env=f"kind = grid\nmap = {grid}")
+    for legend in ("b = goal 5", "b = goal 1"):
+        grid.write_text(f"1ab\n...\n\na = goal 1\n{legend}\n")
+        assert cmd_train(cfg) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "legend").exists()
 
 
 def test_artifacts_write_read_round_trip(tmp_path):
@@ -336,8 +345,10 @@ def test_cmd_oracle_pcp(tmp_path, capsys):
     code = cmd_oracle("pcp", dominoes=hq.bundled("dominoes/k3_unsolvable.dom"), max_len=6)
     assert code == 0
     assert capsys.readouterr().out.strip() == "none within bound"
-    assert cmd_oracle("pcp", dominoes=hq.bundled("dominoes/k3_solvable.dom"), max_len=50) == 2
-    capsys.readouterr()
+    for bound in (50, 0, -3):
+        assert cmd_oracle("pcp", dominoes=hq.bundled("dominoes/k3_solvable.dom"),
+                          max_len=bound) == 2
+        assert capsys.readouterr() == ("", f"error: search bound {bound} outside 1..12\n")
     malformed = tmp_path / "bad.dom"
     malformed.write_text("ab\n")
     for dominoes in (tmp_path / "missing.dom", malformed):

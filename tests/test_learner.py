@@ -345,6 +345,20 @@ def test_rollout_rewards_keep_zero_signs_rewritten_prefix(body):
         _assert_rewards_match_from_scratch(_PrefixScript(script), sk)
 
 
+def test_rollout_rewards_keep_zero_signs_when_a_rewrite_flips_one():
+    # a rewrite that only flips the sign of a zero valuation changes the
+    # margin's sign, so the tracker must re-score from that position
+    def label(v):
+        return Label(frozenset(), {"v": v})
+
+    assert label(0.0) != label(-0.0) and label(-0.0) == label(-0.0)
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        env = _PrefixScript([(Trace(),), (Trace((label(first),)),),
+                             (Trace((label(second), label(1.0))),)])
+        for body in ("[ v@t1 > 0 ]", "G [ v@t1 < 0 ]", "X (G [ v@t1 > 0 ] & X [ v@t1 > 0 ])"):
+            _assert_rewards_match_from_scratch(env, _signed_zero_formula(body))
+
+
 def test_rollout_rewards_keep_zero_signs_300_steps_nested():
     sk = _signed_zero_formula("(G F {c} | X F G {c}) & X ({c} U (F G {c} U X G F {c}))")
     rng = random.Random(300)
@@ -352,8 +366,9 @@ def test_rollout_rewards_keep_zero_signs_300_steps_nested():
     _assert_rewards_match_from_scratch(_LabelScript(columns), sk)
 
 
-# Rewards over bodies whose pointwise parts the plan's kernel computes: each
-# reward is compared bit for bit with a from-scratch `eval_hyper` and with
+# Rewards over bodies whose pointwise steps the plan's program computes in
+# each of its three ways: in the loop over atoms, at position 0 alone, and
+# per position over temporal operands.  Each reward is compared bit for bit with a from-scratch `eval_hyper` and with
 # `signed_eval`, and by value with `naive_eval` (whose min and max keep the
 # left operand of a tie, so its zero signs differ).  v is one of -1, -0.0,
 # 0.0 and 1, so the predicates' margins include both zeros.
@@ -367,6 +382,10 @@ _KERNEL_BODIES = [
     "F ([ v@t1 > 0 ] & ![ v@t2 > 0 ]) | ([ v@t1 > 0 ] & ![ v@t2 > 0 ])",
     # abs-diff predicates under ->
     "G (a@t1 -> ![ |v@t1 - v@t2| > 0 ]) & ([ v@t1 > 0 ] -> [ |v@t1 - v@t2| < 1 ])",
+    # &, | and -> per position over temporal operands, read by X
+    "X (G [ v@t1 > 0 ] & X [ v@t2 > 0 ])",
+    "X (F [ v@t1 > 0 ] | X [ v@t2 < 0 ])",
+    "X (X [ v@t1 > 0 ] -> G [ v@t2 > 0 ])",
 ]
 
 
@@ -411,7 +430,8 @@ def test_kernel_rewards_bit_identical_rewritten_prefix(body):
 def test_kernel_bodies_cover_their_shapes():
     # the cases above reach what they are named for: a body the kernel
     # computes alone, a root kept at position 0 alone, a root read by a
-    # temporal and a head step, and an abs-diff predicate under ->
+    # temporal and a head step, an abs-diff predicate under ->, and an &, |
+    # and -> kept per position over temporal operands
     plans = [skolemize(hq.parse_formula("forall t1. forall t2. " + b)).plan
              for b in _KERNEL_BODIES]
     assert all(plans[0].fused) and plans[0].roots == (len(plans[0]) - 1,)
@@ -422,6 +442,9 @@ def test_kernel_bodies_cover_their_shapes():
     assert {type(plans[2].steps[i][0]).__name__ for i, (_, kids) in enumerate(plans[2].steps)
             if shared in kids} == {"Eventually", "Or"}
     assert sum(getattr(node, "abs_diff", False) for node, _ in plans[3].steps) == 2
+    for plan, name in zip(plans[4:], ("And", "Or", "Implies")):
+        assert name in [type(node).__name__ for (node, _), whole, fused
+                        in zip(plan.steps, plan.whole, plan.fused) if whole and not fused]
 
 
 def test_rollout_rejects_unequal_slot_lengths():

@@ -141,15 +141,18 @@ def test_plans_of_one_formula_share_one_compiled_kernel():
     path = hq.bundled("formulas/pcp_ab.hltl")
     first, second = (skolemize(hq.load_formula(path)).plan for _ in range(2))
     assert first is not second
-    kernels = [plan.program(2, CFG)[0] for plan in (first, second)]
-    assert kernels[0] is not kernels[1]
-    assert kernels[0].__code__ is kernels[1].__code__
+    programs = [plan.program(2, CFG) for plan in (first, second)]
+    assert programs[0] is not programs[1]
+    assert programs[0].__code__ is programs[1].__code__
 
 
 def test_pcp_program_is_one_kernel_and_five_operator_steps():
     plan = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl"))).plan
-    kernel, ops = plan.program(2, CFG)
-    assert callable(kernel) and len(ops) == 5
+    program = plan.program(2, CFG)
+    # the four temporal steps are the program's step functions, & is inline
+    assert callable(program) and program is plan.program(2, CFG)
+    assert sorted(name for name in program.__code__.co_freevars
+                  if name.startswith("t")) == ["t0", "t1", "t2", "t3"]
     assert sorted(type(node).__name__ for (node, _), fused in zip(plan.steps, plan.fused)
                   if not fused) == ["Always", "And", "Until", "Until", "Until"]
 

@@ -145,3 +145,16 @@ def test_check_consistency_rejects_ragged_lengths():
     assignment = {f.prefix[0].var: _trace({"p"}), f.prefix[1].var: _trace({"q"}, {"q"})}
     with pytest.raises(WitnessLengthError):
         check_consistency(assignment, [table])
+
+
+def test_check_consistency_ignores_zero_signs():
+    # artifacts store traces as text, which prints -0.0 as 0, so a run whose
+    # existential trace reads -0.0 still matches its stored witness
+    univ = _trace({"p"})
+    exist = Trace((Label(frozenset(), {"v": -0.0}),))
+    stored = Trace.from_text(exist.to_text())
+    assert stored != exist
+    table = WitnessTable(2, (1,))
+    table.record(witness_key((univ,)), stored, ())
+    f = parse_formula("forall t1. exists t2. F p@t1 & F [ v@t2 < 1 ]")
+    assert check_consistency({f.prefix[0].var: univ, f.prefix[1].var: exist}, [table]) is True

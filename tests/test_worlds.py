@@ -57,6 +57,13 @@ def test_load_map_rejects_unknown_glyph():
         load_map("1?\n..\n")
 
 
+def test_load_map_rejects_goal_of_unknown_agent_and_second_goal():
+    assert load_map("1ab\n...\n\na = goal 1\n").goals == ((1, 1),)
+    for legend in ("a = goal 1\nb = goal 5", "a = goal 1\nb = goal 1", "a = goal 0"):
+        with pytest.raises(UnknownGlyphError):
+            load_map(f"1ab\n...\n\n{legend}\n")
+
+
 def test_load_map_requires_contiguous_starts():
     with pytest.raises(MissingStartError):
         load_map("2.\n..\n")
@@ -386,8 +393,9 @@ def test_pcp_oracle_returns_shortest():
 
 
 def test_pcp_oracle_bound_check():
-    with pytest.raises(BoundTooLargeError):
-        pcp_oracle(DominoSet((("a", "a"),)), 13)
+    for bound in (13, 0, -3):
+        with pytest.raises(BoundTooLargeError):
+            pcp_oracle(DominoSet((("a", "a"),)), bound)
 
 
 # ---------------------------------------------------------------------------
