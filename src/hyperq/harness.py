@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .env import Environment
+from .env import Environment, InvalidActionError
 from .formula import Formula, FormulaError, load_formula, unparse, validate
 from .learner import (
     Hyperparams,
@@ -160,6 +160,15 @@ def _lacking_valuation(exc: UnknownValuationError, env: Environment) -> str:
     """The config error line for a formula that reads a valuation `env`'s labels lack."""
     return (f"config error: the formula reads valuation {exc.args[0]!r}, "
             f"which {env.kind} labels lack")
+
+
+def _unknown_action(path, policies: PolicySet, env: Environment) -> str:
+    """The error line for an artifact whose policies name an action `env` lacks."""
+    for index, table in sorted(policies.policies.items()):
+        for action in table.values():
+            if action not in env.actions:
+                return (f"error: {path}: policy {index} names action {action!r}, "
+                        f"which {env.kind} worlds lack")
 
 
 def _number(kind, key: str, raw: str):
@@ -374,6 +383,9 @@ def cmd_eval(policy_path, config_path) -> int:
         record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
     except UnknownValuationError as exc:
         print(_lacking_valuation(exc, env), file=sys.stderr)
+        return 2
+    except InvalidActionError:
+        print(_unknown_action(policy_path, policies, env), file=sys.stderr)
         return 2
     for t, rho in enumerate(record.rhos):
         print(f"step {t + 1}: rho {rho}")

@@ -297,16 +297,26 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     q = TabularQ(len(joint_actions))
     baseline = h.reward_mode == "baseline"
 
+    # a step's learn encodes its new state, which the next step's explore
+    # (or learn) asks for again: keep the last key so each state is encoded once
+    last_state = last_key = None
+
+    def encode(state):
+        nonlocal last_state, last_key
+        if state is not last_state:
+            last_state, last_key = state, env.encode(state)
+        return last_key
+
     # explore and learn see the ep_rng and eps of the episode being run
     def explore(state):
         if ep_rng.random() < eps:
             return joint_actions[int(ep_rng.integers(len(joint_actions)))]
-        return joint_actions[q.best(env.encode(state))]
+        return joint_actions[q.best(encode(state))]
 
     def learn(state, action, nxt, rho):
         reward = env.baseline_reward(state, action, nxt) if baseline else rho
         a_idx = action_index[action.per_trace]
-        q_update(q, env.encode(state), a_idx, reward, env.encode(nxt), h,
+        q_update(q, encode(state), a_idx, reward, encode(nxt), h,
                  done=nxt.step_count >= beta)
 
     metrics = TrainMetrics(["episode", *env.metric_columns, "rho"])
@@ -321,7 +331,7 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
         metrics.rows.append(previous)
 
     final = rollout(env, sk, cfg,
-                    lambda s: joint_actions[q.best(env.encode(s), prefer_tried=True)], seed, beta)
+                    lambda s: joint_actions[q.best(encode(s), prefer_tried=True)], seed, beta)
     policies, witnesses = extract_policies(env, sk, final)
     return TrainResult(q, policies, witnesses, metrics, final)
 

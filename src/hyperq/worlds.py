@@ -4,6 +4,16 @@ matching game with an exhaustive search oracle, and a shared-resource grid.
 Grid conventions: coordinates are (x, y) with y growing upward, moves that hit
 a wall or the boundary leave the agent in place, and the scalar cell index
 exposed to formulas is column-ordered: ``cell = x * height + y``.
+
+The grid worlds look moves and labels up rather than rebuild them every step.
+Each world instance keeps two `LazyTable`s, dicts that make a missing entry
+from its key on first use, so they fill only as states are visited.  The move
+table maps ``(x, y, action)`` to the cell `_move` leads to.  The label table
+maps a slot's observation to one shared `Label`: ``(slot index, cell,
+collision)`` in the goal-seeking grid, the slot state ``(x, y, energy,
+arrived)`` in the resource grid and ``(x, y, burning)`` in the wildfire grid.
+The domino game keeps one module-wide table of labels per letter pair.  Since
+labels are shared, nothing may mutate one.
 """
 
 from __future__ import annotations
@@ -157,6 +167,23 @@ def _move(grid: GridMap, cell, action):
     return nxt if grid.open_cell(nxt) else cell
 
 
+class LazyTable(dict):
+    """A dict whose missing value `make(key)` makes, stores and returns."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _move_table(grid: GridMap) -> LazyTable:
+    """(x, y, action) -> the cell `_move` leads to."""
+    return LazyTable(lambda key: _move(grid, key[:2], key[2]))
+
+
 # ---------------------------------------------------------------------------
 # Two-or-more-agent goal-seeking grid
 
@@ -182,6 +209,8 @@ class GridWorldEnv(Environment):
         self.grid = grid
         self.arity = len(grid.starts)
         self.beta = beta
+        self.moves = _move_table(grid)
+        self.labels = LazyTable(self._label)
 
     def reset(self, seed: int) -> JointState:
         starts = self.grid.starts
@@ -192,33 +221,30 @@ class GridWorldEnv(Environment):
     def step(self, state: JointState, action: JointAction) -> JointState:
         self.check_step(state)
         self.check_action(action)
-        moved = []
-        for (x, y, done, col), act in zip(state.per_trace, action.per_trace):
-            moved.append(_move(self.grid, (x, y), act))
-        shared = {c for c in moved if moved.count(c) > 1}
-        per = []
-        for i, ((x, y, done, col), cell) in enumerate(zip(state.per_trace, moved)):
-            per.append((cell[0], cell[1],
-                        done or cell == self.grid.goals[i],
-                        col or cell in shared))
-        return JointState(tuple(per), state.step_count + 1)
+        moves = self.moves
+        moved = [moves[x, y, act] for (x, y, _, _), act in zip(state.per_trace, action.per_trace)]
+        goals = self.grid.goals
+        per = tuple((cell[0], cell[1], done or cell == goals[i], col or moved.count(cell) > 1)
+                    for i, ((_, _, done, col), cell) in enumerate(zip(state.per_trace, moved)))
+        return JointState(per, state.step_count + 1)
 
     def label_of(self, state: JointState) -> tuple:
         cells = [(x, y) for x, y, _, _ in state.per_trace]
-        shared = {c for c in cells if cells.count(c) > 1}
-        labels = []
-        for i, cell in enumerate(cells):
-            props = {f"goal{k + 1}" for k, g in enumerate(self.grid.goals) if g == cell}
-            if cell in shared:
-                props.add("collision")
-            gx, gy = self.grid.goals[i]
-            labels.append(Label(frozenset(props), {
-                "x": float(cell[0]),
-                "y": float(cell[1]),
-                "cell": float(self.grid.cell_index(cell)),
-                "dist": float(abs(cell[0] - gx) + abs(cell[1] - gy)),
-            }))
-        return tuple(labels)
+        labels = self.labels
+        return tuple([labels[i, cell, cells.count(cell) > 1] for i, cell in enumerate(cells)])
+
+    def _label(self, key) -> Label:
+        i, cell, collision = key
+        props = {f"goal{k + 1}" for k, g in enumerate(self.grid.goals) if g == cell}
+        if collision:
+            props.add("collision")
+        gx, gy = self.grid.goals[i]
+        return Label(frozenset(props), {
+            "x": float(cell[0]),
+            "y": float(cell[1]),
+            "cell": float(self.grid.cell_index(cell)),
+            "dist": float(abs(cell[0] - gx) + abs(cell[1] - gy)),
+        })
 
     def episode_stats(self, record) -> dict:
         """Whether every agent visited its goal, and the steps with a shared cell."""
@@ -277,6 +303,8 @@ class WildfireEnv(Environment):
             for x, name in enumerate(row):
                 self.cell_names[(x, y)] = name
         self.cells_by_name = {v: k for k, v in self.cell_names.items()}
+        self.moves = _move_table(self.grid)
+        self.labels = LazyTable(self._label)
 
     def reset(self, seed: int) -> JointState:
         start = self.cells_by_name["a"]
@@ -291,8 +319,9 @@ class WildfireEnv(Environment):
         self.check_step(state)
         self.check_action(action)
         (x1, y1, fires), (x2, y2, saved, early) = state.per_trace
-        p1 = _move(self.grid, (x1, y1), action.per_trace[0])
-        p2 = _move(self.grid, (x2, y2), action.per_trace[1])
+        a1, a2 = action.per_trace
+        p1 = self.moves[x1, y1, a1]
+        p2 = self.moves[x2, y2, a2]
         fires = fires - {self.cell_names[p1]}
         name2 = self.cell_names[p2]
         if name2 in WILDFIRE_VICTIMS:
@@ -305,32 +334,25 @@ class WildfireEnv(Environment):
 
     def label_of(self, state: JointState) -> tuple:
         fires = state.per_trace[0][2]
-        labels = []
-        for slot in state.per_trace:
-            cell = (slot[0], slot[1])
-            name = self.cell_names[cell]
-            props = {name}
-            if name in fires:
-                props.add("fire")
-            labels.append(Label(frozenset(props), {
-                "loc": float(self.grid.cell_index(cell)),
-                "x": float(cell[0]),
-                "y": float(cell[1]),
-            }))
-        return tuple(labels)
+        names, labels = self.cell_names, self.labels
+        return tuple([labels[slot[0], slot[1], names[slot[0], slot[1]] in fires]
+                      for slot in state.per_trace])
+
+    def _label(self, key) -> Label:
+        x, y, burning = key
+        props = {self.cell_names[x, y]}
+        if burning:
+            props.add("fire")
+        return Label(frozenset(props), {
+            "loc": float(self.grid.cell_index((x, y))),
+            "x": float(x),
+            "y": float(y),
+        })
 
     def path_trace(self, cell_names: list) -> Trace:
-        """Trace a hand-written path of cell names would produce (fires held
-        by the first agent's visits are irrelevant to cell propositions)."""
-        labels = []
-        for name in cell_names:
-            cell = self.cells_by_name[name]
-            labels.append(Label(frozenset({name}), {
-                "loc": float(self.grid.cell_index(cell)),
-                "x": float(cell[0]),
-                "y": float(cell[1]),
-            }))
-        return Trace(tuple(labels))
+        """Trace a hand-written path of cell names would produce, with no cell
+        burning (fire is irrelevant to cell propositions)."""
+        return Trace(tuple(self.labels[(*self.cells_by_name[name], False)] for name in cell_names))
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +407,14 @@ def _letter_prop(side: str, ch: str) -> str:
     return f"{side}_hash" if ch == "#" else f"{side}_{ch}"
 
 
-class _LetterLabels(dict):
-    """(top letter, bottom letter) -> the shared `Label` of a position that
-    carries them, '' standing for no letter and '#' for a terminated word;
-    made on first use."""
-
-    def __missing__(self, key):
-        props = frozenset(_letter_prop(side, ch) for side, ch in zip(("top", "bot"), key) if ch)
-        label = self[key] = Label(props, {})
-        return label
+def _letter_label(key) -> Label:
+    props = frozenset(_letter_prop(side, ch) for side, ch in zip(("top", "bot"), key) if ch)
+    return Label(props, {})
 
 
-_LETTER_LABELS = _LetterLabels()
+# (top letter, bottom letter) -> the shared `Label` of a position that carries
+# them, '' standing for no letter and '#' for a terminated word
+_LETTER_LABELS = LazyTable(_letter_label)
 
 
 def unroll_words(top: str, bot: str, length: int, terminated: bool) -> Trace:
@@ -539,6 +557,8 @@ class ResourceEnv(Environment):
         self.resource = resources[0]
         self.arity = len(grid.starts)
         self.beta = beta
+        self.moves = _move_table(grid)
+        self.labels = LazyTable(self._label)
 
     def reset(self, seed: int) -> JointState:
         per = tuple((x, y, 0, False) for x, y in self.grid.starts)
@@ -547,25 +567,26 @@ class ResourceEnv(Environment):
     def step(self, state: JointState, action: JointAction) -> JointState:
         self.check_step(state)
         self.check_action(action)
-        res = self.resource
+        res, moves = self.resource, self.moves
         per = []
         for (x, y, energy, _), act in zip(state.per_trace, action.per_trace):
-            nxt = _move(self.grid, (x, y), act)
+            nxt = moves[x, y, act]
             arrived = nxt == res and (x, y) != res
             per.append((nxt[0], nxt[1], energy + (1 if arrived else 0), arrived))
         return JointState(tuple(per), state.step_count + 1)
 
     def label_of(self, state: JointState) -> tuple:
-        labels = []
-        for x, y, energy, arrived in state.per_trace:
-            props = frozenset({"resource"}) if arrived else frozenset()
-            labels.append(Label(props, {
-                "energy": float(energy),
-                "x": float(x),
-                "y": float(y),
-                "cell": float(self.grid.cell_index((x, y))),
-            }))
-        return tuple(labels)
+        return tuple(map(self.labels.__getitem__, state.per_trace))
+
+    def _label(self, slot) -> Label:
+        x, y, energy, arrived = slot
+        props = frozenset({"resource"}) if arrived else frozenset()
+        return Label(props, {
+            "energy": float(energy),
+            "x": float(x),
+            "y": float(y),
+            "cell": float(self.grid.cell_index((x, y))),
+        })
 
     # Tabular key: positions plus the clamped energy gap, not raw energies,
     # so the state space stays bounded over long episodes.  A tight clamp is

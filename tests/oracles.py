@@ -27,6 +27,7 @@ from hyperq.formula import (
     children_of,
 )
 from hyperq.robustness import Label, Trace
+from hyperq.worlds import GridWorldEnv, ResourceEnv, WildfireEnv
 
 
 def naive_eval(z, lo, hi, node, cfg):
@@ -217,3 +218,31 @@ def random_label(rng: random.Random, with_valuations=False) -> Label:
 
 def random_trace(rng: random.Random, length: int, with_valuations=False) -> Trace:
     return Trace(tuple(random_label(rng, with_valuations) for _ in range(length)))
+
+
+def reference_labels(env, state) -> tuple:
+    """The labels of a grid world's state, built field by field from the
+    state and the map alone, one fresh `Label` per slot."""
+    cells = [(slot[0], slot[1]) for slot in state.per_trace]
+    labels = []
+    for i, (slot, cell) in enumerate(zip(state.per_trace, cells)):
+        x, y = cell
+        if isinstance(env, GridWorldEnv):
+            props = {f"goal{k + 1}" for k, g in enumerate(env.grid.goals) if g == cell}
+            if cells.count(cell) > 1:
+                props.add("collision")
+            gx, gy = env.grid.goals[i]
+            vals = {"x": float(x), "y": float(y), "cell": float(x * env.grid.height + y),
+                    "dist": float(abs(x - gx) + abs(y - gy))}
+        elif isinstance(env, ResourceEnv):
+            props = {"resource"} if slot[3] else set()
+            vals = {"energy": float(slot[2]), "x": float(x), "y": float(y),
+                    "cell": float(x * env.grid.height + y)}
+        elif isinstance(env, WildfireEnv):
+            name = env.cell_names[cell]
+            props = {name, "fire"} if name in state.per_trace[0][2] else {name}
+            vals = {"loc": float(x * env.grid.height + y), "x": float(x), "y": float(y)}
+        else:
+            raise TypeError(f"no reference labels for {type(env).__name__}")
+        labels.append(Label(frozenset(props), vals))
+    return tuple(labels)

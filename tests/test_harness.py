@@ -333,6 +333,23 @@ def test_cmd_eval_malformed_artifact(tmp_path, capsys):
         assert "bad.txt:" in capsys.readouterr().err, text
 
 
+def test_cmd_eval_rejects_unknown_action(tmp_path, capsys):
+    cfg = write_micro_config(tmp_path, out_name="grid", xi=5, reps=1,
+                             formula=hq.bundled("formulas/safe_rl.hltl"),
+                             env=f"kind = grid\nmap = {hq.bundled('maps/cross4.map')}\nbeta = 4")
+    assert cmd_train(cfg) == 0
+    artifact = tmp_path / "grid" / "artifacts_3.txt"
+    start = "(0, 0, False, False)\t"  # agent 1's start state on cross4
+    lines = artifact.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith(start))
+    lines[first] = start + "jump"
+    artifact.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cmd_eval(artifact, cfg) == 2
+    assert capsys.readouterr().err == \
+        f"error: {artifact}: policy 1 names action 'jump', which grid worlds lack\n"
+
+
 def test_cmd_eval_missing_artifact(tmp_path):
     cfg = write_micro_config(tmp_path, xi=5, reps=1)
     assert cmd_eval(tmp_path / "nothing.txt", cfg) == 2

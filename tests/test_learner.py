@@ -27,7 +27,8 @@ from hyperq.robustness import (
     zip_traces,
 )
 from hyperq.skolem import check_consistency, skolemize
-from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file
+from hyperq.harness import write_artifacts
+from hyperq.worlds import PcpEnv, ResourceEnv, WildfireEnv, load_domino_file, load_map_file
 
 from oracles import naive_eval, random_formula, random_label, signed_eval, value_iteration
 
@@ -185,6 +186,28 @@ def test_policy_rollout_reproduces_final_training_rollout():
                             beta=episode_bound(env, sk, h))
     assert replay.actions == res.final_record.actions
     assert replay.terminal_rho == res.final_record.terminal_rho
+
+
+def test_train_encodes_each_state_once(tmp_path):
+    f = hq.load_formula(hq.bundled("formulas/fairness.hltl"))
+    grid = load_map_file(hq.bundled("maps/fair4.map"))
+    h = Hyperparams(xi=30, gamma=0.5, learning_rate=1.0, epsilon_decay_episodes=10)
+    beta = 12
+    counted = ResourceEnv(grid, beta)
+    calls = []
+    encode = counted.encode
+    counted.encode = lambda state: calls.append(state) or encode(state)
+    results = [train(env, f, h, seed=7) for env in (counted, ResourceEnv(grid, beta))]
+    # every training episode plus the final greedy one visits beta + 1 states
+    assert 0 < len(calls) <= (h.xi + 1) * (beta + 1)
+    outputs = []
+    for i, res in enumerate(results):
+        with open(tmp_path / f"run_{i}.csv", "w", encoding="utf-8", newline="\n") as fh:
+            res.metrics.write_csv(fh)
+        write_artifacts(tmp_path / f"artifacts_{i}.txt", res)
+        outputs.append([(tmp_path / f"{stem}_{i}.{ext}").read_bytes()
+                        for stem, ext in (("run", "csv"), ("artifacts", "txt"))])
+    assert outputs[0] == outputs[1]
 
 
 def test_hyperparams_validation():
@@ -421,7 +444,7 @@ def test_kernel_rewards_bit_identical_append_only(body):
 @pytest.mark.parametrize("body", _KERNEL_BODIES)
 def test_kernel_rewards_bit_identical_rewritten_prefix(body):
     sk = skolemize(hq.parse_formula("forall t1. forall t2. " + body))
-    rng = random.Random(body)
+    rng = random.Random(body + "rewrite")
     for _ in range(40):
         script = _rewrite_script(rng, 2, rng.randint(2, 16), _kernel_label)
         _assert_rewards_match_all(_PrefixScript(script), sk)

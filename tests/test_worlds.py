@@ -5,13 +5,14 @@ from collections import deque
 import pytest
 
 import hyperq as hq
-from hyperq.env import EpisodeExhaustedError, InvalidActionError, JointAction
+from hyperq.env import EpisodeExhaustedError, InvalidActionError, JointAction, JointState
 from hyperq.harness import cmd_train
 from hyperq.learner import Hyperparams, _EpisodeTracker, episode_bound
 from hyperq.robustness import RobustnessConfig
 from hyperq.skolem import skolemize
 from hyperq.worlds import (
     ENVIRONMENTS,
+    WILDFIRE_FIRES,
     BoundTooLargeError,
     DominoSet,
     GridMap,
@@ -24,6 +25,7 @@ from hyperq.worlds import (
     ResourceEnv,
     UnknownGlyphError,
     WildfireEnv,
+    _move,
     build_env,
     concat_words,
     load_domino_file,
@@ -32,6 +34,8 @@ from hyperq.worlds import (
     load_map_file,
     pcp_oracle,
 )
+
+from oracles import reference_labels
 
 CFG = RobustnessConfig()
 
@@ -446,6 +450,96 @@ def test_resource_labels_expose_energy_valuation():
     env = make_resource()
     labs = env.label_of(env.reset(0))
     assert labs[0].valuations["energy"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# move and label tables
+
+BUNDLED_MAPS = ("cross4", "fair4", "isr", "mit", "pentagon", "suny")
+
+
+def bundled_map_env(name, beta=300):
+    grid = load_map_file(hq.bundled(f"maps/{name}.map"))
+    cls = ResourceEnv if "resource" in grid.special.values() else GridWorldEnv
+    return cls(grid, beta=beta)
+
+
+@pytest.mark.parametrize("name", BUNDLED_MAPS)
+def test_step_moves_like_move_on_every_open_cell(name):
+    env = bundled_map_env(name)
+    grid = env.grid
+    start = env.reset(0)
+    for x in range(grid.width):
+        for y in range(grid.height):
+            if not grid.open_cell((x, y)):
+                continue
+            # every agent on (x, y), whatever other slot fields the world keeps
+            state = JointState(tuple((x, y) + slot[2:] for slot in start.per_trace), 0)
+            for act in env.actions:
+                nxt = env.step(state, JointAction((act,) * env.arity))
+                expected = _move(grid, (x, y), act)
+                assert all(slot[:2] == expected for slot in nxt.per_trace), (x, y, act)
+
+
+def _label_key(env, state, i):
+    """The observation that the `worlds` module docstring says keys slot i's
+    label in `env`'s label table."""
+    slot = state.per_trace[i]
+    cell = (slot[0], slot[1])
+    if isinstance(env, GridWorldEnv):
+        return (i, cell, [(s[0], s[1]) for s in state.per_trace].count(cell) > 1)
+    if isinstance(env, ResourceEnv):
+        return slot
+    return (*cell, env.cell_names[cell] in state.per_trace[0][2])
+
+
+def _walk_labels(env, seed, episodes=3):
+    """Label every state of random episodes; check each label against the
+    field-by-field reference and that one key always yields one object.
+    Returns the slot labels seen, as (slot, state, label) triples."""
+    rng = random.Random(seed)
+    shared = {}
+    seen = []
+    for _ in range(episodes):
+        s = env.reset(0)
+        while True:
+            labels = env.label_of(s)
+            assert labels == reference_labels(env, s)
+            again = env.label_of(s)
+            for i, label in enumerate(labels):
+                assert again[i] is label
+                assert shared.setdefault(_label_key(env, s, i), label) is label
+                seen.append((i, s, label))
+            if s.step_count == env.beta:
+                break
+            s = env.step(s, JointAction(tuple(rng.choice(env.actions) for _ in range(env.arity))))
+    return seen
+
+
+def test_grid_labels_match_reference_and_are_shared():
+    seen = []
+    for name in ("cross4", "isr", "mit", "pentagon", "suny"):
+        seen += _walk_labels(bundled_map_env(name, beta=200), seed=name)
+    collided = {"collision" in label.props for _, _, label in seen}
+    on_goal = {any(p.startswith("goal") for p in label.props) for _, _, label in seen}
+    assert collided == {True, False} and on_goal == {True, False}
+
+
+def test_resource_labels_match_reference_and_are_shared():
+    seen = _walk_labels(bundled_map_env("fair4", beta=200), seed=5)
+    assert {"resource" in label.props for _, _, label in seen} == {True, False}
+    assert max(label.valuations["energy"] for _, _, label in seen) >= 3
+
+
+def test_wildfire_labels_match_reference_and_are_shared():
+    env = WildfireEnv(beta=60)
+    seen = _walk_labels(env, seed=6, episodes=6)
+    on_fire_cell = [label for i, s, label in seen
+                    if env.cell_names[s.per_trace[i][:2]] in WILDFIRE_FIRES]
+    # standing on a fire cell while it burns, and after it is put out
+    assert {"fire" in label.props for label in on_fire_cell} == {True, False}
+    medic_on_c = {label.props for i, s, label in seen if i == 1 and s.per_trace[1][:2] == (2, 0)}
+    assert medic_on_c == {frozenset({"c", "fire"}), frozenset({"c"})}
 
 
 # ---------------------------------------------------------------------------
