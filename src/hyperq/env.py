@@ -92,6 +92,14 @@ class Environment:
         simply the per-step label sequence."""
         return None
 
+    def trace_delta(self, prev: JointState, state: JointState) -> tuple:
+        """For a world with `trace_prefix`, the rewrite of one step from
+        `prev` to `state`: (lo, columns), where lo is the lowest position of
+        the zipped prefix the step changed (at most the old prefix length)
+        and columns are `state`'s zipped columns, one tuple of labels per
+        position, from lo on."""
+        raise NotImplementedError
+
     def episode_metrics(self, record: EpisodeRecord, previous: dict) -> dict:
         """Values of `metric_columns` for a finished episode; `previous` is the
         row of the episode before (empty for the first), for running totals."""

@@ -201,57 +201,56 @@ class _EpisodeTracker:
     position, scored incrementally.
 
     A world without `trace_prefix` appends the column `label_of` returns at
-    each step.  A world with it (the domino game) may fill in earlier
-    positions later, so each new zip is compared with the previous one to
-    find the lowest position that changed.  `rho` re-scores the prefix from
-    that position on with `evaluator`.
+    each step.  A world with it (the domino game) may rewrite earlier
+    positions, and reports each step's rewrite with `trace_delta(prev,
+    state)`: the lowest position it rewrote and the columns from there on.
+    `rho` re-scores the prefix with `evaluator` from the lowest position
+    changed since its last call.
     """
 
     def __init__(self, env: Environment, state: JointState,
                  evaluator: PrefixEvaluator | None = None):
         self.env = env
         self.evaluator = evaluator
-        self.columns = []
+        self.state = state
         self.changed = 0      # lowest position changed since the last `rho`
         slots = env.trace_prefix(state)
         self.hooked = slots is not None
         if self.hooked:
-            self._rezip(slots)
+            lengths = {len(t) for t in slots}
+            if len(lengths) > 1:
+                raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
+            self.columns = list(zip(*slots))
         else:
-            self.columns.append(tuple(env.label_of(state)))
+            self.columns = [tuple(env.label_of(state))]
 
     def advance(self, state: JointState):
         if self.hooked:
-            self._rezip(self.env.trace_prefix(state))
+            lo, tail = self.env.trace_delta(self.state, state)
+            if lo > len(self.columns):
+                raise LengthMismatchError(f"a rewrite from position {lo} leaves a gap after "
+                                          f"{len(self.columns)} positions")
+            arity = self.env.arity
+            for column in tail:
+                if len(column) != arity:
+                    raise LengthMismatchError(f"a column has {len(column)} labels, "
+                                              f"expected {arity}")
+            self.columns[lo:] = tail
+            self.changed = min(self.changed, lo)
+            self.state = state
         else:
             self.changed = min(self.changed, len(self.columns))
             self.columns.append(tuple(self.env.label_of(state)))
 
-    def _rezip(self, slots):
-        self.slots = tuple(slots)
-        columns = list(zip(*self.slots))
-        old, lo = self.columns, 0
-        common = min(len(old), len(columns))
-        while lo < common and old[lo] == columns[lo]:
-            lo += 1
-        self.changed = min(self.changed, lo)
-        self.columns = columns
-
     def rho(self) -> float:
-        """Robustness of the prefix; the minimum while some slot is empty."""
-        if self.hooked:
-            lengths = {len(t) for t in self.slots}
-            if 0 in lengths:
-                return self.evaluator.rho_min
-            if len(lengths) > 1:
-                raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
+        """Robustness of the prefix; the minimum while it is empty."""
         rho = self.evaluator.update(self.columns, self.changed)
         self.changed = len(self.columns)
         return rho
 
     def traces(self) -> list:
-        if self.hooked:
-            return list(self.slots)
+        if not self.columns:
+            return [Trace() for _ in range(self.env.arity)]
         return [Trace(labels) for labels in zip(*self.columns)]
 
 

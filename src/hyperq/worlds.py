@@ -12,12 +12,15 @@ table maps ``(x, y, action)`` to the cell `_move` leads to.  The label table
 maps a slot's observation to one shared `Label`: ``(slot index, cell,
 collision)`` in the goal-seeking grid, the slot state ``(x, y, energy,
 arrived)`` in the resource grid and ``(x, y, burning)`` in the wildfire grid.
-The domino game keeps one module-wide table of labels per letter pair.  Since
-labels are shared, nothing may mutate one.
+The domino game keeps one module-wide table of labels per letter pair, and
+per instance the words and labels of the episode's slots (see `PcpEnv`).
+Since labels are shared, nothing may mutate one.
 """
 
 from __future__ import annotations
 
+import string
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -358,6 +361,9 @@ class WildfireEnv(Environment):
 # ---------------------------------------------------------------------------
 # Domino matching game
 
+DOMINO_LETTERS = frozenset(string.ascii_letters + string.digits + "_")
+
+
 @dataclass(frozen=True)
 class DominoSet:
     """Indexed dominoes, each a pair of nonempty words over a finite alphabet."""
@@ -367,11 +373,17 @@ class DominoSet:
     def __post_init__(self):
         if not self.dominoes:
             raise InvalidDominoError("a domino set needs at least one domino")
-        for top, bot in self.dominoes:
+        for i, (top, bot) in enumerate(self.dominoes, start=1):
             if not top or not bot:
-                raise InvalidDominoError(f"domino ({top!r}, {bot!r}) has an empty word")
+                raise InvalidDominoError(f"domino {i} ({top!r}, {bot!r}) has an empty word")
             if "#" in top or "#" in bot:
-                raise InvalidDominoError("'#' is reserved for termination")
+                raise InvalidDominoError(f"domino {i} ({top!r}, {bot!r}): "
+                                         "'#' is reserved for termination")
+            # each letter becomes part of a proposition name (top_<letter>)
+            bad = sorted(set(top + bot) - DOMINO_LETTERS)
+            if bad:
+                raise InvalidDominoError(f"domino {i} ({top!r}, {bot!r}) has letter {bad[0]!r}; "
+                                         "letters are A-Z, a-z, 0-9 and _")
 
     @property
     def k(self) -> int:
@@ -417,29 +429,36 @@ def _letter_label(key) -> Label:
 _LETTER_LABELS = LazyTable(_letter_label)
 
 
-def unroll_words(top: str, bot: str, length: int, terminated: bool) -> Trace:
-    """Letter-aligned trace: position i carries the i-th top and bottom letters.
-
-    Past a word's end the position carries '#' once the sequence has
-    terminated (the words really are over), and nothing before that (the next
-    letters are simply not known yet).  Positions with the same letters
-    share one label."""
+def _unroll(top: str, bot: str, terminated: bool, length: int) -> list:
+    """Labels of a slot's first `length` positions: position i carries the
+    i-th top and bottom letters.  Past a word's end the position carries '#'
+    once the sequence has terminated (the words really are over), and nothing
+    before that (the next letters are simply not known yet)."""
     pad = "#" if terminated else ""
-    tops = list(top[:length]) + [pad] * (length - len(top))
-    bots = list(bot[:length]) + [pad] * (length - len(bot))
-    # a tuple built straight from the lazy map is resized as it fills; on
-    # pcp-k3 that left the process 1.8 MB larger than a tuple of a list
-    return Trace(tuple(list(map(_LETTER_LABELS.__getitem__, zip(tops, bots)))))
+    tops, bots = list(top[:length]), list(bot[:length])
+    tops += [pad] * (length - len(tops))
+    bots += [pad] * (length - len(bots))
+    return list(map(_LETTER_LABELS.__getitem__, zip(tops, bots)))
+
+
+# terminated -> the label of a position past both of a slot's words
+_PADS = {done: _unroll("", "", done, 1)[0] for done in (False, True)}
 
 
 class PcpEnv(Environment):
     """Two slots independently build domino sequences; traces are the
-    letter-aligned unrolling of the accumulated top/bottom words.
+    letter-aligned unrolling (`_unroll`) of the accumulated top/bottom words.
 
     Every known letter is emitted.  A terminated sequence ends both its words
     with '#' and pads with '#' indefinitely, so a short terminated sequence
     zips soundly against a longer one; an unterminated word contributes no
-    proposition past its known letters.
+    proposition past its known letters.  Positions with the same letters
+    share one label.
+
+    A step appends one domino or a '#' to a slot's words, so it rewrites the
+    zipped prefix from the old end of that slot's shorter word on;
+    `trace_delta` reports that position and the columns from there.  The
+    words of the episode's slots are kept, each built from its parent's.
     """
 
     kind = "pcp"
@@ -451,43 +470,101 @@ class PcpEnv(Environment):
         self.dominoes = dominoes
         self.beta = beta
         self.actions = tuple(f"dom_{i}" for i in range(1, dominoes.k + 1)) + ("dom_#",)
+        self.domino_index = {f"dom_{i}": i for i in range(1, dominoes.k + 1)}
+        self._start = JointState(tuple(((), False) for _ in range(self.arity)), 0)
+        # (top, bottom, terminated) -> `_unroll` of such words: the labels a
+        # step gives the positions from where a slot's words part on.  There
+        # is one entry per overhang and domino met, so it is kept.
+        self.tails = LazyTable(lambda key: _unroll(*key, max(len(key[0]), len(key[1]))))
+        self._clear_words()
+
+    def _clear_words(self):
+        # slot -> (top, bottom, labels, parted): the slot's words, the labels
+        # of its positions up to the longer word's end, and where its words
+        # part (the shorter one's length).  Cleared at each reset, so that it
+        # holds one episode's slots.
+        self.words = {((), False): ("", "", [], 0)}
 
     def reset(self, seed: int) -> JointState:
-        return JointState(tuple(((), False) for _ in range(self.arity)), 0)
+        self._clear_words()
+        return self._start
 
     def step(self, state: JointState, action: JointAction) -> JointState:
         self.check_step(state)
         self.check_action(action)
         per = []
-        for (seq, done), act in zip(state.per_trace, action.per_trace):
+        for slot, act in zip(state.per_trace, action.per_trace):
+            seq, done = slot
             if done:
-                per.append((seq, done))
+                per.append(slot)
             elif act == "dom_#":
                 per.append((seq, True))
             else:
-                per.append((seq + (int(act.split("_")[1]),), done))
+                per.append((seq + (self.domino_index[act],), False))
         return JointState(tuple(per), state.step_count + 1)
 
+    def _entry(self, slot) -> tuple:
+        """The slot's `words` entry, made from its nearest kept ancestor's."""
+        entry = self.words.get(slot)
+        if entry is None:
+            missing = []
+            while entry is None:
+                missing.append(slot)
+                seq, done = slot
+                slot = (seq, False) if done else (seq[:-1], False)
+                entry = self.words.get(slot)
+            for slot in reversed(missing):
+                seq, done = slot
+                top, bot, labels, parted = entry
+                add_top, add_bot = ("#", "#") if done else self.dominoes.dominoes[seq[-1] - 1]
+                top, bot = top + add_top, bot + add_bot
+                labels = labels[:parted] + self.tails[top[parted:], bot[parted:], done]
+                entry = (top, bot, labels, min(len(top), len(bot)))
+                self.words[slot] = entry
+        return entry
+
     def slot_words(self, slot) -> tuple:
-        seq, done = slot
-        top, bot = concat_words(self.dominoes, seq)
-        if done:
-            top += "#"
-            bot += "#"
-        return top, bot
+        """The slot's (top, bottom) words, '#'-ended once it terminated."""
+        return self._entry(slot)[:2]
+
+    def trace_delta(self, prev: JointState, state: JointState) -> tuple:
+        """(lo, columns[lo:]) for `state`, one step after `prev`: lo is the
+        lowest position of the zipped prefix that the step rewrote, and the
+        columns (one tuple of labels per position) are those of `state`'s
+        prefix from lo on."""
+        words, entry = self.words, self._entry
+        lo, old_n, n = sys.maxsize, 0, 0
+        new = []
+        for before, slot in zip(prev.per_trace, state.per_trace):
+            got = words.get(before) or entry(before)
+            if len(got[2]) > old_n:
+                old_n = len(got[2])
+            if slot != before:
+                if got[3] < lo:
+                    lo = got[3]
+                got = words.get(slot) or entry(slot)
+            if len(got[2]) > n:
+                n = len(got[2])
+            new.append((got[2], _PADS[slot[1]]))
+        if old_n < lo:
+            lo = old_n
+        per_slot = []
+        for labels, pad in new:
+            tail = labels[lo:]
+            tail += [pad] * (n - lo - len(tail))
+            per_slot.append(tail)
+        return lo, list(zip(*per_slot))
 
     def trace_prefix(self, state: JointState) -> tuple:
-        words = [self.slot_words(slot) for slot in state.per_trace]
-        length = max(len(w) for pair in words for w in pair)
-        return tuple(unroll_words(top, bot, length, done)
-                     for (top, bot), (_, done) in zip(words, state.per_trace))
+        _, columns = self.trace_delta(self._start, state)
+        return tuple(Trace([column[i] for column in columns]) for i in range(self.arity))
 
     def match_achieved(self, slot) -> bool:
         """Terminated with equal nonempty words."""
         seq, done = slot
         if not done or not seq:
             return False
-        top, bot = concat_words(self.dominoes, seq)
+        top, bot = self.slot_words(slot)
         return top == bot
 
     def episode_metrics(self, record, previous: dict) -> dict:

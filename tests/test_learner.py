@@ -9,6 +9,7 @@ from hyperq.env import ArityMismatchError, Environment, JointAction, JointState
 from hyperq.formula import children_of
 from hyperq.learner import (
     Hyperparams,
+    _EpisodeTracker,
     TabularQ,
     episode_bound,
     extract_policies,
@@ -255,25 +256,34 @@ class _LabelScript(Environment):
 
 
 class _PrefixScript(_LabelScript):
-    """A `trace_prefix` world: after t steps the traces are prefixes[t]."""
+    """A `trace_prefix` world: after t steps the zipped prefix is
+    prefixes[t], a list of columns of `arity` labels each.  `trace_delta`
+    finds the lowest rewritten position by comparing columns."""
 
     kind = "prefix-script"
 
-    def __init__(self, prefixes):
+    def __init__(self, prefixes, arity):
         self.prefixes = prefixes
-        self.arity = len(prefixes[0])
+        self.arity = arity
         self.beta = len(prefixes) - 1
 
     def trace_prefix(self, state):
-        return self.prefixes[state.step_count]
+        return tuple(self.prefix(state.step_count))
+
+    def trace_delta(self, prev, state):
+        old, new = self.prefixes[prev.step_count], self.prefixes[state.step_count]
+        lo = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+                  min(len(old), len(new)))
+        return lo, new[lo:]
 
     def prefix(self, t):
-        return list(self.prefixes[t])
+        columns = self.prefixes[t]
+        return [Trace(tuple(column[i] for column in columns)) for i in range(self.arity)]
 
 
 def _rewrite_script(rng, arity, steps, make_label=lambda rng: random_label(rng, True)):
-    """Equal-length slot traces per step; each step rewrites every position
-    from a random index on and grows by zero to three positions."""
+    """A `_PrefixScript` of columns per step; each step rewrites every
+    position from a random index on and grows by zero to three positions."""
     cols = []
     script = []
     for _ in range(steps + 1):
@@ -281,9 +291,8 @@ def _rewrite_script(rng, arity, steps, make_label=lambda rng: random_label(rng, 
         grow = rng.choice([0, 1, 1, 2, 3])
         cols = cols[:keep] + [tuple(make_label(rng) for _ in range(arity))
                               for _ in range(len(cols) - keep + grow)]
-        script.append(tuple(Trace(labels) for labels in zip(*cols)) if cols
-                      else tuple(Trace() for _ in range(arity)))
-    return script
+        script.append(cols)
+    return _PrefixScript(script, arity)
 
 
 def _assert_rewards_match_oracle(env, sk):
@@ -314,8 +323,7 @@ def test_rollout_rewards_match_naive_oracle_rewritten_prefix():
     rng = random.Random(202)
     for _ in range(150):
         sk = skolemize(random_formula(rng, max_depth=4, max_vars=2))
-        script = _rewrite_script(rng, sk.arity, rng.randint(1, 16))
-        _assert_rewards_match_oracle(_PrefixScript(script), sk)
+        _assert_rewards_match_oracle(_rewrite_script(rng, sk.arity, rng.randint(1, 16)), sk)
 
 
 # Per-step rewards of rollout against a from-scratch evaluation, zero signs
@@ -364,8 +372,8 @@ def test_rollout_rewards_keep_zero_signs_rewritten_prefix(body):
     sk = _signed_zero_formula(body)
     rng = random.Random(body)
     for _ in range(40):
-        script = _rewrite_script(rng, 1, rng.randint(2, 16), _zero_label)
-        _assert_rewards_match_from_scratch(_PrefixScript(script), sk)
+        env = _rewrite_script(rng, 1, rng.randint(2, 16), _zero_label)
+        _assert_rewards_match_from_scratch(env, sk)
 
 
 def test_rollout_rewards_keep_zero_signs_when_a_rewrite_flips_one():
@@ -376,8 +384,7 @@ def test_rollout_rewards_keep_zero_signs_when_a_rewrite_flips_one():
 
     assert label(0.0) != label(-0.0) and label(-0.0) == label(-0.0)
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-        env = _PrefixScript([(Trace(),), (Trace((label(first),)),),
-                             (Trace((label(second), label(1.0))),)])
+        env = _PrefixScript([[], [(label(first),)], [(label(second),), (label(1.0),)]], 1)
         for body in ("[ v@t1 > 0 ]", "G [ v@t1 < 0 ]", "X (G [ v@t1 > 0 ] & X [ v@t1 > 0 ])"):
             _assert_rewards_match_from_scratch(env, _signed_zero_formula(body))
 
@@ -446,8 +453,7 @@ def test_kernel_rewards_bit_identical_rewritten_prefix(body):
     sk = skolemize(hq.parse_formula("forall t1. forall t2. " + body))
     rng = random.Random(body + "rewrite")
     for _ in range(40):
-        script = _rewrite_script(rng, 2, rng.randint(2, 16), _kernel_label)
-        _assert_rewards_match_all(_PrefixScript(script), sk)
+        _assert_rewards_match_all(_rewrite_script(rng, 2, rng.randint(2, 16), _kernel_label), sk)
 
 
 def test_kernel_bodies_cover_their_shapes():
@@ -471,19 +477,33 @@ def test_kernel_bodies_cover_their_shapes():
 
 
 def test_rollout_rejects_unequal_slot_lengths():
+    # a world whose output does not zip into columns of one label per slot:
+    # a column of the wrong arity, first or later, or a rewrite that leaves
+    # a gap after the prefix
     sk = skolemize(hq.parse_formula("forall t1. forall t2. F p@t1 & F p@t2"))
     label = random_label(random.Random(1))
-    env = _PrefixScript([(Trace(), Trace()), (Trace((label,) * 2), Trace((label,) * 3))])
+    for columns in ([(label,) * 3], [(label,) * 2, (label,) * 2, (label,)]):
+        env = _PrefixScript([[], columns], 2)
+        with pytest.raises(LengthMismatchError):
+            rollout(env, sk, CFG, lambda s: JointAction(("go", "go")), 0, 1)
+    env = _PrefixScript([[]], 2)
+    env.trace_prefix = lambda state: (Trace((label,) * 2), Trace((label,)))
+    with pytest.raises(LengthMismatchError):
+        _EpisodeTracker(env, env.reset(0))
+    env = _PrefixScript([[], [(label,) * 2]], 2)
+    env.trace_delta = lambda prev, state: (1, [(label,) * 2])
     with pytest.raises(LengthMismatchError):
         rollout(env, sk, CFG, lambda s: JointAction(("go", "go")), 0, 1)
 
 
 def test_rollout_empty_slot_scores_minimum():
     sk = skolemize(hq.parse_formula("forall t1. forall t2. F true | G true"))
-    full = Trace((random_label(random.Random(3)),) * 2)
-    env = _PrefixScript([(Trace(), Trace()), (full, Trace()), (full, full)])
+    full = [(random_label(random.Random(3)),) * 2] * 2
+    env = _PrefixScript([[], [], full], 2)
     record = rollout(env, sk, CFG, lambda s: JointAction(("go", "go")), 0, 2)
     assert record.rhos == [CFG.rho_min, CFG.rho_max]
+    assert record.traces == env.prefix(2)
+    assert _EpisodeTracker(env, env.reset(0)).traces() == [Trace(), Trace()]
 
 
 def test_plan_has_one_step_per_distinct_subformula():

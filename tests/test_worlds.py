@@ -7,8 +7,8 @@ import pytest
 import hyperq as hq
 from hyperq.env import EpisodeExhaustedError, InvalidActionError, JointAction, JointState
 from hyperq.harness import cmd_train
-from hyperq.learner import Hyperparams, _EpisodeTracker, episode_bound
-from hyperq.robustness import RobustnessConfig
+from hyperq.learner import Hyperparams, _EpisodeTracker, episode_bound, rollout
+from hyperq.robustness import RobustnessConfig, zip_traces
 from hyperq.skolem import skolemize
 from hyperq.worlds import (
     ENVIRONMENTS,
@@ -35,7 +35,7 @@ from hyperq.worlds import (
     pcp_oracle,
 )
 
-from oracles import reference_labels
+from oracles import naive_eval, reference_labels
 
 CFG = RobustnessConfig()
 
@@ -262,13 +262,28 @@ def test_wildfire_early_entry_violates_objective():
 # ---------------------------------------------------------------------------
 # domino game
 
-def test_domino_set_validation():
+def test_domino_set_validation(tmp_path, capsys):
     with pytest.raises(InvalidDominoError):
         DominoSet((("", "a"),))
     with pytest.raises(InvalidDominoError):
         DominoSet((("a#", "a"),))
     with pytest.raises(InvalidDominoError):
         load_dominoes("ab\n")
+    # each letter is part of a proposition name such as bot_<letter>
+    assert load_dominoes("aZ_9|b\n").dominoes == (("aZ_9", "b"),)
+    for text in ("a|b|c", "a b|a", "a|b-c", "a|\u00e4", "a|a.b"):
+        with pytest.raises(InvalidDominoError, match="domino 2 .* has letter"):
+            load_dominoes(f"a|a\n{text}\n")
+    dom = tmp_path / "bar.dom"
+    dom.write_text("a|aa\na|b|c\n")
+    cfg = tmp_path / "bar.ini"
+    cfg.write_text(f"[experiment]\nformula = {hq.bundled('formulas/pcp_ab.hltl')}\n"
+                   f"output_dir = {tmp_path / 'bar'}\n[hyperparams]\nxi = 2\n"
+                   f"[environment]\nkind = pcp\ndominoes = {dom}\n")
+    assert cmd_train(cfg) == 2
+    assert capsys.readouterr().err == \
+        "config error: domino 2 ('a', 'b|c') has letter '|'; letters are A-Z, a-z, 0-9 and _\n"
+    assert not (tmp_path / "bar").exists()
 
 
 def test_pcp_words_match_independent_concatenation():
@@ -341,8 +356,9 @@ def _letter_props(env, state):
 
 def test_pcp_shared_letter_labels_unroll_like_letters():
     # every pcp-k3 state reachable in 4 steps: trace_prefix gives the
-    # letter-by-letter props through shared labels, and the episode tracker
-    # finds the same lowest changed position as a comparison of those props
+    # letter-by-letter props through shared labels; the world's step delta
+    # reports the lowest changed position a comparison of those props finds,
+    # and from there on the columns of trace_prefix, label for label
     env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")))
     joint = [JointAction((a, b)) for a in env.actions for b in env.actions]
     level = {(): env.reset(0)}
@@ -362,13 +378,45 @@ def test_pcp_shared_letter_labels_unroll_like_letters():
                 after = list(zip(*expected))
                 lo = next((i for i, (x, y) in enumerate(zip(before, after)) if x != y),
                           min(len(before), len(after)))
+                delta_lo, tail = env.trace_delta(state, nxt)
+                assert delta_lo == lo
+                columns = list(zip(*slots))
+                assert len(tail) == len(columns) - lo
+                assert all(a is b for got, want in zip(tail, columns[lo:])
+                           for a, b in zip(got, want, strict=True))
                 tracker = _EpisodeTracker(env, state)
                 tracker.changed = len(tracker.columns)      # as after scoring `state`
                 tracker.advance(nxt)
-                assert tracker.changed == lo
+                assert tracker.changed == lo and tracker.columns == columns
                 steps += 1
         level = following
     assert len(level) > 1000 and steps > 10000
+
+
+@pytest.mark.parametrize("name", ["k3_solvable", "k5_solvable"])
+def test_pcp_rewards_match_naive_oracle(name):
+    # random domino episodes in which each slot terminates at a random step:
+    # every per-step reward equals the naive oracle on the world's one-shot
+    # prefix of that step (a short beta, since the oracle's time grows with
+    # the cube of the prefix length)
+    env = PcpEnv(load_domino_file(hq.bundled(f"dominoes/{name}.dom")), beta=6)
+    sk = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")))
+    rng = random.Random(name)
+    dominoes = env.actions[:-1]
+
+    def choose(state):
+        t = state.step_count + 1
+        return JointAction(tuple("dom_#" if t == end else rng.choice(dominoes) for end in ends))
+
+    for _ in range(16):
+        # the step at which each slot plays '#', past the episode for some
+        ends = [rng.randint(1, env.beta + 2) for _ in range(env.arity)]
+        record = rollout(env, sk, CFG, choose, 0, env.beta)
+        for t, (state, rho) in enumerate(zip(record.states[1:], record.rhos), start=1):
+            assert [done for _, done in state.per_trace] == [t >= end for end in ends]
+            z = zip_traces(env.trace_prefix(state))
+            assert rho == naive_eval(z, 0, len(z), sk.body, CFG), (t, rho)
+        assert record.traces == list(env.trace_prefix(record.states[-1]))
 
 
 def test_pcp_oracle_identity():
