@@ -22,6 +22,7 @@ from __future__ import annotations
 import string
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from .env import Environment, JointAction, JointState
@@ -429,20 +430,18 @@ def _letter_label(key) -> Label:
 _LETTER_LABELS = LazyTable(_letter_label)
 
 
-def _unroll(top: str, bot: str, terminated: bool, length: int) -> list:
-    """Labels of a slot's first `length` positions: position i carries the
-    i-th top and bottom letters.  Past a word's end the position carries '#'
-    once the sequence has terminated (the words really are over), and nothing
-    before that (the next letters are simply not known yet)."""
+def _unroll(top: str, bot: str, terminated: bool) -> list:
+    """Labels of a slot's positions up to its longer word's end: position i
+    carries the i-th top and bottom letters.  Past the shorter word's end the
+    position carries '#' once the sequence has terminated (the words really
+    are over), and nothing before that (the next letters are simply not known
+    yet)."""
     pad = "#" if terminated else ""
-    tops, bots = list(top[:length]), list(bot[:length])
-    tops += [pad] * (length - len(tops))
-    bots += [pad] * (length - len(bots))
-    return list(map(_LETTER_LABELS.__getitem__, zip(tops, bots)))
+    return list(map(_LETTER_LABELS.__getitem__, zip_longest(top, bot, fillvalue=pad)))
 
 
 # terminated -> the label of a position past both of a slot's words
-_PADS = {done: _unroll("", "", done, 1)[0] for done in (False, True)}
+_PADS = {False: _LETTER_LABELS["", ""], True: _LETTER_LABELS["#", "#"]}
 
 
 class PcpEnv(Environment):
@@ -472,10 +471,6 @@ class PcpEnv(Environment):
         self.actions = tuple(f"dom_{i}" for i in range(1, dominoes.k + 1)) + ("dom_#",)
         self.domino_index = {f"dom_{i}": i for i in range(1, dominoes.k + 1)}
         self._start = JointState(tuple(((), False) for _ in range(self.arity)), 0)
-        # (top, bottom, terminated) -> `_unroll` of such words: the labels a
-        # step gives the positions from where a slot's words part on.  There
-        # is one entry per overhang and domino met, so it is kept.
-        self.tails = LazyTable(lambda key: _unroll(*key, max(len(key[0]), len(key[1]))))
         self._clear_words()
 
     def _clear_words(self):
@@ -518,7 +513,7 @@ class PcpEnv(Environment):
                 top, bot, labels, parted = entry
                 add_top, add_bot = ("#", "#") if done else self.dominoes.dominoes[seq[-1] - 1]
                 top, bot = top + add_top, bot + add_bot
-                labels = labels[:parted] + self.tails[top[parted:], bot[parted:], done]
+                labels = labels[:parted] + _unroll(top[parted:], bot[parted:], done)
                 entry = (top, bot, labels, min(len(top), len(bot)))
                 self.words[slot] = entry
         return entry
