@@ -104,6 +104,9 @@ class ExperimentConfig:
             seeds = [_number(int, "seeds", s) for s in exp["seeds"].split()]
             if len(seeds) != reps:
                 raise ConfigError(f"{len(seeds)} seeds given for {reps} repetitions")
+            repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+            if repeated is not None:
+                raise ConfigError(f"seed {repeated} given twice")
         else:
             base_seed = _number(int, "base_seed", exp.get("base_seed", "1"))
             seeds = [base_seed + i for i in range(reps)]

@@ -9,6 +9,9 @@ position that changed since the previous step; the terminal reward is one
 from-scratch evaluation of the whole episode.  Per-slot greedy
 policies and witness tables for existential quantifiers are projected out
 of the trained function.
+
+Exploration in episode e of seed s draws from numpy's `default_rng((s, e))`
+stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .env import ArityMismatchError, Environment, EpisodeRecord, JointAction, JointState
 from .formula import Formula
+from .rng import Stream
 from .robustness import LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, eval_hyper
 from .skolem import SkolemizedFormula, WitnessTable, skolemize, witness_key
 from .worlds import KindMismatchError
@@ -309,7 +311,7 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     # explore and learn see the ep_rng and eps of the episode being run
     def explore(state):
         if ep_rng.random() < eps:
-            return joint_actions[int(ep_rng.integers(len(joint_actions)))]
+            return joint_actions[ep_rng.integers(len(joint_actions))]
         return joint_actions[q.best(encode(state))]
 
     def learn(state, action, nxt, rho):
@@ -322,7 +324,7 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     previous: dict = {}
     for episode in range(h.xi):
         # per-episode stream: episode e explores identically whatever xi is
-        ep_rng = np.random.default_rng((seed, episode))
+        ep_rng = Stream((seed, episode))
         eps = h.epsilon(episode)
         record = rollout(env, sk, cfg, explore, seed, beta, learn)
         previous = {"episode": episode, **env.episode_metrics(record, previous),

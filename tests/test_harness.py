@@ -101,6 +101,7 @@ def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
     ("beta = 4", "beta = 4\nbeta = 5", "option 'beta' in section 'environment' already exists"),
     ("base_seed = 3", "base_seed = -3", "seeds must be non-negative, got -3"),
     ("repetitions = 1", "repetitions = 2\nseeds = 2 -1", "seeds must be non-negative, got -1"),
+    ("repetitions = 1", "repetitions = 2\nseeds = 3 3", "seed 3 given twice"),
     ("xi = 15", "xi = 15\nrho_max = -1", "rho_max must be positive and finite, got -1.0"),
     ("xi = 15", "xi = 15\nrho_max = 0", "rho_max must be positive and finite, got 0.0"),
     ("xi = 15", "xi = 15\nrho_max = nan", "rho_max must be positive and finite, got nan"),
@@ -111,8 +112,9 @@ def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
      "need 0 <= epsilon_end <= epsilon_start <= 1"),
     ("xi = 15", "xi = 15\nepsilon_end = -0.5", "need 0 <= epsilon_end <= epsilon_start <= 1"),
 ], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key", "negative_base_seed",
-        "negative_seed", "rho_max_negative", "rho_max_zero", "rho_max_nan", "rho_max_inf",
-        "learning_rate_nan", "learning_rate_negative", "epsilon_negative", "epsilon_end_negative"])
+        "negative_seed", "duplicate_seed", "rho_max_negative", "rho_max_zero", "rho_max_nan",
+        "rho_max_inf", "learning_rate_nan", "learning_rate_negative", "epsilon_negative",
+        "epsilon_end_negative"])
 def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
     p = write_micro_config(tmp_path, reps=1)
     p.write_text(p.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
