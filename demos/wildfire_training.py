@@ -35,6 +35,5 @@ witness = result.witnesses[0]
 print(f"witness entries recorded: {len(witness.entries)} "
       f"(one per prefix length of the dependency trace)")
 
-assignment = {q.var: t for q, t in zip(formula.prefix, record.traces)}
 print("episode consistent with witness:",
-      hq.check_consistency(assignment, result.witnesses))
+      hq.check_consistency(record.traces, result.witnesses))

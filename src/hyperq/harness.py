@@ -28,6 +28,7 @@ import configparser
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,7 +50,8 @@ from .robustness import (
     boolean_sat,
     sat_verdict,
 )
-from .skolem import WitnessTable, check_consistency, format_skolemized, skolemize
+from .skolem import (MissingWitnessError, WitnessTable, check_consistency, format_skolemized,
+                     skolemize)
 from .worlds import BoundTooLargeError, build_env, load_domino_file, pcp_oracle
 
 
@@ -90,7 +92,13 @@ class ExperimentConfig:
         for section in ("experiment", "environment"):
             if section not in parser:
                 raise ConfigError(f"config is missing the [{section}] section")
+        unknown = sorted(set(parser.sections()) - {"experiment", "environment", "hyperparams"})
+        if unknown:
+            raise ConfigError(f"unknown section(s) {', '.join(f'[{s}]' for s in unknown)}")
         exp = parser["experiment"]
+        unknown = sorted(set(exp) - _EXPERIMENT_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [experiment]")
         base = path.parent
 
         formula_path = base / exp.get("formula", "")
@@ -183,22 +191,20 @@ def _number(kind, key: str, raw: str):
         raise ConfigError(f"{key} must be {noun}, got {raw!r}") from None
 
 
-_HP_INTS = {"epsilon_decay_episodes", "beta", "xi"}
-_HP_FLOATS = {"gamma", "learning_rate", "epsilon_start", "epsilon_end", "rho_max"}
-_HP_STRS = {"reward_mode"}
+_EXPERIMENT_KEYS = {"formula", "repetitions", "base_seed", "seeds", "output_dir"}
+
+# each Hyperparams field's type, the int of `int | None` included
+_HP_KINDS = {name: (typing.get_args(hint) or (hint,))[0]
+             for name, hint in typing.get_type_hints(Hyperparams).items()}
 
 
 def _parse_hyperparams(section: dict) -> Hyperparams:
     kwargs = {}
     for key, raw in section.items():
-        if key in _HP_INTS:
-            kwargs[key] = _number(int, key, raw)
-        elif key in _HP_FLOATS:
-            kwargs[key] = _number(float, key, raw)
-        elif key in _HP_STRS:
-            kwargs[key] = raw.strip()
-        else:
+        kind = _HP_KINDS.get(key)
+        if kind is None:
             raise ConfigError(f"unknown hyperparameter {key!r}")
+        kwargs[key] = raw.strip() if kind is str else _number(kind, key, raw)
     try:
         return Hyperparams(**kwargs)
     except ValueError as exc:
@@ -226,14 +232,6 @@ class RunSummary:
 # ---------------------------------------------------------------------------
 # Artifact files
 
-def _escape(text: str) -> str:
-    return text.replace("\n", ";")
-
-
-def _unescape(text: str) -> str:
-    return text.replace(";", "\n")
-
-
 def write_artifacts(path: Path, result: TrainResult):
     """Policies and witness tables in one line-oriented text file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -244,9 +242,8 @@ def write_artifacts(path: Path, result: TrainResult):
         for table in result.witnesses:
             deps = ",".join(str(d) for d in table.deps)
             fh.write(f"witness {table.exist_index} deps={deps}\n")
-            for key, (trace, actions) in sorted(table.entries.items()):
-                joined_key = " || ".join(_escape(k) for k in key)
-                fh.write(f"{joined_key}\t{_escape(trace.to_text())}\t{' '.join(actions)}\n")
+            for key, (text, actions) in sorted(table.entries.items()):
+                fh.write(f"{' || '.join(key)}\t{text}\t{' '.join(actions)}\n")
 
 
 def read_artifacts(path) -> tuple:
@@ -277,11 +274,12 @@ def read_artifacts(path) -> tuple:
                     raise ValueError("expected state<TAB>action")
                 policies.policies[current_policy][key] = action
             elif current_witness is not None and line:
-                joined_key, trace_text, actions = line.split("\t")
-                key = (tuple(_unescape(k) for k in joined_key.split(" || "))
-                       if current_witness.deps else ())
-                current_witness.record(key, Trace.from_text(_unescape(trace_text)),
-                                       tuple(actions.split()))
+                joined_key, text, actions = line.split("\t")
+                deps = current_witness.deps
+                key = tuple(joined_key.split(" || ")) if deps or joined_key else ()
+                if len(key) != len(deps):
+                    raise ValueError(f"key has {len(key)} part(s) for {len(deps)} deps")
+                current_witness.entries[key] = (text, tuple(actions.split()))
             elif line:
                 raise ValueError("line outside a policy or witness section")
         except ValueError as exc:
@@ -292,7 +290,7 @@ def read_artifacts(path) -> tuple:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_check(formula_path, quiet: bool = False) -> int:
+def cmd_check(formula_path) -> int:
     try:
         f = load_formula(formula_path)
     except FileNotFoundError:
@@ -307,12 +305,11 @@ def cmd_check(formula_path, quiet: bool = False) -> int:
     if diagnostics:
         return 1
     sk = skolemize(f)
-    if not quiet:
-        print(f"formula: {unparse(f)}")
-        if sk.decls:
-            print(f"skolemized: {format_skolemized(sk, unparse(Formula((), sk.body)))}")
-        else:
-            print("skolemized: no existential quantifiers; body unchanged")
+    print(f"formula: {unparse(f)}")
+    if sk.decls:
+        print(f"skolemized: {format_skolemized(sk, unparse(Formula((), sk.body)))}")
+    else:
+        print("skolemized: no existential quantifiers; body unchanged")
     return 0
 
 
@@ -372,7 +369,7 @@ def cmd_train(config_path, out=None) -> int:
 def cmd_eval(policy_path, config_path) -> int:
     try:
         cfg = ExperimentConfig.load(config_path)
-        f, sk, env, beta = cfg.setup()
+        _, sk, env, beta = cfg.setup()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -395,10 +392,9 @@ def cmd_eval(policy_path, config_path) -> int:
     verdict = sat_verdict(record.terminal_rho, rob_cfg)
     print(f"verdict: {verdict.value}")
     if witnesses:
-        assignment = {q.var: trace for q, trace in zip(f.prefix, record.traces)}
         try:
-            ok = check_consistency(assignment, witnesses)
-        except KeyError:
+            ok = check_consistency(record.traces, witnesses)
+        except MissingWitnessError:
             ok = False
         print(f"witness_consistent: {str(ok).lower()}")
     return 0 if verdict is Verdict.SATISFIED else 1

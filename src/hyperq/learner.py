@@ -23,7 +23,7 @@ from .env import ArityMismatchError, Environment, EpisodeRecord, JointAction, Jo
 from .formula import Formula
 from .rng import Stream
 from .robustness import LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, eval_hyper
-from .skolem import SkolemizedFormula, WitnessTable, skolemize, witness_key
+from .skolem import SkolemizedFormula, WitnessTable, skolemize, trace_text, witness_key
 from .worlds import KindMismatchError
 
 
@@ -117,7 +117,8 @@ class TabularQ:
 
 
 def _canon(value):
-    """Literal-eval-safe form of a slot state (frozensets become tagged tuples)."""
+    """A slot state with every frozenset replaced by a tagged, sorted tuple,
+    so that its key text does not depend on the hash seed."""
     if isinstance(value, frozenset):
         return ("frozenset", tuple(sorted(_canon(v) for v in value)))
     if isinstance(value, tuple):
@@ -342,8 +343,8 @@ def extract_policies(env: Environment, sk: SkolemizedFormula, record: EpisodeRec
 
     The policy of slot i maps the slot's observed state to the i-th component
     of the joint action taken there.  Witness tables record, for every step t,
-    the dependency traces' prefixes mapped to the existential trace prefix and
-    the actions that produced it.
+    the texts of the dependency traces' prefixes mapped to the text of the
+    existential trace prefix and the actions that produced it.
     """
     policies = PolicySet({i + 1: {} for i in range(env.arity)})
     witnesses = [WitnessTable(d.exist_index, d.deps) for d in sk.decls]
@@ -355,7 +356,7 @@ def extract_policies(env: Environment, sk: SkolemizedFormula, record: EpisodeRec
         for table in witnesses:
             e = table.exist_index - 1
             key = witness_key(tuple(traces[j - 1] for j in table.deps))
-            table.record(key, traces[e], tuple(a[e] for a in record.actions[:t]))
+            table.entries[key] = (trace_text(traces[e]), tuple(a[e] for a in record.actions[:t]))
         if t < record.steps:
             for i, slot in enumerate(state.per_trace):
                 policies.policies[i + 1][state_key(slot)] = record.actions[t][i]

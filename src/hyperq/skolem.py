@@ -133,47 +133,46 @@ def format_skolemized(sk: SkolemizedFormula, body_text: str) -> str:
 class WitnessTable:
     """Recorded witness function for one existential quantifier.
 
-    Entries map a key built from the dependency traces' prefixes (all cut at
-    the same length) to the witness trace prefix plus the action sequence that
-    produced it.  Recorded incrementally during rollouts; read-only afterward.
+    Entries map the dependency traces' prefixes (all cut at the same length)
+    to the witness trace's prefix and the actions that produced it, each
+    trace as its `trace_text`, exactly as the artifact file stores them:
+    ``(key texts) -> (text, actions)``.  Filled during extraction.
     """
 
     exist_index: int
     deps: tuple[int, ...]
-    entries: dict[tuple, tuple] = field(default_factory=dict)  # key -> (trace, actions)
+    entries: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = field(default_factory=dict)
 
-    def record(self, key: tuple, trace, actions: tuple):
-        self.entries[key] = (trace, actions)
 
-    def lookup(self, key: tuple):
-        if key not in self.entries:
-            raise MissingWitnessError(key)
-        return self.entries[key]
+def trace_text(trace) -> str:
+    """A trace prefix as one line: `Trace.to_text()` with positions separated by `;`."""
+    return trace.to_text().replace("\n", ";")
 
 
 def witness_key(traces: tuple) -> tuple:
-    """Canonical hashable key for a tuple of dependency trace prefixes."""
-    return tuple(t.to_text() for t in traces)
+    """The entry key for a tuple of dependency trace prefixes: their texts."""
+    return tuple(trace_text(t) for t in traces)
 
 
-def check_consistency(assignment: dict, witnesses: list[WitnessTable]) -> bool:
-    """True iff every existential trace equals its witness output as text,
-    the form artifacts store traces in (a 0.0 and a -0.0 valuation match).
+def check_consistency(traces, witnesses: list[WitnessTable]) -> bool:
+    """True iff every existential trace's text equals the text its witness
+    table stores under the dependency traces' texts.  Text prints a 0.0 and
+    a -0.0 valuation alike, so they match.
 
-    `assignment` maps TraceVar (or its 1-based index) to a Trace and must
-    cover the whole prefix; all traces must share one length.
+    `traces` lists the episode's traces in quantifier-prefix order, all of
+    one length.  A table that names a slot outside ``1..len(traces)``, or
+    holds no entry for the key, raises MissingWitnessError.
     """
-    by_index = {}
-    for k, v in assignment.items():
-        by_index[getattr(k, "index", k)] = v
-    lengths = {len(t) for t in by_index.values()}
+    lengths = {len(t) for t in traces}
     if len(lengths) > 1:
         raise WitnessLengthError(f"assigned traces have differing lengths {sorted(lengths)}")
     for table in witnesses:
-        if table.exist_index not in by_index:
-            raise MissingWitnessError(f"no assignment for existential index {table.exist_index}")
-        key = witness_key(tuple(by_index[j] for j in table.deps))
-        recorded, _actions = table.lookup(key)
-        if recorded.to_text() != by_index[table.exist_index].to_text():
+        if not {table.exist_index, *table.deps} <= set(range(1, len(traces) + 1)):
+            raise MissingWitnessError(f"witness {table.exist_index} names a position outside "
+                                      f"1..{len(traces)}")
+        key = witness_key(tuple(traces[j - 1] for j in table.deps))
+        if key not in table.entries:
+            raise MissingWitnessError(key)
+        if table.entries[key][0] != trace_text(traces[table.exist_index - 1]):
             return False
     return True

@@ -1,6 +1,9 @@
+import configparser
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,10 +114,15 @@ def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
     ("xi = 15", "xi = 15\nepsilon_start = -1\nepsilon_end = -3",
      "need 0 <= epsilon_end <= epsilon_start <= 1"),
     ("xi = 15", "xi = 15\nepsilon_end = -0.5", "need 0 <= epsilon_end <= epsilon_start <= 1"),
+    ("base_seed = 3", "seed = 5", "unknown key(s) seed in [experiment]"),
+    ("base_seed = 3", "seed = 5\nreps = 2", "unknown key(s) reps, seed in [experiment]"),
+    ("[hyperparams]", "[hyperparameters]", "unknown section(s) [hyperparameters]"),
+    ("[hyperparams]", "[misc]\nx = 1\n[hyperparams]", "unknown section(s) [misc]"),
 ], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key", "negative_base_seed",
         "negative_seed", "duplicate_seed", "rho_max_negative", "rho_max_zero", "rho_max_nan",
         "rho_max_inf", "learning_rate_nan", "learning_rate_negative", "epsilon_negative",
-        "epsilon_end_negative"])
+        "epsilon_end_negative", "experiment_key", "experiment_keys", "hyperparameters_section",
+        "extra_section"])
 def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
     p = write_micro_config(tmp_path, reps=1)
     p.write_text(p.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
@@ -125,6 +133,27 @@ def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
     assert err.startswith("config error: ") and err.count("\n") == 1 and message in err
     assert not (tmp_path / "out").exists()
     assert cmd_eval(tmp_path / "nothing.txt", p) == 2
+
+
+def test_config_accepts_the_benchmark_rewrite(tmp_path):
+    # the keys perfbench/run.py's write_config sets on a bundled config
+    configs = hq.bundled("configs")
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read(configs / "pcp-k3.ini")
+    exp = parser["experiment"]
+    exp["formula"] = str((configs / exp["formula"]).resolve())
+    parser["environment"]["dominoes"] = str((configs / parser["environment"]["dominoes"]).resolve())
+    exp.pop("base_seed")
+    exp["repetitions"] = "2"
+    exp["seeds"] = "5 9"
+    exp["output_dir"] = str(tmp_path / "out")
+    parser["hyperparams"]["xi"] = "7"
+    path = tmp_path / "bench.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    cfg = ExperimentConfig.load(path)
+    assert cfg.seeds == [5, 9] and cfg.hyperparams.xi == 7
+    assert cfg.output_dir == tmp_path / "out"
 
 
 def test_config_seed_list_must_match_repetitions(tmp_path):
@@ -316,7 +345,10 @@ def test_artifacts_write_read_round_trip(tmp_path):
     pcp = train(PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")), beta=6),
                 hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")),
                 Hyperparams(xi=30, learning_rate=0.7), seed=2)
-    for i, result in enumerate((wildfire, pcp)):
+    f, _, env, _ = ExperimentConfig.load(hq.bundled("configs/safe-rl-4x4.ini")).setup()
+    grid = train(env, f, Hyperparams(xi=30, learning_rate=0.7), seed=2)
+    for i, result in enumerate((wildfire, pcp, grid)):
+        assert result.witnesses and all(w.entries for w in result.witnesses)
         path = tmp_path / f"artifacts_{i}.txt"
         write_artifacts(path, result)
         policies, witnesses = read_artifacts(path)
@@ -327,12 +359,51 @@ def test_artifacts_write_read_round_trip(tmp_path):
 
 def test_cmd_eval_malformed_artifact(tmp_path, capsys):
     cfg = write_micro_config(tmp_path, xi=5, reps=1)
-    for text in ("witness 2 deps=1\nno tabs here\n", "policy x\n", "stray line\n",
-                 "policy \n", "witness  deps=\n"):
+    for text, line in (("witness 2 deps=1\nno tabs here\n", 2), ("policy x\n", 1),
+                       ("stray line\n", 1), ("policy \n", 1), ("witness  deps=\n", 1),
+                       # a key needs one ` || `-separated part per entry of deps=
+                       ("witness 2 deps=1\np | || extra\tq |\t\n", 2),
+                       ("witness 2 deps=1\np |\tq |\t\np ||  || \tq |\t\n", 3),
+                       ("witness 2 deps=\np |\tq |\t\n", 2),
+                       ("witness 3 deps=1,2\np |\tq |\t\n", 2)):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         assert cmd_eval(bad, cfg) == 2, text
-        assert "bad.txt:" in capsys.readouterr().err, text
+        assert f"bad.txt:{line}: malformed artifact line" in capsys.readouterr().err, text
+
+
+@pytest.mark.parametrize("header", ["witness 0 deps=", "witness 2 deps=0", "witness 2 deps=3",
+                                    "witness 3 deps=1"])
+def test_cmd_eval_witness_positions_outside_the_prefix(tmp_path, capsys, header):
+    cfg = write_micro_config(tmp_path, xi=5, reps=1)
+    assert cmd_train(cfg) == 0
+    artifact = tmp_path / "out" / "artifacts_3.txt"
+    policies, _, entries = artifact.read_text().partition("witness 2 deps=1\n")
+    if header.endswith("="):   # no deps: every key field is empty
+        entries = "".join("\t" + line.split("\t", 1)[1] + "\n" for line in entries.splitlines())
+    artifact.write_text(f"{policies}{header}\n{entries}")
+    capsys.readouterr()
+    assert cmd_eval(artifact, cfg) in (0, 1)
+    out, err = capsys.readouterr()
+    assert "witness_consistent: false" in out.splitlines() and err == ""
+
+
+def test_train_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # wildfire slot states hold frozensets, whose order follows the hash seed
+    cfg = write_micro_config(tmp_path, xi=30, env="kind = wildfire")
+    src = Path(hq.__file__).resolve().parent.parent
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (str(src),
+                                                            os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "hyperq", "train", "--config", str(cfg),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["aggregate.csv", "artifacts_3.txt", "artifacts_4.txt",
+                                  "run_3.csv", "run_4.csv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_cmd_eval_rejects_unknown_action(tmp_path, capsys):

@@ -172,9 +172,7 @@ def test_extracted_witnesses_consistent_with_final_rollout():
     h = Hyperparams(xi=150, learning_rate=1.0)
     env = WildfireEnv(6)
     res = train(env, f, h, seed=2)
-    rec = res.final_record
-    assignment = {q.var: t for q, t in zip(f.prefix, rec.traces)}
-    assert check_consistency(assignment, res.witnesses) is True
+    assert check_consistency(res.final_record.traces, res.witnesses) is True
 
 
 def test_policy_rollout_reproduces_final_training_rollout():

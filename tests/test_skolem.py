@@ -13,6 +13,7 @@ from hyperq.skolem import (
     check_consistency,
     dependency_sets,
     skolemize,
+    trace_text,
     witness_key,
 )
 
@@ -108,10 +109,9 @@ def test_check_consistency_matching_entry():
     univ = _trace({"p"}, set())
     exist = _trace({"q"}, {"q"})
     table = WitnessTable(2, (1,))
-    table.record(witness_key((univ,)), exist, ("a", "a"))
-    f = parse_formula("forall t1. exists t2. F p@t1 & F q@t2")
-    assignment = {f.prefix[0].var: univ, f.prefix[1].var: exist}
-    assert check_consistency(assignment, [table]) is True
+    table.entries[witness_key((univ,))] = (trace_text(exist), ("a", "a"))
+    assert table.entries == {("p |;|",): ("q |;q |", ("a", "a"))}
+    assert check_consistency([univ, exist], [table]) is True
 
 
 def test_check_consistency_detects_divergence():
@@ -119,42 +119,45 @@ def test_check_consistency_detects_divergence():
     exist = _trace({"q"}, {"q"})
     other = _trace({"q"}, set())
     table = WitnessTable(2, (1,))
-    table.record(witness_key((univ,)), exist, ())
-    f = parse_formula("forall t1. exists t2. F p@t1 & F q@t2")
-    assignment = {f.prefix[0].var: univ, f.prefix[1].var: other}
-    assert check_consistency(assignment, [table]) is False
+    table.entries[witness_key((univ,))] = (trace_text(exist), ())
+    assert check_consistency([univ, other], [table]) is False
 
 
 def test_check_consistency_vacuous_without_existentials():
-    f = parse_formula("forall t1. forall t2. F p@t1 & F p@t2")
-    assignment = {f.prefix[0].var: _trace({"p"}), f.prefix[1].var: _trace(set())}
-    assert check_consistency(assignment, []) is True
+    assert check_consistency([_trace({"p"}), _trace(set())], []) is True
 
 
 def test_check_consistency_missing_entry():
     table = WitnessTable(2, (1,))
-    f = parse_formula("forall t1. exists t2. F p@t1 & F q@t2")
-    assignment = {f.prefix[0].var: _trace({"p"}), f.prefix[1].var: _trace({"q"})}
     with pytest.raises(MissingWitnessError):
-        check_consistency(assignment, [table])
+        check_consistency([_trace({"p"}), _trace({"q"})], [table])
+
+
+@pytest.mark.parametrize("exist_index,deps", [(0, ()), (2, (0,)), (2, (3,)), (3, (1,)),
+                                              (-1, ()), (2, (-1,))])
+def test_check_consistency_positions_outside_the_prefix(exist_index, deps):
+    # every entry a key could name is present, so only the range check can fail
+    texts = ("p |", "q |")
+    table = WitnessTable(exist_index, deps)
+    for key in itertools.product(texts, repeat=len(deps)):
+        table.entries[key] = ("q |", ())
+    with pytest.raises(MissingWitnessError, match="outside 1..2"):
+        check_consistency([_trace({"p"}), _trace({"q"})], [table])
 
 
 def test_check_consistency_rejects_ragged_lengths():
     table = WitnessTable(2, (1,))
-    f = parse_formula("forall t1. exists t2. F p@t1 & F q@t2")
-    assignment = {f.prefix[0].var: _trace({"p"}), f.prefix[1].var: _trace({"q"}, {"q"})}
     with pytest.raises(WitnessLengthError):
-        check_consistency(assignment, [table])
+        check_consistency([_trace({"p"}), _trace({"q"}, {"q"})], [table])
 
 
 def test_check_consistency_ignores_zero_signs():
-    # artifacts store traces as text, which prints -0.0 as 0, so a run whose
-    # existential trace reads -0.0 still matches its stored witness
+    # witness tables hold text, which prints -0.0 as 0, so a run whose
+    # existential trace reads -0.0 still matches a witness recorded with 0.0
     univ = _trace({"p"})
     exist = Trace((Label(frozenset(), {"v": -0.0}),))
-    stored = Trace.from_text(exist.to_text())
-    assert stored != exist
+    recorded = Trace((Label(frozenset(), {"v": 0.0}),))
+    assert recorded != exist
     table = WitnessTable(2, (1,))
-    table.record(witness_key((univ,)), stored, ())
-    f = parse_formula("forall t1. exists t2. F p@t1 & F [ v@t2 < 1 ]")
-    assert check_consistency({f.prefix[0].var: univ, f.prefix[1].var: exist}, [table]) is True
+    table.entries[witness_key((univ,))] = (trace_text(recorded), ())
+    assert check_consistency([univ, exist], [table]) is True
