@@ -65,6 +65,9 @@ class Environment:
     ``episode`` and ``rho``.  A world with a hand-crafted comparison reward
     (``reward_mode = baseline``) defines `baseline_reward(prev_state,
     action, next_state)`.
+
+    `valid_actions` holds the joint-action tuples `check_action` has
+    accepted, so that `step` validates each one once per world.
     """
 
     kind = "abstract"
@@ -73,6 +76,9 @@ class Environment:
     arity: int = 0
     beta: int = 0
     metric_columns: tuple = ()
+
+    def __init__(self):
+        self.valid_actions: set = set()
 
     def reset(self, seed: int) -> JointState:
         raise NotImplementedError
@@ -106,12 +112,16 @@ class Environment:
         return {}
 
     def check_action(self, action: JointAction):
+        """Raise unless `action` is a joint action of this world; remember a
+        valid one in `valid_actions`.  A world's `step` calls this only for
+        a tuple not already there."""
         if len(action.per_trace) != self.arity:
             raise ArityMismatchError(
                 f"joint action has {len(action.per_trace)} slots, environment has {self.arity}")
         for a in action.per_trace:
             if a not in self.actions:
                 raise InvalidActionError(f"unknown action {a!r}")
+        self.valid_actions.add(action.per_trace)
 
     def check_step(self, state: JointState):
         if state.step_count >= self.beta:

@@ -391,9 +391,12 @@ def cmd_eval(policy_path, config_path) -> int:
         print(f"step {t + 1}: rho {rho}")
     verdict = sat_verdict(record.terminal_rho, rob_cfg)
     print(f"verdict: {verdict.value}")
-    if witnesses:
+    if witnesses or sk.decls:
         try:
-            ok = check_consistency(record.traces, witnesses)
+            # one table per Skolem declaration, with its signature
+            ok = (sorted((w.exist_index, w.deps) for w in witnesses)
+                  == [(d.exist_index, d.deps) for d in sk.decls]
+                  and check_consistency(record.traces, witnesses))
         except MissingWitnessError:
             ok = False
         print(f"witness_consistent: {str(ok).lower()}")

@@ -68,28 +68,34 @@ class Hyperparams:
         return RobustnessConfig(self.rho_max)
 
 
-class TabularQ:
-    """Action values keyed on encoded joint states, default-initialized to 0.
+class QRow(list):
+    """One key's action values, a float per joint action, and `tried`: a
+    bitmask with bit i set once action i has been updated."""
 
-    Entries start as None internally so extraction can tell updated values
-    from the optimistic default; lookups still see 0 for untouched entries.
+    __slots__ = ("tried",)
+
+
+class TabularQ:
+    """Action values keyed on encoded joint states, every entry starting at 0.0.
+
+    `table` maps a key to its `QRow`, made on the key's first update.  A row
+    holds plain floats, so greedy lookups are `max` and `index` over it; its
+    `tried` bitmask lets extraction tell learned values from the default.
     """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
         self.table: dict = {}
+        self.zeros = (0.0,) * n_actions   # the values of a key never updated
 
     def values(self, key) -> list:
-        row = self.table.get(key)
-        if row is None:
-            return [0.0] * self.n_actions
-        return [0.0 if v is None else v for v in row]
+        return list(self.table.get(key, self.zeros))
 
-    def row(self, key) -> list:
+    def row(self, key) -> QRow:
         row = self.table.get(key)
         if row is None:
-            row = [None] * self.n_actions
-            self.table[key] = row
+            row = self.table[key] = QRow(self.zeros)
+            row.tried = 0
         return row
 
     def best(self, key, prefer_tried: bool = False) -> int:
@@ -102,18 +108,10 @@ class TabularQ:
         row = self.table.get(key)
         if row is None:
             return 0
-        best = None
-        best_val = 0.0
-        if prefer_tried and any(v is not None for v in row):
-            for i, v in enumerate(row):
-                if v is not None and (best is None or v > best_val):
-                    best, best_val = i, v
-            return best
-        for i, v in enumerate(row):
-            v = 0.0 if v is None else v
-            if best is None or v > best_val:
-                best, best_val = i, v
-        return best
+        if prefer_tried and row.tried:
+            return max((i for i in range(self.n_actions) if row.tried >> i & 1),
+                       key=row.__getitem__)
+        return row.index(max(row))
 
 
 def _canon(value):
@@ -178,10 +176,11 @@ def immediate_reward(traces, sk: SkolemizedFormula, cfg: RobustnessConfig) -> fl
 def q_update(q: TabularQ, s_key, action_idx: int, reward: float, s_next_key, h: Hyperparams,
              done: bool = False):
     """One Bellman backup toward reward + gamma * max value of the next state."""
-    bootstrap = 0.0 if done else h.gamma * max(q.values(s_next_key))
+    bootstrap = 0.0 if done else h.gamma * max(q.table.get(s_next_key, q.zeros))
     row = q.row(s_key)
-    old = 0.0 if row[action_idx] is None else row[action_idx]
+    old = row[action_idx]
     row[action_idx] = old + h.learning_rate * (reward + bootstrap - old)
+    row.tried |= 1 << action_idx
     return q
 
 
@@ -208,7 +207,8 @@ class _EpisodeTracker:
     positions, and reports each step's rewrite with `trace_delta(prev,
     state)`: the lowest position it rewrote and the columns from there on.
     `rho` re-scores the prefix with `evaluator` from the lowest position
-    changed since its last call.
+    changed since its last call, and returns its last value when no position
+    changed (a domino episode whose sequences have both terminated).
     """
 
     def __init__(self, env: Environment, state: JointState,
@@ -217,6 +217,8 @@ class _EpisodeTracker:
         self.evaluator = evaluator
         self.state = state
         self.changed = 0      # lowest position changed since the last `rho`
+        self.scored = -1      # the prefix length at the last `rho` ...
+        self.last = None      # ... and its value
         slots = env.trace_prefix(state)
         self.hooked = slots is not None
         if self.hooked:
@@ -247,9 +249,11 @@ class _EpisodeTracker:
 
     def rho(self) -> float:
         """Robustness of the prefix; the minimum while it is empty."""
-        rho = self.evaluator.update(self.columns, self.changed)
-        self.changed = len(self.columns)
-        return rho
+        n = len(self.columns)
+        if self.changed < n or n != self.scored:
+            self.last = self.evaluator.update(self.columns, self.changed)
+            self.changed = self.scored = n
+        return self.last
 
     def traces(self) -> list:
         if not self.columns:

@@ -12,9 +12,18 @@ table maps ``(x, y, action)`` to the cell `_move` leads to.  The label table
 maps a slot's observation to one shared `Label`: ``(slot index, cell,
 collision)`` in the goal-seeking grid, the slot state ``(x, y, energy,
 arrived)`` in the resource grid and ``(x, y, burning)`` in the wildfire grid.
-The domino game keeps one module-wide table of labels per letter pair, and
-per instance the words and labels of the episode's slots (see `PcpEnv`).
-Since labels are shared, nothing may mutate one.
+The goal-seeking grid keeps a third table, from a joint state's `per_trace`
+to its label column and whether two agents share a cell, so `label_of`
+returns one shared tuple per joint state and `episode_stats` reads the same
+table.  The resource grid keeps none: its energy grows without bound, so its
+joint states rarely repeat.  The domino game keeps one module-wide table of
+labels per letter pair, and per instance the words and labels of the
+episode's slots (see `PcpEnv`).  Since labels and columns are shared,
+nothing may mutate one.
+
+Every world validates a joint-action tuple the first time `step` sees it and
+remembers it in `valid_actions` (see `Environment.check_action`); an invalid
+tuple is never remembered, so it raises on every step that passes it.
 """
 
 from __future__ import annotations
@@ -210,11 +219,13 @@ class GridWorldEnv(Environment):
         missing = [i + 1 for i, g in enumerate(grid.goals) if g is None]
         if missing:
             raise ValueError(f"map gives no goal for agent(s) {missing}")
+        super().__init__()
         self.grid = grid
         self.arity = len(grid.starts)
         self.beta = beta
         self.moves = _move_table(grid)
         self.labels = LazyTable(self._label)
+        self.columns = LazyTable(self._column)
 
     def reset(self, seed: int) -> JointState:
         starts = self.grid.starts
@@ -224,18 +235,24 @@ class GridWorldEnv(Environment):
 
     def step(self, state: JointState, action: JointAction) -> JointState:
         self.check_step(state)
-        self.check_action(action)
+        if action.per_trace not in self.valid_actions:
+            self.check_action(action)
         moves = self.moves
         moved = [moves[x, y, act] for (x, y, _, _), act in zip(state.per_trace, action.per_trace)]
         goals = self.grid.goals
-        per = tuple((cell[0], cell[1], done or cell == goals[i], col or moved.count(cell) > 1)
-                    for i, ((_, _, done, col), cell) in enumerate(zip(state.per_trace, moved)))
+        per = tuple([(cell[0], cell[1], done or cell == goals[i], col or moved.count(cell) > 1)
+                     for i, ((_, _, done, col), cell) in enumerate(zip(state.per_trace, moved))])
         return JointState(per, state.step_count + 1)
 
     def label_of(self, state: JointState) -> tuple:
-        cells = [(x, y) for x, y, _, _ in state.per_trace]
+        return self.columns[state.per_trace][0]
+
+    def _column(self, per_trace) -> tuple:
+        """(the slots' labels, whether two agents share a cell)."""
+        cells = [(x, y) for x, y, _, _ in per_trace]
         labels = self.labels
-        return tuple([labels[i, cell, cells.count(cell) > 1] for i, cell in enumerate(cells)])
+        column = tuple([labels[i, cell, cells.count(cell) > 1] for i, cell in enumerate(cells)])
+        return column, len(set(cells)) < len(cells)
 
     def _label(self, key) -> Label:
         i, cell, collision = key
@@ -253,11 +270,8 @@ class GridWorldEnv(Environment):
     def episode_stats(self, record) -> dict:
         """Whether every agent visited its goal, and the steps with a shared cell."""
         done = all(flag for _, _, flag, _ in record.states[-1].per_trace)
-        collisions = 0
-        for s in record.states[1:]:
-            cells = [(x, y) for x, y, _, _ in s.per_trace]
-            if len(set(cells)) < len(cells):
-                collisions += 1
+        columns = self.columns
+        collisions = sum([columns[s.per_trace][1] for s in record.states[1:]])
         return {"done": int(done), "collisions": collisions}
 
     def episode_metrics(self, record, previous: dict) -> dict:
@@ -300,6 +314,7 @@ class WildfireEnv(Environment):
     arity = 2
 
     def __init__(self, beta: int = 8):
+        super().__init__()
         self.beta = beta
         self.grid = GridMap(3, 3, frozenset(), ((0, 0), (0, 0)), (None, None), {})
         self.cell_names = {}
@@ -321,7 +336,8 @@ class WildfireEnv(Environment):
 
     def step(self, state: JointState, action: JointAction) -> JointState:
         self.check_step(state)
-        self.check_action(action)
+        if action.per_trace not in self.valid_actions:
+            self.check_action(action)
         (x1, y1, fires), (x2, y2, saved, early) = state.per_trace
         a1, a2 = action.per_trace
         p1 = self.moves[x1, y1, a1]
@@ -466,6 +482,7 @@ class PcpEnv(Environment):
     metric_columns = ("tot_done",)
 
     def __init__(self, dominoes: DominoSet, beta: int = 10):
+        super().__init__()
         self.dominoes = dominoes
         self.beta = beta
         self.actions = tuple(f"dom_{i}" for i in range(1, dominoes.k + 1)) + ("dom_#",)
@@ -486,7 +503,8 @@ class PcpEnv(Environment):
 
     def step(self, state: JointState, action: JointAction) -> JointState:
         self.check_step(state)
-        self.check_action(action)
+        if action.per_trace not in self.valid_actions:
+            self.check_action(action)
         per = []
         for slot, act in zip(state.per_trace, action.per_trace):
             seq, done = slot
@@ -625,6 +643,7 @@ class ResourceEnv(Environment):
         resources = [c for c, tag in grid.special.items() if tag == "resource"]
         if len(resources) != 1:
             raise ValueError(f"resource grid needs exactly one resource cell, found {len(resources)}")
+        super().__init__()
         self.grid = grid
         self.resource = resources[0]
         self.arity = len(grid.starts)
@@ -638,7 +657,8 @@ class ResourceEnv(Environment):
 
     def step(self, state: JointState, action: JointAction) -> JointState:
         self.check_step(state)
-        self.check_action(action)
+        if action.per_trace not in self.valid_actions:
+            self.check_action(action)
         res, moves = self.resource, self.moves
         per = []
         for (x, y, energy, _), act in zip(state.per_trace, action.per_trace):

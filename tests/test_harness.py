@@ -373,7 +373,7 @@ def test_cmd_eval_malformed_artifact(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("header", ["witness 0 deps=", "witness 2 deps=0", "witness 2 deps=3",
-                                    "witness 3 deps=1"])
+                                    "witness 3 deps=1", "witness 2 deps="])
 def test_cmd_eval_witness_positions_outside_the_prefix(tmp_path, capsys, header):
     cfg = write_micro_config(tmp_path, xi=5, reps=1)
     assert cmd_train(cfg) == 0

@@ -22,6 +22,7 @@ from hyperq.learner import (
 from hyperq.robustness import (
     Label,
     LengthMismatchError,
+    PrefixEvaluator,
     RobustnessConfig,
     Trace,
     eval_hyper,
@@ -67,6 +68,82 @@ def test_q_update_matches_value_iteration_on_chain():
             assert abs(q.values(s)[a] - oracle[s][a]) < 1e-6
 
 
+class _NoneQ:
+    """The Q-table that flat rows replaced, kept as the oracle: entries start
+    as None, and lookups read an untried entry as 0.0."""
+
+    def __init__(self, n_actions):
+        self.n_actions = n_actions
+        self.table = {}
+
+    def values(self, key):
+        row = self.table.get(key)
+        if row is None:
+            return [0.0] * self.n_actions
+        return [0.0 if v is None else v for v in row]
+
+    def row(self, key):
+        return self.table.setdefault(key, [None] * self.n_actions)
+
+    def best(self, key, prefer_tried=False):
+        row = self.table.get(key)
+        if row is None:
+            return 0
+        best = None
+        best_val = 0.0
+        if prefer_tried and any(v is not None for v in row):
+            for i, v in enumerate(row):
+                if v is not None and (best is None or v > best_val):
+                    best, best_val = i, v
+            return best
+        for i, v in enumerate(row):
+            v = 0.0 if v is None else v
+            if best is None or v > best_val:
+                best, best_val = i, v
+        return best
+
+    def update(self, s_key, action_idx, reward, s_next_key, h, done=False):
+        bootstrap = 0.0 if done else h.gamma * max(self.values(s_next_key))
+        row = self.row(s_key)
+        old = 0.0 if row[action_idx] is None else row[action_idx]
+        row[action_idx] = old + h.learning_rate * (reward + bootstrap - old)
+
+
+def _bits(values):
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+def test_tabular_q_agrees_with_the_none_based_table():
+    rng = random.Random(14)
+    entries = (None, None, 0.0, -0.0, 1.0, -1.0, 0.5)   # None: untried
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        q, oracle = TabularQ(n), _NoneQ(n)
+        keys = list(range(rng.randint(1, 4)))
+        for key in keys[1:]:       # key 0 is never updated
+            entered = [rng.choice(entries) for _ in range(n)]
+            row = q.row(key)
+            for i, v in enumerate(entered):
+                if v is not None:
+                    row[i] = v
+                    row.tried |= 1 << i
+            oracle.table[key] = entered
+        for key in keys:
+            assert q.best(key) == oracle.best(key)
+            assert q.best(key, prefer_tried=True) == oracle.best(key, prefer_tried=True)
+            assert _bits(q.values(key)) == _bits(oracle.values(key))
+            assert _bits([max(q.values(key))]) == _bits([max(oracle.values(key))])
+        h = Hyperparams(gamma=rng.choice((0.0, 0.5, 1.0)), learning_rate=rng.choice((0.5, 1.0)))
+        for _ in range(rng.randint(1, 8)):
+            args = (rng.choice(keys), rng.randrange(n), rng.choice((0.0, -0.0, 1.0, -0.5)),
+                    rng.choice(keys), h, rng.random() < 0.2)
+            q_update(q, *args)
+            oracle.update(*args)
+        for key in keys:
+            assert _bits(q.values(key)) == _bits(oracle.values(key))
+            assert q.best(key, prefer_tried=True) == oracle.best(key, prefer_tried=True)
+
+
 def test_greedy_policy_invariant_under_reward_scaling():
     def transition(s, a):
         return {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 1, (2, 0): 2, (2, 1): 2}[(s, a)]
@@ -90,8 +167,7 @@ def test_q_values_bounded_during_training():
     bound = h.rho_max / (1.0 - h.gamma) + 1e-9
     for row in res.q.table.values():
         for v in row:
-            if v is not None:
-                assert abs(v) <= bound
+            assert abs(v) <= bound
 
 
 def test_immediate_reward_empty_prefix_is_minimum():
@@ -385,6 +461,24 @@ def test_rollout_rewards_keep_zero_signs_when_a_rewrite_flips_one():
         env = _PrefixScript([[], [(label(first),)], [(label(second),), (label(1.0),)]], 1)
         for body in ("[ v@t1 > 0 ]", "G [ v@t1 < 0 ]", "X (G [ v@t1 > 0 ] & X [ v@t1 > 0 ])"):
             _assert_rewards_match_from_scratch(env, _signed_zero_formula(body))
+
+
+def test_rollout_reuses_rho_once_both_domino_sequences_terminated(monkeypatch):
+    env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")), beta=8)
+    sk = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")))
+    script = [("dom_2", "dom_2"), ("dom_#", "dom_1"), ("dom_1", "dom_3"), ("dom_1", "dom_#")]
+    updates = []
+    update = PrefixEvaluator.update
+    monkeypatch.setattr(PrefixEvaluator, "update",
+                        lambda self, *args: updates.append(self) or update(self, *args))
+    actions = iter(script + [("dom_2", "dom_1")] * (env.beta - len(script)))
+    record = rollout(env, sk, CFG, lambda s: JointAction(next(actions)), 0, env.beta)
+    assert record.states[len(script)].per_trace == (((2,), True), ((2, 1, 3), True))
+    # the tracker's evaluator scores the steps up to both terminations only
+    assert updates.count(updates[0]) == len(script)
+    for t, rho in enumerate(record.rhos, start=1):
+        expected = eval_hyper(env.trace_prefix(record.states[t]), sk, CFG)
+        assert (rho, math.copysign(1.0, rho)) == (expected, math.copysign(1.0, expected)), t
 
 
 def test_rollout_rewards_keep_zero_signs_300_steps_nested():

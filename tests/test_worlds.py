@@ -1,11 +1,19 @@
 import inspect
+import itertools
 import random
 from collections import deque
 
 import pytest
 
 import hyperq as hq
-from hyperq.env import EpisodeExhaustedError, InvalidActionError, JointAction, JointState
+from hyperq.env import (
+    ArityMismatchError,
+    EpisodeExhaustedError,
+    EpisodeRecord,
+    InvalidActionError,
+    JointAction,
+    JointState,
+)
 from hyperq.harness import cmd_train
 from hyperq.learner import Hyperparams, _EpisodeTracker, episode_bound, rollout
 from hyperq.robustness import RobustnessConfig, zip_traces
@@ -176,6 +184,29 @@ def test_step_rejects_bad_action_and_exhaustion():
         s = env.step(s, JointAction(("stay", "stay")))
     with pytest.raises(EpisodeExhaustedError):
         env.step(s, JointAction(("stay", "stay")))
+
+
+def _world_of_kind(kind):
+    return {"grid": walled_env, "resource": make_resource, "wildfire": lambda: WildfireEnv(8),
+            "pcp": lambda: PcpEnv(DominoSet((("a", "ab"), ("b", "a"))))}[kind]()
+
+
+@pytest.mark.parametrize("kind", sorted(ENVIRONMENTS))
+def test_step_rejects_bad_actions_after_valid_ones_are_known(kind):
+    env = _world_of_kind(kind)
+    s = env.reset(0)
+    valid = set(itertools.product(env.actions, repeat=env.arity))
+    for joint in sorted(valid):
+        env.step(s, JointAction(joint))
+    assert env.valid_actions == valid
+    first = env.actions[0]
+    for _ in range(2):   # a rejected tuple is not remembered
+        with pytest.raises(InvalidActionError):
+            env.step(s, JointAction(("jump",) + (first,) * (env.arity - 1)))
+        for arity in (env.arity - 1, env.arity + 1):
+            with pytest.raises(ArityMismatchError):
+                env.step(s, JointAction((first,) * arity))
+    assert env.valid_actions == valid
 
 
 def test_step_does_not_mutate_input_state():
@@ -542,25 +573,37 @@ def _label_key(env, state, i):
 
 
 def _walk_labels(env, seed, episodes=3):
-    """Label every state of random episodes; check each label against the
-    field-by-field reference and that one key always yields one object.
+    """Label every state of random episodes; check each joint state's column
+    against the field-by-field reference, that one key always yields one
+    label object and one joint state one column (in the goal-seeking grid,
+    which keeps a table of columns, one tuple), and that the grid's episode
+    statistics count the steps whose reference labels show a collision.
     Returns the slot labels seen, as (slot, state, label) triples."""
     rng = random.Random(seed)
     shared = {}
+    columns = {}
     seen = []
     for _ in range(episodes):
         s = env.reset(0)
+        record = EpisodeRecord(states=[s])
         while True:
             labels = env.label_of(s)
             assert labels == reference_labels(env, s)
-            again = env.label_of(s)
+            first = columns.setdefault(s.per_trace, labels)
+            if isinstance(env, GridWorldEnv):
+                assert first is labels
             for i, label in enumerate(labels):
-                assert again[i] is label
+                assert first[i] is label
                 assert shared.setdefault(_label_key(env, s, i), label) is label
                 seen.append((i, s, label))
             if s.step_count == env.beta:
                 break
             s = env.step(s, JointAction(tuple(rng.choice(env.actions) for _ in range(env.arity))))
+            record.states.append(s)
+        if isinstance(env, GridWorldEnv):
+            collided = [any("collision" in label.props for label in reference_labels(env, s))
+                        for s in record.states[1:]]
+            assert env.episode_stats(record)["collisions"] == sum(collided)
     return seen
 
 
