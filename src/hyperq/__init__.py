@@ -52,6 +52,7 @@ from .worlds import (
 from .learner import (
     Hyperparams,
     PolicySet,
+    RewardMismatchError,
     TabularQ,
     TrainResult,
     extract_policies,

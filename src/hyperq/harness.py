@@ -86,7 +86,10 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} does not exist")
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         try:
-            parser.read(str(path))
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} cannot be read: {_reason(exc)}") from exc
         except configparser.Error as exc:
             raise ConfigError(str(exc)) from exc
         for section in ("experiment", "environment"):
@@ -182,6 +185,13 @@ def _unknown_action(path, policies: PolicySet, env: Environment) -> str:
                         f"which {env.kind} worlds lack")
 
 
+def _reason(exc: OSError | UnicodeDecodeError) -> str:
+    """Why a file could not be read, without the path an OSError repeats."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8: {exc.reason}"
+    return exc.strerror or str(exc)
+
+
 def _number(kind, key: str, raw: str):
     """`raw` as an int or float; ConfigError naming `key` when it is not one."""
     try:
@@ -250,11 +260,21 @@ def read_artifacts(path) -> tuple:
     path = Path(path)
     if not path.exists():
         raise ArtifactMissingError(f"artifact file {path} does not exist")
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ArtifactMissingError(f"artifact file {path} cannot be read: {_reason(exc)}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = data.count(b"\n", 0, exc.start) + 1
+        raise ArtifactFormatError(f"{path}:{number}: malformed artifact line "
+                                  f"({_reason(exc)})") from exc
     policies = PolicySet({})
     witnesses = []
     current_policy = None
     current_witness = None
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         try:
             if line.startswith("policy "):
                 _, index = line.split()
@@ -295,6 +315,10 @@ def cmd_check(formula_path) -> int:
         f = load_formula(formula_path)
     except FileNotFoundError:
         print(f"error: formula file {formula_path} does not exist", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: formula file {formula_path} cannot be read: {_reason(exc)}",
+              file=sys.stderr)
         return 2
     except FormulaError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)

@@ -5,10 +5,11 @@ trace slots; the per-step reward is the robustness of the episode prefix
 evaluated against the skolemized body, so no hand-written reward function is
 involved.  The episode's tracker keeps the zipped prefix and scores it with
 a `PrefixEvaluator`, which recomputes each subformula only from the lowest
-position that changed since the previous step; the terminal reward is one
-from-scratch evaluation of the whole episode.  Per-slot greedy
-policies and witness tables for existential quantifiers are projected out
-of the trained function.
+position that changed since the previous step; the terminal reward is the
+last step's.  Each `train` call checks its final greedy episode's terminal
+reward against one from-scratch evaluation of the world's traces.  Per-slot
+greedy policies and witness tables for existential quantifiers are projected
+out of the trained function.
 
 Exploration in episode e of seed s draws from numpy's `default_rng((s, e))`
 stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.
@@ -22,12 +23,25 @@ from dataclasses import dataclass, field
 from .env import ArityMismatchError, Environment, EpisodeRecord, JointAction, JointState
 from .formula import Formula
 from .rng import Stream
-from .robustness import LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, eval_hyper
+from .robustness import (LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, _unchanged,
+                         eval_hyper)
 from .skolem import SkolemizedFormula, WitnessTable, skolemize, trace_text, witness_key
 from .worlds import KindMismatchError
 
 
 REWARD_MODES = ("prefix", "baseline")
+
+
+class RewardMismatchError(RuntimeError):
+    """An episode's terminal reward differs from a from-scratch evaluation of
+    the world's traces, as when a world's `trace_delta` reports a rewrite
+    from too high a position and the per-step rewards go stale."""
+
+    def __init__(self, tracked: float, from_scratch: float):
+        super().__init__(f"terminal reward {tracked!r} differs from the from-scratch "
+                         f"robustness {from_scratch!r} of the final episode")
+        self.tracked = tracked
+        self.from_scratch = from_scratch
 
 
 @dataclass
@@ -266,8 +280,9 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     """Run one episode of `beta` steps, scoring every prefix by its robustness.
 
     `choose(state)` returns the JointAction to take; `on_step(state, action,
-    next_state, rho)` runs after each step.  The terminal robustness is that
-    of the whole episode, the start prefix for an episode without steps.
+    next_state, rho)` runs after each step.  The terminal robustness is the
+    last step's, which scores the whole episode; an episode without steps
+    scores its start prefix.
     """
     record = EpisodeRecord(seed=seed)
     state = env.reset(seed)
@@ -285,7 +300,7 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         record.rhos.append(rho)
         state = nxt
     record.traces = tracker.traces()
-    record.terminal_rho = immediate_reward(record.traces, sk, cfg)
+    record.terminal_rho = record.rhos[-1] if record.rhos else tracker.rho()
     return record
 
 
@@ -293,7 +308,9 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     """Run xi episodes of epsilon-greedy learning and extract the artifacts.
 
     Deterministic: a fixed (environment, formula, hyperparameters, seed)
-    reproduces the metrics exactly.
+    reproduces the metrics exactly.  Raises RewardMismatchError when the
+    final greedy episode's terminal reward differs from a from-scratch
+    evaluation, the sign of a zero included.
     """
     sk = skolemize(f)
     beta = episode_bound(env, sk, h)
@@ -338,6 +355,12 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
 
     final = rollout(env, sk, cfg,
                     lambda s: joint_actions[q.best(encode(s), prefer_tried=True)], seed, beta)
+    # the one from-scratch evaluation: of the world's own traces (a
+    # `trace_prefix` world's from the last state, not from its step deltas)
+    traces = env.trace_prefix(final.states[-1])
+    expected = immediate_reward(final.traces if traces is None else traces, sk, cfg)
+    if not _unchanged(final.terminal_rho, expected):
+        raise RewardMismatchError(final.terminal_rho, expected)
     policies, witnesses = extract_policies(env, sk, final)
     return TrainResult(q, policies, witnesses, metrics, final)
 

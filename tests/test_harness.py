@@ -118,14 +118,16 @@ def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
     ("base_seed = 3", "seed = 5\nreps = 2", "unknown key(s) reps, seed in [experiment]"),
     ("[hyperparams]", "[hyperparameters]", "unknown section(s) [hyperparameters]"),
     ("[hyperparams]", "[misc]\nx = 1\n[hyperparams]", "unknown section(s) [misc]"),
+    ("xi = 15", "xi = 15\n; caf\xe9", "cannot be read: not UTF-8: invalid continuation byte"),
 ], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key", "negative_base_seed",
         "negative_seed", "duplicate_seed", "rho_max_negative", "rho_max_zero", "rho_max_nan",
         "rho_max_inf", "learning_rate_nan", "learning_rate_negative", "epsilon_negative",
         "epsilon_end_negative", "experiment_key", "experiment_keys", "hyperparameters_section",
-        "extra_section"])
+        "extra_section", "not_utf8"])
 def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
     p = write_micro_config(tmp_path, reps=1)
-    p.write_text(p.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
+    # Latin-1 writes one byte per character: the lone byte 0xe9 is not UTF-8
+    p.write_bytes(p.read_text().replace(f"\n{old}\n", f"\n{new}\n").encode("latin-1"))
     with pytest.raises(ConfigError, match=re.escape(message)):
         ExperimentConfig.load(p)
     assert cmd_train(p) == 2
@@ -184,8 +186,16 @@ def test_cmd_check_reports_unbound_variable(tmp_path, capsys):
     assert cmd_check(p) == 1
 
 
-def test_cmd_check_missing_file():
+def test_cmd_check_missing_file(tmp_path, capsys):
     assert cmd_check("/nonexistent.hltl") == 2
+    latin1 = tmp_path / "latin1.hltl"
+    latin1.write_bytes("forall t1. F caf\xe9@t1\n".encode("latin-1"))
+    for path in (tmp_path, latin1):
+        capsys.readouterr()
+        assert cmd_check(path) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: formula file {path} cannot be read: ") \
+            and err.count("\n") == 1, err
 
 
 def test_cmd_train_writes_expected_outputs(tmp_path, capsys):
@@ -365,11 +375,17 @@ def test_cmd_eval_malformed_artifact(tmp_path, capsys):
                        ("witness 2 deps=1\np | || extra\tq |\t\n", 2),
                        ("witness 2 deps=1\np |\tq |\t\np ||  || \tq |\t\n", 3),
                        ("witness 2 deps=\np |\tq |\t\n", 2),
-                       ("witness 3 deps=1,2\np |\tq |\t\n", 2)):
+                       ("witness 3 deps=1,2\np |\tq |\t\n", 2),
+                       # Latin-1 bytes: 0xe9 is not UTF-8
+                       ("policy 1\n('caf\xe9',)\tstay\n", 2)):
         bad = tmp_path / "bad.txt"
-        bad.write_text(text)
+        bad.write_bytes(text.encode("latin-1"))
         assert cmd_eval(bad, cfg) == 2, text
         assert f"bad.txt:{line}: malformed artifact line" in capsys.readouterr().err, text
+    assert cmd_eval(tmp_path, cfg) == 2   # a directory
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: artifact file {tmp_path} cannot be read: ") \
+        and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("header", ["witness 0 deps=", "witness 2 deps=0", "witness 2 deps=3",

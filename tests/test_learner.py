@@ -5,10 +5,12 @@ import random
 import pytest
 
 import hyperq as hq
+import hyperq.learner as learner
 from hyperq.env import ArityMismatchError, Environment, JointAction, JointState
 from hyperq.formula import children_of
 from hyperq.learner import (
     Hyperparams,
+    RewardMismatchError,
     _EpisodeTracker,
     TabularQ,
     episode_bound,
@@ -216,6 +218,37 @@ def test_prefix_reward_final_step_equals_full_episode_robustness():
     rec = res.final_record
     assert rec.rhos[-1] == rec.terminal_rho
     assert rec.terminal_rho == hq.eval_hyper(rec.traces, skolemize(f), h.config())
+    # beta = 0: no steps, so the start prefix is the whole episode
+    for env, formula in ((WildfireEnv(6), f), (_k3_world(4), _pcp_formula())):
+        sk = skolemize(formula)
+        start = rollout(env, sk, CFG, None, seed=3, beta=0)
+        expected = immediate_reward(start.traces, sk, CFG)
+        assert start.rhos == [] and (start.terminal_rho, math.copysign(1.0, start.terminal_rho)) \
+            == (expected, math.copysign(1.0, expected)), env.kind
+    # the domino start holds no position
+    assert start.traces == [Trace(), Trace()] and start.terminal_rho == CFG.rho_min
+
+
+def _k3_world(beta):
+    return PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")), beta=beta)
+
+
+def _pcp_formula():
+    return hq.load_formula(hq.bundled("formulas/pcp_ab.hltl"))
+
+
+@pytest.mark.parametrize("xi", [1, 30])
+def test_train_evaluates_from_scratch_once(monkeypatch, xi):
+    # only the final greedy episode's check evaluates a whole episode anew
+    calls = []
+    monkeypatch.setattr(learner, "eval_hyper",
+                        lambda *args: calls.append(args) or eval_hyper(*args))
+    for env, f in ((WildfireEnv(6), rescue_formula()), (_k3_world(6), _pcp_formula())):
+        calls.clear()
+        res = train(env, f, Hyperparams(xi=xi), seed=2)
+        assert len(calls) == 1, env.kind
+        assert calls[0][0] == list(env.trace_prefix(res.final_record.states[-1])
+                                   or res.final_record.traces)
 
 
 def test_metric_columns_per_environment():
@@ -566,6 +599,34 @@ def test_kernel_bodies_cover_their_shapes():
     for plan, name in zip(plans[4:], ("And", "Or", "Implies")):
         assert name in [type(node).__name__ for (node, _), whole, fused
                         in zip(plan.steps, plan.whole, plan.fused) if whole and not fused]
+
+
+class _LateDelta(_PrefixScript):
+    """A `_PrefixScript` whose `trace_delta` reports each rewrite of an
+    earlier position one position too high, so the tracker keeps a stale
+    column; appends it reports as they are."""
+
+    def trace_delta(self, prev, state):
+        lo, tail = super().trace_delta(prev, state)
+        if lo < len(self.prefixes[prev.step_count]):
+            return lo + 1, tail[1:]
+        return lo, tail
+
+
+def test_train_rejects_stale_rewards_of_a_rewrite_reported_too_high():
+    def label(v):
+        return Label(frozenset(), {"v": v})
+
+    # step 2 rewrites position 0 from v = 1 to v = -1 and appends v = 1
+    script = [[], [(label(1.0),)], [(label(-1.0),), (label(1.0),)]]
+    f = hq.parse_formula("forall t1. [ v@t1 > 0 ]")
+    h = Hyperparams(xi=3)
+    assert train(_PrefixScript(script, 1), f, h, seed=0).final_record.terminal_rho == -1.0
+    with pytest.raises(RewardMismatchError) as caught:
+        train(_LateDelta(script, 1), f, h, seed=0)
+    assert (caught.value.tracked, caught.value.from_scratch) == (1.0, -1.0)
+    assert str(caught.value) == ("terminal reward 1.0 differs from the from-scratch "
+                                 "robustness -1.0 of the final episode")
 
 
 def test_rollout_rejects_unequal_slot_lengths():
