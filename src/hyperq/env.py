@@ -47,7 +47,6 @@ class EpisodeRecord:
     traces: list = field(default_factory=list)      # one Trace per slot
     rhos: list = field(default_factory=list)        # robustness after each step
     terminal_rho: float = 0.0
-    seed: int = 0
 
     @property
     def steps(self) -> int:
@@ -55,7 +54,8 @@ class EpisodeRecord:
 
 
 class Environment:
-    """Base class; concrete worlds implement the hidden dynamics.
+    """Base class; a concrete world implements the hidden dynamics as
+    `transition`, and the base `step` does the bookkeeping around it.
 
     `kind` is the world's ``[environment] kind`` name and `file_key` the one
     other key it reads besides ``beta``: a map or domino file passed to the
@@ -66,8 +66,9 @@ class Environment:
     (``reward_mode = baseline``) defines `baseline_reward(prev_state,
     action, next_state)`.
 
-    `valid_actions` holds the joint-action tuples `check_action` has
-    accepted, so that `step` validates each one once per world.
+    `step` validates a joint-action tuple the first time it sees it and
+    remembers it in `valid_actions` (see `check_action`); an invalid tuple is
+    never remembered, so it raises on every step that passes it.
     """
 
     kind = "abstract"
@@ -84,6 +85,19 @@ class Environment:
         raise NotImplementedError
 
     def step(self, state: JointState, action: JointAction) -> JointState:
+        """The joint state one step after `state` under `action`; raises
+        EpisodeExhaustedError at the episode bound `beta`."""
+        if state.step_count >= self.beta:
+            raise EpisodeExhaustedError(f"episode length bound {self.beta} reached")
+        joint = action.per_trace
+        if joint not in self.valid_actions:
+            self.check_action(action)
+        return JointState(self.transition(state.per_trace, joint), state.step_count + 1)
+
+    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
+        """The dynamics: the slot states after the joint action `joint` (one
+        action name per slot) from the slot states `per_trace`.  A pure
+        function of its arguments; `joint` is already validated."""
         raise NotImplementedError
 
     def label_of(self, state: JointState) -> tuple:
@@ -113,8 +127,8 @@ class Environment:
 
     def check_action(self, action: JointAction):
         """Raise unless `action` is a joint action of this world; remember a
-        valid one in `valid_actions`.  A world's `step` calls this only for
-        a tuple not already there."""
+        valid one in `valid_actions`.  `step` calls this only for a tuple
+        not already there."""
         if len(action.per_trace) != self.arity:
             raise ArityMismatchError(
                 f"joint action has {len(action.per_trace)} slots, environment has {self.arity}")
@@ -122,7 +136,3 @@ class Environment:
             if a not in self.actions:
                 raise InvalidActionError(f"unknown action {a!r}")
         self.valid_actions.add(action.per_trace)
-
-    def check_step(self, state: JointState):
-        if state.step_count >= self.beta:
-            raise EpisodeExhaustedError(f"episode length bound {self.beta} reached")

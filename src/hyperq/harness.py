@@ -32,7 +32,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .env import Environment, InvalidActionError
+from .env import Environment, JointAction
 from .formula import Formula, FormulaError, load_formula, unparse, validate
 from .learner import (
     Hyperparams,
@@ -41,6 +41,7 @@ from .learner import (
     TrainResult,
     episode_bound,
     greedy_rollout,
+    rollout,
     train,
 )
 from .robustness import (
@@ -149,9 +150,9 @@ class ExperimentConfig:
         """Formula, skolemized formula, environment and episode length.
 
         Raises ConfigError when the formula or an environment file cannot be
-        read or parsed, or when the pieces do not fit together.  A formula
-        that reads a valuation the world's labels lack shows only in the
-        first episode's steps, as an UnknownValuationError.
+        read or parsed, or when the pieces do not fit together.  One step of
+        the world's first action is scored, so a formula that reads a
+        valuation the world's labels lack is found here.
         """
         try:
             f = self.load_formula()
@@ -167,17 +168,18 @@ class ExperimentConfig:
             beta = episode_bound(env, sk, self.hyperparams)
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
+        first = JointAction((env.actions[0],) * env.arity)
+        try:
+            rollout(env, sk, self.hyperparams.config(), lambda state: first, self.seeds[0], 1)
+        except UnknownValuationError as exc:
+            raise ConfigError(f"the formula reads valuation {exc.args[0]!r}, "
+                              f"which {env.kind} labels lack") from exc
         return f, sk, env, beta
 
 
-def _lacking_valuation(exc: UnknownValuationError, env: Environment) -> str:
-    """The config error line for a formula that reads a valuation `env`'s labels lack."""
-    return (f"config error: the formula reads valuation {exc.args[0]!r}, "
-            f"which {env.kind} labels lack")
-
-
-def _unknown_action(path, policies: PolicySet, env: Environment) -> str:
-    """The error line for an artifact whose policies name an action `env` lacks."""
+def _unknown_action(path, policies: PolicySet, env: Environment) -> str | None:
+    """The error line for an artifact whose policies name an action `env`
+    lacks, or None when every action is one of `env.actions`."""
     for index, table in sorted(policies.policies.items()):
         for action in table.values():
             if action not in env.actions:
@@ -363,11 +365,7 @@ def cmd_train(config_path, out=None) -> int:
     started = time.perf_counter()
     all_metrics = []
     for rep_seed in cfg.seeds:
-        try:
-            result = train(env, f, cfg.hyperparams, rep_seed)
-        except UnknownValuationError as exc:
-            print(_lacking_valuation(exc, env), file=sys.stderr)
-            return 2
+        result = train(env, f, cfg.hyperparams, rep_seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         all_metrics.append(result.metrics)
         with open(out_dir / f"run_{rep_seed}.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -402,15 +400,12 @@ def cmd_eval(policy_path, config_path) -> int:
     except (ArtifactMissingError, ArtifactFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    unknown = _unknown_action(policy_path, policies, env)
+    if unknown:
+        print(unknown, file=sys.stderr)
+        return 2
     rob_cfg = cfg.hyperparams.config()
-    try:
-        record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
-    except UnknownValuationError as exc:
-        print(_lacking_valuation(exc, env), file=sys.stderr)
-        return 2
-    except InvalidActionError:
-        print(_unknown_action(policy_path, policies, env), file=sys.stderr)
-        return 2
+    record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
     for t, rho in enumerate(record.rhos):
         print(f"step {t + 1}: rho {rho}")
     verdict = sat_verdict(record.terminal_rho, rob_cfg)

@@ -284,7 +284,7 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     last step's, which scores the whole episode; an episode without steps
     scores its start prefix.
     """
-    record = EpisodeRecord(seed=seed)
+    record = EpisodeRecord()
     state = env.reset(seed)
     record.states.append(state)
     tracker = _EpisodeTracker(env, state, PrefixEvaluator(sk.plan, sk.arity, cfg))

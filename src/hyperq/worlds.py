@@ -6,9 +6,9 @@ a wall or the boundary leave the agent in place, and the scalar cell index
 exposed to formulas is column-ordered: ``cell = x * height + y``.
 
 The grid worlds look moves and labels up rather than rebuild them every step.
-Each world instance keeps two `LazyTable`s, dicts that make a missing entry
-from its key on first use, so they fill only as states are visited.  The move
-table maps ``(x, y, action)`` to the cell `_move` leads to.  The label table
+Each grid world instance keeps two `LazyTable`s (see `_GridWorld`), dicts
+that make a missing entry from its key on first use, so they fill only as
+states are visited.  The move table maps ``(x, y, action)`` to the cell `_move` leads to.  The label table
 maps a slot's observation to one shared `Label`: ``(slot index, cell,
 collision)`` in the goal-seeking grid, the slot state ``(x, y, energy,
 arrived)`` in the resource grid and ``(x, y, burning)`` in the wildfire grid.
@@ -21,9 +21,8 @@ labels per letter pair, and per instance the words and labels of the
 episode's slots (see `PcpEnv`).  Since labels and columns are shared,
 nothing may mutate one.
 
-Every world validates a joint-action tuple the first time `step` sees it and
-remembers it in `valid_actions` (see `Environment.check_action`); an invalid
-tuple is never remembered, so it raises on every step that passes it.
+Each world defines its dynamics as `transition`; `Environment.step` checks
+the episode bound and the joint action around it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
-from .env import Environment, JointAction, JointState
+from .env import Environment, JointState
 from .robustness import Label, Trace
 
 
@@ -192,15 +191,26 @@ class LazyTable(dict):
         return value
 
 
-def _move_table(grid: GridMap) -> LazyTable:
-    """(x, y, action) -> the cell `_move` leads to."""
-    return LazyTable(lambda key: _move(grid, key[:2], key[2]))
+class _GridWorld(Environment):
+    """What the grid worlds share: one agent per start of `grid`, moving by
+    `GRID_ACTIONS`, the move table and the label table of the subclass's
+    `_label`."""
+
+    actions = GRID_ACTIONS
+
+    def __init__(self, grid: GridMap, beta: int):
+        super().__init__()
+        self.grid = grid
+        self.beta = beta
+        self.arity = len(grid.starts)
+        self.moves = LazyTable(lambda key: _move(grid, key[:2], key[2]))
+        self.labels = LazyTable(self._label)
 
 
 # ---------------------------------------------------------------------------
 # Two-or-more-agent goal-seeking grid
 
-class GridWorldEnv(Environment):
+class GridWorldEnv(_GridWorld):
     """Agents navigate to per-agent goals; collisions are observable.
 
     Labels per slot: propositions ``goalK`` whenever the slot's agent stands
@@ -212,19 +222,13 @@ class GridWorldEnv(Environment):
 
     kind = "grid"
     file_key = "map"
-    actions = GRID_ACTIONS
     metric_columns = ("total_done", "total_col")
 
     def __init__(self, grid: GridMap, beta: int = 300):
         missing = [i + 1 for i, g in enumerate(grid.goals) if g is None]
         if missing:
             raise ValueError(f"map gives no goal for agent(s) {missing}")
-        super().__init__()
-        self.grid = grid
-        self.arity = len(grid.starts)
-        self.beta = beta
-        self.moves = _move_table(grid)
-        self.labels = LazyTable(self._label)
+        super().__init__(grid, beta)
         self.columns = LazyTable(self._column)
 
     def reset(self, seed: int) -> JointState:
@@ -233,16 +237,12 @@ class GridWorldEnv(Environment):
         per = tuple((x, y, False, shared) for x, y in starts)
         return JointState(per, 0)
 
-    def step(self, state: JointState, action: JointAction) -> JointState:
-        self.check_step(state)
-        if action.per_trace not in self.valid_actions:
-            self.check_action(action)
+    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
         moves = self.moves
-        moved = [moves[x, y, act] for (x, y, _, _), act in zip(state.per_trace, action.per_trace)]
+        moved = [moves[x, y, act] for (x, y, _, _), act in zip(per_trace, joint)]
         goals = self.grid.goals
-        per = tuple([(cell[0], cell[1], done or cell == goals[i], col or moved.count(cell) > 1)
-                     for i, ((_, _, done, col), cell) in enumerate(zip(state.per_trace, moved))])
-        return JointState(per, state.step_count + 1)
+        return tuple([(cell[0], cell[1], done or cell == goals[i], col or moved.count(cell) > 1)
+                      for i, ((_, _, done, col), cell) in enumerate(zip(per_trace, moved))])
 
     def label_of(self, state: JointState) -> tuple:
         return self.columns[state.per_trace][0]
@@ -300,7 +300,7 @@ WILDFIRE_FIRES = ("c", "f", "i")
 WILDFIRE_VICTIMS = ("g", "f")
 
 
-class WildfireEnv(Environment):
+class WildfireEnv(_GridWorld):
     """3x3 rescue scenario: slot 1 extinguishes fires, slot 2 reaches victims.
 
     Both agents start on cell a.  Fire on a cell goes out permanently once the
@@ -310,20 +310,14 @@ class WildfireEnv(Environment):
     """
 
     kind = "wildfire"
-    actions = GRID_ACTIONS
-    arity = 2
 
     def __init__(self, beta: int = 8):
-        super().__init__()
-        self.beta = beta
-        self.grid = GridMap(3, 3, frozenset(), ((0, 0), (0, 0)), (None, None), {})
+        super().__init__(GridMap(3, 3, frozenset(), ((0, 0), (0, 0)), (None, None), {}), beta)
         self.cell_names = {}
         for y, row in enumerate(WILDFIRE_ROWS):
             for x, name in enumerate(row):
                 self.cell_names[(x, y)] = name
         self.cells_by_name = {v: k for k, v in self.cell_names.items()}
-        self.moves = _move_table(self.grid)
-        self.labels = LazyTable(self._label)
 
     def reset(self, seed: int) -> JointState:
         start = self.cells_by_name["a"]
@@ -334,12 +328,9 @@ class WildfireEnv(Environment):
         )
         return JointState(per, 0)
 
-    def step(self, state: JointState, action: JointAction) -> JointState:
-        self.check_step(state)
-        if action.per_trace not in self.valid_actions:
-            self.check_action(action)
-        (x1, y1, fires), (x2, y2, saved, early) = state.per_trace
-        a1, a2 = action.per_trace
+    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
+        (x1, y1, fires), (x2, y2, saved, early) = per_trace
+        a1, a2 = joint
         p1 = self.moves[x1, y1, a1]
         p2 = self.moves[x2, y2, a2]
         fires = fires - {self.cell_names[p1]}
@@ -349,8 +340,7 @@ class WildfireEnv(Environment):
                 early = True
             else:
                 saved = saved | {name2}
-        per = ((p1[0], p1[1], fires), (p2[0], p2[1], saved, early))
-        return JointState(per, state.step_count + 1)
+        return (p1[0], p1[1], fires), (p2[0], p2[1], saved, early)
 
     def label_of(self, state: JointState) -> tuple:
         fires = state.per_trace[0][2]
@@ -501,12 +491,9 @@ class PcpEnv(Environment):
         self._clear_words()
         return self._start
 
-    def step(self, state: JointState, action: JointAction) -> JointState:
-        self.check_step(state)
-        if action.per_trace not in self.valid_actions:
-            self.check_action(action)
+    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
         per = []
-        for slot, act in zip(state.per_trace, action.per_trace):
+        for slot, act in zip(per_trace, joint):
             seq, done = slot
             if done:
                 per.append(slot)
@@ -514,7 +501,7 @@ class PcpEnv(Environment):
                 per.append((seq, True))
             else:
                 per.append((seq + (self.domino_index[act],), False))
-        return JointState(tuple(per), state.step_count + 1)
+        return tuple(per)
 
     def _entry(self, slot) -> tuple:
         """The slot's `words` entry, made from its nearest kept ancestor's."""
@@ -625,7 +612,7 @@ def pcp_oracle(dominoes: DominoSet, max_len: int):
 # ---------------------------------------------------------------------------
 # Shared-resource grid
 
-class ResourceEnv(Environment):
+class ResourceEnv(_GridWorld):
     """Agents collect energy by arriving at the single resource cell.
 
     Energy increments on arrival (moving onto the cell), not while parked on
@@ -636,36 +623,27 @@ class ResourceEnv(Environment):
 
     kind = "resource"
     file_key = "map"
-    actions = GRID_ACTIONS
     metric_columns = ("min", "max", "avg")
 
     def __init__(self, grid: GridMap, beta: int = 100):
         resources = [c for c, tag in grid.special.items() if tag == "resource"]
         if len(resources) != 1:
             raise ValueError(f"resource grid needs exactly one resource cell, found {len(resources)}")
-        super().__init__()
-        self.grid = grid
+        super().__init__(grid, beta)
         self.resource = resources[0]
-        self.arity = len(grid.starts)
-        self.beta = beta
-        self.moves = _move_table(grid)
-        self.labels = LazyTable(self._label)
 
     def reset(self, seed: int) -> JointState:
         per = tuple((x, y, 0, False) for x, y in self.grid.starts)
         return JointState(per, 0)
 
-    def step(self, state: JointState, action: JointAction) -> JointState:
-        self.check_step(state)
-        if action.per_trace not in self.valid_actions:
-            self.check_action(action)
+    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
         res, moves = self.resource, self.moves
         per = []
-        for (x, y, energy, _), act in zip(state.per_trace, action.per_trace):
+        for (x, y, energy, _), act in zip(per_trace, joint):
             nxt = moves[x, y, act]
             arrived = nxt == res and (x, y) != res
             per.append((nxt[0], nxt[1], energy + (1 if arrived else 0), arrived))
-        return JointState(tuple(per), state.step_count + 1)
+        return tuple(per)
 
     def label_of(self, state: JointState) -> tuple:
         return tuple(map(self.labels.__getitem__, state.per_trace))

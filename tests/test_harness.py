@@ -428,15 +428,19 @@ def test_cmd_eval_rejects_unknown_action(tmp_path, capsys):
                              env=f"kind = grid\nmap = {hq.bundled('maps/cross4.map')}\nbeta = 4")
     assert cmd_train(cfg) == 0
     artifact = tmp_path / "grid" / "artifacts_3.txt"
+    trained = artifact.read_text().splitlines()
     start = "(0, 0, False, False)\t"  # agent 1's start state on cross4
-    lines = artifact.read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if line.startswith(start))
-    lines[first] = start + "jump"
-    artifact.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert cmd_eval(artifact, cfg) == 2
-    assert capsys.readouterr().err == \
-        f"error: {artifact}: policy 1 names action 'jump', which grid worlds lack\n"
+    first = next(i for i, line in enumerate(trained) if line.startswith(start))
+    reached = trained[:first] + [start + "jump"] + trained[first + 1:]
+    # a state off the map, which no replay reaches
+    policy_1 = trained.index("policy 1")
+    unreached = trained[:policy_1 + 1] + ["(9, 9, False, False)\tjump"] + trained[policy_1 + 1:]
+    for lines in (reached, unreached):
+        artifact.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cmd_eval(artifact, cfg) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: {artifact}: policy 1 names action 'jump', which grid worlds lack\n")
 
 
 def test_cmd_eval_missing_artifact(tmp_path):

@@ -345,6 +345,7 @@ class _LabelScript(Environment):
     actions = ("go",)
 
     def __init__(self, columns):
+        super().__init__()
         self.columns = columns
         self.arity = len(columns[0])
         self.beta = len(columns) - 1
@@ -352,8 +353,8 @@ class _LabelScript(Environment):
     def reset(self, seed):
         return JointState(("start",) * self.arity, 0)
 
-    def step(self, state, action):
-        return JointState(state.per_trace, state.step_count + 1)
+    def transition(self, per_trace, joint):
+        return per_trace
 
     def label_of(self, state):
         return self.columns[state.step_count]
@@ -370,6 +371,7 @@ class _PrefixScript(_LabelScript):
     kind = "prefix-script"
 
     def __init__(self, prefixes, arity):
+        Environment.__init__(self)
         self.prefixes = prefixes
         self.arity = arity
         self.beta = len(prefixes) - 1

@@ -8,6 +8,7 @@ import pytest
 import hyperq as hq
 from hyperq.env import (
     ArityMismatchError,
+    Environment,
     EpisodeExhaustedError,
     EpisodeRecord,
     InvalidActionError,
@@ -207,6 +208,42 @@ def test_step_rejects_bad_actions_after_valid_ones_are_known(kind):
             with pytest.raises(ArityMismatchError):
                 env.step(s, JointAction((first,) * arity))
     assert env.valid_actions == valid
+
+
+@pytest.mark.parametrize("kind", sorted(ENVIRONMENTS))
+def test_worlds_define_transition_and_inherit_step(kind):
+    cls = ENVIRONMENTS[kind]
+    assert cls.step is Environment.step
+    assert cls.transition is not Environment.transition
+
+
+class _Counter(Environment):
+    """A minimal world: each slot counts the steps its action was 'inc'."""
+
+    kind = "counter"
+    actions = ("inc", "hold")
+    arity = 2
+    beta = 2
+
+    def transition(self, per_trace, joint):
+        return tuple(n + (act == "inc") for n, act in zip(per_trace, joint))
+
+
+def test_base_step_checks_bound_and_actions_around_transition():
+    env = _Counter()
+    s = env.step(JointState((0, 0)), JointAction(("inc", "hold")))
+    assert s == JointState((1, 0), 1)
+    assert env.valid_actions == {("inc", "hold")}
+    for _ in range(2):   # a rejected tuple is not remembered
+        with pytest.raises(InvalidActionError):
+            env.step(s, JointAction(("inc", "jump")))
+        with pytest.raises(ArityMismatchError):
+            env.step(s, JointAction(("inc",)))
+    assert env.valid_actions == {("inc", "hold")}
+    s = env.step(s, JointAction(("inc", "inc")))
+    assert s == JointState((2, 1), 2)
+    with pytest.raises(EpisodeExhaustedError):
+        env.step(s, JointAction(("inc", "inc")))
 
 
 def test_step_does_not_mutate_input_state():
