@@ -3,11 +3,15 @@
 An environment advances one opaque state per trace slot under a joint action
 and exposes only reset/step/label observations; transition dynamics stay
 hidden from learners.  All bundled environments are deterministic given the
-reset seed, so stochasticity enters only through exploration.
+reset seed, so stochasticity enters only through exploration.  A run keeps
+what it has observed of one in a `StateTable`, keyed on small integer ids of
+the joint states it has seen.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .robustness import Label, Trace
@@ -40,22 +44,36 @@ class JointAction:
 
 @dataclass
 class EpisodeRecord:
-    """Everything one episode produced: states, actions, traces, robustness."""
+    """Everything one episode produced: states, actions, traces, robustness.
 
-    states: list = field(default_factory=list)      # visited JointStates, length steps+1
-    actions: list = field(default_factory=list)     # joint action tuples, length steps
-    traces: list = field(default_factory=list)      # one Trace per slot
-    rhos: list = field(default_factory=list)        # robustness after each step
+    A run keeps the visited states' slot states only; `states` makes the
+    JointStates from them when asked."""
+
+    slot_states: list = field(default_factory=list)  # visited states' per_trace, length steps+1
+    actions: list = field(default_factory=list)      # joint action tuples, length steps
+    traces: list = field(default_factory=list)       # one Trace per slot
+    rhos: list = field(default_factory=list)         # robustness after each step
     terminal_rho: float = 0.0
 
     @property
     def steps(self) -> int:
         return len(self.actions)
 
+    @property
+    def states(self) -> list:
+        """The visited JointStates, built from `slot_states` on each access."""
+        return [JointState(per_trace, t) for t, per_trace in enumerate(self.slot_states)]
+
 
 class Environment:
     """Base class; a concrete world implements the hidden dynamics as
     `transition`, and the base `step` does the bookkeeping around it.
+
+    `transition` and `label_of` depend on a state's `per_trace` alone, never
+    on its `step_count`: a run keeps one successor per joint state and joint
+    action, and one label column per joint state (see `StateTable`).  A
+    stochastic world would draw the effective action before the lookup, so
+    that `transition` stays a pure function.
 
     `kind` is the world's ``[environment] kind`` name and `file_key` the one
     other key it reads besides ``beta``: a map or domino file passed to the
@@ -101,6 +119,7 @@ class Environment:
         raise NotImplementedError
 
     def label_of(self, state: JointState) -> tuple:
+        """One `Label` per slot, a function of `state.per_trace` alone."""
         raise NotImplementedError
 
     # Slot states double as tabular learning keys.
@@ -136,3 +155,68 @@ class Environment:
             if a not in self.actions:
                 raise InvalidActionError(f"unknown action {a!r}")
         self.valid_actions.add(action.per_trace)
+
+
+@functools.lru_cache(maxsize=None)
+def _joint_actions(actions: tuple, arity: int) -> tuple:
+    """Every JointAction of `arity` slots over `actions`, in product order;
+    made once per alphabet, since `eval` starts two tables."""
+    return tuple(JointAction(a) for a in itertools.product(actions, repeat=arity))
+
+
+class StateTable:
+    """The joint states one run has seen, each under a small integer id.
+
+    A state's id is its index in `states`, which holds its slot states
+    (`per_trace`), and in `columns`, which holds its label column
+    (`label_of`), or None for a world with `trace_prefix`; `rows` holds what
+    `make_row(state)` made of it on its first visit (the learner's Q row).
+    `actions` are the world's joint actions, all combinations of `actions`
+    over the slots, and `index` maps a joint-action tuple to its position.
+    `successors[i * width + a]` is the id one step on from state i under
+    joint action a, or -1 until a run has taken that step, always through
+    `Environment.step`, so the episode bound and the action check stay
+    there.  Since `transition` and `label_of` read only `per_trace`, the
+    table is a pure cache: `start` begins it afresh once it holds more than
+    `limit` ids, and nothing a run computes changes.
+    """
+
+    limit = 2048
+
+    def __init__(self, env: Environment, make_row=None):
+        self.env = env
+        self.make_row = make_row
+        self.actions = _joint_actions(tuple(env.actions), env.arity)
+        self.index = {a.per_trace: k for k, a in enumerate(self.actions)}
+        self.width = len(self.actions)
+        self.unknown = [-1] * self.width   # the successors of a new id
+        self.ids: dict = {}
+        self.states: list = []
+        self.columns: list = []
+        self.rows: list = []
+        self.successors: list = []
+
+    def clear(self):
+        """Forget every id; the lists stay the same objects."""
+        for part in (self.ids, self.states, self.columns, self.rows, self.successors):
+            part.clear()
+
+    def start(self, state: JointState) -> int:
+        """The id of an episode's start state, after beginning the table
+        afresh when it is full; the table's first call, which finds out
+        whether the world labels its states."""
+        if not self.states or len(self.states) > self.limit:
+            self.clear()
+            self.labelled = self.env.trace_prefix(state) is None
+        return self.intern(state)
+
+    def intern(self, state: JointState) -> int:
+        """The id of `state`, given on its first visit."""
+        i = self.ids.get(state.per_trace)
+        if i is None:
+            i = self.ids[state.per_trace] = len(self.states)
+            self.states.append(state.per_trace)
+            self.columns.append(tuple(self.env.label_of(state)) if self.labelled else None)
+            self.rows.append(self.make_row(state) if self.make_row else None)
+            self.successors += self.unknown
+        return i

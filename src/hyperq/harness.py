@@ -170,17 +170,20 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         first = JointAction((env.actions[0],) * env.arity)
         try:
-            rollout(env, sk, self.hyperparams.config(), lambda state: first, self.seeds[0], 1)
+            rollout(env, sk, self.hyperparams.config(), lambda t, i: first, self.seeds[0], 1)
         except UnknownValuationError as exc:
             raise ConfigError(f"the formula reads valuation {exc.args[0]!r}, "
                               f"which {env.kind} labels lack") from exc
         return f, sk, env, beta
 
 
-def _unknown_action(path, policies: PolicySet, env: Environment) -> str | None:
-    """The error line for an artifact whose policies name an action `env`
-    lacks, or None when every action is one of `env.actions`."""
+def _foreign_policy(path, policies: PolicySet, env: Environment) -> str | None:
+    """The error line for an artifact with a policy for a slot `env` lacks,
+    or one that names an action `env` lacks; None when every policy fits."""
     for index, table in sorted(policies.policies.items()):
+        if not 1 <= index <= env.arity:
+            return (f"error: {path}: policy {index} is for a slot {env.kind} worlds lack "
+                    f"(they have {env.arity})")
         for action in table.values():
             if action not in env.actions:
                 return (f"error: {path}: policy {index} names action {action!r}, "
@@ -282,6 +285,8 @@ def read_artifacts(path) -> tuple:
                 _, index = line.split()
                 current_policy = int(index)
                 current_witness = None
+                if current_policy in policies.policies:
+                    raise ValueError(f"a second section policy {current_policy}")
                 policies.policies[current_policy] = {}
             elif line.startswith("witness "):
                 head, deps_part = line.split(" deps=")
@@ -400,9 +405,9 @@ def cmd_eval(policy_path, config_path) -> int:
     except (ArtifactMissingError, ArtifactFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    unknown = _unknown_action(policy_path, policies, env)
-    if unknown:
-        print(unknown, file=sys.stderr)
+    foreign = _foreign_policy(policy_path, policies, env)
+    if foreign:
+        print(foreign, file=sys.stderr)
         return 2
     rob_cfg = cfg.hyperparams.config()
     record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)

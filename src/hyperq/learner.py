@@ -3,10 +3,14 @@
 One action-value function is learned over the joint state/action space of all
 trace slots; the per-step reward is the robustness of the episode prefix
 evaluated against the skolemized body, so no hand-written reward function is
-involved.  The episode's tracker keeps the zipped prefix and scores it with
-a `PrefixEvaluator`, which recomputes each subformula only from the lowest
-position that changed since the previous step; the terminal reward is the
-last step's.  Each `train` call checks its final greedy episode's terminal
+involved.  A run interns each joint state it meets in a `StateTable`: one
+integer id per joint state, under which the table keeps its successors, its
+label column and its Q row, so a step the run has taken before is a list
+lookup, and each joint state is encoded and hashed once per id rather than
+once per step.  The episode's tracker keeps the zipped prefix and scores it
+with a `PrefixEvaluator`, which recomputes each subformula only from the
+lowest position that changed since the previous step; the terminal reward is
+the last step's.  Each `train` call checks its final greedy episode's terminal
 reward against one from-scratch evaluation of the world's traces.  Per-slot
 greedy policies and witness tables for existential quantifiers are projected
 out of the trained function.
@@ -17,10 +21,10 @@ stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .env import ArityMismatchError, Environment, EpisodeRecord, JointAction, JointState
+from .env import (ArityMismatchError, Environment, EpisodeRecord, JointAction, JointState,
+                  StateTable)
 from .formula import Formula
 from .rng import Stream
 from .robustness import (LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, _unchanged,
@@ -89,12 +93,24 @@ class QRow(list):
     __slots__ = ("tried",)
 
 
+def greedy(row: QRow, prefer_tried: bool = False) -> int:
+    """Greedy action index of a row, lowest index winning ties.
+
+    With prefer_tried, actions that have received at least one update are
+    ranked ahead of the optimistic default; rollouts of the final policy
+    use this so one never-explored action cannot outrank a learned path.
+    """
+    if prefer_tried and row.tried:
+        return max((i for i in range(len(row)) if row.tried >> i & 1), key=row.__getitem__)
+    return row.index(max(row))
+
+
 class TabularQ:
     """Action values keyed on encoded joint states, every entry starting at 0.0.
 
-    `table` maps a key to its `QRow`, made on the key's first update.  A row
-    holds plain floats, so greedy lookups are `max` and `index` over it; its
-    `tried` bitmask lets extraction tell learned values from the default.
+    `table` maps a key to its `QRow`, made when `row` first asks for it.  A
+    row holds plain floats, so greedy lookups are `max` and `index` over it;
+    its `tried` bitmask lets extraction tell learned values from the default.
     """
 
     def __init__(self, n_actions: int):
@@ -113,19 +129,9 @@ class TabularQ:
         return row
 
     def best(self, key, prefer_tried: bool = False) -> int:
-        """Greedy action index, lowest index winning ties.
-
-        With prefer_tried, actions that have received at least one update are
-        ranked ahead of the optimistic default; rollouts of the final policy
-        use this so one never-explored action cannot outrank a learned path.
-        """
+        """`greedy` of the key's row; 0 for a key without one."""
         row = self.table.get(key)
-        if row is None:
-            return 0
-        if prefer_tried and row.tried:
-            return max((i for i in range(self.n_actions) if row.tried >> i & 1),
-                       key=row.__getitem__)
-        return row.index(max(row))
+        return 0 if row is None else greedy(row, prefer_tried)
 
 
 def _canon(value):
@@ -187,15 +193,14 @@ def immediate_reward(traces, sk: SkolemizedFormula, cfg: RobustnessConfig) -> fl
     return eval_hyper(traces, sk, cfg)
 
 
-def q_update(q: TabularQ, s_key, action_idx: int, reward: float, s_next_key, h: Hyperparams,
+def q_update(row: QRow, action_idx: int, reward: float, next_row, h: Hyperparams,
              done: bool = False):
-    """One Bellman backup toward reward + gamma * max value of the next state."""
-    bootstrap = 0.0 if done else h.gamma * max(q.table.get(s_next_key, q.zeros))
-    row = q.row(s_key)
+    """One Bellman backup of `row` toward reward + gamma * the largest value
+    of `next_row`, the next state's action values."""
+    bootstrap = 0.0 if done else h.gamma * max(next_row)
     old = row[action_idx]
     row[action_idx] = old + h.learning_rate * (reward + bootstrap - old)
     row.tried |= 1 << action_idx
-    return q
 
 
 def episode_bound(env: Environment, sk: SkolemizedFormula, h: Hyperparams) -> int:
@@ -216,17 +221,18 @@ class _EpisodeTracker:
     """The zipped columns of one episode's prefix, one tuple of labels per
     position, scored incrementally.
 
-    A world without `trace_prefix` appends the column `label_of` returns at
-    each step.  A world with it (the domino game) may rewrite earlier
-    positions, and reports each step's rewrite with `trace_delta(prev,
-    state)`: the lowest position it rewrote and the columns from there on.
-    `rho` re-scores the prefix with `evaluator` from the lowest position
-    changed since its last call, and returns its last value when no position
-    changed (a domino episode whose sequences have both terminated).
+    A world without `trace_prefix` has its label column appended at each
+    step: `column` at the start and each `advance`'s.  A world with it (the
+    domino game) may rewrite earlier positions, and reports each step's
+    rewrite with `trace_delta(prev, state)`: the lowest position it rewrote
+    and the columns from there on.  `rho` re-scores the prefix with
+    `evaluator` from the lowest position changed since its last call, and
+    returns its last value when no position changed (a domino episode whose
+    sequences have both terminated).
     """
 
     def __init__(self, env: Environment, state: JointState,
-                 evaluator: PrefixEvaluator | None = None):
+                 evaluator: PrefixEvaluator | None = None, column: tuple | None = None):
         self.env = env
         self.evaluator = evaluator
         self.state = state
@@ -241,9 +247,11 @@ class _EpisodeTracker:
                 raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
             self.columns = list(zip(*slots))
         else:
-            self.columns = [tuple(env.label_of(state))]
+            self.columns = [column]
 
-    def advance(self, state: JointState):
+    def advance(self, state: JointState, column: tuple | None = None):
+        """Move on to `state`, whose label column is `column` in a world
+        without `trace_prefix`."""
         if self.hooked:
             lo, tail = self.env.trace_delta(self.state, state)
             if lo > len(self.columns):
@@ -259,7 +267,7 @@ class _EpisodeTracker:
             self.state = state
         else:
             self.changed = min(self.changed, len(self.columns))
-            self.columns.append(tuple(self.env.label_of(state)))
+            self.columns.append(column)
 
     def rho(self) -> float:
         """Robustness of the prefix; the minimum while it is empty."""
@@ -276,29 +284,49 @@ class _EpisodeTracker:
 
 
 def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choose,
-            seed: int, beta: int, on_step=None) -> EpisodeRecord:
+            seed: int, beta: int, on_step=None, table: StateTable | None = None) -> EpisodeRecord:
     """Run one episode of `beta` steps, scoring every prefix by its robustness.
 
-    `choose(state)` returns the JointAction to take; `on_step(state, action,
-    next_state, rho)` runs after each step.  The terminal robustness is the
-    last step's, which scores the whole episode; an episode without steps
-    scores its start prefix.
+    The episode's joint states are interned in `table` (a fresh one when
+    None), and a step the table has seen is looked up, not taken again.
+    `choose(t, i)` returns the JointAction to take at step t (counted from
+    0) from the joint state with id i; `on_step(t, i, a, n, rho)` runs after
+    it, with a the action's index in `table.actions` and n the id of the
+    state it led to.  Steps past the world's own bound go through
+    `env.step`, which raises.  The terminal robustness is the last step's,
+    which scores the whole episode; an episode without steps scores its
+    start prefix.
     """
+    if table is None:
+        table = StateTable(env)
     record = EpisodeRecord()
-    state = env.reset(seed)
-    record.states.append(state)
-    tracker = _EpisodeTracker(env, state, PrefixEvaluator(sk.plan, sk.arity, cfg))
-    for _ in range(beta):
-        action = choose(state)
-        nxt = env.step(state, action)
-        tracker.advance(nxt)
+    start = env.reset(seed)
+    i = table.start(start)
+    tracker = _EpisodeTracker(env, start, PrefixEvaluator(sk.plan, sk.arity, cfg), table.columns[i])
+    hooked = tracker.hooked
+    states, columns, successors, index, width = (table.states, table.columns, table.successors,
+                                                 table.index, table.width)
+    slot_states, actions, rhos = record.slot_states, record.actions, record.rhos
+    slot_states.append(start.per_trace)
+    bound = min(beta, env.beta)
+    state = start   # the current JointState, or None where the loop built none
+    for t in range(beta):
+        action = choose(t, i)
+        a = index.get(action.per_trace)
+        if a is None or t >= bound or (n := successors[i * width + a]) < 0:
+            # raises for a joint action outside `index` and past the bound
+            state = env.step(state or JointState(states[i], t), action)
+            n = successors[i * width + a] = table.intern(state)
+        else:   # only a world with `trace_delta` reads the JointState
+            state = JointState(states[n], t + 1) if hooked else None
+        tracker.advance(state, columns[n])
         rho = tracker.rho()
         if on_step is not None:
-            on_step(state, action, nxt, rho)
-        record.states.append(nxt)
-        record.actions.append(action.per_trace)
-        record.rhos.append(rho)
-        state = nxt
+            on_step(t, i, a, n, rho)
+        slot_states.append(states[n])
+        actions.append(action.per_trace)
+        rhos.append(rho)
+        i = n
     record.traces = tracker.traces()
     record.terminal_rho = record.rhos[-1] if record.rhos else tracker.rho()
     return record
@@ -315,32 +343,24 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     sk = skolemize(f)
     beta = episode_bound(env, sk, h)
     cfg = h.config()
-    joint_actions = [JointAction(a) for a in itertools.product(env.actions, repeat=env.arity)]
-    action_index = {a.per_trace: i for i, a in enumerate(joint_actions)}
-    q = TabularQ(len(joint_actions))
+    # each joint state is encoded once, when the table gives it its id
+    table = StateTable(env, lambda state: q.row(env.encode(state)))
+    joint_actions, rows, n_actions = table.actions, table.rows, table.width
+    q = TabularQ(n_actions)
     baseline = h.reward_mode == "baseline"
 
-    # a step's learn encodes its new state, which the next step's explore
-    # (or learn) asks for again: keep the last key so each state is encoded once
-    last_state = last_key = None
-
-    def encode(state):
-        nonlocal last_state, last_key
-        if state is not last_state:
-            last_state, last_key = state, env.encode(state)
-        return last_key
-
     # explore and learn see the ep_rng and eps of the episode being run
-    def explore(state):
+    def explore(t, i):
         if ep_rng.random() < eps:
-            return joint_actions[ep_rng.integers(len(joint_actions))]
-        return joint_actions[q.best(encode(state))]
+            return joint_actions[ep_rng.integers(n_actions)]
+        row = rows[i]
+        return joint_actions[row.index(max(row))]
 
-    def learn(state, action, nxt, rho):
-        reward = env.baseline_reward(state, action, nxt) if baseline else rho
-        a_idx = action_index[action.per_trace]
-        q_update(q, encode(state), a_idx, reward, encode(nxt), h,
-                 done=nxt.step_count >= beta)
+    def learn(t, i, a, n, rho):
+        if baseline:
+            rho = env.baseline_reward(JointState(table.states[i], t), joint_actions[a],
+                                      JointState(table.states[n], t + 1))
+        q_update(rows[i], a, rho, rows[n], h, done=t + 1 >= beta)
 
     metrics = TrainMetrics(["episode", *env.metric_columns, "rho"])
     previous: dict = {}
@@ -348,13 +368,13 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
         # per-episode stream: episode e explores identically whatever xi is
         ep_rng = Stream((seed, episode))
         eps = h.epsilon(episode)
-        record = rollout(env, sk, cfg, explore, seed, beta, learn)
+        record = rollout(env, sk, cfg, explore, seed, beta, learn, table)
         previous = {"episode": episode, **env.episode_metrics(record, previous),
                     "rho": record.terminal_rho}
         metrics.rows.append(previous)
 
-    final = rollout(env, sk, cfg,
-                    lambda s: joint_actions[q.best(encode(s), prefer_tried=True)], seed, beta)
+    final = rollout(env, sk, cfg, lambda t, i: joint_actions[greedy(rows[i], prefer_tried=True)],
+                    seed, beta, table=table)
     # the one from-scratch evaluation: of the world's own traces (a
     # `trace_prefix` world's from the last state, not from its step deltas)
     traces = env.trace_prefix(final.states[-1])
@@ -375,11 +395,10 @@ def extract_policies(env: Environment, sk: SkolemizedFormula, record: EpisodeRec
     """
     policies = PolicySet({i + 1: {} for i in range(env.arity)})
     witnesses = [WitnessTable(d.exist_index, d.deps) for d in sk.decls]
-    tracker = _EpisodeTracker(env, record.states[0])
     for t, state in enumerate(record.states):
-        if t:
-            tracker.advance(state)
-        traces = tracker.traces()
+        traces = env.trace_prefix(state)
+        if traces is None:
+            traces = [trace.prefix(t + 1) for trace in record.traces]
         for table in witnesses:
             e = table.exist_index - 1
             key = witness_key(tuple(traces[j - 1] for j in table.deps))
@@ -398,9 +417,10 @@ def greedy_rollout(policies: PolicySet, env: Environment, sk: SkolemizedFormula,
     States never seen during extraction fall back to the first action.
     """
     default = env.actions[0]
+    table = StateTable(env)
 
-    def choose(state):
-        return JointAction(tuple(policies.action_for(i + 1, slot, default)
-                                 for i, slot in enumerate(state.per_trace)))
+    def choose(t, i):
+        return JointAction(tuple(policies.action_for(k + 1, slot, default)
+                                 for k, slot in enumerate(table.states[i])))
 
-    return rollout(env, sk, cfg, choose, seed, beta)
+    return rollout(env, sk, cfg, choose, seed, beta, table=table)

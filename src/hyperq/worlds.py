@@ -5,24 +5,22 @@ Grid conventions: coordinates are (x, y) with y growing upward, moves that hit
 a wall or the boundary leave the agent in place, and the scalar cell index
 exposed to formulas is column-ordered: ``cell = x * height + y``.
 
-The grid worlds look moves and labels up rather than rebuild them every step.
-Each grid world instance keeps two `LazyTable`s (see `_GridWorld`), dicts
-that make a missing entry from its key on first use, so they fill only as
-states are visited.  The move table maps ``(x, y, action)`` to the cell `_move` leads to.  The label table
-maps a slot's observation to one shared `Label`: ``(slot index, cell,
-collision)`` in the goal-seeking grid, the slot state ``(x, y, energy,
-arrived)`` in the resource grid and ``(x, y, burning)`` in the wildfire grid.
-The goal-seeking grid keeps a third table, from a joint state's `per_trace`
-to its label column and whether two agents share a cell, so `label_of`
-returns one shared tuple per joint state and `episode_stats` reads the same
-table.  The resource grid keeps none: its energy grows without bound, so its
-joint states rarely repeat.  The domino game keeps one module-wide table of
-labels per letter pair, and per instance the words and labels of the
-episode's slots (see `PcpEnv`).  Since labels and columns are shared,
-nothing may mutate one.
-
 Each world defines its dynamics as `transition`; `Environment.step` checks
-the episode bound and the joint action around it.
+the episode bound and the joint action around it.  A run steps once per
+joint state and joint action it meets, and labels each joint state once: its
+`StateTable` keeps the successors and the label column of each joint state,
+so the worlds keep no table keyed on joint states.
+
+The grid worlds look moves and labels up rather than rebuild them.  Each
+grid world instance keeps two `LazyTable`s (see `_GridWorld`), dicts that
+make a missing entry from its key on first use, so they fill only as states
+are visited.  The move table maps ``(x, y, action)`` to the cell `_move`
+leads to.  The label table maps a slot's observation to one shared `Label`:
+``(slot index, cell, collision)`` in the goal-seeking grid, the slot state
+``(x, y, energy, arrived)`` in the resource grid and ``(x, y, burning)`` in
+the wildfire grid.  The domino game keeps one module-wide table of labels
+per letter pair, and per instance the words and labels of the episode's
+slots (see `PcpEnv`).  Since labels are shared, nothing may mutate one.
 """
 
 from __future__ import annotations
@@ -229,7 +227,6 @@ class GridWorldEnv(_GridWorld):
         if missing:
             raise ValueError(f"map gives no goal for agent(s) {missing}")
         super().__init__(grid, beta)
-        self.columns = LazyTable(self._column)
 
     def reset(self, seed: int) -> JointState:
         starts = self.grid.starts
@@ -245,14 +242,9 @@ class GridWorldEnv(_GridWorld):
                       for i, ((_, _, done, col), cell) in enumerate(zip(per_trace, moved))])
 
     def label_of(self, state: JointState) -> tuple:
-        return self.columns[state.per_trace][0]
-
-    def _column(self, per_trace) -> tuple:
-        """(the slots' labels, whether two agents share a cell)."""
-        cells = [(x, y) for x, y, _, _ in per_trace]
+        cells = [(x, y) for x, y, _, _ in state.per_trace]
         labels = self.labels
-        column = tuple([labels[i, cell, cells.count(cell) > 1] for i, cell in enumerate(cells)])
-        return column, len(set(cells)) < len(cells)
+        return tuple([labels[i, cell, cells.count(cell) > 1] for i, cell in enumerate(cells)])
 
     def _label(self, key) -> Label:
         i, cell, collision = key
@@ -269,9 +261,10 @@ class GridWorldEnv(_GridWorld):
 
     def episode_stats(self, record) -> dict:
         """Whether every agent visited its goal, and the steps with a shared cell."""
-        done = all(flag for _, _, flag, _ in record.states[-1].per_trace)
-        columns = self.columns
-        collisions = sum([columns[s.per_trace][1] for s in record.states[1:]])
+        done = all(flag for _, _, flag, _ in record.slot_states[-1])
+        collisions = 0
+        for per_trace in record.slot_states[1:]:
+            collisions += len({(x, y) for x, y, _, _ in per_trace}) < len(per_trace)
         return {"done": int(done), "collisions": collisions}
 
     def episode_metrics(self, record, previous: dict) -> dict:
@@ -568,7 +561,7 @@ class PcpEnv(Environment):
         return top == bot
 
     def episode_metrics(self, record, previous: dict) -> dict:
-        match = self.match_achieved(record.states[-1].per_trace[-1])
+        match = self.match_achieved(record.slot_states[-1][-1])
         return {"tot_done": previous.get("tot_done", 0) + int(match)}
 
     def baseline_reward(self, prev_state, action, next_state) -> float:
@@ -669,7 +662,7 @@ class ResourceEnv(_GridWorld):
         return (positions, gap)
 
     def episode_metrics(self, record, previous: dict) -> dict:
-        energies = [e for _, _, e, _ in record.states[-1].per_trace]
+        energies = [e for _, _, e, _ in record.slot_states[-1]]
         return {"min": float(min(energies)), "max": float(max(energies)),
                 "avg": sum(energies) / len(energies)}
 

@@ -377,11 +377,15 @@ def test_cmd_eval_malformed_artifact(tmp_path, capsys):
                        ("witness 2 deps=\np |\tq |\t\n", 2),
                        ("witness 3 deps=1,2\np |\tq |\t\n", 2),
                        # Latin-1 bytes: 0xe9 is not UTF-8
-                       ("policy 1\n('caf\xe9',)\tstay\n", 2)):
+                       ("policy 1\n('caf\xe9',)\tstay\n", 2),
+                       # a repeated section would drop the first one's entries
+                       ("policy 1\n(0, 0)\tstay\npolicy 2\npolicy 1\n", 4)):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(text.encode("latin-1"))
         assert cmd_eval(bad, cfg) == 2, text
-        assert f"bad.txt:{line}: malformed artifact line" in capsys.readouterr().err, text
+        err = capsys.readouterr().err
+        assert f"bad.txt:{line}: malformed artifact line" in err and err.count("\n") == 1, text
+    assert "(a second section policy 1)" in err
     assert cmd_eval(tmp_path, cfg) == 2   # a directory
     err = capsys.readouterr().err
     assert err.startswith(f"error: artifact file {tmp_path} cannot be read: ") \
@@ -441,6 +445,19 @@ def test_cmd_eval_rejects_unknown_action(tmp_path, capsys):
         assert cmd_eval(artifact, cfg) == 2
         assert capsys.readouterr() == \
             ("", f"error: {artifact}: policy 1 names action 'jump', which grid worlds lack\n")
+
+
+def test_cmd_eval_rejects_a_policy_for_a_slot_the_world_lacks(tmp_path, capsys):
+    cfg = write_micro_config(tmp_path, xi=5, reps=1)
+    assert cmd_train(cfg) == 0
+    artifact = tmp_path / "out" / "artifacts_3.txt"
+    trained = artifact.read_text()
+    for index in (7, 0):
+        artifact.write_text(trained + f"policy {index}\n(0, 0, frozenset())\tstay\n")
+        capsys.readouterr()
+        assert cmd_eval(artifact, cfg) == 2
+        assert capsys.readouterr() == ("", f"error: {artifact}: policy {index} is for a slot "
+                                           "wildfire worlds lack (they have 2)\n")
 
 
 def test_cmd_eval_missing_artifact(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 import hyperq as hq
 import hyperq.learner as learner
-from hyperq.env import ArityMismatchError, Environment, JointAction, JointState
+from hyperq.env import (ArityMismatchError, EpisodeExhaustedError, Environment, InvalidActionError,
+                        JointAction, JointState, StateTable)
 from hyperq.formula import children_of
 from hyperq.learner import (
     Hyperparams,
@@ -31,7 +32,7 @@ from hyperq.robustness import (
     zip_traces,
 )
 from hyperq.skolem import check_consistency, skolemize
-from hyperq.harness import write_artifacts
+from hyperq.harness import ExperimentConfig, write_artifacts
 from hyperq.worlds import PcpEnv, ResourceEnv, WildfireEnv, load_domino_file, load_map_file
 
 from oracles import naive_eval, random_formula, random_label, signed_eval, value_iteration
@@ -46,7 +47,7 @@ def rescue_formula():
 def test_q_update_degenerate_bellman():
     h = Hyperparams(gamma=0.0, learning_rate=1.0)
     q = TabularQ(2)
-    q_update(q, "s", 0, 7.5, "s2", h)
+    q_update(q.row("s"), 0, 7.5, q.values("s2"), h)
     assert q.values("s")[0] == 7.5
 
 
@@ -64,7 +65,7 @@ def test_q_update_matches_value_iteration_on_chain():
     for _ in range(200):
         for s in (1, 0):
             for a in (0, 1):
-                q_update(q, s, a, reward(s, a), transition(s, a), h)
+                q_update(q.row(s), a, reward(s, a), q.values(transition(s, a)), h)
     for s in (0, 1):
         for a in (0, 1):
             assert abs(q.values(s)[a] - oracle[s][a]) < 1e-6
@@ -139,7 +140,8 @@ def test_tabular_q_agrees_with_the_none_based_table():
         for _ in range(rng.randint(1, 8)):
             args = (rng.choice(keys), rng.randrange(n), rng.choice((0.0, -0.0, 1.0, -0.5)),
                     rng.choice(keys), h, rng.random() < 0.2)
-            q_update(q, *args)
+            s_key, a, reward, s_next_key, *rest = args
+            q_update(q.row(s_key), a, reward, q.values(s_next_key), *rest)
             oracle.update(*args)
         for key in keys:
             assert _bits(q.values(key)) == _bits(oracle.values(key))
@@ -318,6 +320,79 @@ def test_train_encodes_each_state_once(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+class _Still(Environment):
+    """A world of one joint state, which every joint action keeps."""
+
+    kind = "still"
+    actions = ("go", "wait")
+    arity = 2
+    beta = 3
+
+    def reset(self, seed):
+        return JointState(("here", "here"), 0)
+
+    def transition(self, per_trace, joint):
+        return per_trace
+
+    def label_of(self, state):
+        return (Label(frozenset({"p"}), {}),) * self.arity
+
+
+def test_step_checks_still_fire_on_a_warm_table():
+    env = _Still()
+    sk = skolemize(hq.parse_formula("forall t1. forall t2. G p@t1"))
+    table = StateTable(env)
+    for action in table.actions:
+        rollout(env, sk, CFG, lambda t, i: action, 0, env.beta, table=table)
+    assert len(table.states) == 1 and -1 not in table.successors   # every step is known
+    go = JointAction(("go", "go"))
+    with pytest.raises(EpisodeExhaustedError):
+        rollout(env, sk, CFG, lambda t, i: go, 0, env.beta + 1, table=table)
+    with pytest.raises(InvalidActionError):
+        rollout(env, sk, CFG, lambda t, i: JointAction(("go", "jump")), 0, env.beta, table=table)
+    for arity in (1, 3):
+        with pytest.raises(ArityMismatchError):
+            rollout(env, sk, CFG, lambda t, i: JointAction(("go",) * arity), 0, env.beta,
+                    table=table)
+
+
+def _outputs(tmp_path, name, result):
+    with open(tmp_path / f"run_{name}.csv", "w", encoding="utf-8", newline="\n") as fh:
+        result.metrics.write_csv(fh)
+    write_artifacts(tmp_path / f"artifacts_{name}.txt", result)
+    return [(tmp_path / f"{stem}_{name}.{ext}").read_bytes()
+            for stem, ext in (("run", "csv"), ("artifacts", "txt"))]
+
+
+@pytest.mark.parametrize("config, xi", [("fairness-4x4.ini", 12), ("safe-rl-4x4.ini", 80)])
+def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, config, xi):
+    cfg = ExperimentConfig.load(hq.bundled(f"configs/{config}"))
+    f, _, env, _ = cfg.setup()
+    h = cfg.hyperparams
+    h.xi = xi
+    unbounded = _outputs(tmp_path, "unbounded", train(env, f, h, seed=2))
+    checked = []
+
+    class Checked(StateTable):
+        limit = 8
+
+        def clear(self):
+            # every id's successors and column are what the world computes anew
+            for i, per_trace in enumerate(self.states):
+                state = JointState(per_trace)
+                assert self.columns[i] == tuple(env.label_of(state))
+                for a, n in enumerate(self.successors[i * self.width:(i + 1) * self.width]):
+                    if n >= 0:
+                        assert self.states[n] == env.transition(per_trace,
+                                                                self.actions[a].per_trace)
+            checked.append(len(self.states))
+            super().clear()
+
+    monkeypatch.setattr(learner, "StateTable", Checked)
+    assert _outputs(tmp_path, "bounded", train(env, f, h, seed=2)) == unbounded
+    assert len(checked) > xi // 2 and max(checked) > Checked.limit
+
+
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
         Hyperparams(gamma=1.5)
@@ -339,7 +414,9 @@ def test_hyperparams_validation():
 # Per-step rewards of rollout against the naive oracle
 
 class _LabelScript(Environment):
-    """Append-only world: after t steps the prefix is columns[0..t]."""
+    """Append-only world: after t steps the prefix is columns[0..t].  Each
+    slot state is the step count, so that `label_of` and `trace_delta` read
+    the slot states alone."""
 
     kind = "label-script"
     actions = ("go",)
@@ -351,13 +428,13 @@ class _LabelScript(Environment):
         self.beta = len(columns) - 1
 
     def reset(self, seed):
-        return JointState(("start",) * self.arity, 0)
+        return JointState((0,) * self.arity, 0)
 
     def transition(self, per_trace, joint):
-        return per_trace
+        return tuple(t + 1 for t in per_trace)
 
     def label_of(self, state):
-        return self.columns[state.step_count]
+        return self.columns[state.per_trace[0]]
 
     def prefix(self, t):
         return [Trace(labels) for labels in zip(*self.columns[:t + 1])]
@@ -377,10 +454,10 @@ class _PrefixScript(_LabelScript):
         self.beta = len(prefixes) - 1
 
     def trace_prefix(self, state):
-        return tuple(self.prefix(state.step_count))
+        return tuple(self.prefix(state.per_trace[0]))
 
     def trace_delta(self, prev, state):
-        old, new = self.prefixes[prev.step_count], self.prefixes[state.step_count]
+        old, new = self.prefixes[prev.per_trace[0]], self.prefixes[state.per_trace[0]]
         lo = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
                   min(len(old), len(new)))
         return lo, new[lo:]
@@ -405,7 +482,7 @@ def _rewrite_script(rng, arity, steps, make_label=lambda rng: random_label(rng, 
 
 
 def _assert_rewards_match_oracle(env, sk):
-    record = rollout(env, sk, CFG, lambda s: JointAction(("go",) * env.arity), 0, env.beta)
+    record = rollout(env, sk, CFG, lambda t, i: JointAction(("go",) * env.arity), 0, env.beta)
     assert len(record.rhos) == env.beta
     for t, rho in enumerate(record.rhos, start=1):
         traces = env.prefix(t)
@@ -456,7 +533,7 @@ def _signed_zero_formula(body):
 
 
 def _assert_rewards_match_from_scratch(env, sk):
-    record = rollout(env, sk, CFG, lambda s: JointAction(("go",) * env.arity), 0, env.beta)
+    record = rollout(env, sk, CFG, lambda t, i: JointAction(("go",) * env.arity), 0, env.beta)
     for t, rho in enumerate(record.rhos, start=1):
         traces = env.prefix(t)
         if any(len(tr) == 0 for tr in traces):
@@ -507,7 +584,7 @@ def test_rollout_reuses_rho_once_both_domino_sequences_terminated(monkeypatch):
     monkeypatch.setattr(PrefixEvaluator, "update",
                         lambda self, *args: updates.append(self) or update(self, *args))
     actions = iter(script + [("dom_2", "dom_1")] * (env.beta - len(script)))
-    record = rollout(env, sk, CFG, lambda s: JointAction(next(actions)), 0, env.beta)
+    record = rollout(env, sk, CFG, lambda t, i: JointAction(next(actions)), 0, env.beta)
     assert record.states[len(script)].per_trace == (((2,), True), ((2, 1, 3), True))
     # the tracker's evaluator scores the steps up to both terminations only
     assert updates.count(updates[0]) == len(script)
@@ -552,7 +629,7 @@ def _kernel_label(rng):
 
 
 def _assert_rewards_match_all(env, sk):
-    record = rollout(env, sk, CFG, lambda s: JointAction(("go",) * env.arity), 0, env.beta)
+    record = rollout(env, sk, CFG, lambda t, i: JointAction(("go",) * env.arity), 0, env.beta)
     for t, rho in enumerate(record.rhos, start=1):
         traces = env.prefix(t)
         if any(len(tr) == 0 for tr in traces):
@@ -610,7 +687,7 @@ class _LateDelta(_PrefixScript):
 
     def trace_delta(self, prev, state):
         lo, tail = super().trace_delta(prev, state)
-        if lo < len(self.prefixes[prev.step_count]):
+        if lo < len(self.prefixes[prev.per_trace[0]]):
             return lo + 1, tail[1:]
         return lo, tail
 
@@ -640,7 +717,7 @@ def test_rollout_rejects_unequal_slot_lengths():
     for columns in ([(label,) * 3], [(label,) * 2, (label,) * 2, (label,)]):
         env = _PrefixScript([[], columns], 2)
         with pytest.raises(LengthMismatchError):
-            rollout(env, sk, CFG, lambda s: JointAction(("go", "go")), 0, 1)
+            rollout(env, sk, CFG, lambda t, i: JointAction(("go", "go")), 0, 1)
     env = _PrefixScript([[]], 2)
     env.trace_prefix = lambda state: (Trace((label,) * 2), Trace((label,)))
     with pytest.raises(LengthMismatchError):
@@ -648,14 +725,14 @@ def test_rollout_rejects_unequal_slot_lengths():
     env = _PrefixScript([[], [(label,) * 2]], 2)
     env.trace_delta = lambda prev, state: (1, [(label,) * 2])
     with pytest.raises(LengthMismatchError):
-        rollout(env, sk, CFG, lambda s: JointAction(("go", "go")), 0, 1)
+        rollout(env, sk, CFG, lambda t, i: JointAction(("go", "go")), 0, 1)
 
 
 def test_rollout_empty_slot_scores_minimum():
     sk = skolemize(hq.parse_formula("forall t1. forall t2. F true | G true"))
     full = [(random_label(random.Random(3)),) * 2] * 2
     env = _PrefixScript([[], [], full], 2)
-    record = rollout(env, sk, CFG, lambda s: JointAction(("go", "go")), 0, 2)
+    record = rollout(env, sk, CFG, lambda t, i: JointAction(("go", "go")), 0, 2)
     assert record.rhos == [CFG.rho_min, CFG.rho_max]
     assert record.traces == env.prefix(2)
     assert _EpisodeTracker(env, env.reset(0)).traces() == [Trace(), Trace()]

@@ -14,6 +14,7 @@ from hyperq.env import (
     InvalidActionError,
     JointAction,
     JointState,
+    StateTable,
 )
 from hyperq.harness import cmd_train
 from hyperq.learner import Hyperparams, _EpisodeTracker, episode_bound, rollout
@@ -472,8 +473,8 @@ def test_pcp_rewards_match_naive_oracle(name):
     rng = random.Random(name)
     dominoes = env.actions[:-1]
 
-    def choose(state):
-        t = state.step_count + 1
+    def choose(t, i):
+        t += 1
         return JointAction(tuple("dom_#" if t == end else rng.choice(dominoes) for end in ends))
 
     for _ in range(16):
@@ -612,31 +613,34 @@ def _label_key(env, state, i):
 def _walk_labels(env, seed, episodes=3):
     """Label every state of random episodes; check each joint state's column
     against the field-by-field reference, that one key always yields one
-    label object and one joint state one column (in the goal-seeking grid,
-    which keeps a table of columns, one tuple), and that the grid's episode
-    statistics count the steps whose reference labels show a collision.
-    Returns the slot labels seen, as (slot, state, label) triples."""
+    label object and one joint state one column (the one tuple a
+    `StateTable` keeps per id), and that the grid's episode statistics count
+    the steps whose reference labels show a collision.  Returns the slot
+    labels seen, as (slot, state, label) triples."""
     rng = random.Random(seed)
     shared = {}
     columns = {}
     seen = []
+    table = StateTable(env)
     for _ in range(episodes):
         s = env.reset(0)
-        record = EpisodeRecord(states=[s])
+        i = table.start(s)
+        record = EpisodeRecord(slot_states=[s.per_trace])
         while True:
             labels = env.label_of(s)
             assert labels == reference_labels(env, s)
-            first = columns.setdefault(s.per_trace, labels)
-            if isinstance(env, GridWorldEnv):
-                assert first is labels
-            for i, label in enumerate(labels):
-                assert first[i] is label
-                assert shared.setdefault(_label_key(env, s, i), label) is label
-                seen.append((i, s, label))
+            first = columns.setdefault(s.per_trace, table.columns[i])
+            assert first is table.columns[i] and first == labels
+            for k, label in enumerate(labels):
+                assert first[k] is label
+                assert shared.setdefault(_label_key(env, s, k), label) is label
+                seen.append((k, s, label))
             if s.step_count == env.beta:
                 break
-            s = env.step(s, JointAction(tuple(rng.choice(env.actions) for _ in range(env.arity))))
-            record.states.append(s)
+            action = JointAction(tuple(rng.choice(env.actions) for _ in range(env.arity)))
+            s = env.step(s, action)
+            i = table.intern(s)
+            record.slot_states.append(s.per_trace)
         if isinstance(env, GridWorldEnv):
             collided = [any("collision" in label.props for label in reference_labels(env, s))
                         for s in record.states[1:]]
