@@ -308,13 +308,13 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
                                                  table.index, table.width)
     slot_states, actions, rhos = record.slot_states, record.actions, record.rhos
     slot_states.append(start.per_trace)
-    bound = min(beta, env.beta)
+    bound = env.beta
     state = start   # the current JointState, or None where the loop built none
     for t in range(beta):
         action = choose(t, i)
         a = index.get(action.per_trace)
         if a is None or t >= bound or (n := successors[i * width + a]) < 0:
-            # raises for a joint action outside `index` and past the bound
+            # raises for a joint action outside `index` and at the world's bound
             state = env.step(state or JointState(states[i], t), action)
             n = successors[i * width + a] = table.intern(state)
         else:   # only a world with `trace_delta` reads the JointState

@@ -298,6 +298,15 @@ def test_policy_rollout_reproduces_final_training_rollout():
     assert replay.terminal_rho == res.final_record.terminal_rho
 
 
+def _outputs(tmp_path, name, result):
+    """The bytes of the training CSV and the artifact file written for `result`."""
+    with open(tmp_path / f"run_{name}.csv", "w", encoding="utf-8", newline="\n") as fh:
+        result.metrics.write_csv(fh)
+    write_artifacts(tmp_path / f"artifacts_{name}.txt", result)
+    return [(tmp_path / f"{stem}_{name}.{ext}").read_bytes()
+            for stem, ext in (("run", "csv"), ("artifacts", "txt"))]
+
+
 def test_train_encodes_each_state_once(tmp_path):
     f = hq.load_formula(hq.bundled("formulas/fairness.hltl"))
     grid = load_map_file(hq.bundled("maps/fair4.map"))
@@ -310,14 +319,7 @@ def test_train_encodes_each_state_once(tmp_path):
     results = [train(env, f, h, seed=7) for env in (counted, ResourceEnv(grid, beta))]
     # every training episode plus the final greedy one visits beta + 1 states
     assert 0 < len(calls) <= (h.xi + 1) * (beta + 1)
-    outputs = []
-    for i, res in enumerate(results):
-        with open(tmp_path / f"run_{i}.csv", "w", encoding="utf-8", newline="\n") as fh:
-            res.metrics.write_csv(fh)
-        write_artifacts(tmp_path / f"artifacts_{i}.txt", res)
-        outputs.append([(tmp_path / f"{stem}_{i}.{ext}").read_bytes()
-                        for stem, ext in (("run", "csv"), ("artifacts", "txt"))])
-    assert outputs[0] == outputs[1]
+    assert _outputs(tmp_path, 0, results[0]) == _outputs(tmp_path, 1, results[1])
 
 
 class _Still(Environment):
@@ -354,14 +356,6 @@ def test_step_checks_still_fire_on_a_warm_table():
         with pytest.raises(ArityMismatchError):
             rollout(env, sk, CFG, lambda t, i: JointAction(("go",) * arity), 0, env.beta,
                     table=table)
-
-
-def _outputs(tmp_path, name, result):
-    with open(tmp_path / f"run_{name}.csv", "w", encoding="utf-8", newline="\n") as fh:
-        result.metrics.write_csv(fh)
-    write_artifacts(tmp_path / f"artifacts_{name}.txt", result)
-    return [(tmp_path / f"{stem}_{name}.{ext}").read_bytes()
-            for stem, ext in (("run", "csv"), ("artifacts", "txt"))]
 
 
 @pytest.mark.parametrize("config, xi", [("fairness-4x4.ini", 12), ("safe-rl-4x4.ini", 80)])
