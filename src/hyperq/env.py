@@ -69,9 +69,10 @@ class Environment:
     """Base class; a concrete world implements the hidden dynamics as
     `transition`, and the base `step` does the bookkeeping around it.
 
-    `transition` and `label_of` depend on a state's `per_trace` alone, never
-    on its `step_count`: a run keeps one successor per joint state and joint
-    action, and one label column per joint state (see `StateTable`).  A
+    `transition`, `label_of` and `trace_prefix` depend on a state's
+    `per_trace` alone, never on its `step_count`: a run keeps one successor
+    per joint state and joint action, and one label column or robustness
+    value per joint state (see `StateTable`).  A
     stochastic world would draw the effective action before the lookup, so
     that `transition` stays a pure function.
 
@@ -128,15 +129,17 @@ class Environment:
 
     def trace_prefix(self, state: JointState):
         """Per-slot traces for the episode so far, or None when the trace is
-        simply the per-step label sequence."""
+        simply the per-step label sequence.  A function of `state.per_trace`
+        alone, so a run scores each joint state of such a world once (see
+        `StateTable`)."""
         return None
 
     def trace_delta(self, prev: JointState, state: JointState) -> tuple:
-        """For a world with `trace_prefix`, the rewrite of one step from
-        `prev` to `state`: (lo, columns), where lo is the lowest position of
-        the zipped prefix the step changed (at most the old prefix length)
-        and columns are `state`'s zipped columns, one tuple of labels per
-        position, from lo on."""
+        """For a world with `trace_prefix`, the rewrite from `prev`, any
+        earlier state of the same episode, to `state`: (lo, columns), where
+        lo is the lowest position of the zipped prefix that changed on the
+        way (at most `prev`'s prefix length) and columns are `state`'s
+        zipped columns, one tuple of labels per position, from lo on."""
         raise NotImplementedError
 
     def episode_metrics(self, record: EpisodeRecord, previous: dict) -> dict:
@@ -168,17 +171,21 @@ class StateTable:
     """The joint states one run has seen, each under a small integer id.
 
     A state's id is its index in `states`, which holds its slot states
-    (`per_trace`), and in `columns`, which holds its label column
-    (`label_of`), or None for a world with `trace_prefix`; `rows` holds what
-    `make_row(state)` made of it on its first visit (the learner's Q row).
+    (`per_trace`), and in `rows`, which holds what `make_row(state)` made of
+    it on its first visit (the learner's Q row).  A world that labels its
+    states (`labelled`) has the id's label column (`label_of`) in
+    `columns`; a world with `trace_prefix` has the robustness of the id's
+    prefix in `scores`, None until a run first scores it, since that prefix
+    is a function of the joint state.  Scores hold for one formula and
+    robustness config, those of the runs that share the table.
     `actions` are the world's joint actions, all combinations of `actions`
     over the slots, and `index` maps a joint-action tuple to its position.
     `successors[i * width + a]` is the id one step on from state i under
     joint action a, or -1 until a run has taken that step, always through
     `Environment.step`, so the episode bound and the action check stay
-    there.  Since `transition` and `label_of` read only `per_trace`, the
-    table is a pure cache: `start` begins it afresh once it holds more than
-    `limit` ids, and nothing a run computes changes.
+    there.  Since `transition`, `label_of` and `trace_prefix` read only
+    `per_trace`, the table is a pure cache: `start` begins it afresh once it
+    holds more than `limit` ids, and nothing a run computes changes.
     """
 
     limit = 2048
@@ -193,21 +200,25 @@ class StateTable:
         self.ids: dict = {}
         self.states: list = []
         self.columns: list = []
+        self.scores: list = []
         self.rows: list = []
         self.successors: list = []
 
     def clear(self):
         """Forget every id; the lists stay the same objects."""
-        for part in (self.ids, self.states, self.columns, self.rows, self.successors):
+        for part in (self.ids, self.states, self.columns, self.scores, self.rows,
+                     self.successors):
             part.clear()
 
     def start(self, state: JointState) -> int:
         """The id of an episode's start state, after beginning the table
-        afresh when it is full; the table's first call, which finds out
-        whether the world labels its states."""
+        afresh when it is full.  Beginning it gives `state` id 0 and finds
+        out whether the world labels its states: `opening` is `state`'s
+        `trace_prefix`, None for a world that labels them."""
         if not self.states or len(self.states) > self.limit:
             self.clear()
-            self.labelled = self.env.trace_prefix(state) is None
+            self.opening = self.env.trace_prefix(state)
+            self.labelled = self.opening is None
         return self.intern(state)
 
     def intern(self, state: JointState) -> int:
@@ -216,7 +227,10 @@ class StateTable:
         if i is None:
             i = self.ids[state.per_trace] = len(self.states)
             self.states.append(state.per_trace)
-            self.columns.append(tuple(self.env.label_of(state)) if self.labelled else None)
+            if self.labelled:
+                self.columns.append(tuple(self.env.label_of(state)))
+            else:
+                self.scores.append(None)
             self.rows.append(self.make_row(state) if self.make_row else None)
             self.successors += self.unknown
         return i

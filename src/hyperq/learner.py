@@ -9,9 +9,13 @@ label column and its Q row, so a step the run has taken before is a list
 lookup, and each joint state is encoded and hashed once per id rather than
 once per step.  The episode's tracker keeps the zipped prefix and scores it
 with a `PrefixEvaluator`, which recomputes each subformula only from the
-lowest position that changed since the previous step; the terminal reward is
-the last step's.  Each `train` call checks its final greedy episode's terminal
-reward against one from-scratch evaluation of the world's traces.  Per-slot
+lowest position that changed since it last scored.  A world that appends a
+label per step is scored at every step.  In a world with `trace_prefix` the
+prefix is a function of the joint state, so the table keeps one robustness
+value per id: a step into a scored id takes it, and only an unscored id
+moves the tracker on.  The terminal reward is the last step's.  Each `train`
+call checks its final greedy episode's terminal reward against one
+from-scratch evaluation of the world's traces.  Per-slot
 greedy policies and witness tables for existential quantifiers are projected
 out of the trained function.
 
@@ -222,52 +226,57 @@ class _EpisodeTracker:
     position, scored incrementally.
 
     A world without `trace_prefix` has its label column appended at each
-    step: `column` at the start and each `advance`'s.  A world with it (the
-    domino game) may rewrite earlier positions, and reports each step's
-    rewrite with `trace_delta(prev, state)`: the lowest position it rewrote
-    and the columns from there on.  `rho` re-scores the prefix with
+    step: `column` at the start and each `append`'s.  A world with it (the
+    domino game) starts from `traces`, the start state's `trace_prefix`,
+    and may rewrite earlier positions: `advance` moves it on to a later
+    state with `trace_delta(prev, state)` from the last state it tracked,
+    however many steps back, which reports the lowest position rewritten on
+    the way and the columns from there on.  `rho` re-scores the prefix with
     `evaluator` from the lowest position changed since its last call, and
     returns its last value when no position changed (a domino episode whose
     sequences have both terminated).
     """
 
     def __init__(self, env: Environment, state: JointState,
-                 evaluator: PrefixEvaluator | None = None, column: tuple | None = None):
+                 evaluator: PrefixEvaluator | None = None, column: tuple | None = None,
+                 traces=None):
         self.env = env
         self.evaluator = evaluator
-        self.state = state
+        self.state = state    # the last state tracked
         self.changed = 0      # lowest position changed since the last `rho`
         self.scored = -1      # the prefix length at the last `rho` ...
         self.last = None      # ... and its value
-        slots = env.trace_prefix(state)
-        self.hooked = slots is not None
-        if self.hooked:
-            lengths = {len(t) for t in slots}
-            if len(lengths) > 1:
-                raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
-            self.columns = list(zip(*slots))
-        else:
+        if column is not None:
             self.columns = [column]
+            return
+        if traces is None:
+            traces = env.trace_prefix(state)
+        lengths = {len(t) for t in traces}
+        if len(lengths) > 1:
+            raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
+        self.columns = list(zip(*traces))
 
-    def advance(self, state: JointState, column: tuple | None = None):
-        """Move on to `state`, whose label column is `column` in a world
-        without `trace_prefix`."""
-        if self.hooked:
-            lo, tail = self.env.trace_delta(self.state, state)
-            if lo > len(self.columns):
-                raise LengthMismatchError(f"a rewrite from position {lo} leaves a gap after "
-                                          f"{len(self.columns)} positions")
-            arity = self.env.arity
-            for column in tail:
-                if len(column) != arity:
-                    raise LengthMismatchError(f"a column has {len(column)} labels, "
-                                              f"expected {arity}")
-            self.columns[lo:] = tail
-            self.changed = min(self.changed, lo)
-            self.state = state
-        else:
-            self.changed = min(self.changed, len(self.columns))
-            self.columns.append(column)
+    def append(self, column: tuple):
+        """Move on one step in a world without `trace_prefix`, to a state
+        whose label column is `column`."""
+        self.changed = min(self.changed, len(self.columns))
+        self.columns.append(column)
+
+    def advance(self, state: JointState):
+        """Move on to `state`, a later state of the episode, in a world with
+        `trace_prefix`."""
+        lo, tail = self.env.trace_delta(self.state, state)
+        if lo > len(self.columns):
+            raise LengthMismatchError(f"a rewrite from position {lo} leaves a gap after "
+                                      f"{len(self.columns)} positions")
+        arity = self.env.arity
+        for column in tail:
+            if len(column) != arity:
+                raise LengthMismatchError(f"a column has {len(column)} labels, "
+                                          f"expected {arity}")
+        self.columns[lo:] = tail
+        self.changed = min(self.changed, lo)
+        self.state = state
 
     def rho(self) -> float:
         """Robustness of the prefix; the minimum while it is empty."""
@@ -293,19 +302,25 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     0) from the joint state with id i; `on_step(t, i, a, n, rho)` runs after
     it, with a the action's index in `table.actions` and n the id of the
     state it led to.  Steps past the world's own bound go through
-    `env.step`, which raises.  The terminal robustness is the last step's,
-    which scores the whole episode; an episode without steps scores its
-    start prefix.
+    `env.step`, which raises.  In a world with `trace_prefix` a step into
+    an id the table has scored takes that score, and only a step into an
+    unscored one moves the tracker on, from the last state it tracked.  The
+    terminal robustness is the last step's, which scores the whole episode;
+    an episode without steps scores its start prefix.
     """
     if table is None:
         table = StateTable(env)
     record = EpisodeRecord()
     start = env.reset(seed)
     i = table.start(start)
-    tracker = _EpisodeTracker(env, start, PrefixEvaluator(sk.plan, sk.arity, cfg), table.columns[i])
-    hooked = tracker.hooked
-    states, columns, successors, index, width = (table.states, table.columns, table.successors,
-                                                 table.index, table.width)
+    labelled = table.labelled
+    evaluator = PrefixEvaluator(sk.plan, sk.arity, cfg)
+    if labelled:
+        tracker = _EpisodeTracker(env, start, evaluator, column=table.columns[i])
+    else:   # the table has the traces of id 0, the start state it began with
+        tracker = _EpisodeTracker(env, start, evaluator, traces=table.opening if i == 0 else None)
+    states, columns, scores, successors, index, width = (
+        table.states, table.columns, table.scores, table.successors, table.index, table.width)
     slot_states, actions, rhos = record.slot_states, record.actions, record.rhos
     slot_states.append(start.per_trace)
     bound = env.beta
@@ -317,18 +332,27 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
             # raises for a joint action outside `index` and at the world's bound
             state = env.step(state or JointState(states[i], t), action)
             n = successors[i * width + a] = table.intern(state)
-        else:   # only a world with `trace_delta` reads the JointState
-            state = JointState(states[n], t + 1) if hooked else None
-        tracker.advance(state, columns[n])
-        rho = tracker.rho()
+        else:
+            state = None
+        if labelled:
+            tracker.append(columns[n])
+            rho = tracker.rho()
+        elif (rho := scores[n]) is None:   # a `trace_prefix` world scores each id once
+            state = state or JointState(states[n], t + 1)
+            tracker.advance(state)
+            rho = scores[n] = tracker.rho()
         if on_step is not None:
             on_step(t, i, a, n, rho)
         slot_states.append(states[n])
         actions.append(action.per_trace)
         rhos.append(rho)
         i = n
+    if not labelled:   # catch the tracker up with the last state
+        state = state or JointState(states[i], len(actions))
+        if state is not tracker.state:
+            tracker.advance(state)
     record.traces = tracker.traces()
-    record.terminal_rho = record.rhos[-1] if record.rhos else tracker.rho()
+    record.terminal_rho = rhos[-1] if rhos else tracker.rho()
     return record
 
 

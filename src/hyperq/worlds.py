@@ -7,9 +7,10 @@ exposed to formulas is column-ordered: ``cell = x * height + y``.
 
 Each world defines its dynamics as `transition`; `Environment.step` checks
 the episode bound and the joint action around it.  A run steps once per
-joint state and joint action it meets, and labels each joint state once: its
-`StateTable` keeps the successors and the label column of each joint state,
-so the worlds keep no table keyed on joint states.
+joint state and joint action it meets, and labels or scores each joint state
+once: its `StateTable` keeps the successors and the label column (the
+robustness, in the domino game) of each joint state, so the worlds keep no
+table keyed on joint states.
 
 The grid worlds look moves and labels up rather than rebuild them.  Each
 grid world instance keeps two `LazyTable`s (see `_GridWorld`), dicts that
@@ -454,9 +455,11 @@ class PcpEnv(Environment):
     share one label.
 
     A step appends one domino or a '#' to a slot's words, so it rewrites the
-    zipped prefix from the old end of that slot's shorter word on;
-    `trace_delta` reports that position and the columns from there.  The
-    words of the episode's slots are kept, each built from its parent's.
+    zipped prefix from the old end of that slot's shorter word on.  That end
+    never moves back along a slot's history, so over several steps the
+    rewrite starts at the end in the oldest state; `trace_delta` reports
+    that position and the columns from there.  The words of the episode's
+    slots are kept, each built from its parent's.
     """
 
     kind = "pcp"
@@ -521,10 +524,10 @@ class PcpEnv(Environment):
         return self._entry(slot)[:2]
 
     def trace_delta(self, prev: JointState, state: JointState) -> tuple:
-        """(lo, columns[lo:]) for `state`, one step after `prev`: lo is the
-        lowest position of the zipped prefix that the step rewrote, and the
-        columns (one tuple of labels per position) are those of `state`'s
-        prefix from lo on."""
+        """(lo, columns[lo:]) for `state`, a later state of `prev`'s episode:
+        lo is the lowest position of the zipped prefix that the steps between
+        them rewrote, and the columns (one tuple of labels per position) are
+        those of `state`'s prefix from lo on."""
         words, entry = self.words, self._entry
         lo, old_n, n = sys.maxsize, 0, 0
         new = []

@@ -28,6 +28,7 @@ from hyperq.robustness import (
     PrefixEvaluator,
     RobustnessConfig,
     Trace,
+    _unchanged,
     eval_hyper,
     zip_traces,
 )
@@ -358,23 +359,31 @@ def test_step_checks_still_fire_on_a_warm_table():
                     table=table)
 
 
-@pytest.mark.parametrize("config, xi", [("fairness-4x4.ini", 12), ("safe-rl-4x4.ini", 80)])
+@pytest.mark.parametrize("config, xi", [("fairness-4x4.ini", 12), ("safe-rl-4x4.ini", 80),
+                                        ("pcp-k3.ini", 40)])
 def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, config, xi):
     cfg = ExperimentConfig.load(hq.bundled(f"configs/{config}"))
     f, _, env, _ = cfg.setup()
     h = cfg.hyperparams
     h.xi = xi
+    sk, rob = skolemize(f), h.config()
     unbounded = _outputs(tmp_path, "unbounded", train(env, f, h, seed=2))
-    checked = []
+    checked, scored = [], []
 
     class Checked(StateTable):
         limit = 8
 
         def clear(self):
-            # every id's successors and column are what the world computes anew
+            # every id's successors, column and score are what the world
+            # computes anew; a score bit for bit, the sign of a zero included
             for i, per_trace in enumerate(self.states):
                 state = JointState(per_trace)
-                assert self.columns[i] == tuple(env.label_of(state))
+                if self.labelled:
+                    assert self.columns[i] == tuple(env.label_of(state))
+                elif self.scores[i] is not None:
+                    expected = eval_hyper(env.trace_prefix(state), sk, rob)
+                    assert _unchanged(self.scores[i], expected), (per_trace, self.scores[i])
+                    scored.append(i)
                 for a, n in enumerate(self.successors[i * self.width:(i + 1) * self.width]):
                     if n >= 0:
                         assert self.states[n] == env.transition(per_trace,
@@ -385,6 +394,7 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
     monkeypatch.setattr(learner, "StateTable", Checked)
     assert _outputs(tmp_path, "bounded", train(env, f, h, seed=2)) == unbounded
     assert len(checked) > xi // 2 and max(checked) > Checked.limit
+    assert bool(scored) == (env.trace_prefix(env.reset(2)) is not None)
 
 
 def test_hyperparams_validation():
@@ -585,6 +595,47 @@ def test_rollout_reuses_rho_once_both_domino_sequences_terminated(monkeypatch):
     for t, rho in enumerate(record.rhos, start=1):
         expected = eval_hyper(env.trace_prefix(record.states[t]), sk, CFG)
         assert (rho, math.copysign(1.0, rho)) == (expected, math.copysign(1.0, expected)), t
+
+
+def test_train_scores_each_domino_state_once(monkeypatch):
+    # a `trace_prefix` world is scored once per id: training updates the
+    # evaluator at most once per interned joint state, while a world that
+    # appends a label per step still updates once per step
+    updates, deltas, tables = [], [], []
+    update, delta = PrefixEvaluator.update, PcpEnv.trace_delta
+    monkeypatch.setattr(PrefixEvaluator, "update",
+                        lambda self, *args: updates.append(self) or update(self, *args))
+    monkeypatch.setattr(PcpEnv, "trace_delta",
+                        lambda self, *args: deltas.append(args) or delta(self, *args))
+
+    class Kept(StateTable):
+        def clear(self):
+            tables.append(self)
+            super().clear()
+
+    monkeypatch.setattr(learner, "StateTable", Kept)
+    beta, h = 10, Hyperparams(xi=300)
+    train(_k3_world(beta), _pcp_formula(), h, seed=1)
+    [table] = tables    # begun once, never afresh
+    ids = len(table.states)
+    assert ids < (h.xi + 1) * beta // 2
+    # one update per scored id and one for the final check from scratch;
+    # the start state is never scored
+    assert 0 < len(updates) <= ids
+    # one delta per scored id and at most one per episode to catch up with
+    # its last state, plus those within `trace_prefix` (the table's start,
+    # the final check and the extraction's beta + 1 states)
+    assert len(deltas) <= ids + (h.xi + 1) + (beta + 3)
+
+    rng = random.Random(5)
+    columns = [tuple(_kernel_label(rng) for _ in range(2)) for _ in range(9)]
+    grid = load_map_file(hq.bundled("maps/fair4.map"))
+    labelled = [(_LabelScript(columns), hq.parse_formula("forall t1. forall t2. G a@t1 | F b@t2")),
+                (ResourceEnv(grid, 12), hq.load_formula(hq.bundled("formulas/fairness.hltl")))]
+    for env, f in labelled:
+        updates.clear()
+        train(env, f, Hyperparams(xi=30), seed=7)
+        assert len(updates) == (30 + 1) * env.beta + 1, env.kind
 
 
 def test_rollout_rewards_keep_zero_signs_300_steps_nested():

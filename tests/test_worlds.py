@@ -462,6 +462,37 @@ def test_pcp_shared_letter_labels_unroll_like_letters():
     assert len(level) > 1000 and steps > 10000
 
 
+def test_pcp_trace_delta_spans_several_steps():
+    # every two-slot k3 action sequence of up to 3 joint steps: from each
+    # earlier state of the sequence to each later one, the delta starts no
+    # higher than the first column where the two prefixes differ, and
+    # carries the later prefix's columns from there on
+    env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")))
+    joint = [JointAction((a, b)) for a in env.actions for b in env.actions]
+    start = env.reset(0)
+
+    def columns(state):
+        return list(zip(*env.trace_prefix(state)))
+
+    pairs = 0
+    stack = [[(start, columns(start))]]
+    while stack:
+        history = stack.pop()
+        state, after = history[-1]
+        for prev, before in history[:-1]:
+            lo, tail = env.trace_delta(prev, state)
+            first = next((i for i, (x, y) in enumerate(zip(before, after)) if x != y),
+                         min(len(before), len(after)))
+            assert lo <= first, (prev.per_trace, state.per_trace)
+            assert list(tail) == after[lo:]
+            pairs += 1
+        if len(history) <= 3:
+            for action in joint:
+                nxt = env.step(state, action)
+                stack.append(history + [(nxt, columns(nxt))])
+    assert pairs == 16 * 1 + 16 ** 2 * 2 + 16 ** 3 * 3
+
+
 @pytest.mark.parametrize("name", ["k3_solvable", "k5_solvable"])
 def test_pcp_rewards_match_naive_oracle(name):
     # random domino episodes in which each slot terminates at a random step:
