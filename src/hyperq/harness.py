@@ -53,7 +53,7 @@ from .robustness import (
 )
 from .skolem import (MissingWitnessError, WitnessTable, check_consistency, format_skolemized,
                      skolemize)
-from .worlds import BoundTooLargeError, build_env, load_domino_file, pcp_oracle
+from .worlds import BoundTooLargeError, _reason, build_env, load_domino_file, pcp_oracle
 
 
 OUTPUT_DIR_ENV = "HYPERQ_OUT"
@@ -109,11 +109,13 @@ class ExperimentConfig:
         if not exp.get("formula") or not formula_path.exists():
             raise ConfigError(f"formula file {formula_path} does not exist")
 
-        reps = _number(int, "repetitions", exp.get("repetitions", "1"))
+        seeds = exp.get("seeds", "").split()
+        # a seed list alone sets the number of repetitions
+        reps = _number(int, "repetitions", exp.get("repetitions", str(len(seeds) or 1)))
         if reps < 1:
             raise ConfigError("repetitions must be >= 1")
-        if exp.get("seeds"):
-            seeds = [_number(int, "seeds", s) for s in exp["seeds"].split()]
+        if seeds:
+            seeds = [_number(int, "seeds", s) for s in seeds]
             if len(seeds) != reps:
                 raise ConfigError(f"{len(seeds)} seeds given for {reps} repetitions")
             repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
@@ -177,9 +179,14 @@ class ExperimentConfig:
         return f, sk, env, beta
 
 
-def _foreign_policy(path, policies: PolicySet, env: Environment) -> str | None:
-    """The error line for an artifact with a policy for a slot `env` lacks,
-    or one that names an action `env` lacks; None when every policy fits."""
+def _misfit_policy(path, policies: PolicySet, env: Environment) -> str | None:
+    """The error line for an artifact without a policy for a slot of `env`,
+    with one for a slot `env` lacks, or with one that names an action `env`
+    lacks; None when every policy fits."""
+    for index in range(1, env.arity + 1):
+        if index not in policies.policies:
+            return (f"error: {path}: section policy {index} is missing "
+                    f"({env.kind} worlds have {env.arity} slots)")
     for index, table in sorted(policies.policies.items()):
         if not 1 <= index <= env.arity:
             return (f"error: {path}: policy {index} is for a slot {env.kind} worlds lack "
@@ -188,13 +195,6 @@ def _foreign_policy(path, policies: PolicySet, env: Environment) -> str | None:
             if action not in env.actions:
                 return (f"error: {path}: policy {index} names action {action!r}, "
                         f"which {env.kind} worlds lack")
-
-
-def _reason(exc: OSError | UnicodeDecodeError) -> str:
-    """Why a file could not be read, without the path an OSError repeats."""
-    if isinstance(exc, UnicodeDecodeError):
-        return f"not UTF-8: {exc.reason}"
-    return exc.strerror or str(exc)
 
 
 def _number(kind, key: str, raw: str):
@@ -365,13 +365,18 @@ def cmd_train(config_path, out=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: output directory {out_dir} cannot be made: {_reason(exc)}",
+              file=sys.stderr)
+        return 2
     rob_cfg = cfg.hyperparams.config()
     summary = RunSummary()
     started = time.perf_counter()
     all_metrics = []
     for rep_seed in cfg.seeds:
         result = train(env, f, cfg.hyperparams, rep_seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
         all_metrics.append(result.metrics)
         with open(out_dir / f"run_{rep_seed}.csv", "w", encoding="utf-8", newline="\n") as fh:
             result.metrics.write_csv(fh)
@@ -405,9 +410,9 @@ def cmd_eval(policy_path, config_path) -> int:
     except (ArtifactMissingError, ArtifactFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    foreign = _foreign_policy(policy_path, policies, env)
-    if foreign:
-        print(foreign, file=sys.stderr)
+    misfit = _misfit_policy(policy_path, policies, env)
+    if misfit:
+        print(misfit, file=sys.stderr)
         return 2
     rob_cfg = cfg.hyperparams.config()
     record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)

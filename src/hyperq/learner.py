@@ -7,17 +7,18 @@ involved.  A run interns each joint state it meets in a `StateTable`: one
 integer id per joint state, under which the table keeps its successors, its
 label column and its Q row, so a step the run has taken before is a list
 lookup, and each joint state is encoded and hashed once per id rather than
-once per step.  The episode's tracker keeps the zipped prefix and scores it
-with a `PrefixEvaluator`, which recomputes each subformula only from the
-lowest position that changed since it last scored.  A world that appends a
-label per step is scored at every step.  In a world with `trace_prefix` the
-prefix is a function of the joint state, so the table keeps one robustness
-value per id: a step into a scored id takes it, and only an unscored id
-moves the tracker on.  The terminal reward is the last step's.  Each `train`
-call checks its final greedy episode's terminal reward against one
-from-scratch evaluation of the world's traces.  Per-slot
-greedy policies and witness tables for existential quantifiers are projected
-out of the trained function.
+once per step.  The episode's tracker keeps the zipped prefix, and the
+episode loop scores it with a `PrefixEvaluator`, which recomputes each
+subformula only from the lowest position that changed since it last
+scored.  A world that appends a label per step is scored at every step,
+from the appended position.  In a world with `trace_prefix` the prefix is
+a function of the joint state, so the table keeps one robustness value per
+id: a step into a scored id takes it, and only a step into an unscored id
+moves the tracker on, which reports the lowest position it rewrote.  The
+terminal reward is the last step's.  Each `train` call checks its final
+greedy episode's terminal reward against one from-scratch evaluation of the
+world's traces.  Per-slot greedy policies and witness tables for
+existential quantifiers are projected out of the trained function.
 
 Exploration in episode e of seed s draws from numpy's `default_rng((s, e))`
 stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.
@@ -223,29 +224,22 @@ def episode_bound(env: Environment, sk: SkolemizedFormula, h: Hyperparams) -> in
 
 class _EpisodeTracker:
     """The zipped columns of one episode's prefix, one tuple of labels per
-    position, scored incrementally.
+    position, and the last state they are the prefix of.
 
-    A world without `trace_prefix` has its label column appended at each
-    step: `column` at the start and each `append`'s.  A world with it (the
-    domino game) starts from `traces`, the start state's `trace_prefix`,
-    and may rewrite earlier positions: `advance` moves it on to a later
-    state with `trace_delta(prev, state)` from the last state it tracked,
-    however many steps back, which reports the lowest position rewritten on
-    the way and the columns from there on.  `rho` re-scores the prefix with
-    `evaluator` from the lowest position changed since its last call, and
-    returns its last value when no position changed (a domino episode whose
-    sequences have both terminated).
+    A world without `trace_prefix` starts from `column`, the start state's
+    label column, and the episode appends one column per step to `columns`.
+    A world with it (the domino game) starts from `traces`, the start
+    state's `trace_prefix`, and may rewrite earlier positions: `advance`
+    moves the tracker on to a later state with `trace_delta(prev, state)`
+    from the last state it tracked, however many steps back, and returns
+    the lowest position rewritten on the way, from which `rollout` updates
+    its evaluator.
     """
 
-    def __init__(self, env: Environment, state: JointState,
-                 evaluator: PrefixEvaluator | None = None, column: tuple | None = None,
+    def __init__(self, env: Environment, state: JointState, column: tuple | None = None,
                  traces=None):
         self.env = env
-        self.evaluator = evaluator
         self.state = state    # the last state tracked
-        self.changed = 0      # lowest position changed since the last `rho`
-        self.scored = -1      # the prefix length at the last `rho` ...
-        self.last = None      # ... and its value
         if column is not None:
             self.columns = [column]
             return
@@ -256,15 +250,9 @@ class _EpisodeTracker:
             raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
         self.columns = list(zip(*traces))
 
-    def append(self, column: tuple):
-        """Move on one step in a world without `trace_prefix`, to a state
-        whose label column is `column`."""
-        self.changed = min(self.changed, len(self.columns))
-        self.columns.append(column)
-
-    def advance(self, state: JointState):
+    def advance(self, state: JointState) -> int:
         """Move on to `state`, a later state of the episode, in a world with
-        `trace_prefix`."""
+        `trace_prefix`; the lowest position rewritten."""
         lo, tail = self.env.trace_delta(self.state, state)
         if lo > len(self.columns):
             raise LengthMismatchError(f"a rewrite from position {lo} leaves a gap after "
@@ -275,16 +263,8 @@ class _EpisodeTracker:
                 raise LengthMismatchError(f"a column has {len(column)} labels, "
                                           f"expected {arity}")
         self.columns[lo:] = tail
-        self.changed = min(self.changed, lo)
         self.state = state
-
-    def rho(self) -> float:
-        """Robustness of the prefix; the minimum while it is empty."""
-        n = len(self.columns)
-        if self.changed < n or n != self.scored:
-            self.last = self.evaluator.update(self.columns, self.changed)
-            self.changed = self.scored = n
-        return self.last
+        return lo
 
     def traces(self) -> list:
         if not self.columns:
@@ -302,11 +282,14 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     0) from the joint state with id i; `on_step(t, i, a, n, rho)` runs after
     it, with a the action's index in `table.actions` and n the id of the
     state it led to.  Steps past the world's own bound go through
-    `env.step`, which raises.  In a world with `trace_prefix` a step into
-    an id the table has scored takes that score, and only a step into an
-    unscored one moves the tracker on, from the last state it tracked.  The
-    terminal robustness is the last step's, which scores the whole episode;
-    an episode without steps scores its start prefix.
+    `env.step`, which raises.  Each scored step updates the episode's
+    `PrefixEvaluator` once, from the lowest position that changed: in a
+    labelled world the appended one.  In a world with `trace_prefix` a step
+    into an id the table has scored takes that score, and only a step into
+    an unscored one moves the tracker on, from the last state it tracked,
+    to the position it reports.  The terminal robustness is the last
+    step's, which scores the whole episode; an episode without steps scores
+    its start prefix.
     """
     if table is None:
         table = StateTable(env)
@@ -316,43 +299,40 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     labelled = table.labelled
     evaluator = PrefixEvaluator(sk.plan, sk.arity, cfg)
     if labelled:
-        tracker = _EpisodeTracker(env, start, evaluator, column=table.columns[i])
+        tracker = _EpisodeTracker(env, start, column=table.columns[i])
     else:   # the table has the traces of id 0, the start state it began with
-        tracker = _EpisodeTracker(env, start, evaluator, traces=table.opening if i == 0 else None)
+        tracker = _EpisodeTracker(env, start, traces=table.opening if i == 0 else None)
+    prefix = tracker.columns
+    tracked = i   # the id of the tracker's state
     states, columns, scores, successors, index, width = (
         table.states, table.columns, table.scores, table.successors, table.index, table.width)
     slot_states, actions, rhos = record.slot_states, record.actions, record.rhos
     slot_states.append(start.per_trace)
     bound = env.beta
-    state = start   # the current JointState, or None where the loop built none
     for t in range(beta):
         action = choose(t, i)
         a = index.get(action.per_trace)
         if a is None or t >= bound or (n := successors[i * width + a]) < 0:
             # raises for a joint action outside `index` and at the world's bound
-            state = env.step(state or JointState(states[i], t), action)
-            n = successors[i * width + a] = table.intern(state)
-        else:
-            state = None
+            n = successors[i * width + a] = table.intern(
+                env.step(JointState(states[i], t), action))
         if labelled:
-            tracker.append(columns[n])
-            rho = tracker.rho()
+            prefix.append(columns[n])
+            rho = evaluator.update(prefix, len(prefix) - 1)
         elif (rho := scores[n]) is None:   # a `trace_prefix` world scores each id once
-            state = state or JointState(states[n], t + 1)
-            tracker.advance(state)
-            rho = scores[n] = tracker.rho()
+            rho = scores[n] = evaluator.update(
+                prefix, tracker.advance(JointState(states[n], t + 1)))
+            tracked = n
         if on_step is not None:
             on_step(t, i, a, n, rho)
         slot_states.append(states[n])
         actions.append(action.per_trace)
         rhos.append(rho)
         i = n
-    if not labelled:   # catch the tracker up with the last state
-        state = state or JointState(states[i], len(actions))
-        if state is not tracker.state:
-            tracker.advance(state)
+    if not labelled and tracked != i:   # catch the tracker up with the last state
+        tracker.advance(JointState(states[i], len(actions)))
     record.traces = tracker.traces()
-    record.terminal_rho = rhos[-1] if rhos else tracker.rho()
+    record.terminal_rho = rhos[-1] if rhos else evaluator.update(prefix, 0)
     return record
 
 

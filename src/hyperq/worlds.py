@@ -674,7 +674,15 @@ class ResourceEnv(_GridWorld):
 # Construction from configuration
 
 ENVIRONMENTS = {cls.kind: cls for cls in (GridWorldEnv, WildfireEnv, PcpEnv, ResourceEnv)}
-_LOADERS = {"map": load_map_file, "dominoes": load_domino_file}
+# each file key's noun and loader
+_LOADERS = {"map": ("map", load_map_file), "dominoes": ("domino", load_domino_file)}
+
+
+def _reason(exc: OSError | UnicodeDecodeError) -> str:
+    """Why a file could not be read, without the path an OSError repeats."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8: {exc.reason}"
+    return exc.strerror or str(exc)
 
 
 def build_env(section: dict, base_dir=None) -> Environment:
@@ -692,7 +700,12 @@ def build_env(section: dict, base_dir=None) -> Environment:
         if cls.file_key not in section:
             raise ValueError(f"environment kind {kind} needs a {cls.file_key} key")
         base = Path(base_dir) if base_dir is not None else Path(".")
-        args.append(_LOADERS[cls.file_key](base / section[cls.file_key]))
+        path = base / section[cls.file_key]
+        noun, load = _LOADERS[cls.file_key]
+        try:
+            args.append(load(path))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{noun} file {path} cannot be read: {_reason(exc)}") from exc
     kwargs = {}
     if "beta" in section:
         raw = section["beta"]

@@ -158,7 +158,7 @@ def test_config_accepts_the_benchmark_rewrite(tmp_path):
     assert cfg.output_dir == tmp_path / "out"
 
 
-def test_config_seed_list_must_match_repetitions(tmp_path):
+def test_config_seed_list_must_match_repetitions(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     formulas = hq.bundled("formulas")
     p.write_text(
@@ -166,6 +166,20 @@ def test_config_seed_list_must_match_repetitions(tmp_path):
         "[environment]\nkind = wildfire\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.load(p)
+    assert cmd_train(p) == 2
+    assert capsys.readouterr().err == "config error: 2 seeds given for 3 repetitions\n"
+
+
+def test_config_seed_list_alone_sets_the_repetitions(tmp_path, capsys):
+    cfg = write_micro_config(tmp_path, xi=3)
+    cfg.write_text(cfg.read_text().replace("repetitions = 2\nbase_seed = 3\n",
+                                           "seeds = 3 17 42\n"))
+    assert ExperimentConfig.load(cfg).seeds == [3, 17, 42]
+    assert cmd_train(cfg) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "aggregate.csv", "artifacts_17.txt", "artifacts_3.txt", "artifacts_42.txt",
+        "run_17.csv", "run_3.csv", "run_42.csv"]
+    assert "repetitions: 3\n" in capsys.readouterr().out
 
 
 def test_cmd_check_valid_formula(capsys):
@@ -337,6 +351,35 @@ def test_formula_reading_a_valuation_the_world_lacks_exits_2(tmp_path, capsys):
     assert not (tmp_path / "grid").exists() and not (tmp_path / "pcp").exists()
 
 
+def test_cmd_train_names_a_map_or_domino_file_that_is_not_utf8(tmp_path, capsys):
+    artifact = tmp_path / "artifact.txt"
+    artifact.write_text("policy 1\npolicy 2\n")
+    formulas = hq.bundled("formulas")
+    for kind, key, noun, formula in (("grid", "map", "map", "safe_rl.hltl"),
+                                     ("pcp", "dominoes", "domino", "pcp_ab.hltl")):
+        path = tmp_path / f"latin1.{key}"
+        path.write_bytes(b"\xff\n")
+        cfg = write_micro_config(tmp_path, key, xi=5, reps=1, formula=formulas / formula,
+                                 env=f"kind = {kind}\n{key} = {path}")
+        assert cmd_train(cfg) == 2
+        assert cmd_eval(artifact, cfg) == 2
+        message = f"config error: {noun} file {path} cannot be read: not UTF-8: "
+        assert capsys.readouterr().err == f"{message}invalid start byte\n" * 2
+        assert not (tmp_path / key).exists()
+
+
+def test_cmd_train_rejects_an_output_path_that_cannot_be_a_directory(tmp_path, capsys,
+                                                                     monkeypatch):
+    cfg = write_micro_config(tmp_path, xi=5, reps=1)
+    trained = []
+    monkeypatch.setattr("hyperq.harness.train", lambda *args: trained.append(args))
+    out = cfg / "sub"   # below a file
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert trained == []
+    assert capsys.readouterr() == (
+        "", f"error: output directory {out} cannot be made: Not a directory\n")
+
+
 def test_cmd_train_rejects_malformed_map_legend(tmp_path, capsys):
     formula = tmp_path / "f.hltl"
     formula.write_text("forall t1. F goal1@t1\n")
@@ -458,6 +501,19 @@ def test_cmd_eval_rejects_a_policy_for_a_slot_the_world_lacks(tmp_path, capsys):
         assert cmd_eval(artifact, cfg) == 2
         assert capsys.readouterr() == ("", f"error: {artifact}: policy {index} is for a slot "
                                            "wildfire worlds lack (they have 2)\n")
+
+
+def test_cmd_eval_rejects_an_artifact_without_a_slot_s_policy(tmp_path, capsys):
+    cfg = write_micro_config(tmp_path, xi=5, reps=1)
+    artifact = tmp_path / "artifact.txt"
+    for text, missing in (("", 1), ("policy 1\n(0, 0, frozenset())\tstay\n", 2)):
+        artifact.write_text(text)
+        assert cmd_eval(artifact, cfg) == 2
+        assert capsys.readouterr() == ("", f"error: {artifact}: section policy {missing} is "
+                                           "missing (wildfire worlds have 2 slots)\n")
+    artifact.write_text("policy 1\npolicy 2\n")   # empty sections replay the first action
+    assert cmd_eval(artifact, cfg) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 def test_cmd_eval_missing_artifact(tmp_path):

@@ -597,6 +597,34 @@ def test_rollout_reuses_rho_once_both_domino_sequences_terminated(monkeypatch):
         assert (rho, math.copysign(1.0, rho)) == (expected, math.copysign(1.0, expected)), t
 
 
+def test_rollout_on_a_warm_domino_table_catches_the_tracker_up_once(monkeypatch):
+    # the second run of one action script through one table looks every
+    # step up and takes every score from the table: only the end-of-episode
+    # catch-up moves the tracker, to the last state's traces
+    env, sk = _k3_world(4), skolemize(_pcp_formula())
+    script = [("dom_1", "dom_2"), ("dom_2", "dom_3"), ("dom_3", "dom_1"), ("dom_1", "dom_1")]
+    table = StateTable(env)
+
+    def run():
+        return rollout(env, sk, CFG, lambda t, i: JointAction(script[t]), 0, env.beta,
+                       table=table)
+
+    first = run()
+    updates, deltas = [], []
+    update, delta = PrefixEvaluator.update, PcpEnv.trace_delta
+    monkeypatch.setattr(PrefixEvaluator, "update",
+                        lambda self, *args: updates.append(args) or update(self, *args))
+    monkeypatch.setattr(PcpEnv, "trace_delta",
+                        lambda self, *args: deltas.append(args) or delta(self, *args))
+    second = run()
+    assert updates == [] and len(deltas) == 1
+    assert deltas[0][0] == second.states[0] and deltas[0][1] == second.states[-1]
+    assert second.traces == list(env.trace_prefix(second.states[-1]))
+    assert second.traces != list(env.trace_prefix(second.states[0]))
+    assert _bits(second.rhos + [second.terminal_rho]) == _bits(first.rhos + [first.terminal_rho])
+    assert second.traces == first.traces
+
+
 def test_train_scores_each_domino_state_once(monkeypatch):
     # a `trace_prefix` world is scored once per id: training updates the
     # evaluator at most once per interned joint state, while a world that

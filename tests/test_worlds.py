@@ -454,9 +454,7 @@ def test_pcp_shared_letter_labels_unroll_like_letters():
                 assert all(a is b for got, want in zip(tail, columns[lo:])
                            for a, b in zip(got, want, strict=True))
                 tracker = _EpisodeTracker(env, state)
-                tracker.changed = len(tracker.columns)      # as after scoring `state`
-                tracker.advance(nxt)
-                assert tracker.changed == lo and tracker.columns == columns
+                assert tracker.advance(nxt) == lo and tracker.columns == columns
                 steps += 1
         level = following
     assert len(level) > 1000 and steps > 10000
