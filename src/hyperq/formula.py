@@ -24,7 +24,10 @@ Concrete syntax::
 
 Uppercase ``X F G U`` are reserved operator names; all other identifiers
 (including single lowercase letters) are usable as propositions, valuations,
-and trace variables.
+and trace variables.  Lines starting with ``#`` are comments.
+
+`read_input` reads every file the command line takes (formula, config, map,
+domino set, traces, artifact) and raises an `InputError` that names the file.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ FORALL = "forall"
 EXISTS = "exists"
 
 COMPARATORS = ("<", ">", "=")
+
+
+class InputError(ValueError):
+    """Malformed input to a command: a file that cannot be read or parsed
+    (the message names it), or an argument out of range."""
 
 
 class FormulaError(ValueError):
@@ -234,6 +242,8 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        if line.lstrip().startswith("#"):
+            continue
         pos = 0
         while pos < len(line):
             m = _TOKEN_RE.match(line, pos)
@@ -426,17 +436,48 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a Formula; raises on malformed input.
 
-    Guarantees the result is closed: every atom's trace variable is bound by
-    exactly one quantifier in the prefix.
+    Lines starting with '#' are comments.  Guarantees the result is closed:
+    every atom's trace variable is bound by exactly one quantifier in the
+    prefix.
     """
     return _Parser(_tokenize(text)).parse_formula()
 
 
+# ---------------------------------------------------------------------------
+# Input files
+
 def load_formula(path) -> Formula:
-    """Read one formula from a text file; lines starting with '#' are comments."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.lstrip().startswith("#")]
-    return parse_formula("".join(lines))
+    """Read one formula from a text file."""
+    return read_input("formula", path, parse_formula)
+
+
+def read_input(noun: str, path, parse=None):
+    """The text of the `noun` file at `path`, read as UTF-8, or `parse` of it.
+
+    Raises InputError naming the file when it is missing, cannot be read, is
+    not UTF-8 (with the line of the first bad byte) or when `parse` raises
+    ValueError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError as exc:
+        raise InputError(f"{noun} file {path} does not exist") from exc
+    except OSError as exc:
+        raise InputError(f"{noun} file {path} cannot be read: {exc.strerror}") from exc
+    try:
+        # with newlines translated as open() in text mode does
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{noun} file {path} cannot be read: not UTF-8: "
+                         f"{exc.reason} (line {line})") from exc
+    if parse is None:
+        return text
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InputError(f"{noun} file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,28 @@ Experiments are described by INI files with three flat sections::
 
 Relative paths resolve against the config file's directory.  Exit codes:
 0 success/satisfied, 1 violation, 2 usage or configuration error.
+
+Every file a command takes is read by `formula.read_input`.  A command
+prints an `InputError` it meets as one line on stderr and exits with code 2:
+``config error: `` leads what `train` and `eval` find in a config and the
+files it names (a `ConfigError`), ``error: `` anything else.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .env import Environment, JointAction
-from .formula import Formula, FormulaError, load_formula, unparse, validate
+from .formula import (Formula, FormulaError, InputError, load_formula, parse_formula, read_input,
+                      unparse, validate)
 from .learner import (
     Hyperparams,
     PolicySet,
@@ -53,22 +60,14 @@ from .robustness import (
 )
 from .skolem import (MissingWitnessError, WitnessTable, check_consistency, format_skolemized,
                      skolemize)
-from .worlds import BoundTooLargeError, _reason, build_env, load_domino_file, pcp_oracle
+from .worlds import build_env, load_domino_file, pcp_oracle
 
 
 OUTPUT_DIR_ENV = "HYPERQ_OUT"
 
 
-class ConfigError(ValueError):
-    pass
-
-
-class ArtifactMissingError(FileNotFoundError):
-    pass
-
-
-class ArtifactFormatError(ValueError):
-    pass
+class ConfigError(InputError):
+    """A config that cannot be read, parsed or set up, or a file it names."""
 
 
 @dataclass
@@ -83,16 +82,14 @@ class ExperimentConfig:
     @staticmethod
     def load(path) -> "ExperimentConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        # without interpolation, a '%' in a value is that character
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
         try:
-            with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file {path} cannot be read: {_reason(exc)}") from exc
-        except configparser.Error as exc:
+            parser.read_string(read_input("config", path))
+        except InputError as exc:
             raise ConfigError(str(exc)) from exc
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path}: {_config_syntax(exc)}") from exc
         for section in ("experiment", "environment"):
             if section not in parser:
                 raise ConfigError(f"config is missing the [{section}] section")
@@ -158,8 +155,8 @@ class ExperimentConfig:
         """
         try:
             f = self.load_formula()
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"formula file {self.formula_path}: {exc}") from exc
+        except InputError as exc:
+            raise ConfigError(str(exc)) from exc
         diagnostics = validate(f)
         if diagnostics:
             raise ConfigError(f"formula file {self.formula_path}: "
@@ -168,7 +165,7 @@ class ExperimentConfig:
         try:
             env = self.make_env()
             beta = episode_bound(env, sk, self.hyperparams)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:   # an InputError among them
             raise ConfigError(str(exc)) from exc
         first = JointAction((env.actions[0],) * env.arity)
         try:
@@ -179,22 +176,30 @@ class ExperimentConfig:
         return f, sk, env, beta
 
 
-def _misfit_policy(path, policies: PolicySet, env: Environment) -> str | None:
-    """The error line for an artifact without a policy for a slot of `env`,
-    with one for a slot `env` lacks, or with one that names an action `env`
-    lacks; None when every policy fits."""
+def _config_syntax(exc: configparser.Error) -> str:
+    """What configparser found wrong, on one line and without its source name."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno} comes before the first [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]} is not a key = value line"
+    return f"line {exc.lineno}: {str(exc).partition(']: ')[2]}"   # a repeated section or key
+
+
+def _check_policies(path, policies: PolicySet, env: Environment) -> None:
+    """Raise InputError when the artifact at `path` lacks a policy for a slot
+    of `env`, has one for a slot `env` lacks, or names an action `env` lacks."""
     for index in range(1, env.arity + 1):
         if index not in policies.policies:
-            return (f"error: {path}: section policy {index} is missing "
-                    f"({env.kind} worlds have {env.arity} slots)")
+            raise InputError(f"{path}: section policy {index} is missing "
+                             f"({env.kind} worlds have {env.arity} slots)")
     for index, table in sorted(policies.policies.items()):
         if not 1 <= index <= env.arity:
-            return (f"error: {path}: policy {index} is for a slot {env.kind} worlds lack "
-                    f"(they have {env.arity})")
+            raise InputError(f"{path}: policy {index} is for a slot {env.kind} worlds lack "
+                             f"(they have {env.arity})")
         for action in table.values():
             if action not in env.actions:
-                return (f"error: {path}: policy {index} names action {action!r}, "
-                        f"which {env.kind} worlds lack")
+                raise InputError(f"{path}: policy {index} names action {action!r}, "
+                                 f"which {env.kind} worlds lack")
 
 
 def _number(kind, key: str, raw: str):
@@ -226,24 +231,6 @@ def _parse_hyperparams(section: dict) -> Hyperparams:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass
-class RunSummary:
-    verdicts: list = field(default_factory=list)     # (seed, Verdict, terminal rho)
-    wall_clock_seconds: float = 0.0
-
-    @property
-    def satisfaction_rate(self) -> float:
-        if not self.verdicts:
-            return 0.0
-        return sum(1 for _, v, _ in self.verdicts if v is Verdict.SATISFIED) / len(self.verdicts)
-
-    @property
-    def mean_terminal_rho(self) -> float:
-        if not self.verdicts:
-            return 0.0
-        return sum(r for _, _, r in self.verdicts) / len(self.verdicts)
-
-
 # ---------------------------------------------------------------------------
 # Artifact files
 
@@ -262,19 +249,8 @@ def write_artifacts(path: Path, result: TrainResult):
 
 
 def read_artifacts(path) -> tuple:
-    path = Path(path)
-    if not path.exists():
-        raise ArtifactMissingError(f"artifact file {path} does not exist")
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ArtifactMissingError(f"artifact file {path} cannot be read: {_reason(exc)}") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        number = data.count(b"\n", 0, exc.start) + 1
-        raise ArtifactFormatError(f"{path}:{number}: malformed artifact line "
-                                  f"({_reason(exc)})") from exc
+    """The policies and witness tables of the artifact file at `path`."""
+    text = read_input("artifact", path)
     policies = PolicySet({})
     witnesses = []
     current_policy = None
@@ -292,6 +268,8 @@ def read_artifacts(path) -> tuple:
                 head, deps_part = line.split(" deps=")
                 _, index = head.split()
                 deps = tuple(int(d) for d in deps_part.split(",") if d)
+                if any(w.exist_index == int(index) for w in witnesses):
+                    raise ValueError(f"a second section witness {index}")
                 current_witness = WitnessTable(int(index), deps)
                 witnesses.append(current_witness)
                 current_policy = None
@@ -299,6 +277,8 @@ def read_artifacts(path) -> tuple:
                 key, sep, action = line.rpartition("\t")
                 if not sep:
                     raise ValueError("expected state<TAB>action")
+                if key in policies.policies[current_policy]:
+                    raise ValueError(f"a second line for state {key}")
                 policies.policies[current_policy][key] = action
             elif current_witness is not None and line:
                 joined_key, text, actions = line.split("\t")
@@ -306,29 +286,39 @@ def read_artifacts(path) -> tuple:
                 key = tuple(joined_key.split(" || ")) if deps or joined_key else ()
                 if len(key) != len(deps):
                     raise ValueError(f"key has {len(key)} part(s) for {len(deps)} deps")
+                if key in current_witness.entries:
+                    raise ValueError(f"a second line for key {joined_key}")
                 current_witness.entries[key] = (text, tuple(actions.split()))
             elif line:
                 raise ValueError("line outside a policy or witness section")
         except ValueError as exc:
-            raise ArtifactFormatError(f"{path}:{number}: malformed artifact line ({exc})") from exc
+            raise InputError(f"{path}:{number}: malformed artifact line ({exc})") from exc
     return policies, witnesses
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
+def _reports_input_errors(command):
+    """`command`, printing an InputError it raises as one line and returning 2."""
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except InputError as exc:
+            prefix = "config error" if isinstance(exc, ConfigError) else "error"
+            print(f"{prefix}: {exc}", file=sys.stderr)
+            return 2
+    return run
+
+
+@_reports_input_errors
 def cmd_check(formula_path) -> int:
+    text = read_input("formula", formula_path)
     try:
-        f = load_formula(formula_path)
-    except FileNotFoundError:
-        print(f"error: formula file {formula_path} does not exist", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: formula file {formula_path} cannot be read: {_reason(exc)}",
-              file=sys.stderr)
-        return 2
+        f = parse_formula(text)
     except FormulaError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
+        print(f"syntax error: formula file {formula_path}: {exc}", file=sys.stderr)
         return 1
     diagnostics = validate(f)
     for d in diagnostics:
@@ -357,22 +347,17 @@ def _aggregate(all_metrics) -> TrainMetrics:
     return TrainMetrics(columns, rows)
 
 
+@_reports_input_errors
 def cmd_train(config_path, out=None) -> int:
-    try:
-        cfg = ExperimentConfig.load(config_path)
-        f, _, env, _ = cfg.setup()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig.load(config_path)
+    f, _, env, _ = cfg.setup()
     out_dir = Path(out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: output directory {out_dir} cannot be made: {_reason(exc)}",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"output directory {out_dir} cannot be made: {exc.strerror}") from exc
     rob_cfg = cfg.hyperparams.config()
-    summary = RunSummary()
+    verdicts = []   # (seed, Verdict, terminal rho)
     started = time.perf_counter()
     all_metrics = []
     for rep_seed in cfg.seeds:
@@ -382,38 +367,29 @@ def cmd_train(config_path, out=None) -> int:
             result.metrics.write_csv(fh)
         write_artifacts(out_dir / f"artifacts_{rep_seed}.txt", result)
         verdict = sat_verdict(result.final_record.terminal_rho, rob_cfg)
-        summary.verdicts.append((rep_seed, verdict, result.final_record.terminal_rho))
-    summary.wall_clock_seconds = time.perf_counter() - started
+        verdicts.append((rep_seed, verdict, result.final_record.terminal_rho))
+    wall_clock_seconds = time.perf_counter() - started
 
     with open(out_dir / "aggregate.csv", "w", encoding="utf-8", newline="\n") as fh:
         _aggregate(all_metrics).write_csv(fh)
 
-    for rep_seed, verdict, rho in summary.verdicts:
+    for rep_seed, verdict, rho in verdicts:
         print(f"seed {rep_seed}: {verdict.value} (terminal rho {rho})")
     print(f"repetitions: {len(cfg.seeds)}")
-    print(f"satisfaction_rate: {summary.satisfaction_rate}")
-    print(f"mean_terminal_rho: {summary.mean_terminal_rho}")
-    print(f"wall_clock_seconds: {summary.wall_clock_seconds:.2f}")
+    satisfied = sum(1 for _, v, _ in verdicts if v is Verdict.SATISFIED)
+    print(f"satisfaction_rate: {satisfied / len(verdicts)}")
+    print(f"mean_terminal_rho: {sum(r for _, _, r in verdicts) / len(verdicts)}")
+    print(f"wall_clock_seconds: {wall_clock_seconds:.2f}")
     print(f"outputs: {out_dir}")
     return 0
 
 
+@_reports_input_errors
 def cmd_eval(policy_path, config_path) -> int:
-    try:
-        cfg = ExperimentConfig.load(config_path)
-        _, sk, env, beta = cfg.setup()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        policies, witnesses = read_artifacts(policy_path)
-    except (ArtifactMissingError, ArtifactFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    misfit = _misfit_policy(policy_path, policies, env)
-    if misfit:
-        print(misfit, file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig.load(config_path)
+    _, sk, env, beta = cfg.setup()
+    policies, witnesses = read_artifacts(policy_path)
+    _check_policies(policy_path, policies, env)
     rob_cfg = cfg.hyperparams.config()
     record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
     for t, rho in enumerate(record.rhos):
@@ -432,41 +408,32 @@ def cmd_eval(policy_path, config_path) -> int:
     return 0 if verdict is Verdict.SATISFIED else 1
 
 
+def _traces(text: str) -> list:
+    """Traces in `Trace.to_text()` form, separated by blank lines."""
+    return [Trace.from_text(chunk) for chunk in text.split("\n\n") if chunk.strip()]
+
+
+@_reports_input_errors
 def cmd_oracle(subject: str, **kwargs) -> int:
     if subject == "pcp":
-        try:
-            dominoes = load_domino_file(kwargs["dominoes"])
-        except (ValueError, OSError) as exc:
-            print(f"error: {kwargs['dominoes']}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            solution = pcp_oracle(dominoes, kwargs.get("max_len", 8))
-        except BoundTooLargeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        solution = pcp_oracle(load_domino_file(kwargs["dominoes"]), kwargs.get("max_len", 8))
         if solution is None:
             print("none within bound")
         else:
             print("solution: " + " ".join(str(i) for i in solution))
         return 0
     if subject == "boolean-sat":
-        path = kwargs["formula"]
+        f = load_formula(kwargs["formula"])
+        path = kwargs["traces"]
+        traces = read_input("traces", path, _traces)
         try:
-            f = load_formula(path)
-            path = kwargs["traces"]
-            text = Path(path).read_text(encoding="utf-8")
-            traces = [Trace.from_text(chunk) for chunk in text.split("\n\n") if chunk.strip()]
             result = boolean_sat(traces, f)
-        except (ValueError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
         except UnknownValuationError as exc:
-            print(f"error: {path}: traces lack valuation {exc}", file=sys.stderr)
-            return 2
+            raise InputError(f"traces file {path}: the formula reads valuation {exc}, "
+                             "which the traces lack") from exc
         print(str(result).lower())
         return 0
-    print(f"unknown oracle subject {subject!r}", file=sys.stderr)
-    return 2
+    raise InputError(f"unknown oracle subject {subject!r}")
 
 
 # ---------------------------------------------------------------------------

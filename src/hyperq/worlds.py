@@ -33,6 +33,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .env import Environment, JointState
+from .formula import InputError, read_input
 from .robustness import Label, Trace
 
 
@@ -52,7 +53,7 @@ class InvalidDominoError(ValueError):
     pass
 
 
-class BoundTooLargeError(ValueError):
+class BoundTooLargeError(InputError):
     pass
 
 
@@ -92,10 +93,10 @@ def load_map(text: str) -> GridMap:
     """Parse an ASCII map plus legend.
 
     Grid glyphs: ``#`` wall, ``.`` free, digits 1..9 agent starts, letters
-    tagged cells.  Legend lines follow the grid, one per glyph:
-    ``a = goal 2`` or ``r = resource``; a digit glyph may also carry a goal
-    tag when one agent starts on another's goal.  Lines starting with ``;``
-    are comments.
+    tagged cells; a digit or letter marks one cell.  Legend lines follow the
+    grid, one per glyph: ``a = goal 2`` or ``r = resource``; a digit glyph
+    may also carry a goal tag when one agent starts on another's goal.
+    Lines starting with ``;`` are comments.
     """
     grid_lines = []
     legend_lines = []
@@ -115,7 +116,6 @@ def load_map(text: str) -> GridMap:
     height = len(grid_lines)
 
     walls = set()
-    starts_by_digit = {}
     glyph_cells = {}
     for row, line in enumerate(grid_lines):
         y = height - 1 - row
@@ -125,15 +125,13 @@ def load_map(text: str) -> GridMap:
                 walls.add(cell)
             elif ch == ".":
                 continue
-            elif ch.isdigit() and ch != "0":
-                if ch in starts_by_digit:
-                    raise UnknownGlyphError(f"start glyph {ch!r} appears twice")
-                starts_by_digit[ch] = cell
-                glyph_cells[ch] = cell
-            elif ch.isalpha() and ch.islower():
+            elif ch.isdigit() and ch != "0" or ch.isalpha() and ch.islower():
+                if ch in glyph_cells:
+                    raise UnknownGlyphError(f"map glyph {ch!r} appears twice")
                 glyph_cells[ch] = cell
             else:
                 raise UnknownGlyphError(f"unknown map glyph {ch!r}")
+    starts_by_digit = {ch: cell for ch, cell in glyph_cells.items() if ch.isdigit()}
 
     goals_by_agent = {}
     special = {}
@@ -169,7 +167,7 @@ def load_map(text: str) -> GridMap:
 
 
 def load_map_file(path) -> GridMap:
-    return load_map(Path(path).read_text(encoding="utf-8"))
+    return read_input("map", path, load_map)
 
 
 def _move(grid: GridMap, cell, action):
@@ -406,7 +404,7 @@ def load_dominoes(text: str) -> DominoSet:
 
 
 def load_domino_file(path) -> DominoSet:
-    return load_dominoes(Path(path).read_text(encoding="utf-8"))
+    return read_input("domino", path, load_dominoes)
 
 
 def concat_words(dominoes: DominoSet, seq) -> tuple:
@@ -674,15 +672,7 @@ class ResourceEnv(_GridWorld):
 # Construction from configuration
 
 ENVIRONMENTS = {cls.kind: cls for cls in (GridWorldEnv, WildfireEnv, PcpEnv, ResourceEnv)}
-# each file key's noun and loader
-_LOADERS = {"map": ("map", load_map_file), "dominoes": ("domino", load_domino_file)}
-
-
-def _reason(exc: OSError | UnicodeDecodeError) -> str:
-    """Why a file could not be read, without the path an OSError repeats."""
-    if isinstance(exc, UnicodeDecodeError):
-        return f"not UTF-8: {exc.reason}"
-    return exc.strerror or str(exc)
+_LOADERS = {"map": load_map_file, "dominoes": load_domino_file}
 
 
 def build_env(section: dict, base_dir=None) -> Environment:
@@ -700,12 +690,7 @@ def build_env(section: dict, base_dir=None) -> Environment:
         if cls.file_key not in section:
             raise ValueError(f"environment kind {kind} needs a {cls.file_key} key")
         base = Path(base_dir) if base_dir is not None else Path(".")
-        path = base / section[cls.file_key]
-        noun, load = _LOADERS[cls.file_key]
-        try:
-            args.append(load(path))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{noun} file {path} cannot be read: {_reason(exc)}") from exc
+        args.append(_LOADERS[cls.file_key](base / section[cls.file_key]))
     kwargs = {}
     if "beta" in section:
         raw = section["beta"]

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import errno
 import os
 import re
 import subprocess
@@ -119,11 +120,15 @@ def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
     ("[hyperparams]", "[hyperparameters]", "unknown section(s) [hyperparameters]"),
     ("[hyperparams]", "[misc]\nx = 1\n[hyperparams]", "unknown section(s) [misc]"),
     ("xi = 15", "xi = 15\n; caf\xe9", "cannot be read: not UTF-8: invalid continuation byte"),
+    # no interpolation: '%' is a character of the value
+    ("xi = 15", "xi = 15\ngamma = 5%", "gamma must be a number, got '5%'"),
+    ("[experiment]", "garbage\n[experiment]", "line 2 comes before the first [section] header"),
+    ("xi = 15", "xi = 15\n= 3", "is not a key = value line"),
 ], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key", "negative_base_seed",
         "negative_seed", "duplicate_seed", "rho_max_negative", "rho_max_zero", "rho_max_nan",
         "rho_max_inf", "learning_rate_nan", "learning_rate_negative", "epsilon_negative",
         "epsilon_end_negative", "experiment_key", "experiment_keys", "hyperparameters_section",
-        "extra_section", "not_utf8"])
+        "extra_section", "not_utf8", "percent", "no_section", "no_key"])
 def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
     p = write_micro_config(tmp_path, reps=1)
     # Latin-1 writes one byte per character: the lone byte 0xe9 is not UTF-8
@@ -364,7 +369,7 @@ def test_cmd_train_names_a_map_or_domino_file_that_is_not_utf8(tmp_path, capsys)
         assert cmd_train(cfg) == 2
         assert cmd_eval(artifact, cfg) == 2
         message = f"config error: {noun} file {path} cannot be read: not UTF-8: "
-        assert capsys.readouterr().err == f"{message}invalid start byte\n" * 2
+        assert capsys.readouterr().err == f"{message}invalid start byte (line 1)\n" * 2
         assert not (tmp_path / key).exists()
 
 
@@ -419,16 +424,29 @@ def test_cmd_eval_malformed_artifact(tmp_path, capsys):
                        ("witness 2 deps=1\np |\tq |\t\np ||  || \tq |\t\n", 3),
                        ("witness 2 deps=\np |\tq |\t\n", 2),
                        ("witness 3 deps=1,2\np |\tq |\t\n", 2),
-                       # Latin-1 bytes: 0xe9 is not UTF-8
-                       ("policy 1\n('caf\xe9',)\tstay\n", 2),
                        # a repeated section would drop the first one's entries
                        ("policy 1\n(0, 0)\tstay\npolicy 2\npolicy 1\n", 4)):
         bad = tmp_path / "bad.txt"
-        bad.write_bytes(text.encode("latin-1"))
+        bad.write_text(text)
         assert cmd_eval(bad, cfg) == 2, text
         err = capsys.readouterr().err
         assert f"bad.txt:{line}: malformed artifact line" in err and err.count("\n") == 1, text
     assert "(a second section policy 1)" in err
+    # a repeated key would let the later line win, and a repeated witness
+    # section would read as an inconsistent witness
+    for text, line, reason in (
+            ("policy 1\n(0, 0)\tstay\n(0, 0)\tup\n", 3, "a second line for state (0, 0)"),
+            ("witness 2 deps=1\np |\tq |\t\np |\tr |\t\n", 3, "a second line for key p |"),
+            ("witness 2 deps=1\nwitness 2 deps=1\n", 2, "a second section witness 2")):
+        bad.write_text(text)
+        assert cmd_eval(bad, cfg) == 2, text
+        assert capsys.readouterr() == ("", f"error: {bad}:{line}: malformed artifact line "
+                                           f"({reason})\n")
+    # Latin-1 bytes: 0xe9 is not UTF-8
+    bad.write_bytes("policy 1\n('caf\xe9',)\tstay\n".encode("latin-1"))
+    assert cmd_eval(bad, cfg) == 2
+    assert capsys.readouterr() == ("", f"error: artifact file {bad} cannot be read: not UTF-8: "
+                                       "invalid continuation byte (line 2)\n")
     assert cmd_eval(tmp_path, cfg) == 2   # a directory
     err = capsys.readouterr().err
     assert err.startswith(f"error: artifact file {tmp_path} cannot be read: ") \
@@ -442,8 +460,8 @@ def test_cmd_eval_witness_positions_outside_the_prefix(tmp_path, capsys, header)
     assert cmd_train(cfg) == 0
     artifact = tmp_path / "out" / "artifacts_3.txt"
     policies, _, entries = artifact.read_text().partition("witness 2 deps=1\n")
-    if header.endswith("="):   # no deps: every key field is empty
-        entries = "".join("\t" + line.split("\t", 1)[1] + "\n" for line in entries.splitlines())
+    if header.endswith("="):   # no deps: one line, with an empty key field
+        entries = "\t" + entries.splitlines()[-1].split("\t", 1)[1] + "\n"
     artifact.write_text(f"{policies}{header}\n{entries}")
     capsys.readouterr()
     assert cmd_eval(artifact, cfg) in (0, 1)
@@ -534,9 +552,12 @@ def test_cmd_oracle_pcp(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: search bound {bound} outside 1..12\n")
     malformed = tmp_path / "bad.dom"
     malformed.write_text("ab\n")
-    for dominoes in (tmp_path / "missing.dom", malformed):
+    missing = tmp_path / "missing.dom"
+    for dominoes, message in ((missing, f"domino file {missing} does not exist"),
+                              (malformed, f"domino file {malformed}: expected 'top|bottom', "
+                                          "found 'ab'")):
         assert cmd_oracle("pcp", dominoes=dominoes, max_len=6) == 2
-        assert capsys.readouterr().err.startswith(f"error: {dominoes}: ")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cmd_oracle_boolean_sat(tmp_path, capsys):
@@ -546,6 +567,13 @@ def test_cmd_oracle_boolean_sat(tmp_path, capsys):
     traces.write_text("p |\n\nq |\n")
     assert cmd_oracle("boolean-sat", formula=formula, traces=traces) == 0
     assert capsys.readouterr().out.strip() == "true"
+    # Windows line ends still separate two traces, so not every trace has q
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(b"p |\r\n\r\nq |\r\n")
+    formula.write_text("forall t1. F q@t1\n")
+    assert cmd_oracle("boolean-sat", formula=formula, traces=crlf) == 0
+    assert capsys.readouterr().out.strip() == "false"
+    formula.write_text("exists t1. F p@t1\n")
     bad_formula = tmp_path / "bad.hltl"
     bad_formula.write_text("exists t1. F (p@t1\n")
     bad_traces = tmp_path / "bad.txt"
@@ -553,11 +581,72 @@ def test_cmd_oracle_boolean_sat(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     valuation = tmp_path / "valuation.hltl"
     valuation.write_text("exists t1. F [ v@t1 < 3 ]\n")
-    for f, t, culprit in ((missing, traces, missing), (bad_formula, traces, bad_formula),
-                          (formula, missing, missing), (formula, bad_traces, bad_traces),
-                          (valuation, traces, traces)):
+    for f, t, message in (
+            (missing, traces, f"formula file {missing} does not exist"),
+            (bad_formula, traces,
+             f"formula file {bad_formula}: expected ')', found '' (line 1, column 17)"),
+            (formula, missing, f"traces file {missing} does not exist"),
+            (formula, bad_traces,
+             f"traces file {bad_traces}: could not convert string to float: 'high'"),
+            (valuation, traces,
+             f"traces file {traces}: the formula reads valuation 'v', which the traces lack")):
         assert cmd_oracle("boolean-sat", formula=f, traces=t) == 2
-        assert capsys.readouterr().err.startswith(f"error: {culprit}: ")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# text that each input's loader cannot parse
+_UNPARSABLE = {"config": "garbage\n", "formula": "forall t1. F (p@t1\n", "map": "1.\n...\n",
+               "domino": "ab\n", "traces": "p | x=high\n", "artifact": "stray line\n"}
+
+
+@pytest.mark.parametrize("failure", ["missing", "directory", "not_utf8", "unparsable"])
+@pytest.mark.parametrize("noun,command", [
+    ("config", "train"), ("formula", "train"), ("formula", "eval"), ("formula", "check"),
+    ("formula", "boolean-sat"), ("map", "train"), ("domino", "train"), ("domino", "pcp"),
+    ("traces", "boolean-sat"), ("artifact", "eval")])
+def test_each_input_error_is_one_line_naming_the_file(tmp_path, capsys, noun, command, failure):
+    bad = tmp_path / f"bad.{noun}"
+    if failure == "directory":
+        bad.mkdir()
+    elif failure == "not_utf8":
+        bad.write_bytes(b"\xff\n")
+    elif failure == "unparsable":
+        bad.write_text(_UNPARSABLE[noun])
+    formulas = hq.bundled("formulas")
+    env, formula = {"map": (f"kind = grid\nmap = {bad}", formulas / "safe_rl.hltl"),
+                    "domino": (f"kind = pcp\ndominoes = {bad}", formulas / "pcp_ab.hltl"),
+                    "formula": ("kind = wildfire\nbeta = 4", bad)}.get(
+        noun, ("kind = wildfire\nbeta = 4", formulas / "rescue.hltl"))
+    config = bad if noun == "config" else write_micro_config(tmp_path, xi=5, reps=1,
+                                                             formula=formula, env=env)
+    traces = tmp_path / "traces.txt"
+    if noun == "traces":
+        traces = bad
+    else:
+        traces.write_text("p |\n\nq |\n")
+    artifact = bad if noun == "artifact" else tmp_path / "never-read.txt"
+    argv = {"train": ["train", "--config", str(config)],
+            "eval": ["eval", "--policy", str(artifact), "--config", str(config)],
+            "check": ["check", str(bad)],
+            "boolean-sat": ["oracle", "boolean-sat", "--formula", str(formula),
+                            "--traces", str(traces)],
+            "pcp": ["oracle", "pcp", "--dominoes", str(bad)]}[command]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    prefix = "config error: " if command in ("train", "eval") and noun != "artifact" else "error: "
+    if failure == "unparsable":
+        head = (f"error: {bad}:1: malformed artifact line (" if noun == "artifact" else
+                f"syntax error: {noun} file {bad}: " if command == "check" else
+                f"{prefix}{noun} file {bad}: ")
+        assert err.startswith(head), err
+    else:
+        reason = {"missing": "does not exist",
+                  "directory": f"cannot be read: {os.strerror(errno.EISDIR)}",
+                  "not_utf8": "cannot be read: not UTF-8: invalid start byte (line 1)"}[failure]
+        assert err == f"{prefix}{noun} file {bad} {reason}\n"
+    assert code == (1 if command == "check" and failure == "unparsable" else 2)
+    assert out == "" and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in hq.bundled("configs").glob("*.ini")))

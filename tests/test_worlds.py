@@ -71,6 +71,14 @@ def test_load_map_rejects_unknown_glyph():
         load_map("1?\n..\n")
 
 
+def test_load_map_rejects_a_glyph_drawn_twice():
+    # one cell per glyph: a second resource or goal cell would be dropped
+    for text, glyph in (("1r.\n.r.\n\nr = resource\n", "r"), ("1a\n2a\n\na = goal 1\n", "a"),
+                        ("1.\n.1\n", "1")):
+        with pytest.raises(UnknownGlyphError, match=f"map glyph '{glyph}' appears twice"):
+            load_map(text)
+
+
 def test_load_map_rejects_goal_of_unknown_agent_and_second_goal():
     assert load_map("1ab\n...\n\na = goal 1\n").goals == ((1, 1),)
     for legend in ("a = goal 1\nb = goal 5", "a = goal 1\nb = goal 1", "a = goal 0"):
@@ -350,8 +358,8 @@ def test_domino_set_validation(tmp_path, capsys):
                    f"output_dir = {tmp_path / 'bar'}\n[hyperparams]\nxi = 2\n"
                    f"[environment]\nkind = pcp\ndominoes = {dom}\n")
     assert cmd_train(cfg) == 2
-    assert capsys.readouterr().err == \
-        "config error: domino 2 ('a', 'b|c') has letter '|'; letters are A-Z, a-z, 0-9 and _\n"
+    assert capsys.readouterr().err == (f"config error: domino file {dom}: domino 2 ('a', 'b|c') "
+                                       "has letter '|'; letters are A-Z, a-z, 0-9 and _\n")
     assert not (tmp_path / "bar").exists()
 
 
