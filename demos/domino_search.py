@@ -27,7 +27,7 @@ result = hq.train(env, formula, hyper, seed=2)
 matches = result.metrics.rows[-1]["tot_done"]
 print(f"training matches found: {matches} across {hyper.xi} episodes")
 
-seq, done = result.final_record.states[-1].per_trace[1]
+seq, done = result.final_record.states[-1][1]
 if done and seq:
     top, bot = concat_words(dominoes, seq)
     print("greedy sequence:", list(seq), "->", top, "/", bot,

@@ -23,8 +23,8 @@ print("terminal robustness:", record.terminal_rho,
       "->", hq.sat_verdict(record.terminal_rho, cfg).value)
 
 names = env.cell_names
-scout = [names[(s.per_trace[0][0], s.per_trace[0][1])] for s in record.states]
-medic = [names[(s.per_trace[1][0], s.per_trace[1][1])] for s in record.states]
+scout = [names[slot[:2]] for slot, _ in record.states]
+medic = [names[slot[:2]] for _, slot in record.states]
 print("scout path:", " ".join(scout))
 print("medic path:", " ".join(medic))
 print("robustness per step:", record.rhos)

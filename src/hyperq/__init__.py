@@ -37,7 +37,7 @@ from .robustness import (
     sat_verdict,
     zip_traces,
 )
-from .env import Environment, EpisodeRecord, JointAction, JointState
+from .env import Environment, EpisodeRecord, JointAction
 from .worlds import (
     DominoSet,
     GridMap,

@@ -2,10 +2,11 @@
 
 An environment advances one opaque state per trace slot under a joint action
 and exposes only reset/step/label observations; transition dynamics stay
-hidden from learners.  All bundled environments are deterministic given the
-reset seed, so stochasticity enters only through exploration.  A run keeps
-what it has observed of one in a `StateTable`, keyed on small integer ids of
-the joint states it has seen.
+hidden from learners.  A joint state is the tuple of its slot states.  All
+bundled environments are deterministic given the reset seed, so
+stochasticity enters only through exploration.  A run keeps what it has
+observed of one in a `StateTable`, keyed on small integer ids of the joint
+states it has seen.
 """
 
 from __future__ import annotations
@@ -30,60 +31,45 @@ class ArityMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class JointState:
-    """One opaque per-slot state per trace plus the step counter."""
-
-    per_trace: tuple
-    step_count: int = 0
-
-
-@dataclass(frozen=True)
 class JointAction:
     per_trace: tuple
 
 
 @dataclass
 class EpisodeRecord:
-    """Everything one episode produced: states, actions, traces, robustness.
+    """Everything one episode produced: states, actions, traces, robustness."""
 
-    A run keeps the visited states' slot states only; `states` makes the
-    JointStates from them when asked."""
-
-    slot_states: list = field(default_factory=list)  # visited states' per_trace, length steps+1
-    actions: list = field(default_factory=list)      # joint action tuples, length steps
-    traces: list = field(default_factory=list)       # one Trace per slot
-    rhos: list = field(default_factory=list)         # robustness after each step
+    states: list = field(default_factory=list)   # visited joint states, length steps+1
+    actions: list = field(default_factory=list)  # joint action tuples, length steps
+    traces: list = field(default_factory=list)   # one Trace per slot
+    rhos: list = field(default_factory=list)     # robustness after each step
     terminal_rho: float = 0.0
 
     @property
     def steps(self) -> int:
         return len(self.actions)
 
-    @property
-    def states(self) -> list:
-        """The visited JointStates, built from `slot_states` on each access."""
-        return [JointState(per_trace, t) for t, per_trace in enumerate(self.slot_states)]
-
 
 class Environment:
     """Base class; a concrete world implements the hidden dynamics as
-    `transition`, and the base `step` does the bookkeeping around it.
+    `transition`, and the base `step` checks the joint action before it.
 
-    `transition`, `label_of` and `trace_prefix` depend on a state's
-    `per_trace` alone, never on its `step_count`: a run keeps one successor
-    per joint state and joint action, and one label column or robustness
-    value per joint state (see `StateTable`).  A
-    stochastic world would draw the effective action before the lookup, so
-    that `transition` stays a pure function.
+    A joint state is the tuple of its slot states, one per trace slot, and
+    holds no step count: `transition`, `label_of` and `trace_prefix` are
+    functions of it alone, since a run keeps one successor per joint state
+    and joint action, and one label column or robustness value per joint
+    state (see `StateTable`).  A stochastic world would draw the effective
+    action before the lookup, so that `transition` stays a pure function.
 
     `kind` is the world's ``[environment] kind`` name and `file_key` the one
     other key it reads besides ``beta``: a map or domino file passed to the
     constructor, or None.  `actions` is the per-slot action alphabet (shared
     by all slots), `arity` the number of trace slots, and `beta` the episode
-    length bound.  `metric_columns` are the training CSV columns between
-    ``episode`` and ``rho``.  A world with a hand-crafted comparison reward
-    (``reward_mode = baseline``) defines `baseline_reward(prev_state,
-    action, next_state)`.
+    length bound, which the episode loop keeps (`step` counts no steps).
+    `metric_columns` are the training CSV columns between ``episode`` and
+    ``rho``.  A world with a hand-crafted comparison reward (``reward_mode =
+    baseline``) defines `baseline_reward(t, state)`, the reward of step t
+    (counted from 0) that led to `state`.
 
     `step` validates a joint-action tuple the first time it sees it and
     remembers it in `valid_actions` (see `check_action`); an invalid tuple is
@@ -100,41 +86,39 @@ class Environment:
     def __init__(self):
         self.valid_actions: set = set()
 
-    def reset(self, seed: int) -> JointState:
+    def reset(self, seed: int) -> tuple:
+        """The start joint state."""
         raise NotImplementedError
 
-    def step(self, state: JointState, action: JointAction) -> JointState:
-        """The joint state one step after `state` under `action`; raises
-        EpisodeExhaustedError at the episode bound `beta`."""
-        if state.step_count >= self.beta:
-            raise EpisodeExhaustedError(f"episode length bound {self.beta} reached")
+    def step(self, state: tuple, action: JointAction) -> tuple:
+        """The joint state one step after `state` under `action`."""
         joint = action.per_trace
         if joint not in self.valid_actions:
             self.check_action(action)
-        return JointState(self.transition(state.per_trace, joint), state.step_count + 1)
+        return self.transition(state, joint)
 
-    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
-        """The dynamics: the slot states after the joint action `joint` (one
-        action name per slot) from the slot states `per_trace`.  A pure
-        function of its arguments; `joint` is already validated."""
+    def transition(self, state: tuple, joint: tuple) -> tuple:
+        """The dynamics: the joint state after the joint action `joint` (one
+        action name per slot) from `state`.  A pure function of its
+        arguments; `joint` is already validated."""
         raise NotImplementedError
 
-    def label_of(self, state: JointState) -> tuple:
-        """One `Label` per slot, a function of `state.per_trace` alone."""
+    def label_of(self, state: tuple) -> tuple:
+        """One `Label` per slot, a function of the joint state alone."""
         raise NotImplementedError
 
-    # Slot states double as tabular learning keys.
-    def encode(self, state: JointState) -> tuple:
-        return state.per_trace
+    # Joint states double as tabular learning keys.
+    def encode(self, state: tuple) -> tuple:
+        return state
 
-    def trace_prefix(self, state: JointState):
+    def trace_prefix(self, state: tuple):
         """Per-slot traces for the episode so far, or None when the trace is
-        simply the per-step label sequence.  A function of `state.per_trace`
+        simply the per-step label sequence.  A function of the joint state
         alone, so a run scores each joint state of such a world once (see
         `StateTable`)."""
         return None
 
-    def trace_delta(self, prev: JointState, state: JointState) -> tuple:
+    def trace_delta(self, prev: tuple, state: tuple) -> tuple:
         """For a world with `trace_prefix`, the rewrite from `prev`, any
         earlier state of the same episode, to `state`: (lo, columns), where
         lo is the lowest position of the zipped prefix that changed on the
@@ -170,22 +154,21 @@ def _joint_actions(actions: tuple, arity: int) -> tuple:
 class StateTable:
     """The joint states one run has seen, each under a small integer id.
 
-    A state's id is its index in `states`, which holds its slot states
-    (`per_trace`), and in `rows`, which holds what `make_row(state)` made of
-    it on its first visit (the learner's Q row).  A world that labels its
-    states (`labelled`) has the id's label column (`label_of`) in
-    `columns`; a world with `trace_prefix` has the robustness of the id's
-    prefix in `scores`, None until a run first scores it, since that prefix
-    is a function of the joint state.  Scores hold for one formula and
-    robustness config, those of the runs that share the table.
-    `actions` are the world's joint actions, all combinations of `actions`
-    over the slots, and `index` maps a joint-action tuple to its position.
-    `successors[i * width + a]` is the id one step on from state i under
-    joint action a, or -1 until a run has taken that step, always through
-    `Environment.step`, so the episode bound and the action check stay
-    there.  Since `transition`, `label_of` and `trace_prefix` read only
-    `per_trace`, the table is a pure cache: `start` begins it afresh once it
-    holds more than `limit` ids, and nothing a run computes changes.
+    A state's id is its index in `states`, which holds the joint state, and in
+    `rows`, which holds what `make_row(state)` made of it on its first visit
+    (the learner's Q row).  A world that labels its states (`labelled`) has
+    the id's label column (`label_of`) in `columns`; a world with
+    `trace_prefix` has the robustness of the id's prefix in `scores`, None
+    until a run first scores it, since that prefix is a function of the joint
+    state.  Scores hold for one formula and robustness config, those of the
+    runs that share the table.  `actions` are the world's joint actions, all
+    combinations of `actions` over the slots, and `index` maps a joint-action
+    tuple to its position.  `successors[i * width + a]` is the id one step on
+    from state i under joint action a, or -1 until a run has taken that step,
+    always through `Environment.step`, so the action check stays there.  Since
+    `transition`, `label_of` and `trace_prefix` read only the joint state, the
+    table is a pure cache: `start` begins it afresh once it holds more than
+    `limit` ids, and nothing a run computes changes.
     """
 
     limit = 2048
@@ -210,7 +193,7 @@ class StateTable:
                      self.successors):
             part.clear()
 
-    def start(self, state: JointState) -> int:
+    def start(self, state: tuple) -> int:
         """The id of an episode's start state, after beginning the table
         afresh when it is full.  Beginning it gives `state` id 0 and finds
         out whether the world labels its states: `opening` is `state`'s
@@ -221,12 +204,12 @@ class StateTable:
             self.labelled = self.opening is None
         return self.intern(state)
 
-    def intern(self, state: JointState) -> int:
+    def intern(self, state: tuple) -> int:
         """The id of `state`, given on its first visit."""
-        i = self.ids.get(state.per_trace)
+        i = self.ids.get(state)
         if i is None:
-            i = self.ids[state.per_trace] = len(self.states)
-            self.states.append(state.per_trace)
+            i = self.ids[state] = len(self.states)
+            self.states.append(state)
             if self.labelled:
                 self.columns.append(tuple(self.env.label_of(state)))
             else:

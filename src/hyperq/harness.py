@@ -38,7 +38,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .env import Environment, JointAction
+from .env import Environment
 from .formula import (Formula, FormulaError, InputError, load_formula, parse_formula, read_input,
                       unparse, validate)
 from .learner import (
@@ -150,8 +150,8 @@ class ExperimentConfig:
 
         Raises ConfigError when the formula or an environment file cannot be
         read or parsed, or when the pieces do not fit together.  One step of
-        the world's first action is scored, so a formula that reads a
-        valuation the world's labels lack is found here.
+        joint action 0, every slot's first action, is scored, so a formula
+        that reads a valuation the world's labels lack is found here.
         """
         try:
             f = self.load_formula()
@@ -167,9 +167,8 @@ class ExperimentConfig:
             beta = episode_bound(env, sk, self.hyperparams)
         except ValueError as exc:   # an InputError among them
             raise ConfigError(str(exc)) from exc
-        first = JointAction((env.actions[0],) * env.arity)
         try:
-            rollout(env, sk, self.hyperparams.config(), lambda t, i: first, self.seeds[0], 1)
+            rollout(env, sk, self.hyperparams.config(), lambda t, i: 0, self.seeds[0], 1)
         except UnknownValuationError as exc:
             raise ConfigError(f"the formula reads valuation {exc.args[0]!r}, "
                               f"which {env.kind} labels lack") from exc

@@ -7,17 +7,18 @@ involved.  A run interns each joint state it meets in a `StateTable`: one
 integer id per joint state, under which the table keeps its successors, its
 label column and its Q row, so a step the run has taken before is a list
 lookup, and each joint state is encoded and hashed once per id rather than
-once per step.  The episode's tracker keeps the zipped prefix, and the
-episode loop scores it with a `PrefixEvaluator`, which recomputes each
-subformula only from the lowest position that changed since it last
-scored.  A world that appends a label per step is scored at every step,
-from the appended position.  In a world with `trace_prefix` the prefix is
-a function of the joint state, so the table keeps one robustness value per
-id: a step into a scored id takes it, and only a step into an unscored id
-moves the tracker on, which reports the lowest position it rewrote.  The
-terminal reward is the last step's.  Each `train` call checks its final
-greedy episode's terminal reward against one from-scratch evaluation of the
-world's traces.  Per-slot greedy policies and witness tables for
+once per step.  The episode loop deals in these ids and in joint-action
+indices into the table's `actions`, and it alone keeps the episode bound.  The
+episode's tracker keeps the zipped prefix, and the episode loop scores it with
+a `PrefixEvaluator`, which recomputes each subformula only from the lowest
+position that changed since it last scored.  A world that appends a label per
+step is scored at every step, from the appended position.  In a world with
+`trace_prefix` the prefix is a function of the joint state, so the table keeps
+one robustness value per id: a step into a scored id takes it, and only a step
+into an unscored id moves the tracker on, which reports the lowest position it
+rewrote.  The terminal reward is the last step's.  Each `train` call checks
+its final greedy episode's terminal reward against one from-scratch evaluation
+of the world's traces.  Per-slot greedy policies and witness tables for
 existential quantifiers are projected out of the trained function.
 
 Exploration in episode e of seed s draws from numpy's `default_rng((s, e))`
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .env import (ArityMismatchError, Environment, EpisodeRecord, JointAction, JointState,
-                  StateTable)
+from .env import (ArityMismatchError, Environment, EpisodeExhaustedError, EpisodeRecord,
+                  JointAction, StateTable)
 from .formula import Formula
 from .rng import Stream
 from .robustness import (LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, _unchanged,
@@ -123,20 +124,12 @@ class TabularQ:
         self.table: dict = {}
         self.zeros = (0.0,) * n_actions   # the values of a key never updated
 
-    def values(self, key) -> list:
-        return list(self.table.get(key, self.zeros))
-
     def row(self, key) -> QRow:
         row = self.table.get(key)
         if row is None:
             row = self.table[key] = QRow(self.zeros)
             row.tried = 0
         return row
-
-    def best(self, key, prefer_tried: bool = False) -> int:
-        """`greedy` of the key's row; 0 for a key without one."""
-        row = self.table.get(key)
-        return 0 if row is None else greedy(row, prefer_tried)
 
 
 def _canon(value):
@@ -236,7 +229,7 @@ class _EpisodeTracker:
     its evaluator.
     """
 
-    def __init__(self, env: Environment, state: JointState, column: tuple | None = None,
+    def __init__(self, env: Environment, state: tuple, column: tuple | None = None,
                  traces=None):
         self.env = env
         self.state = state    # the last state tracked
@@ -250,7 +243,7 @@ class _EpisodeTracker:
             raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
         self.columns = list(zip(*traces))
 
-    def advance(self, state: JointState) -> int:
+    def advance(self, state: tuple) -> int:
         """Move on to `state`, a later state of the episode, in a world with
         `trace_prefix`; the lowest position rewritten."""
         lo, tail = self.env.trace_delta(self.state, state)
@@ -278,19 +271,22 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
 
     The episode's joint states are interned in `table` (a fresh one when
     None), and a step the table has seen is looked up, not taken again.
-    `choose(t, i)` returns the JointAction to take at step t (counted from
-    0) from the joint state with id i; `on_step(t, i, a, n, rho)` runs after
-    it, with a the action's index in `table.actions` and n the id of the
-    state it led to.  Steps past the world's own bound go through
-    `env.step`, which raises.  Each scored step updates the episode's
-    `PrefixEvaluator` once, from the lowest position that changed: in a
-    labelled world the appended one.  In a world with `trace_prefix` a step
-    into an id the table has scored takes that score, and only a step into
-    an unscored one moves the tracker on, from the last state it tracked,
-    to the position it reports.  The terminal robustness is the last
-    step's, which scores the whole episode; an episode without steps scores
-    its start prefix.
+    `choose(t, i)` returns the index in `table.actions` of the joint action
+    to take at step t (counted from 0) from the joint state with id i;
+    `on_step(t, i, a, n, rho)` runs after it, with a that index and n the id
+    of the state it led to.  An episode longer than the world's bound `beta`
+    raises EpisodeExhaustedError before it starts.  Each scored step updates
+    the episode's `PrefixEvaluator` once, from the lowest position that
+    changed: in a labelled world the appended one.  In a world with
+    `trace_prefix` a step into an id the table has scored takes that score,
+    and only a step into an unscored one moves the tracker on, from the last
+    state it tracked, to the position it reports.  The terminal robustness
+    is the last step's, which scores the whole episode; an episode without
+    steps scores its start prefix.
     """
+    if beta > env.beta:
+        raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "
+                                    f"{env.beta}")
     if table is None:
         table = StateTable(env)
     record = EpisodeRecord()
@@ -304,33 +300,28 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         tracker = _EpisodeTracker(env, start, traces=table.opening if i == 0 else None)
     prefix = tracker.columns
     tracked = i   # the id of the tracker's state
-    states, columns, scores, successors, index, width = (
-        table.states, table.columns, table.scores, table.successors, table.index, table.width)
-    slot_states, actions, rhos = record.slot_states, record.actions, record.rhos
-    slot_states.append(start.per_trace)
-    bound = env.beta
+    states, columns, scores, successors, joint_actions, width = (
+        table.states, table.columns, table.scores, table.successors, table.actions, table.width)
+    visited, actions, rhos = record.states, record.actions, record.rhos
+    visited.append(start)
     for t in range(beta):
-        action = choose(t, i)
-        a = index.get(action.per_trace)
-        if a is None or t >= bound or (n := successors[i * width + a]) < 0:
-            # raises for a joint action outside `index` and at the world's bound
-            n = successors[i * width + a] = table.intern(
-                env.step(JointState(states[i], t), action))
+        a = choose(t, i)
+        if (n := successors[i * width + a]) < 0:
+            n = successors[i * width + a] = table.intern(env.step(states[i], joint_actions[a]))
         if labelled:
             prefix.append(columns[n])
             rho = evaluator.update(prefix, len(prefix) - 1)
         elif (rho := scores[n]) is None:   # a `trace_prefix` world scores each id once
-            rho = scores[n] = evaluator.update(
-                prefix, tracker.advance(JointState(states[n], t + 1)))
+            rho = scores[n] = evaluator.update(prefix, tracker.advance(states[n]))
             tracked = n
         if on_step is not None:
             on_step(t, i, a, n, rho)
-        slot_states.append(states[n])
-        actions.append(action.per_trace)
+        visited.append(states[n])
+        actions.append(joint_actions[a].per_trace)
         rhos.append(rho)
         i = n
     if not labelled and tracked != i:   # catch the tracker up with the last state
-        tracker.advance(JointState(states[i], len(actions)))
+        tracker.advance(states[i])
     record.traces = tracker.traces()
     record.terminal_rho = rhos[-1] if rhos else evaluator.update(prefix, 0)
     return record
@@ -349,21 +340,20 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     cfg = h.config()
     # each joint state is encoded once, when the table gives it its id
     table = StateTable(env, lambda state: q.row(env.encode(state)))
-    joint_actions, rows, n_actions = table.actions, table.rows, table.width
+    rows, n_actions = table.rows, table.width
     q = TabularQ(n_actions)
     baseline = h.reward_mode == "baseline"
 
     # explore and learn see the ep_rng and eps of the episode being run
     def explore(t, i):
         if ep_rng.random() < eps:
-            return joint_actions[ep_rng.integers(n_actions)]
+            return ep_rng.integers(n_actions)
         row = rows[i]
-        return joint_actions[row.index(max(row))]
+        return row.index(max(row))
 
     def learn(t, i, a, n, rho):
         if baseline:
-            rho = env.baseline_reward(JointState(table.states[i], t), joint_actions[a],
-                                      JointState(table.states[n], t + 1))
+            rho = env.baseline_reward(t, table.states[n])
         q_update(rows[i], a, rho, rows[n], h, done=t + 1 >= beta)
 
     metrics = TrainMetrics(["episode", *env.metric_columns, "rho"])
@@ -377,8 +367,8 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
                     "rho": record.terminal_rho}
         metrics.rows.append(previous)
 
-    final = rollout(env, sk, cfg, lambda t, i: joint_actions[greedy(rows[i], prefer_tried=True)],
-                    seed, beta, table=table)
+    final = rollout(env, sk, cfg, lambda t, i: greedy(rows[i], prefer_tried=True), seed, beta,
+                    table=table)
     # the one from-scratch evaluation: of the world's own traces (a
     # `trace_prefix` world's from the last state, not from its step deltas)
     traces = env.trace_prefix(final.states[-1])
@@ -408,7 +398,7 @@ def extract_policies(env: Environment, sk: SkolemizedFormula, record: EpisodeRec
             key = witness_key(tuple(traces[j - 1] for j in table.deps))
             table.entries[key] = (trace_text(traces[e]), tuple(a[e] for a in record.actions[:t]))
         if t < record.steps:
-            for i, slot in enumerate(state.per_trace):
+            for i, slot in enumerate(state):
                 policies.policies[i + 1][state_key(slot)] = record.actions[t][i]
     return policies, witnesses
 
@@ -418,13 +408,19 @@ def greedy_rollout(policies: PolicySet, env: Environment, sk: SkolemizedFormula,
     """Deterministic episode of `beta` steps (see `episode_bound`) under the
     extracted per-slot policies.
 
-    States never seen during extraction fall back to the first action.
+    States never seen during extraction fall back to the first action.  A
+    policy action the world lacks raises InvalidActionError.
     """
     default = env.actions[0]
     table = StateTable(env)
+    states, index = table.states, table.index
 
     def choose(t, i):
-        return JointAction(tuple(policies.action_for(k + 1, slot, default)
-                                 for k, slot in enumerate(table.states[i])))
+        joint = tuple(policies.action_for(k + 1, slot, default)
+                      for k, slot in enumerate(states[i]))
+        a = index.get(joint)
+        if a is None:
+            env.check_action(JointAction(joint))   # raises: `index` has every valid tuple
+        return a
 
     return rollout(env, sk, cfg, choose, seed, beta, table=table)

@@ -6,9 +6,10 @@ a wall or the boundary leave the agent in place, and the scalar cell index
 exposed to formulas is column-ordered: ``cell = x * height + y``.
 
 Each world defines its dynamics as `transition`; `Environment.step` checks
-the episode bound and the joint action around it.  A run steps once per
-joint state and joint action it meets, and labels or scores each joint state
-once: its `StateTable` keeps the successors and the label column (the
+the joint action before it.  A joint state is the tuple of the slots'
+states, and the episode loop, not the world, counts steps.  A run steps once
+per joint state and joint action it meets, and labels or scores each joint
+state once: its `StateTable` keeps the successors and the label column (the
 robustness, in the domino game) of each joint state, so the worlds keep no
 table keyed on joint states.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
-from .env import Environment, JointState
+from .env import Environment
 from .formula import InputError, read_input
 from .robustness import Label, Trace
 
@@ -227,21 +228,20 @@ class GridWorldEnv(_GridWorld):
             raise ValueError(f"map gives no goal for agent(s) {missing}")
         super().__init__(grid, beta)
 
-    def reset(self, seed: int) -> JointState:
+    def reset(self, seed: int) -> tuple:
         starts = self.grid.starts
         shared = len(set(starts)) < len(starts)
-        per = tuple((x, y, False, shared) for x, y in starts)
-        return JointState(per, 0)
+        return tuple((x, y, False, shared) for x, y in starts)
 
-    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
+    def transition(self, state: tuple, joint: tuple) -> tuple:
         moves = self.moves
-        moved = [moves[x, y, act] for (x, y, _, _), act in zip(per_trace, joint)]
+        moved = [moves[x, y, act] for (x, y, _, _), act in zip(state, joint)]
         goals = self.grid.goals
         return tuple([(cell[0], cell[1], done or cell == goals[i], col or moved.count(cell) > 1)
-                      for i, ((_, _, done, col), cell) in enumerate(zip(per_trace, moved))])
+                      for i, ((_, _, done, col), cell) in enumerate(zip(state, moved))])
 
-    def label_of(self, state: JointState) -> tuple:
-        cells = [(x, y) for x, y, _, _ in state.per_trace]
+    def label_of(self, state: tuple) -> tuple:
+        cells = [(x, y) for x, y, _, _ in state]
         labels = self.labels
         return tuple([labels[i, cell, cells.count(cell) > 1] for i, cell in enumerate(cells)])
 
@@ -260,10 +260,10 @@ class GridWorldEnv(_GridWorld):
 
     def episode_stats(self, record) -> dict:
         """Whether every agent visited its goal, and the steps with a shared cell."""
-        done = all(flag for _, _, flag, _ in record.slot_states[-1])
+        done = all(flag for _, _, flag, _ in record.states[-1])
         collisions = 0
-        for per_trace in record.slot_states[1:]:
-            collisions += len({(x, y) for x, y, _, _ in per_trace}) < len(per_trace)
+        for state in record.states[1:]:
+            collisions += len({(x, y) for x, y, _, _ in state}) < len(state)
         return {"done": int(done), "collisions": collisions}
 
     def episode_metrics(self, record, previous: dict) -> dict:
@@ -271,9 +271,10 @@ class GridWorldEnv(_GridWorld):
         return {"total_done": previous.get("total_done", 0) + stats["done"],
                 "total_col": stats["collisions"]}
 
-    def baseline_reward(self, prev_state, action, next_state) -> float:
-        """-5 on a collision, 10 with every agent on its goal, 5 with some."""
-        cells = [(x, y) for x, y, _, _ in next_state.per_trace]
+    def baseline_reward(self, t: int, state: tuple) -> float:
+        """-5 on a collision, 10 with every agent on its goal, 5 with some:
+        the reward of step t (counted from 0), which led to `state`."""
+        cells = [(x, y) for x, y, _, _ in state]
         if len(set(cells)) < len(cells):
             return -5.0
         on_goal = sum(1 for i, c in enumerate(cells) if c == self.grid.goals[i])
@@ -311,17 +312,16 @@ class WildfireEnv(_GridWorld):
                 self.cell_names[(x, y)] = name
         self.cells_by_name = {v: k for k, v in self.cell_names.items()}
 
-    def reset(self, seed: int) -> JointState:
+    def reset(self, seed: int) -> tuple:
         start = self.cells_by_name["a"]
         fires = frozenset(WILDFIRE_FIRES)
-        per = (
+        return (
             (start[0], start[1], fires),                    # extinguisher: remaining fires
             (start[0], start[1], frozenset(), False),       # medic: saved victims, entered-fire flag
         )
-        return JointState(per, 0)
 
-    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
-        (x1, y1, fires), (x2, y2, saved, early) = per_trace
+    def transition(self, state: tuple, joint: tuple) -> tuple:
+        (x1, y1, fires), (x2, y2, saved, early) = state
         a1, a2 = joint
         p1 = self.moves[x1, y1, a1]
         p2 = self.moves[x2, y2, a2]
@@ -334,11 +334,11 @@ class WildfireEnv(_GridWorld):
                 saved = saved | {name2}
         return (p1[0], p1[1], fires), (p2[0], p2[1], saved, early)
 
-    def label_of(self, state: JointState) -> tuple:
-        fires = state.per_trace[0][2]
+    def label_of(self, state: tuple) -> tuple:
+        fires = state[0][2]
         names, labels = self.cell_names, self.labels
         return tuple([labels[slot[0], slot[1], names[slot[0], slot[1]] in fires]
-                      for slot in state.per_trace])
+                      for slot in state])
 
     def _label(self, key) -> Label:
         x, y, burning = key
@@ -471,7 +471,7 @@ class PcpEnv(Environment):
         self.beta = beta
         self.actions = tuple(f"dom_{i}" for i in range(1, dominoes.k + 1)) + ("dom_#",)
         self.domino_index = {f"dom_{i}": i for i in range(1, dominoes.k + 1)}
-        self._start = JointState(tuple(((), False) for _ in range(self.arity)), 0)
+        self._start = tuple(((), False) for _ in range(self.arity))
         self._clear_words()
 
     def _clear_words(self):
@@ -481,13 +481,13 @@ class PcpEnv(Environment):
         # holds one episode's slots.
         self.words = {((), False): ("", "", [], 0)}
 
-    def reset(self, seed: int) -> JointState:
+    def reset(self, seed: int) -> tuple:
         self._clear_words()
         return self._start
 
-    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
+    def transition(self, state: tuple, joint: tuple) -> tuple:
         per = []
-        for slot, act in zip(per_trace, joint):
+        for slot, act in zip(state, joint):
             seq, done = slot
             if done:
                 per.append(slot)
@@ -521,7 +521,7 @@ class PcpEnv(Environment):
         """The slot's (top, bottom) words, '#'-ended once it terminated."""
         return self._entry(slot)[:2]
 
-    def trace_delta(self, prev: JointState, state: JointState) -> tuple:
+    def trace_delta(self, prev: tuple, state: tuple) -> tuple:
         """(lo, columns[lo:]) for `state`, a later state of `prev`'s episode:
         lo is the lowest position of the zipped prefix that the steps between
         them rewrote, and the columns (one tuple of labels per position) are
@@ -529,7 +529,7 @@ class PcpEnv(Environment):
         words, entry = self.words, self._entry
         lo, old_n, n = sys.maxsize, 0, 0
         new = []
-        for before, slot in zip(prev.per_trace, state.per_trace):
+        for before, slot in zip(prev, state):
             got = words.get(before) or entry(before)
             if len(got[2]) > old_n:
                 old_n = len(got[2])
@@ -549,7 +549,7 @@ class PcpEnv(Environment):
             per_slot.append(tail)
         return lo, list(zip(*per_slot))
 
-    def trace_prefix(self, state: JointState) -> tuple:
+    def trace_prefix(self, state: tuple) -> tuple:
         _, columns = self.trace_delta(self._start, state)
         return tuple(Trace([column[i] for column in columns]) for i in range(self.arity))
 
@@ -562,19 +562,19 @@ class PcpEnv(Environment):
         return top == bot
 
     def episode_metrics(self, record, previous: dict) -> dict:
-        match = self.match_achieved(record.slot_states[-1][-1])
+        match = self.match_achieved(record.states[-1][-1])
         return {"tot_done": previous.get("tot_done", 0) + int(match)}
 
-    def baseline_reward(self, prev_state, action, next_state) -> float:
-        """Mean over slots of +1 if the step's top and bottom letters agree, else -1."""
-        idx = prev_state.step_count
+    def baseline_reward(self, t: int, state: tuple) -> float:
+        """Mean over the slots of `state`, which step t (counted from 0) led
+        to, of +1 if their words' letters at position t agree, else -1."""
         total = 0.0
-        for slot in next_state.per_trace:
+        for slot in state:
             top, bot = self.slot_words(slot)
-            t = top[idx] if idx < len(top) else "#"
-            b = bot[idx] if idx < len(bot) else "#"
-            total += 1.0 if t == b else -1.0
-        return total / len(next_state.per_trace)
+            a = top[t] if t < len(top) else "#"
+            b = bot[t] if t < len(bot) else "#"
+            total += 1.0 if a == b else -1.0
+        return total / len(state)
 
 
 def pcp_oracle(dominoes: DominoSet, max_len: int):
@@ -626,21 +626,20 @@ class ResourceEnv(_GridWorld):
         super().__init__(grid, beta)
         self.resource = resources[0]
 
-    def reset(self, seed: int) -> JointState:
-        per = tuple((x, y, 0, False) for x, y in self.grid.starts)
-        return JointState(per, 0)
+    def reset(self, seed: int) -> tuple:
+        return tuple((x, y, 0, False) for x, y in self.grid.starts)
 
-    def transition(self, per_trace: tuple, joint: tuple) -> tuple:
+    def transition(self, state: tuple, joint: tuple) -> tuple:
         res, moves = self.resource, self.moves
         per = []
-        for (x, y, energy, _), act in zip(per_trace, joint):
+        for (x, y, energy, _), act in zip(state, joint):
             nxt = moves[x, y, act]
             arrived = nxt == res and (x, y) != res
             per.append((nxt[0], nxt[1], energy + (1 if arrived else 0), arrived))
         return tuple(per)
 
-    def label_of(self, state: JointState) -> tuple:
-        return tuple(map(self.labels.__getitem__, state.per_trace))
+    def label_of(self, state: tuple) -> tuple:
+        return tuple(map(self.labels.__getitem__, state))
 
     def _label(self, slot) -> Label:
         x, y, energy, arrived = slot
@@ -655,15 +654,15 @@ class ResourceEnv(_GridWorld):
     # Tabular key: positions plus the clamped energy gap, not raw energies,
     # so the state space stays bounded over long episodes.  A tight clamp is
     # enough: fair policies keep the gap near zero anyway.
-    def encode(self, state: JointState) -> tuple:
-        positions = tuple((x, y) for x, y, _, _ in state.per_trace)
-        e1 = state.per_trace[0][2]
-        e2 = state.per_trace[1][2] if self.arity > 1 else 0
+    def encode(self, state: tuple) -> tuple:
+        positions = tuple((x, y) for x, y, _, _ in state)
+        e1 = state[0][2]
+        e2 = state[1][2] if self.arity > 1 else 0
         gap = max(-2, min(2, e1 - e2))
         return (positions, gap)
 
     def episode_metrics(self, record, previous: dict) -> dict:
-        energies = [e for _, _, e, _ in record.slot_states[-1]]
+        energies = [e for _, _, e, _ in record.states[-1]]
         return {"min": float(min(energies)), "max": float(max(energies)),
                 "avg": sum(energies) / len(energies)}
 

@@ -223,9 +223,9 @@ def random_trace(rng: random.Random, length: int, with_valuations=False) -> Trac
 def reference_labels(env, state) -> tuple:
     """The labels of a grid world's state, built field by field from the
     state and the map alone, one fresh `Label` per slot."""
-    cells = [(slot[0], slot[1]) for slot in state.per_trace]
+    cells = [(slot[0], slot[1]) for slot in state]
     labels = []
-    for i, (slot, cell) in enumerate(zip(state.per_trace, cells)):
+    for i, (slot, cell) in enumerate(zip(state, cells)):
         x, y = cell
         if isinstance(env, GridWorldEnv):
             props = {f"goal{k + 1}" for k, g in enumerate(env.grid.goals) if g == cell}
@@ -240,7 +240,7 @@ def reference_labels(env, state) -> tuple:
                     "cell": float(x * env.grid.height + y)}
         elif isinstance(env, WildfireEnv):
             name = env.cell_names[cell]
-            props = {name, "fire"} if name in state.per_trace[0][2] else {name}
+            props = {name, "fire"} if name in state[0][2] else {name}
             vals = {"loc": float(x * env.grid.height + y), "x": float(x), "y": float(y)}
         else:
             raise TypeError(f"no reference labels for {type(env).__name__}")

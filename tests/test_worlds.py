@@ -9,11 +9,9 @@ import hyperq as hq
 from hyperq.env import (
     ArityMismatchError,
     Environment,
-    EpisodeExhaustedError,
     EpisodeRecord,
     InvalidActionError,
     JointAction,
-    JointState,
     StateTable,
 )
 from hyperq.harness import cmd_train
@@ -142,11 +140,11 @@ def test_grid_motion_and_blocking():
     env = walled_env()
     s = env.reset(0)
     s = env.step(s, JointAction(("right", "stay")))
-    assert s.per_trace[0][:2] == (1, 0)
+    assert s[0][:2] == (1, 0)
     s = env.step(s, JointAction(("up", "stay")))  # into the wall: stays
-    assert s.per_trace[0][:2] == (1, 0)
+    assert s[0][:2] == (1, 0)
     s = env.step(s, JointAction(("down", "stay")))  # off the edge: stays
-    assert s.per_trace[0][:2] == (1, 0)
+    assert s[0][:2] == (1, 0)
 
 
 def test_grid_motion_stays_legal_under_random_actions():
@@ -155,7 +153,7 @@ def test_grid_motion_stays_legal_under_random_actions():
     s = env.reset(0)
     for _ in range(10):
         s = env.step(s, JointAction((rng.choice(env.actions), rng.choice(env.actions))))
-        for x, y, _, _ in s.per_trace:
+        for x, y, _, _ in s:
             assert env.grid.open_cell((x, y))
 
 
@@ -170,7 +168,7 @@ def test_grid_goal_and_collision_labels():
     s = env.step(s, JointAction(("stay", "down")))
     s = env.step(s, JointAction(("stay", "left")))
     labels = env.label_of(s)
-    cells = [(p[0], p[1]) for p in s.per_trace]
+    cells = [(p[0], p[1]) for p in s]
     assert cells[0] == cells[1] == (1, 0)
     assert "collision" in labels[0].props and "collision" in labels[1].props
 
@@ -180,20 +178,18 @@ def test_grid_done_flag_sticky():
     s = env.reset(0)
     for a in (("right", "stay"), ("right", "stay"), ("up", "stay"), ("up", "stay")):
         s = env.step(s, JointAction(a))
-    assert s.per_trace[0][2] is True
+    assert s[0][2] is True
     s = env.step(s, JointAction(("down", "stay")))
-    assert s.per_trace[0][2] is True
+    assert s[0][2] is True
 
 
-def test_step_rejects_bad_action_and_exhaustion():
+def test_step_rejects_bad_action():
+    # the episode bound is the episode loop's: see
+    # test_learner::test_rollout_checks_the_bound_before_reset
     env = walled_env()
     s = env.reset(0)
     with pytest.raises(InvalidActionError):
         env.step(s, JointAction(("jump", "stay")))
-    for _ in range(env.beta):
-        s = env.step(s, JointAction(("stay", "stay")))
-    with pytest.raises(EpisodeExhaustedError):
-        env.step(s, JointAction(("stay", "stay")))
 
 
 def _world_of_kind(kind):
@@ -234,14 +230,16 @@ class _Counter(Environment):
     arity = 2
     beta = 2
 
-    def transition(self, per_trace, joint):
-        return tuple(n + (act == "inc") for n, act in zip(per_trace, joint))
+    def transition(self, state, joint):
+        return tuple(n + (act == "inc") for n, act in zip(state, joint))
 
 
-def test_base_step_checks_bound_and_actions_around_transition():
+def test_base_step_checks_actions_before_transition():
+    # step counts no steps: the episode loop keeps the bound (see
+    # test_learner::test_rollout_checks_the_bound_before_reset)
     env = _Counter()
-    s = env.step(JointState((0, 0)), JointAction(("inc", "hold")))
-    assert s == JointState((1, 0), 1)
+    s = env.step((0, 0), JointAction(("inc", "hold")))
+    assert s == (1, 0)
     assert env.valid_actions == {("inc", "hold")}
     for _ in range(2):   # a rejected tuple is not remembered
         with pytest.raises(InvalidActionError):
@@ -250,17 +248,16 @@ def test_base_step_checks_bound_and_actions_around_transition():
             env.step(s, JointAction(("inc",)))
     assert env.valid_actions == {("inc", "hold")}
     s = env.step(s, JointAction(("inc", "inc")))
-    assert s == JointState((2, 1), 2)
-    with pytest.raises(EpisodeExhaustedError):
-        env.step(s, JointAction(("inc", "inc")))
+    assert s == (2, 1)
+    assert env.step(s, JointAction(("inc", "inc"))) == (3, 2)   # past beta: no bound here
 
 
 def test_step_does_not_mutate_input_state():
     env = walled_env()
     s = env.reset(0)
-    before = s.per_trace
+    before = s
     env.step(s, JointAction(("right", "left")))
-    assert s.per_trace == before and s.step_count == 0
+    assert s == before
 
 
 def test_reset_deterministic():
@@ -274,7 +271,7 @@ def test_reset_deterministic():
 def test_wildfire_reset_both_at_a():
     env = WildfireEnv()
     s = env.reset(3)
-    assert s.per_trace[0][:2] == (0, 0) and s.per_trace[1][:2] == (0, 0)
+    assert s[0][:2] == (0, 0) and s[1][:2] == (0, 0)
     labs = env.label_of(s)
     assert "a" in labs[0].props and "a" in labs[1].props
 
@@ -290,11 +287,11 @@ def test_wildfire_cell_indexing_column_major():
 def test_wildfire_fire_goes_out_after_first_agent_visit():
     env = WildfireEnv()
     s = env.reset(0)
-    assert s.per_trace[0][2] == frozenset({"c", "f", "i"})
+    assert s[0][2] == frozenset({"c", "f", "i"})
     # agent 1 walks a -> b -> c (a burning cell)
     s = env.step(s, JointAction(("right", "stay")))
     s = env.step(s, JointAction(("right", "stay")))
-    assert s.per_trace[0][2] == frozenset({"f", "i"})
+    assert s[0][2] == frozenset({"f", "i"})
     labs = env.label_of(s)
     assert "c" in labs[0].props and "fire" not in labs[0].props
 
@@ -305,8 +302,8 @@ def test_wildfire_victim_bookkeeping():
     # agent 2 reaches g (safe victim) while agent 1 idles
     for a in (("stay", "up"), ("stay", "up")):
         s = env.step(s, JointAction(a))
-    assert "g" in s.per_trace[1][2]
-    assert s.per_trace[1][3] is False
+    assert "g" in s[1][2]
+    assert s[1][3] is False
 
 
 def test_wildfire_early_fire_entry_flagged():
@@ -315,7 +312,7 @@ def test_wildfire_early_fire_entry_flagged():
     # agent 2 runs straight into burning f: a -> b -> c -> f
     for a in (("stay", "right"), ("stay", "right"), ("stay", "up")):
         s = env.step(s, JointAction(a))
-    assert s.per_trace[1][3] is True
+    assert s[1][3] is True
 
 
 def test_wildfire_optimal_paths_satisfy_objective():
@@ -370,7 +367,7 @@ def test_pcp_words_match_independent_concatenation():
     s = env.reset(0)
     for _ in range(6):
         s = env.step(s, JointAction(tuple(rng.choice(env.actions) for _ in range(2))))
-    for slot in s.per_trace:
+    for slot in s:
         seq, done = slot
         top, bot = concat_words(d, seq)
         expect = (top + "#", bot + "#") if done else (top, bot)
@@ -382,7 +379,7 @@ def test_pcp_single_identity_domino_matches():
     s = env.reset(0)
     s = env.step(s, JointAction(("dom_1", "dom_1")))
     s = env.step(s, JointAction(("dom_#", "dom_#")))
-    assert env.match_achieved(s.per_trace[1]) is True
+    assert env.match_achieved(s[1]) is True
 
 
 def test_pcp_terminated_slot_ignores_further_actions():
@@ -390,8 +387,8 @@ def test_pcp_terminated_slot_ignores_further_actions():
     s = env.reset(0)
     s = env.step(s, JointAction(("dom_#", "dom_1")))
     s = env.step(s, JointAction(("dom_1", "dom_1")))
-    assert s.per_trace[0] == ((), True)
-    assert s.per_trace[1][0] == (1, 1)
+    assert s[0] == ((), True)
+    assert s[1][0] == (1, 1)
 
 
 def test_pcp_unbalanced_set_never_matches():
@@ -401,23 +398,23 @@ def test_pcp_unbalanced_set_never_matches():
         s = env.reset(0)
         for _ in range(8):
             s = env.step(s, JointAction(tuple(rng.choice(env.actions) for _ in range(2))))
-        assert not env.match_achieved(s.per_trace[0])
-        assert not env.match_achieved(s.per_trace[1])
+        assert not env.match_achieved(s[0])
+        assert not env.match_achieved(s[1])
 
 
 def test_pcp_empty_termination_is_not_a_match():
     env = PcpEnv(DominoSet((("a", "a"),)))
     s = env.reset(0)
     s = env.step(s, JointAction(("dom_#", "dom_#")))
-    assert env.match_achieved(s.per_trace[1]) is False
+    assert env.match_achieved(s[1]) is False
 
 
 def _letter_props(env, state):
     """Per slot, the props of each position, unrolled letter by letter."""
-    words = [env.slot_words(slot) for slot in state.per_trace]
+    words = [env.slot_words(slot) for slot in state]
     length = max(len(w) for pair in words for w in pair)
     out = []
-    for (top, bot), (_, done) in zip(words, state.per_trace):
+    for (top, bot), (_, done) in zip(words, state):
         trace = []
         for i in range(length):
             props = set()
@@ -446,7 +443,7 @@ def test_pcp_shared_letter_labels_unroll_like_letters():
             before = list(zip(*_letter_props(env, state)))
             for action in joint:
                 nxt = env.step(state, action)
-                following.setdefault(nxt.per_trace, nxt)
+                following.setdefault(nxt, nxt)
                 slots = env.trace_prefix(nxt)
                 expected = _letter_props(env, nxt)
                 assert [[label.props for label in t] for t in slots] == expected
@@ -489,7 +486,7 @@ def test_pcp_trace_delta_spans_several_steps():
             lo, tail = env.trace_delta(prev, state)
             first = next((i for i, (x, y) in enumerate(zip(before, after)) if x != y),
                          min(len(before), len(after)))
-            assert lo <= first, (prev.per_trace, state.per_trace)
+            assert lo <= first, (prev, state)
             assert list(tail) == after[lo:]
             pairs += 1
         if len(history) <= 3:
@@ -509,17 +506,18 @@ def test_pcp_rewards_match_naive_oracle(name):
     sk = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")))
     rng = random.Random(name)
     dominoes = env.actions[:-1]
+    index = StateTable(env).index
 
     def choose(t, i):
         t += 1
-        return JointAction(tuple("dom_#" if t == end else rng.choice(dominoes) for end in ends))
+        return index[tuple("dom_#" if t == end else rng.choice(dominoes) for end in ends)]
 
     for _ in range(16):
         # the step at which each slot plays '#', past the episode for some
         ends = [rng.randint(1, env.beta + 2) for _ in range(env.arity)]
         record = rollout(env, sk, CFG, choose, 0, env.beta)
         for t, (state, rho) in enumerate(zip(record.states[1:], record.rhos), start=1):
-            assert [done for _, done in state.per_trace] == [t >= end for end in ends]
+            assert [done for _, done in state] == [t >= end for end in ends]
             z = zip_traces(env.trace_prefix(state))
             assert rho == naive_eval(z, 0, len(z), sk.body, CFG), (t, rho)
         assert record.traces == list(env.trace_prefix(record.states[-1]))
@@ -576,16 +574,16 @@ def test_resource_energy_increments_on_arrival_only():
     # agent 1: (0,0) -> (1,0) -> (2,0) -> (2,1) = resource
     for a in ("right", "right", "up"):
         s = env.step(s, JointAction((a, "stay")))
-    assert s.per_trace[0][2] == 1
+    assert s[0][2] == 1
     assert "resource" in env.label_of(s)[0].props
     # parking on the cell earns nothing further
     s = env.step(s, JointAction(("stay", "stay")))
-    assert s.per_trace[0][2] == 1
+    assert s[0][2] == 1
     assert "resource" not in env.label_of(s)[0].props
     # stepping off and back earns again
     s = env.step(s, JointAction(("down", "stay")))
     s = env.step(s, JointAction(("up", "stay")))
-    assert s.per_trace[0][2] == 2
+    assert s[0][2] == 2
 
 
 def test_resource_energy_never_decreases():
@@ -595,7 +593,7 @@ def test_resource_energy_never_decreases():
     prev = [0, 0]
     for _ in range(env.beta):
         s = env.step(s, JointAction(tuple(rng.choice(env.actions) for _ in range(2))))
-        energies = [p[2] for p in s.per_trace]
+        energies = [p[2] for p in s]
         assert all(e >= p for e, p in zip(energies, prev))
         prev = energies
 
@@ -628,23 +626,23 @@ def test_step_moves_like_move_on_every_open_cell(name):
             if not grid.open_cell((x, y)):
                 continue
             # every agent on (x, y), whatever other slot fields the world keeps
-            state = JointState(tuple((x, y) + slot[2:] for slot in start.per_trace), 0)
+            state = tuple((x, y) + slot[2:] for slot in start)
             for act in env.actions:
                 nxt = env.step(state, JointAction((act,) * env.arity))
                 expected = _move(grid, (x, y), act)
-                assert all(slot[:2] == expected for slot in nxt.per_trace), (x, y, act)
+                assert all(slot[:2] == expected for slot in nxt), (x, y, act)
 
 
 def _label_key(env, state, i):
     """The observation that the `worlds` module docstring says keys slot i's
     label in `env`'s label table."""
-    slot = state.per_trace[i]
+    slot = state[i]
     cell = (slot[0], slot[1])
     if isinstance(env, GridWorldEnv):
-        return (i, cell, [(s[0], s[1]) for s in state.per_trace].count(cell) > 1)
+        return (i, cell, [(s[0], s[1]) for s in state].count(cell) > 1)
     if isinstance(env, ResourceEnv):
         return slot
-    return (*cell, env.cell_names[cell] in state.per_trace[0][2])
+    return (*cell, env.cell_names[cell] in state[0][2])
 
 
 def _walk_labels(env, seed, episodes=3):
@@ -662,22 +660,22 @@ def _walk_labels(env, seed, episodes=3):
     for _ in range(episodes):
         s = env.reset(0)
         i = table.start(s)
-        record = EpisodeRecord(slot_states=[s.per_trace])
-        while True:
+        record = EpisodeRecord(states=[s])
+        for t in range(env.beta + 1):
             labels = env.label_of(s)
             assert labels == reference_labels(env, s)
-            first = columns.setdefault(s.per_trace, table.columns[i])
+            first = columns.setdefault(s, table.columns[i])
             assert first is table.columns[i] and first == labels
             for k, label in enumerate(labels):
                 assert first[k] is label
                 assert shared.setdefault(_label_key(env, s, k), label) is label
                 seen.append((k, s, label))
-            if s.step_count == env.beta:
+            if t == env.beta:
                 break
             action = JointAction(tuple(rng.choice(env.actions) for _ in range(env.arity)))
             s = env.step(s, action)
             i = table.intern(s)
-            record.slot_states.append(s.per_trace)
+            record.states.append(s)
         if isinstance(env, GridWorldEnv):
             collided = [any("collision" in label.props for label in reference_labels(env, s))
                         for s in record.states[1:]]
@@ -704,10 +702,10 @@ def test_wildfire_labels_match_reference_and_are_shared():
     env = WildfireEnv(beta=60)
     seen = _walk_labels(env, seed=6, episodes=6)
     on_fire_cell = [label for i, s, label in seen
-                    if env.cell_names[s.per_trace[i][:2]] in WILDFIRE_FIRES]
+                    if env.cell_names[s[i][:2]] in WILDFIRE_FIRES]
     # standing on a fire cell while it burns, and after it is put out
     assert {"fire" in label.props for label in on_fire_cell} == {True, False}
-    medic_on_c = {label.props for i, s, label in seen if i == 1 and s.per_trace[1][:2] == (2, 0)}
+    medic_on_c = {label.props for i, s, label in seen if i == 1 and s[1][:2] == (2, 0)}
     assert medic_on_c == {frozenset({"c", "fire"}), frozenset({"c"})}
 
 
@@ -716,16 +714,14 @@ def test_wildfire_labels_match_reference_and_are_shared():
 
 def test_saferl_baseline_cases():
     env = walled_env()
-    s0 = env.reset(0)
-    both = s0.__class__(((2, 2, True, False), (0, 0, True, False)), 1)
-    one = s0.__class__(((2, 2, True, False), (1, 1, False, False)), 1)
-    collide = s0.__class__(((1, 1, False, True), (1, 1, False, True)), 1)
-    nothing = s0.__class__(((0, 1, False, False), (1, 1, False, False)), 1)
-    act = JointAction(("stay", "stay"))
-    assert env.baseline_reward(s0, act, both) == 10.0
-    assert env.baseline_reward(s0, act, one) == 5.0
-    assert env.baseline_reward(s0, act, collide) == -5.0
-    assert env.baseline_reward(s0, act, nothing) == 0.0
+    both = ((2, 2, True, False), (0, 0, True, False))
+    one = ((2, 2, True, False), (1, 1, False, False))
+    collide = ((1, 1, False, True), (1, 1, False, True))
+    nothing = ((0, 1, False, False), (1, 1, False, False))
+    assert env.baseline_reward(0, both) == 10.0
+    assert env.baseline_reward(0, one) == 5.0
+    assert env.baseline_reward(0, collide) == -5.0
+    assert env.baseline_reward(0, nothing) == 0.0
 
 
 def test_pcp_baseline_letter_agreement():
@@ -734,7 +730,7 @@ def test_pcp_baseline_letter_agreement():
     s0 = env.reset(0)
     s1 = env.step(s0, JointAction(("dom_1", "dom_2")))
     # index 0: slot 1 agrees (a/a): +1; slot 2 disagrees (a/b): -1
-    assert env.baseline_reward(s0, JointAction(("dom_1", "dom_2")), s1) == 0.0
+    assert env.baseline_reward(0, s1) == 0.0
 
 
 def test_baseline_kind_mismatch():
