@@ -15,8 +15,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .robustness import Label, Trace
-
 
 class EpisodeExhaustedError(RuntimeError):
     pass
@@ -112,19 +110,12 @@ class Environment:
         return state
 
     def trace_prefix(self, state: tuple):
-        """Per-slot traces for the episode so far, or None when the trace is
-        simply the per-step label sequence.  A function of the joint state
-        alone, so a run scores each joint state of such a world once (see
-        `StateTable`)."""
+        """Per-slot traces of one length for the episode so far, or None when
+        the trace is simply the per-step label sequence.  A function of the
+        joint state alone, so a run scores each joint state of such a world
+        once (see `StateTable`).  A step may rewrite earlier positions: the
+        episode loop finds the first one that changed by comparing columns."""
         return None
-
-    def trace_delta(self, prev: tuple, state: tuple) -> tuple:
-        """For a world with `trace_prefix`, the rewrite from `prev`, any
-        earlier state of the same episode, to `state`: (lo, columns), where
-        lo is the lowest position of the zipped prefix that changed on the
-        way (at most `prev`'s prefix length) and columns are `state`'s
-        zipped columns, one tuple of labels per position, from lo on."""
-        raise NotImplementedError
 
     def episode_metrics(self, record: EpisodeRecord, previous: dict) -> dict:
         """Values of `metric_columns` for a finished episode; `previous` is the

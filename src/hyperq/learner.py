@@ -15,11 +15,12 @@ position that changed since it last scored.  A world that appends a label per
 step is scored at every step, from the appended position.  In a world with
 `trace_prefix` the prefix is a function of the joint state, so the table keeps
 one robustness value per id: a step into a scored id takes it, and only a step
-into an unscored id moves the tracker on, which reports the lowest position it
-rewrote.  The terminal reward is the last step's.  Each `train` call checks
-its final greedy episode's terminal reward against one from-scratch evaluation
-of the world's traces.  Per-slot greedy policies and witness tables for
-existential quantifiers are projected out of the trained function.
+into an unscored id moves the tracker on to that id's prefix, where it finds
+the first column that changed.  The terminal reward is the last step's.  Each
+`train` call checks its final greedy episode's terminal reward against one
+from-scratch evaluation of the world's traces.  Per-slot greedy policies and
+witness tables for existential quantifiers are projected out of the trained
+function.
 
 Exploration in episode e of seed s draws from numpy's `default_rng((s, e))`
 stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.
@@ -44,8 +45,8 @@ REWARD_MODES = ("prefix", "baseline")
 
 class RewardMismatchError(RuntimeError):
     """An episode's terminal reward differs from a from-scratch evaluation of
-    the world's traces, as when a world's `trace_delta` reports a rewrite
-    from too high a position and the per-step rewards go stale."""
+    the world's traces, as when a world's `trace_prefix` is not a function
+    of the joint state and a score the run kept for a state goes stale."""
 
     def __init__(self, tracked: float, from_scratch: float):
         super().__init__(f"terminal reward {tracked!r} differs from the from-scratch "
@@ -215,48 +216,42 @@ def episode_bound(env: Environment, sk: SkolemizedFormula, h: Hyperparams) -> in
     return h.beta or env.beta
 
 
+def _zip(traces) -> list:
+    """The columns of equally long traces, one tuple of labels per position."""
+    lengths = {len(t) for t in traces}
+    if len(lengths) > 1:
+        raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
+    return list(zip(*traces))
+
+
 class _EpisodeTracker:
     """The zipped columns of one episode's prefix, one tuple of labels per
-    position, and the last state they are the prefix of.
+    position.
 
     A world without `trace_prefix` starts from `column`, the start state's
     label column, and the episode appends one column per step to `columns`.
     A world with it (the domino game) starts from `traces`, the start
     state's `trace_prefix`, and may rewrite earlier positions: `advance`
-    moves the tracker on to a later state with `trace_delta(prev, state)`
-    from the last state it tracked, however many steps back, and returns
-    the lowest position rewritten on the way, from which `rollout` updates
-    its evaluator.
+    moves the tracker on to any later state of the episode and returns the
+    first position whose column changed, from which `rollout` updates its
+    evaluator.
     """
 
     def __init__(self, env: Environment, state: tuple, column: tuple | None = None,
                  traces=None):
         self.env = env
-        self.state = state    # the last state tracked
         if column is not None:
             self.columns = [column]
-            return
-        if traces is None:
-            traces = env.trace_prefix(state)
-        lengths = {len(t) for t in traces}
-        if len(lengths) > 1:
-            raise LengthMismatchError(f"traces have differing lengths {sorted(lengths)}")
-        self.columns = list(zip(*traces))
+        else:
+            self.columns = _zip(env.trace_prefix(state) if traces is None else traces)
 
     def advance(self, state: tuple) -> int:
         """Move on to `state`, a later state of the episode, in a world with
-        `trace_prefix`; the lowest position rewritten."""
-        lo, tail = self.env.trace_delta(self.state, state)
-        if lo > len(self.columns):
-            raise LengthMismatchError(f"a rewrite from position {lo} leaves a gap after "
-                                      f"{len(self.columns)} positions")
-        arity = self.env.arity
-        for column in tail:
-            if len(column) != arity:
-                raise LengthMismatchError(f"a column has {len(column)} labels, "
-                                          f"expected {arity}")
-        self.columns[lo:] = tail
-        self.state = state
+        `trace_prefix`; the first position whose column changed."""
+        columns, new = self.columns, _zip(self.env.trace_prefix(state))
+        lo = next((k for k, (old, column) in enumerate(zip(columns, new)) if old != column),
+                  min(len(columns), len(new)))
+        columns[lo:] = new[lo:]
         return lo
 
     def traces(self) -> list:
@@ -279,10 +274,10 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     the episode's `PrefixEvaluator` once, from the lowest position that
     changed: in a labelled world the appended one.  In a world with
     `trace_prefix` a step into an id the table has scored takes that score,
-    and only a step into an unscored one moves the tracker on, from the last
-    state it tracked, to the position it reports.  The terminal robustness
-    is the last step's, which scores the whole episode; an episode without
-    steps scores its start prefix.
+    and only a step into an unscored one moves the tracker on to that
+    state's prefix, from the first column that changed.  The terminal
+    robustness is the last step's, which scores the whole episode; an
+    episode without steps scores its start prefix.
     """
     if beta > env.beta:
         raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "

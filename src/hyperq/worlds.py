@@ -21,19 +21,19 @@ leads to.  The label table maps a slot's observation to one shared `Label`:
 ``(slot index, cell, collision)`` in the goal-seeking grid, the slot state
 ``(x, y, energy, arrived)`` in the resource grid and ``(x, y, burning)`` in
 the wildfire grid.  The domino game keeps one module-wide table of labels
-per letter pair, and per instance the words and labels of the episode's
-slots (see `PcpEnv`).  Since labels are shared, nothing may mutate one.
+per letter pair, and per instance a table of the words and labels of the
+slots it has met (see `PcpEnv`).  Since labels are shared, nothing may
+mutate one.
 """
 
 from __future__ import annotations
 
 import string
-import sys
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
-from .env import Environment
+from .env import Environment, StateTable
 from .formula import InputError, read_input
 from .robustness import Label, Trace
 
@@ -230,8 +230,7 @@ class GridWorldEnv(_GridWorld):
 
     def reset(self, seed: int) -> tuple:
         starts = self.grid.starts
-        shared = len(set(starts)) < len(starts)
-        return tuple((x, y, False, shared) for x, y in starts)
+        return tuple((x, y, False, starts.count((x, y)) > 1) for x, y in starts)
 
     def transition(self, state: tuple, joint: tuple) -> tuple:
         moves = self.moves
@@ -408,7 +407,7 @@ def load_domino_file(path) -> DominoSet:
 
 
 def concat_words(dominoes: DominoSet, seq) -> tuple:
-    """Independent concatenation of a 1-based index sequence."""
+    """The top and bottom words of a 1-based index sequence."""
     top = "".join(dominoes.dominoes[i - 1][0] for i in seq)
     bot = "".join(dominoes.dominoes[i - 1][1] for i in seq)
     return top, bot
@@ -428,14 +427,14 @@ def _letter_label(key) -> Label:
 _LETTER_LABELS = LazyTable(_letter_label)
 
 
-def _unroll(top: str, bot: str, terminated: bool) -> list:
+def _unroll(top: str, bot: str, terminated: bool) -> tuple:
     """Labels of a slot's positions up to its longer word's end: position i
     carries the i-th top and bottom letters.  Past the shorter word's end the
     position carries '#' once the sequence has terminated (the words really
     are over), and nothing before that (the next letters are simply not known
     yet)."""
     pad = "#" if terminated else ""
-    return list(map(_LETTER_LABELS.__getitem__, zip_longest(top, bot, fillvalue=pad)))
+    return tuple(map(_LETTER_LABELS.__getitem__, zip_longest(top, bot, fillvalue=pad)))
 
 
 # terminated -> the label of a position past both of a slot's words
@@ -452,12 +451,12 @@ class PcpEnv(Environment):
     proposition past its known letters.  Positions with the same letters
     share one label.
 
-    A step appends one domino or a '#' to a slot's words, so it rewrites the
-    zipped prefix from the old end of that slot's shorter word on.  That end
-    never moves back along a slot's history, so over several steps the
-    rewrite starts at the end in the oldest state; `trace_delta` reports
-    that position and the columns from there.  The words of the episode's
-    slots are kept, each built from its parent's.
+    A step appends one domino or a '#' to a slot's words, so it may rewrite
+    the slot's labels from the old end of its shorter word on.  `words`
+    keeps the words and labels of each slot met, each made from the slot's
+    own domino sequence, so making one needs no other entry, however long
+    the episode.  It is a pure cache that outlives the episode: `reset`
+    starts it afresh once it holds more than `StateTable.limit` slots.
     """
 
     kind = "pcp"
@@ -472,17 +471,13 @@ class PcpEnv(Environment):
         self.actions = tuple(f"dom_{i}" for i in range(1, dominoes.k + 1)) + ("dom_#",)
         self.domino_index = {f"dom_{i}": i for i in range(1, dominoes.k + 1)}
         self._start = tuple(((), False) for _ in range(self.arity))
-        self._clear_words()
-
-    def _clear_words(self):
-        # slot -> (top, bottom, labels, parted): the slot's words, the labels
-        # of its positions up to the longer word's end, and where its words
-        # part (the shorter one's length).  Cleared at each reset, so that it
-        # holds one episode's slots.
-        self.words = {((), False): ("", "", [], 0)}
+        # slot -> (top, bottom, labels): the slot's words and the labels of
+        # its positions up to the longer word's end
+        self.words = LazyTable(self._words)
 
     def reset(self, seed: int) -> tuple:
-        self._clear_words()
+        if len(self.words) > StateTable.limit:
+            self.words.clear()
         return self._start
 
     def transition(self, state: tuple, joint: tuple) -> tuple:
@@ -497,61 +492,21 @@ class PcpEnv(Environment):
                 per.append((seq + (self.domino_index[act],), False))
         return tuple(per)
 
-    def _entry(self, slot) -> tuple:
-        """The slot's `words` entry, made from its nearest kept ancestor's."""
-        entry = self.words.get(slot)
-        if entry is None:
-            missing = []
-            while entry is None:
-                missing.append(slot)
-                seq, done = slot
-                slot = (seq, False) if done else (seq[:-1], False)
-                entry = self.words.get(slot)
-            for slot in reversed(missing):
-                seq, done = slot
-                top, bot, labels, parted = entry
-                add_top, add_bot = ("#", "#") if done else self.dominoes.dominoes[seq[-1] - 1]
-                top, bot = top + add_top, bot + add_bot
-                labels = labels[:parted] + _unroll(top[parted:], bot[parted:], done)
-                entry = (top, bot, labels, min(len(top), len(bot)))
-                self.words[slot] = entry
-        return entry
+    def _words(self, slot) -> tuple:
+        seq, done = slot
+        top, bot = concat_words(self.dominoes, seq)
+        if done:
+            top, bot = top + "#", bot + "#"
+        return top, bot, _unroll(top, bot, done)
 
     def slot_words(self, slot) -> tuple:
         """The slot's (top, bottom) words, '#'-ended once it terminated."""
-        return self._entry(slot)[:2]
-
-    def trace_delta(self, prev: tuple, state: tuple) -> tuple:
-        """(lo, columns[lo:]) for `state`, a later state of `prev`'s episode:
-        lo is the lowest position of the zipped prefix that the steps between
-        them rewrote, and the columns (one tuple of labels per position) are
-        those of `state`'s prefix from lo on."""
-        words, entry = self.words, self._entry
-        lo, old_n, n = sys.maxsize, 0, 0
-        new = []
-        for before, slot in zip(prev, state):
-            got = words.get(before) or entry(before)
-            if len(got[2]) > old_n:
-                old_n = len(got[2])
-            if slot != before:
-                if got[3] < lo:
-                    lo = got[3]
-                got = words.get(slot) or entry(slot)
-            if len(got[2]) > n:
-                n = len(got[2])
-            new.append((got[2], _PADS[slot[1]]))
-        if old_n < lo:
-            lo = old_n
-        per_slot = []
-        for labels, pad in new:
-            tail = labels[lo:]
-            tail += [pad] * (n - lo - len(tail))
-            per_slot.append(tail)
-        return lo, list(zip(*per_slot))
+        return self.words[slot][:2]
 
     def trace_prefix(self, state: tuple) -> tuple:
-        _, columns = self.trace_delta(self._start, state)
-        return tuple(Trace([column[i] for column in columns]) for i in range(self.arity))
+        slots = [(self.words[slot][2], _PADS[slot[1]]) for slot in state]
+        n = max(len(labels) for labels, _ in slots)
+        return tuple(Trace(labels + (pad,) * (n - len(labels))) for labels, pad in slots)
 
     def match_achieved(self, slot) -> bool:
         """Terminated with equal nonempty words."""

@@ -9,8 +9,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 import hyperq as hq
 from hyperq.formula import And, BoolProp, Eventually, Formula, Not, Or, Quantifier, TraceVar
 from hyperq.harness import ExperimentConfig, cmd_train

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import random
 
@@ -17,7 +16,6 @@ from hyperq.learner import (
     _EpisodeTracker,
     TabularQ,
     episode_bound,
-    extract_policies,
     greedy,
     greedy_rollout,
     immediate_reward,
@@ -38,7 +36,8 @@ from hyperq.robustness import (
 )
 from hyperq.skolem import check_consistency, skolemize
 from hyperq.harness import ExperimentConfig, write_artifacts
-from hyperq.worlds import PcpEnv, ResourceEnv, WildfireEnv, load_domino_file, load_map_file
+from hyperq.worlds import (LazyTable, PcpEnv, ResourceEnv, WildfireEnv, load_domino_file,
+                           load_map_file)
 
 from oracles import naive_eval, random_formula, random_label, signed_eval, value_iteration
 
@@ -464,6 +463,24 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
     assert bool(scored) == (env.trace_prefix(env.reset(2)) is not None)
 
 
+def test_restarting_the_domino_word_cache_changes_no_output(tmp_path, monkeypatch):
+    # the domino world's words are a pure cache bounded by the state
+    # table's limit: starting it afresh at almost every episode keeps every
+    # output byte
+    cfg = ExperimentConfig.load(hq.bundled("configs/pcp-k3.ini"))
+    h = cfg.hyperparams
+    h.xi = 60
+    f, _, env, _ = cfg.setup()
+    default = _outputs(tmp_path, "default", train(env, f, h, seed=2))
+    cleared = []
+    clear = LazyTable.clear
+    monkeypatch.setattr(LazyTable, "clear", lambda self: cleared.append(len(self)) or clear(self))
+    monkeypatch.setattr(StateTable, "limit", 6)
+    f, _, env, _ = cfg.setup()
+    assert _outputs(tmp_path, "bounded", train(env, f, h, seed=2)) == default
+    assert len(cleared) > h.xi // 2 and min(cleared) > StateTable.limit
+
+
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
         Hyperparams(gamma=1.5)
@@ -486,7 +503,7 @@ def test_hyperparams_validation():
 
 class _LabelScript(Environment):
     """Append-only world: after t steps the prefix is columns[0..t].  Each
-    slot state is the step count, so that `label_of` and `trace_delta` read
+    slot state is the step count, so that `label_of` and `trace_prefix` read
     the slot states alone."""
 
     kind = "label-script"
@@ -513,8 +530,8 @@ class _LabelScript(Environment):
 
 class _PrefixScript(_LabelScript):
     """A `trace_prefix` world: after t steps the zipped prefix is
-    prefixes[t], a list of columns of `arity` labels each.  `trace_delta`
-    finds the lowest rewritten position by comparing columns."""
+    prefixes[t], a list of columns of `arity` labels each; a script may
+    give a column of other arity, which `prefix` unzips as it is."""
 
     kind = "prefix-script"
 
@@ -527,15 +544,11 @@ class _PrefixScript(_LabelScript):
     def trace_prefix(self, state):
         return tuple(self.prefix(state[0]))
 
-    def trace_delta(self, prev, state):
-        old, new = self.prefixes[prev[0]], self.prefixes[state[0]]
-        lo = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
-                  min(len(old), len(new)))
-        return lo, new[lo:]
-
     def prefix(self, t):
         columns = self.prefixes[t]
-        return [Trace(tuple(column[i] for column in columns)) for i in range(self.arity)]
+        width = max(map(len, columns), default=self.arity)
+        return [Trace(tuple(column[i] for column in columns if i < len(column)))
+                for i in range(width)]
 
 
 def _rewrite_script(rng, arity, steps, make_label=lambda rng: random_label(rng, True)):
@@ -678,15 +691,14 @@ def test_rollout_on_a_warm_domino_table_catches_the_tracker_up_once(monkeypatch)
                        table=table)
 
     first = run()
-    updates, deltas = [], []
-    update, delta = PrefixEvaluator.update, PcpEnv.trace_delta
+    updates, prefixes = [], []
+    update, prefix = PrefixEvaluator.update, PcpEnv.trace_prefix
     monkeypatch.setattr(PrefixEvaluator, "update",
                         lambda self, *args: updates.append(args) or update(self, *args))
-    monkeypatch.setattr(PcpEnv, "trace_delta",
-                        lambda self, *args: deltas.append(args) or delta(self, *args))
+    monkeypatch.setattr(PcpEnv, "trace_prefix",
+                        lambda self, state: prefixes.append(state) or prefix(self, state))
     second = run()
-    assert updates == [] and len(deltas) == 1
-    assert deltas[0][0] == second.states[0] and deltas[0][1] == second.states[-1]
+    assert updates == [] and prefixes == [second.states[-1]]
     assert second.traces == list(env.trace_prefix(second.states[-1]))
     assert second.traces != list(env.trace_prefix(second.states[0]))
     assert _bits(second.rhos + [second.terminal_rho]) == _bits(first.rhos + [first.terminal_rho])
@@ -697,12 +709,12 @@ def test_train_scores_each_domino_state_once(monkeypatch):
     # a `trace_prefix` world is scored once per id: training updates the
     # evaluator at most once per interned joint state, while a world that
     # appends a label per step still updates once per step
-    updates, deltas, tables = [], [], []
-    update, delta = PrefixEvaluator.update, PcpEnv.trace_delta
+    updates, prefixes, tables = [], [], []
+    update, prefix = PrefixEvaluator.update, PcpEnv.trace_prefix
     monkeypatch.setattr(PrefixEvaluator, "update",
                         lambda self, *args: updates.append(self) or update(self, *args))
-    monkeypatch.setattr(PcpEnv, "trace_delta",
-                        lambda self, *args: deltas.append(args) or delta(self, *args))
+    monkeypatch.setattr(PcpEnv, "trace_prefix",
+                        lambda self, state: prefixes.append(state) or prefix(self, state))
 
     class Kept(StateTable):
         def clear(self):
@@ -718,10 +730,10 @@ def test_train_scores_each_domino_state_once(monkeypatch):
     # one update per scored id and one for the final check from scratch;
     # the start state is never scored
     assert 0 < len(updates) <= ids
-    # one delta per scored id and at most one per episode to catch up with
-    # its last state, plus those within `trace_prefix` (the table's start,
-    # the final check and the extraction's beta + 1 states)
-    assert len(deltas) <= ids + (h.xi + 1) + (beta + 3)
+    # one prefix per scored id and at most one per episode to catch up with
+    # its last state, plus the table's start, the final check and the
+    # extraction's beta + 1 states
+    assert len(prefixes) <= ids + (h.xi + 1) + (beta + 3)
 
     rng = random.Random(5)
     columns = [tuple(_kernel_label(rng) for _ in range(2)) for _ in range(9)]
@@ -821,19 +833,7 @@ def test_kernel_bodies_cover_their_shapes():
                         in zip(plan.steps, plan.whole, plan.fused) if whole and not fused]
 
 
-class _LateDelta(_PrefixScript):
-    """A `_PrefixScript` whose `trace_delta` reports each rewrite of an
-    earlier position one position too high, so the tracker keeps a stale
-    column; appends it reports as they are."""
-
-    def trace_delta(self, prev, state):
-        lo, tail = super().trace_delta(prev, state)
-        if lo < len(self.prefixes[prev[0]]):
-            return lo + 1, tail[1:]
-        return lo, tail
-
-
-def test_train_rejects_stale_rewards_of_a_rewrite_reported_too_high():
+def test_train_rejects_traces_that_are_not_a_function_of_the_state():
     def label(v):
         return Label(frozenset(), {"v": v})
 
@@ -842,17 +842,28 @@ def test_train_rejects_stale_rewards_of_a_rewrite_reported_too_high():
     f = hq.parse_formula("forall t1. [ v@t1 > 0 ]")
     h = Hyperparams(xi=3)
     assert train(_PrefixScript(script, 1), f, h, seed=0).final_record.terminal_rho == -1.0
+    # a world that gives a state it has given before the prefix of the
+    # step before: the run scores each state once, on its first prefix,
+    # so the final check sees the drift
+    env = _PrefixScript(script, 1)
+    given = set()
+
+    def drifting(state):
+        t = state[0] - (state in given)
+        given.add(state)
+        return tuple(env.prefix(t))
+
+    env.trace_prefix = drifting
     with pytest.raises(RewardMismatchError) as caught:
-        train(_LateDelta(script, 1), f, h, seed=0)
-    assert (caught.value.tracked, caught.value.from_scratch) == (1.0, -1.0)
-    assert str(caught.value) == ("terminal reward 1.0 differs from the from-scratch "
-                                 "robustness -1.0 of the final episode")
+        train(env, f, h, seed=0)
+    assert (caught.value.tracked, caught.value.from_scratch) == (-1.0, 1.0)
+    assert str(caught.value) == ("terminal reward -1.0 differs from the from-scratch "
+                                 "robustness 1.0 of the final episode")
 
 
 def test_rollout_rejects_unequal_slot_lengths():
     # a world whose output does not zip into columns of one label per slot:
-    # a column of the wrong arity, first or later, or a rewrite that leaves
-    # a gap after the prefix
+    # a column of the wrong arity, first or later
     sk = skolemize(hq.parse_formula("forall t1. forall t2. F p@t1 & F p@t2"))
     label = random_label(random.Random(1))
     for columns in ([(label,) * 3], [(label,) * 2, (label,) * 2, (label,)]):
@@ -863,10 +874,6 @@ def test_rollout_rejects_unequal_slot_lengths():
     env.trace_prefix = lambda state: (Trace((label,) * 2), Trace((label,)))
     with pytest.raises(LengthMismatchError):
         _EpisodeTracker(env, env.reset(0))
-    env = _PrefixScript([[], [(label,) * 2]], 2)
-    env.trace_delta = lambda prev, state: (1, [(label,) * 2])
-    with pytest.raises(LengthMismatchError):
-        rollout(env, sk, CFG, lambda t, i: 0, 0, 1)
 
 
 def test_rollout_empty_slot_scores_minimum():

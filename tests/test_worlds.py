@@ -183,6 +183,16 @@ def test_grid_done_flag_sticky():
     assert s[0][2] is True
 
 
+def test_grid_collision_bit_starts_set_for_shared_starts_only():
+    # agents 1 and 2 share a start, agent 3 starts alone: the sticky bit
+    # follows the rule `transition` uses for a shared cell
+    grid = GridMap(3, 3, frozenset(), ((0, 0), (0, 0), (2, 2)), ((2, 2), (2, 1), (0, 0)), {})
+    env = GridWorldEnv(grid, beta=4)
+    assert [col for _, _, _, col in env.reset(0)] == [True, True, False]
+    s = env.step(env.reset(0), JointAction(("stay", "up", "stay")))
+    assert [col for _, _, _, col in s] == [True, True, False]
+
+
 def test_step_rejects_bad_action():
     # the episode bound is the episode loop's: see
     # test_learner::test_rollout_checks_the_bound_before_reset
@@ -369,7 +379,8 @@ def test_pcp_words_match_independent_concatenation():
         s = env.step(s, JointAction(tuple(rng.choice(env.actions) for _ in range(2))))
     for slot in s:
         seq, done = slot
-        top, bot = concat_words(d, seq)
+        top = "".join(d.dominoes[i - 1][0] for i in seq)
+        bot = "".join(d.dominoes[i - 1][1] for i in seq)
         expect = (top + "#", bot + "#") if done else (top, bot)
         assert env.slot_words(slot) == expect
 
@@ -428,11 +439,16 @@ def _letter_props(env, state):
     return out
 
 
+def _first_change(before, after) -> int:
+    return next((i for i, (x, y) in enumerate(zip(before, after)) if x != y),
+                min(len(before), len(after)))
+
+
 def test_pcp_shared_letter_labels_unroll_like_letters():
     # every pcp-k3 state reachable in 4 steps: trace_prefix gives the
-    # letter-by-letter props through shared labels; the world's step delta
-    # reports the lowest changed position a comparison of those props finds,
-    # and from there on the columns of trace_prefix, label for label
+    # letter-by-letter props through shared labels; the episode tracker
+    # moves on from a state to its successor at the first position where
+    # their props differ, and keeps trace_prefix's columns label for label
     env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")))
     joint = [JointAction((a, b)) for a in env.actions for b in env.actions]
     level = {(): env.reset(0)}
@@ -449,50 +465,42 @@ def test_pcp_shared_letter_labels_unroll_like_letters():
                 assert [[label.props for label in t] for t in slots] == expected
                 for label in (label for t in slots for label in t):
                     assert by_props.setdefault(label.props, label) is label
-                after = list(zip(*expected))
-                lo = next((i for i, (x, y) in enumerate(zip(before, after)) if x != y),
-                          min(len(before), len(after)))
-                delta_lo, tail = env.trace_delta(state, nxt)
-                assert delta_lo == lo
-                columns = list(zip(*slots))
-                assert len(tail) == len(columns) - lo
-                assert all(a is b for got, want in zip(tail, columns[lo:])
-                           for a, b in zip(got, want, strict=True))
                 tracker = _EpisodeTracker(env, state)
-                assert tracker.advance(nxt) == lo and tracker.columns == columns
+                assert tracker.advance(nxt) == _first_change(before, list(zip(*expected)))
+                assert all(a is b for got, want in zip(tracker.columns, zip(*slots), strict=True)
+                           for a, b in zip(got, want, strict=True))
                 steps += 1
         level = following
     assert len(level) > 1000 and steps > 10000
 
 
-def test_pcp_trace_delta_spans_several_steps():
+def test_pcp_tracker_advances_over_several_steps():
     # every two-slot k3 action sequence of up to 3 joint steps: from each
-    # earlier state of the sequence to each later one, the delta starts no
-    # higher than the first column where the two prefixes differ, and
-    # carries the later prefix's columns from there on
+    # earlier state of the sequence to each later one, the episode tracker
+    # moves on at the first position where their props differ, to the
+    # later state's columns
     env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")))
     joint = [JointAction((a, b)) for a in env.actions for b in env.actions]
     start = env.reset(0)
 
-    def columns(state):
-        return list(zip(*env.trace_prefix(state)))
+    def props(state):
+        return list(zip(*_letter_props(env, state)))
 
     pairs = 0
-    stack = [[(start, columns(start))]]
+    stack = [[(start, props(start))]]
     while stack:
         history = stack.pop()
         state, after = history[-1]
+        columns = list(zip(*env.trace_prefix(state)))
         for prev, before in history[:-1]:
-            lo, tail = env.trace_delta(prev, state)
-            first = next((i for i, (x, y) in enumerate(zip(before, after)) if x != y),
-                         min(len(before), len(after)))
-            assert lo <= first, (prev, state)
-            assert list(tail) == after[lo:]
+            tracker = _EpisodeTracker(env, prev)
+            assert tracker.advance(state) == _first_change(before, after), (prev, state)
+            assert tracker.columns == columns
             pairs += 1
         if len(history) <= 3:
             for action in joint:
                 nxt = env.step(state, action)
-                stack.append(history + [(nxt, columns(nxt))])
+                stack.append(history + [(nxt, props(nxt))])
     assert pairs == 16 * 1 + 16 ** 2 * 2 + 16 ** 3 * 3
 
 
