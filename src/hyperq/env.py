@@ -148,18 +148,23 @@ class StateTable:
     A state's id is its index in `states`, which holds the joint state, and in
     `rows`, which holds what `make_row(state)` made of it on its first visit
     (the learner's Q row).  A world that labels its states (`labelled`) has
-    the id's label column (`label_of`) in `columns`; a world with
-    `trace_prefix` has the robustness of the id's prefix in `scores`, None
-    until a run first scores it, since that prefix is a function of the joint
-    state.  Scores hold for one formula and robustness config, those of the
-    runs that share the table.  `actions` are the world's joint actions, all
-    combinations of `actions` over the slots, and `index` maps a joint-action
-    tuple to its position.  `successors[i * width + a]` is the id one step on
+    the id's label column (`label_of`) in `columns`.  Runs under a flat plan
+    (see `Plan.flat`) score its steps by monitor state: `monitors` gives
+    each monitor state met a small id (the first of an episode is keyed on
+    its start state's id), and `memo[m]` maps the id n of a state stepped
+    into from monitor state m to the id of the monitor state reached and
+    the step's robustness.  A world with `trace_prefix` has the robustness
+    of the id's prefix in `scores`, None until a run first scores it, since
+    that prefix is a function of the joint state.  Scores and the memo hold
+    for one formula and robustness config, those of the runs that share the
+    table.  `actions` are the world's joint actions, all combinations of
+    `actions` over the slots, and `index` maps a joint-action tuple to its
+    position.  `successors[i * width + a]` is the id one step on
     from state i under joint action a, or -1 until a run has taken that step,
     always through `Environment.step`, so the action check stays there.  Since
     `transition`, `label_of` and `trace_prefix` read only the joint state, the
     table is a pure cache: `start` begins it afresh once it holds more than
-    `limit` ids, and nothing a run computes changes.
+    `limit` ids or monitor states, and nothing a run computes changes.
     """
 
     limit = 2048
@@ -175,13 +180,15 @@ class StateTable:
         self.states: list = []
         self.columns: list = []
         self.scores: list = []
+        self.monitors: dict = {}
+        self.memo: list = []
         self.rows: list = []
         self.successors: list = []
 
     def clear(self):
         """Forget every id; the lists stay the same objects."""
-        for part in (self.ids, self.states, self.columns, self.scores, self.rows,
-                     self.successors):
+        for part in (self.ids, self.states, self.columns, self.scores, self.monitors, self.memo,
+                     self.rows, self.successors):
             part.clear()
 
     def start(self, state: tuple) -> int:
@@ -189,7 +196,7 @@ class StateTable:
         afresh when it is full.  Beginning it gives `state` id 0 and finds
         out whether the world labels its states: `opening` is `state`'s
         `trace_prefix`, None for a world that labels them."""
-        if not self.states or len(self.states) > self.limit:
+        if not self.states or max(len(self.states), len(self.monitors)) > self.limit:
             self.clear()
             self.opening = self.env.trace_prefix(state)
             self.labelled = self.opening is None
@@ -208,3 +215,11 @@ class StateTable:
             self.rows.append(self.make_row(state) if self.make_row else None)
             self.successors += self.unknown
         return i
+
+    def monitor(self, key) -> int:
+        """The id of the monitor state `key`, given on its first visit."""
+        m = self.monitors.get(key)
+        if m is None:
+            m = self.monitors[key] = len(self.memo)
+            self.memo.append({})
+        return m

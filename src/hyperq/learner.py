@@ -12,7 +12,13 @@ indices into the table's `actions`, and it alone keeps the episode bound.  The
 episode's tracker keeps the zipped prefix, and the episode loop scores it with
 a `PrefixEvaluator`, which recomputes each subformula only from the lowest
 position that changed since it last scored.  A world that appends a label per
-step is scored at every step, from the appended position.  In a world with
+step is scored from the appended position.  When the body's plan is flat (its
+G, F and X read atoms and their !, &, | and -> alone), the prefix's values at
+position 0 are a finite-state monitor, so the table keeps, per monitor state
+met, the next monitor state and reward of a step from it into each id: a
+step seen before is a lookup, and only a new one updates the evaluator,
+over every column appended since its last update.  A nested plan (U, or a
+temporal operator under another) updates it at every step.  In a world with
 `trace_prefix` the prefix is a function of the joint state, so the table keeps
 one robustness value per id: a step into a scored id takes it, and only a step
 into an unscored id moves the tracker on to that id's prefix, where it finds
@@ -272,12 +278,16 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     of the state it led to.  An episode longer than the world's bound `beta`
     raises EpisodeExhaustedError before it starts.  Each scored step updates
     the episode's `PrefixEvaluator` once, from the lowest position that
-    changed: in a labelled world the appended one.  In a world with
-    `trace_prefix` a step into an id the table has scored takes that score,
-    and only a step into an unscored one moves the tracker on to that
-    state's prefix, from the first column that changed.  The terminal
-    robustness is the last step's, which scores the whole episode; an
-    episode without steps scores its start prefix.
+    changed.  In a labelled world that is the appended position, unless the
+    body's plan is `flat`: then a step into id n from monitor state m (the
+    first keyed on the start's id) takes the next monitor state and reward
+    that `table.memo[m]` keeps for n, and only a step it lacks updates the
+    evaluator, over every column appended since its last update, and keeps
+    what comes out.  In a world with `trace_prefix` a step into an id the
+    table has scored takes that score, and only a step into an unscored one
+    moves the tracker on to that state's prefix, from the first column that
+    changed.  The terminal robustness is the last step's, which scores the
+    whole episode; an episode without steps scores its start prefix.
     """
     if beta > env.beta:
         raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "
@@ -295,15 +305,25 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         tracker = _EpisodeTracker(env, start, traces=table.opening if i == 0 else None)
     prefix = tracker.columns
     tracked = i   # the id of the tracker's state
-    states, columns, scores, successors, joint_actions, width = (
-        table.states, table.columns, table.scores, table.successors, table.actions, table.width)
+    states, columns, scores, memo, successors, joint_actions, width = (
+        table.states, table.columns, table.scores, table.memo, table.successors, table.actions,
+        table.width)
+    lookup = labelled and sk.plan.flat
+    if lookup:   # the start prefix's monitor state, keyed on the start's id
+        mon = table.monitor(i)
     visited, actions, rhos = record.states, record.actions, record.rhos
     visited.append(start)
     for t in range(beta):
         a = choose(t, i)
         if (n := successors[i * width + a]) < 0:
             n = successors[i * width + a] = table.intern(env.step(states[i], joint_actions[a]))
-        if labelled:
+        if lookup:
+            prefix.append(columns[n])
+            if (hit := memo[mon].get(n)) is None:   # over every column since the last update
+                rho = evaluator.update(prefix, len(prefix) - 1)
+                hit = memo[mon][n] = (table.monitor(evaluator.monitor()), rho)
+            mon, rho = hit
+        elif labelled:
             prefix.append(columns[n])
             rho = evaluator.update(prefix, len(prefix) - 1)
         elif (rho := scores[n]) is None:   # a `trace_prefix` world scores each id once

@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .formula import (
@@ -488,6 +489,14 @@ class Plan:
     source names its props, valuations, constants and step functions by
     parameter, so it is compiled once per process for all plans of one
     shape.
+
+    A plan is `flat` when every step that is not fused keeps one value: its
+    G, F and X read fused roots alone, and only !, &, | and -> read them.
+    Then the position-0 values of its `monitor`, every step that is stored,
+    are a finite-state monitor of an append-only prefix: from two positions
+    on, their values after a column is appended are a function of their
+    values before it and of the column, since G and F fold it in, X and the
+    roots keep their values, and the other steps are pointwise over these.
     """
 
     def __init__(self, body: LtlNode):
@@ -522,6 +531,9 @@ class Plan:
             if not f:
                 roots.update(k for k in kids if fused[k])
         self.roots = tuple(sorted(roots))
+        self.flat = all(f or not w for f, w in zip(fused, whole))
+        self.monitor = tuple(i for i, f in enumerate(fused) if not f or i in roots)
+        self._pack = struct.Struct(f"{len(self.monitor)}d").pack
         self._programs = {}
 
     def __len__(self):
@@ -560,6 +572,7 @@ class PrefixEvaluator:
     """
 
     def __init__(self, plan: Plan, arity: int, cfg: RobustnessConfig):
+        self.plan = plan
         self.arity = arity
         self.rho_min = cfg.rho_min
         self._program = plan.program(arity, cfg)
@@ -570,7 +583,9 @@ class PrefixEvaluator:
     def update(self, columns, lo: int = 0) -> float:
         """Robustness of `columns` (one tuple of labels per position) when
         positions before `lo` are unchanged since the previous update; the
-        minimum for an empty prefix."""
+        minimum for an empty prefix.  Positions appended since then are
+        computed whatever `lo` is, so a prefix that grew by several columns
+        is caught up in one call."""
         n = len(columns)
         if n == 0:
             return self.rho_min
@@ -581,6 +596,12 @@ class PrefixEvaluator:
         self._program(self._vals, self._low, columns, lo, n, m)
         self._n = n
         return self._vals[-1][0]
+
+    def monitor(self) -> bytes:
+        """The position-0 values of the plan's `monitor` steps at the last
+        update, packed so that a 0.0 and a -0.0 differ."""
+        vals = self._vals
+        return self.plan._pack(*[vals[i][0] for i in self.plan.monitor])
 
 
 def eval_ltl(z: ZippedTrace, window, body: LtlNode, cfg: RobustnessConfig) -> float:

@@ -436,7 +436,7 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
     h.xi = xi
     sk, rob = skolemize(f), h.config()
     unbounded = _outputs(tmp_path, "unbounded", train(env, f, h, seed=2))
-    checked, scored = [], []
+    checked, scored, looked_up = [], [], []
 
     class Checked(StateTable):
         limit = 8
@@ -454,13 +454,17 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
                 for a, n in enumerate(self.successors[i * self.width:(i + 1) * self.width]):
                     if n >= 0:
                         assert self.states[n] == env.transition(state, self.actions[a].per_trace)
+            looked_up.append(_memo_entries(self))
             checked.append(len(self.states))
             super().clear()
+            assert not (self.states or self.scores or self.monitors or self.memo)
 
     monkeypatch.setattr(learner, "StateTable", Checked)
     assert _outputs(tmp_path, "bounded", train(env, f, h, seed=2)) == unbounded
     assert len(checked) > xi // 2 and max(checked) > Checked.limit
     assert bool(scored) == (env.trace_prefix(env.reset(2)) is not None)
+    # a labelled world under a flat plan (safe_rl) kept steps by monitor state
+    assert (max(looked_up) > 0) == (not scored and sk.plan.flat)
 
 
 def test_restarting_the_domino_word_cache_changes_no_output(tmp_path, monkeypatch):
@@ -659,14 +663,26 @@ def test_rollout_rewards_keep_zero_signs_when_a_rewrite_flips_one():
             _assert_rewards_match_from_scratch(env, _signed_zero_formula(body))
 
 
-def test_rollout_reuses_rho_once_both_domino_sequences_terminated(monkeypatch):
-    env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")), beta=8)
-    sk = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")))
-    script = [("dom_2", "dom_2"), ("dom_#", "dom_1"), ("dom_1", "dom_3"), ("dom_1", "dom_#")]
+def _memo_entries(table) -> int:
+    """The steps a labelled world's table keeps by (monitor state, id)."""
+    return sum(map(len, table.memo))
+
+
+def _counted_updates(monkeypatch) -> list:
+    """The list to which each `PrefixEvaluator.update` call appends its
+    evaluator."""
     updates = []
     update = PrefixEvaluator.update
     monkeypatch.setattr(PrefixEvaluator, "update",
                         lambda self, *args: updates.append(self) or update(self, *args))
+    return updates
+
+
+def test_rollout_reuses_rho_once_both_domino_sequences_terminated(monkeypatch):
+    env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")), beta=8)
+    sk = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")))
+    script = [("dom_2", "dom_2"), ("dom_#", "dom_1"), ("dom_1", "dom_3"), ("dom_1", "dom_#")]
+    updates = _counted_updates(monkeypatch)
     actions = iter(script + [("dom_2", "dom_1")] * (env.beta - len(script)))
     index = StateTable(env).index
     record = rollout(env, sk, CFG, lambda t, i: index[next(actions)], 0, env.beta)
@@ -691,10 +707,8 @@ def test_rollout_on_a_warm_domino_table_catches_the_tracker_up_once(monkeypatch)
                        table=table)
 
     first = run()
-    updates, prefixes = [], []
-    update, prefix = PrefixEvaluator.update, PcpEnv.trace_prefix
-    monkeypatch.setattr(PrefixEvaluator, "update",
-                        lambda self, *args: updates.append(args) or update(self, *args))
+    updates, prefixes = _counted_updates(monkeypatch), []
+    prefix = PcpEnv.trace_prefix
     monkeypatch.setattr(PcpEnv, "trace_prefix",
                         lambda self, state: prefixes.append(state) or prefix(self, state))
     second = run()
@@ -709,10 +723,8 @@ def test_train_scores_each_domino_state_once(monkeypatch):
     # a `trace_prefix` world is scored once per id: training updates the
     # evaluator at most once per interned joint state, while a world that
     # appends a label per step still updates once per step
-    updates, prefixes, tables = [], [], []
-    update, prefix = PrefixEvaluator.update, PcpEnv.trace_prefix
-    monkeypatch.setattr(PrefixEvaluator, "update",
-                        lambda self, *args: updates.append(self) or update(self, *args))
+    updates, prefixes, tables = _counted_updates(monkeypatch), [], []
+    prefix = PcpEnv.trace_prefix
     monkeypatch.setattr(PcpEnv, "trace_prefix",
                         lambda self, state: prefixes.append(state) or prefix(self, state))
 
@@ -735,6 +747,9 @@ def test_train_scores_each_domino_state_once(monkeypatch):
     # extraction's beta + 1 states
     assert len(prefixes) <= ids + (h.xi + 1) + (beta + 3)
 
+    # a labelled world under a flat plan updates once per step it has not
+    # looked up, from a monitor state into an id, plus the final check; under
+    # a nested plan, once per step
     rng = random.Random(5)
     columns = [tuple(_kernel_label(rng) for _ in range(2)) for _ in range(9)]
     grid = load_map_file(hq.bundled("maps/fair4.map"))
@@ -742,8 +757,14 @@ def test_train_scores_each_domino_state_once(monkeypatch):
                 (ResourceEnv(grid, 12), hq.load_formula(hq.bundled("formulas/fairness.hltl")))]
     for env, f in labelled:
         updates.clear()
+        tables.clear()
         train(env, f, Hyperparams(xi=30), seed=7)
-        assert len(updates) == (30 + 1) * env.beta + 1, env.kind
+        [table] = tables
+        looked_up = _memo_entries(table)
+        if skolemize(f).plan.flat:
+            assert 0 < looked_up == len(updates) - 1 <= env.beta, env.kind
+        else:
+            assert looked_up == 0 and len(updates) == (30 + 1) * env.beta + 1, env.kind
 
 
 def test_rollout_rewards_keep_zero_signs_300_steps_nested():
@@ -831,6 +852,140 @@ def test_kernel_bodies_cover_their_shapes():
     for plan, name in zip(plans[4:], ("And", "Or", "Implies")):
         assert name in [type(node).__name__ for (node, _), whole, fused
                         in zip(plan.steps, plan.whole, plan.fused) if whole and not fused]
+
+
+def test_plan_is_flat_when_its_temporal_steps_read_fused_roots_alone():
+    # flat: G, F and X over atoms and their !, &, | and -> alone, read by
+    # those alone; an &, | or -> kept per position for a temporal reader is not
+    plans = [skolemize(hq.parse_formula("forall t1. forall t2. " + b)).plan
+             for b in _KERNEL_BODIES]
+    assert [plan.flat for plan in plans] == [True] * 4 + [False] * 3
+    assert all(plan.monitor[-1] == len(plan) - 1 for plan in plans)   # the body
+    # the monitor state holds the root kept at position 0 alone, the atom
+    # that G reads, G and the body
+    assert [type(plans[1].steps[i][0]).__name__ for i in plans[1].monitor] == [
+        "And", "BoolProp", "Always", "And"]
+
+
+class _LabelCycle(Environment):
+    """A labelled world whose states repeat: every slot state is one index
+    into a cycle of columns, which a joint action advances by one or by two
+    (by its first slot's action); seed s starts at index s."""
+
+    kind = "label-cycle"
+    actions = ("one", "two")
+
+    def __init__(self, columns, beta):
+        super().__init__()
+        self.columns, self.arity, self.beta = columns, len(columns[0]), beta
+
+    def reset(self, seed):
+        return (seed % len(self.columns),) * self.arity
+
+    def transition(self, state, joint):
+        return ((state[0] + 1 + (joint[0] == "two")) % len(self.columns),) * self.arity
+
+    def label_of(self, state):
+        return self.columns[state[0]]
+
+
+def _warm_table_episodes(env, sk, episodes, starts, rng):
+    """Records of `episodes` random episodes from `starts` start states,
+    all through one table."""
+    table = StateTable(env)
+    return [rollout(env, sk, CFG, lambda t, i: rng.randrange(table.width), e % starts,
+                    env.beta, table=table) for e in range(episodes)]
+
+
+@pytest.mark.parametrize("body", ["G {c}", "F {c}", "X {c}", _KERNEL_BODIES[1],
+                                  "G a@t1 | F b@t2",
+                                  # X of a false atom is the value of a prefix
+                                  # of one position
+                                  "X b@t1 & G a@t2",
+                                  # a root read at position 0 and by F
+                                  "(G b@t1 | ([ v@t1 > 0 ] & ![ v@t2 > 0 ]))"
+                                  " & F ([ v@t1 > 0 ] & ![ v@t2 > 0 ])"])
+def test_rollout_rewards_on_a_warm_table_match_from_scratch(monkeypatch, body):
+    # a flat plan's steps are looked up by (monitor state, id) in one table
+    # that episodes from several start states share, so most steps cost no
+    # evaluator update; every reward still equals a from-scratch evaluation
+    # bit for bit, the sign of a zero included
+    if "{c}" in body:
+        sk, make_label = _signed_zero_formula(body), _zero_label
+    else:
+        sk = skolemize(hq.parse_formula("forall t1. forall t2. " + body))
+        make_label = _kernel_label
+    assert sk.plan.flat
+    rng = random.Random(body)
+    worlds = [_LabelCycle([tuple(make_label(rng) for _ in range(sk.arity)) for _ in range(5)], 12)
+              for _ in range(10)]
+    updates = _counted_updates(monkeypatch)
+    runs = [(env, _warm_table_episodes(env, sk, 30, 3, rng)) for env in worlds]
+    steps = sum(record.steps for _, records in runs for record in records)
+    assert 0 < len(updates) < steps // 4
+    monkeypatch.undo()
+    for env, records in runs:
+        for record in records:
+            labels = [env.label_of(state) for state in record.states]
+            expected = [eval_hyper([Trace(column) for column in zip(*labels[:t + 1])], sk, CFG)
+                        for t in range(1, len(labels))]
+            assert _bits(record.rhos) == _bits(expected)
+            assert _bits([record.terminal_rho]) == _bits(expected[-1:])
+
+
+@pytest.mark.parametrize("name, flat", [("safe_rl", True), ("rescue", False),
+                                        ("fairness", False), ("pcp_ab", False)])
+def test_bundled_formulas_take_the_lookup_by_their_plans(monkeypatch, name, flat):
+    # safe_rl.hltl looks its steps up; rescue's U, fairness's G F and
+    # pcp_ab's nested U keep one evaluator update per step, even on a warm
+    # table whose steps repeat.  A formula edit that leaves the lookup fails here
+    sk = skolemize(hq.load_formula(hq.bundled(f"formulas/{name}.hltl")))
+    assert sk.plan.flat == flat
+    rng = random.Random(name)
+    props = ("goal1 goal2 i f c g resource "
+             "top_a bot_a top_b bot_b top_hash bot_hash").split()
+
+    def label():
+        return Label(frozenset(p for p in props if rng.random() < 0.3),
+                     {k: float(rng.randrange(4)) for k in ("cell", "loc", "energy")})
+
+    env = _LabelCycle([(label(), label()) for _ in range(5)], 12)
+    updates = _counted_updates(monkeypatch)
+    steps = sum(record.steps for record in _warm_table_episodes(env, sk, 20, 2, rng))
+    assert len(updates) < steps // 4 if flat else len(updates) == steps
+
+
+def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch):
+    # the resource grid's energies grow without bound, so its ids and the
+    # monitor states of a numeric formula over them rarely repeat.  The
+    # table starts afresh once it holds more than `limit` of either, and
+    # its memo holds at most one entry per pair of them
+    sizes = []
+
+    class Kept(StateTable):
+        limit = 32
+
+        def clear(self):
+            if self.states:
+                sizes.append((len(self.states), len(self.monitors), _memo_entries(self)))
+            super().clear()
+
+    monkeypatch.setattr(learner, "StateTable", Kept)
+    f = hq.parse_formula("forall t1. forall t2. G [ energy@t1 < 50 ] & G [ energy@t2 < 50 ]"
+                         " & G [ |energy@t1 - energy@t2| < 10 ]")
+    assert skolemize(f).plan.flat
+    env = ResourceEnv(load_map_file(hq.bundled("maps/fair4.map")), 40)
+    train(env, f, Hyperparams(xi=40, epsilon_end=1.0), seed=3)
+    assert len(sizes) > 5
+    bound = Kept.limit + env.beta   # the table is checked at episode starts
+    for ids, monitors, looked_up in sizes:
+        assert ids <= bound and 1 < monitors <= bound and 0 < looked_up <= ids * monitors
+    # monitor states past the limit start the table afresh as ids do
+    table = Kept(env)
+    start = env.reset(0)
+    table.start(start)
+    assert [table.monitor(bytes([k])) for k in range(Kept.limit + 2)][-1] == Kept.limit + 1
+    assert table.start(start) == 0 and not (table.monitors or table.memo)
 
 
 def test_train_rejects_traces_that_are_not_a_function_of_the_state():
