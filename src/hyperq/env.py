@@ -6,13 +6,14 @@ hidden from learners.  A joint state is the tuple of its slot states.  All
 bundled environments are deterministic given the reset seed, so
 stochasticity enters only through exploration.  A run keeps what it has
 observed of one in a `StateTable`, keyed on small integer ids of the joint
-states it has seen.
+states it has seen: the world's `table` while a run trains on it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 
@@ -72,6 +73,9 @@ class Environment:
     `step` validates a joint-action tuple the first time it sees it and
     remembers it in `valid_actions` (see `check_action`); an invalid tuple is
     never remembered, so it raises on every step that passes it.
+
+    `table` is the `StateTable` that the `train` calls of one run share, so
+    that a seed looks up what an earlier seed observed; None between runs.
     """
 
     kind = "abstract"
@@ -80,6 +84,7 @@ class Environment:
     arity: int = 0
     beta: int = 0
     metric_columns: tuple = ()
+    table: StateTable | None = None
 
     def __init__(self):
         self.valid_actions: set = set()
@@ -146,32 +151,35 @@ class StateTable:
     """The joint states one run has seen, each under a small integer id.
 
     A state's id is its index in `states`, which holds the joint state, and in
-    `rows`, which holds what `make_row(state)` made of it on its first visit
-    (the learner's Q row).  A world that labels its states (`labelled`) has
-    the id's label column (`label_of`) in `columns`.  Runs under a flat plan
-    (see `Plan.flat`) score its steps by monitor state: `monitors` gives
-    each monitor state met a small id (the first of an episode is keyed on
-    its start state's id), and `memo[m]` maps the id n of a state stepped
-    into from monitor state m to the id of the monitor state reached and
-    the step's robustness.  A world with `trace_prefix` has the robustness
-    of the id's prefix in `scores`, None until a run first scores it, since
-    that prefix is a function of the joint state.  Scores and the memo hold
-    for one formula and robustness config, those of the runs that share the
-    table.  `actions` are the world's joint actions, all combinations of
-    `actions` over the slots, and `index` maps a joint-action tuple to its
-    position.  `successors[i * width + a]` is the id one step on
-    from state i under joint action a, or -1 until a run has taken that step,
-    always through `Environment.step`, so the action check stays there.  Since
-    `transition`, `label_of` and `trace_prefix` read only the joint state, the
-    table is a pure cache: `start` begins it afresh once it holds more than
-    `limit` ids or monitor states, and nothing a run computes changes.
+    `rows`, which holds what `make_row(state)` made of it (the Q row of the
+    `train` call that holds the table, see `bind`).  A world that labels its
+    states (`labelled`) has the id's label column (`label_of`) in `columns`.
+    Runs under a flat plan (see `Plan.flat`) score its steps by monitor
+    state: `monitors` gives each monitor state met a small id (the first of
+    an episode is keyed on its start state's id), and `memo[m]` maps the id
+    n of a state stepped into from monitor state m to the id of the monitor
+    state reached and the step's robustness.  A world with `trace_prefix`
+    has the robustness of the id's prefix in `scores`, None until a run
+    first scores it, since that prefix is a function of the joint state.
+    Scores and the memo hold for one formula and robustness config: `train`
+    keeps them, and the skolemized body, in `formula`, `config` and `sk`.
+    `actions` are the world's joint actions, all combinations of `actions`
+    over the slots, and `index` maps a joint-action tuple to its position.
+    `successors[i * width + a]` is the id one step on from state i under
+    joint action a, or -1 until a run has taken that step, always through
+    `Environment.step`, so the action check stays there.  Since `transition`,
+    `label_of` and `trace_prefix` read only the joint state, the table is a
+    pure cache: the seeds of a run share it, `start` begins it afresh once
+    it holds more than `limit` ids or monitor states, and nothing a run
+    computes changes.  It holds its world weakly, since the world holds it.
     """
 
     limit = 2048
 
-    def __init__(self, env: Environment, make_row=None):
-        self.env = env
-        self.make_row = make_row
+    def __init__(self, env: Environment):
+        self.env = weakref.proxy(env)
+        self.make_row = None
+        self.formula = self.config = self.sk = None
         self.actions = _joint_actions(tuple(env.actions), env.arity)
         self.index = {a.per_trace: k for k, a in enumerate(self.actions)}
         self.width = len(self.actions)
@@ -190,6 +198,12 @@ class StateTable:
         for part in (self.ids, self.states, self.columns, self.scores, self.monitors, self.memo,
                      self.rows, self.successors):
             part.clear()
+
+    def bind(self, make_row=None):
+        """Give every id, and each new id, the row `make_row` makes of its
+        state; with None, release the rows."""
+        self.make_row = make_row
+        self.rows[:] = map(make_row, self.states) if make_row else ()
 
     def start(self, state: tuple) -> int:
         """The id of an episode's start state, after beginning the table
@@ -212,7 +226,8 @@ class StateTable:
                 self.columns.append(tuple(self.env.label_of(state)))
             else:
                 self.scores.append(None)
-            self.rows.append(self.make_row(state) if self.make_row else None)
+            if self.make_row:
+                self.rows.append(self.make_row(state))
             self.successors += self.unknown
         return i
 

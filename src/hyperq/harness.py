@@ -367,6 +367,7 @@ def cmd_train(config_path, out=None) -> int:
         write_artifacts(out_dir / f"artifacts_{rep_seed}.txt", result)
         verdict = sat_verdict(result.final_record.terminal_rho, rob_cfg)
         verdicts.append((rep_seed, verdict, result.final_record.terminal_rho))
+    env.table = None   # the seeds shared it; the run is over
     wall_clock_seconds = time.perf_counter() - started
 
     with open(out_dir / "aggregate.csv", "w", encoding="utf-8", newline="\n") as fh:

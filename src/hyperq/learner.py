@@ -28,6 +28,9 @@ from-scratch evaluation of the world's traces.  Per-slot greedy policies and
 witness tables for existential quantifiers are projected out of the trained
 function.
 
+The seeds of a run share its table, which the world holds while the run
+lasts: only the Q rows are each seed's own.
+
 Exploration in episode e of seed s draws from numpy's `default_rng((s, e))`
 stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.
 """
@@ -346,17 +349,25 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     """Run xi episodes of epsilon-greedy learning and extract the artifacts.
 
     Deterministic: a fixed (environment, formula, hyperparameters, seed)
-    reproduces the metrics exactly.  Raises RewardMismatchError when the
+    reproduces the metrics exactly.  Calls on one world share its `table`
+    and the formula skolemized once, while the formula and `rho_max` stay
+    the same; the table is a pure cache, so what a call computes does not
+    depend on the calls before it.  Raises RewardMismatchError when the
     final greedy episode's terminal reward differs from a from-scratch
     evaluation, the sign of a zero included.
     """
-    sk = skolemize(f)
-    beta = episode_bound(env, sk, h)
     cfg = h.config()
-    # each joint state is encoded once, when the table gives it its id
-    table = StateTable(env, lambda state: q.row(env.encode(state)))
+    table = env.table
+    if table is None or table.formula is not f or table.config != cfg:
+        table = StateTable(env)   # none yet, or its scores and memo are another formula's
+        table.formula, table.config, table.sk = f, cfg, skolemize(f)
+    sk = table.sk
+    beta = episode_bound(env, sk, h)
+    env.table = table
     rows, n_actions = table.rows, table.width
     q = TabularQ(n_actions)
+    # each joint state is encoded once per call, when it first needs its row
+    table.bind(lambda state: q.row(env.encode(state)))
     baseline = h.reward_mode == "baseline"
 
     # explore and learn see the ep_rng and eps of the episode being run
@@ -384,6 +395,7 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
 
     final = rollout(env, sk, cfg, lambda t, i: greedy(rows[i], prefer_tried=True), seed, beta,
                     table=table)
+    table.bind()   # so a world kept after the run pins no Q-function
     # the one from-scratch evaluation: of the world's own traces (a
     # `trace_prefix` world's from the last state, not from its step deltas)
     traces = env.trace_prefix(final.states[-1])

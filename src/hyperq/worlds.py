@@ -10,8 +10,10 @@ the joint action before it.  A joint state is the tuple of the slots'
 states, and the episode loop, not the world, counts steps.  A run steps once
 per joint state and joint action it meets, and labels or scores each joint
 state once: its `StateTable` keeps the successors and the label column (the
-robustness, in the domino game) of each joint state, so the worlds keep no
-table keyed on joint states.
+robustness, in the domino game) of each joint state.  The one world table
+keyed on joint states is the goal-seeking grid's `crowded`, for its episode
+statistics, which starts afresh at a `reset` once it holds more than
+`StateTable.limit` states.
 
 The grid worlds look moves and labels up rather than rebuild them.  Each
 grid world instance keeps two `LazyTable`s (see `_GridWorld`), dicts that
@@ -28,6 +30,7 @@ mutate one.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -192,7 +195,8 @@ class LazyTable(dict):
 class _GridWorld(Environment):
     """What the grid worlds share: one agent per start of `grid`, moving by
     `GRID_ACTIONS`, the move table and the label table of the subclass's
-    `_label`."""
+    `_label(grid, key)`.  No table holds the world, so dropping the last
+    reference to one frees it."""
 
     actions = GRID_ACTIONS
 
@@ -202,7 +206,7 @@ class _GridWorld(Environment):
         self.beta = beta
         self.arity = len(grid.starts)
         self.moves = LazyTable(lambda key: _move(grid, key[:2], key[2]))
-        self.labels = LazyTable(self._label)
+        self.labels = LazyTable(functools.partial(self._label, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +231,12 @@ class GridWorldEnv(_GridWorld):
         if missing:
             raise ValueError(f"map gives no goal for agent(s) {missing}")
         super().__init__(grid, beta)
+        # joint state -> whether two agents share a cell
+        self.crowded = LazyTable(lambda state: len({(x, y) for x, y, _, _ in state}) < len(state))
 
     def reset(self, seed: int) -> tuple:
+        if len(self.crowded) > StateTable.limit:
+            self.crowded.clear()
         starts = self.grid.starts
         return tuple((x, y, False, starts.count((x, y)) > 1) for x, y in starts)
 
@@ -244,25 +252,24 @@ class GridWorldEnv(_GridWorld):
         labels = self.labels
         return tuple([labels[i, cell, cells.count(cell) > 1] for i, cell in enumerate(cells)])
 
-    def _label(self, key) -> Label:
+    @staticmethod
+    def _label(grid, key) -> Label:
         i, cell, collision = key
-        props = {f"goal{k + 1}" for k, g in enumerate(self.grid.goals) if g == cell}
+        props = {f"goal{k + 1}" for k, g in enumerate(grid.goals) if g == cell}
         if collision:
             props.add("collision")
-        gx, gy = self.grid.goals[i]
+        gx, gy = grid.goals[i]
         return Label(frozenset(props), {
             "x": float(cell[0]),
             "y": float(cell[1]),
-            "cell": float(self.grid.cell_index(cell)),
+            "cell": float(grid.cell_index(cell)),
             "dist": float(abs(cell[0] - gx) + abs(cell[1] - gy)),
         })
 
     def episode_stats(self, record) -> dict:
         """Whether every agent visited its goal, and the steps with a shared cell."""
         done = all(flag for _, _, flag, _ in record.states[-1])
-        collisions = 0
-        for state in record.states[1:]:
-            collisions += len({(x, y) for x, y, _, _ in state}) < len(state)
+        collisions = sum(map(self.crowded.__getitem__, record.states[1:]))
         return {"done": int(done), "collisions": collisions}
 
     def episode_metrics(self, record, previous: dict) -> dict:
@@ -339,13 +346,14 @@ class WildfireEnv(_GridWorld):
         return tuple([labels[slot[0], slot[1], names[slot[0], slot[1]] in fires]
                       for slot in state])
 
-    def _label(self, key) -> Label:
+    @staticmethod
+    def _label(grid, key) -> Label:
         x, y, burning = key
-        props = {self.cell_names[x, y]}
+        props = {WILDFIRE_ROWS[y][x]}
         if burning:
             props.add("fire")
         return Label(frozenset(props), {
-            "loc": float(self.grid.cell_index((x, y))),
+            "loc": float(grid.cell_index((x, y))),
             "x": float(x),
             "y": float(y),
         })
@@ -473,7 +481,7 @@ class PcpEnv(Environment):
         self._start = tuple(((), False) for _ in range(self.arity))
         # slot -> (top, bottom, labels): the slot's words and the labels of
         # its positions up to the longer word's end
-        self.words = LazyTable(self._words)
+        self.words = LazyTable(functools.partial(self._words, dominoes))
 
     def reset(self, seed: int) -> tuple:
         if len(self.words) > StateTable.limit:
@@ -492,9 +500,10 @@ class PcpEnv(Environment):
                 per.append((seq + (self.domino_index[act],), False))
         return tuple(per)
 
-    def _words(self, slot) -> tuple:
+    @staticmethod
+    def _words(dominoes, slot) -> tuple:
         seq, done = slot
-        top, bot = concat_words(self.dominoes, seq)
+        top, bot = concat_words(dominoes, seq)
         if done:
             top, bot = top + "#", bot + "#"
         return top, bot, _unroll(top, bot, done)
@@ -596,14 +605,15 @@ class ResourceEnv(_GridWorld):
     def label_of(self, state: tuple) -> tuple:
         return tuple(map(self.labels.__getitem__, state))
 
-    def _label(self, slot) -> Label:
+    @staticmethod
+    def _label(grid, slot) -> Label:
         x, y, energy, arrived = slot
         props = frozenset({"resource"}) if arrived else frozenset()
         return Label(props, {
             "energy": float(energy),
             "x": float(x),
             "y": float(y),
-            "cell": float(self.grid.cell_index((x, y))),
+            "cell": float(grid.cell_index((x, y))),
         })
 
     # Tabular key: positions plus the clamped energy gap, not raw energies,

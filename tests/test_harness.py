@@ -232,6 +232,23 @@ def test_cmd_train_writes_expected_outputs(tmp_path, capsys):
     assert "satisfaction_rate" in stdout
 
 
+def test_cmd_train_seeds_share_one_table_and_drop_it(tmp_path, monkeypatch):
+    # every seed of a run trains on one world and its one table, which the
+    # world no longer holds once the run is over
+    calls = []
+
+    def recorded(env, f, h, seed):
+        result = train(env, f, h, seed)
+        calls.append((env, env.table))
+        return result
+
+    monkeypatch.setattr("hyperq.harness.train", recorded)
+    assert cmd_train(write_micro_config(tmp_path, reps=3)) == 0
+    assert len(calls) == 3 and len(set(calls)) == 1
+    env, table = calls[0]
+    assert table is not None and env.table is None
+
+
 def test_cmd_train_aggregate_is_mean_of_runs(tmp_path):
     cfg = write_micro_config(tmp_path, out_name="agg")
     cmd_train(cfg)

@@ -1,6 +1,10 @@
+import dataclasses
+import gc
 import hashlib
 import math
 import random
+import types
+import weakref
 
 import pytest
 
@@ -36,8 +40,8 @@ from hyperq.robustness import (
 )
 from hyperq.skolem import check_consistency, skolemize
 from hyperq.harness import ExperimentConfig, write_artifacts
-from hyperq.worlds import (LazyTable, PcpEnv, ResourceEnv, WildfireEnv, load_domino_file,
-                           load_map_file)
+from hyperq.worlds import (GridWorldEnv, LazyTable, PcpEnv, ResourceEnv, WildfireEnv,
+                           load_domino_file, load_map_file)
 
 from oracles import naive_eval, random_formula, random_label, signed_eval, value_iteration
 
@@ -427,15 +431,118 @@ def test_greedy_rollout_rejects_a_policy_action_the_world_lacks():
             greedy_rollout(policies, env, sk, CFG, seed=0, beta=env.beta)
 
 
+def _counted_steps(env) -> list:
+    """The list to which each `env.step` call appends its state."""
+    steps = []
+    step = env.step
+    env.step = lambda state, action: steps.append(state) or step(state, action)
+    return steps
+
+
+@pytest.mark.parametrize("config, xi, shared", [
+    ("safe-rl-4x4.ini", 150, True),   # a flat plan: rewards by lookup
+    ("wildfire.ini", 100, True),      # U
+    ("fairness-4x4.ini", 10, False),  # the table starts afresh inside every seed
+    ("pcp-k3.ini", 60, False),        # scores per id
+])
+def test_a_runs_seeds_share_one_table_and_change_no_output(tmp_path, config, xi, shared):
+    # seeds trained one after another on one world share its table: what
+    # they write is what each writes on a fresh world, and on a table that
+    # does not start afresh within a seed the later seeds take fewer steps
+    cfg = ExperimentConfig.load(hq.bundled(f"configs/{config}"))
+    cfg.hyperparams.xi = xi
+    f, _, env, _ = cfg.setup()
+    h, seeds = cfg.hyperparams, (1, 2, 3)
+    fresh, fresh_steps = [], 0
+    for seed in seeds:
+        world = cfg.make_env()
+        steps = _counted_steps(world)
+        fresh.append(_outputs(tmp_path, f"fresh{seed}", train(world, f, h, seed)))
+        fresh_steps += len(steps)
+    steps = _counted_steps(env)
+    assert [_outputs(tmp_path, f"shared{seed}", train(env, f, h, seed)) for seed in seeds] == fresh
+    if shared:
+        assert len(steps) < fresh_steps
+
+
+@pytest.mark.parametrize("config, other", [
+    ("safe-rl-4x4.ini", "forall t1. forall t2. G !collision@t1 & F goal1@t1"),
+    ("pcp-k3.ini", "forall t1. forall t2. F (top_a@t1 & bot_b@t2)"),
+    ("wildfire.ini", "forall t1. forall t2. F i@t1 & F g@t2"),
+])
+def test_a_table_kept_for_one_formula_is_begun_afresh_for_another(tmp_path, config, other):
+    # between two seeds, the world is trained with another formula and with
+    # another rho_max; their scores and memo are not the run's, and every
+    # output equals a fresh world's
+    cfg = ExperimentConfig.load(hq.bundled(f"configs/{config}"))
+    cfg.hyperparams.xi = 60
+    f, _, env, _ = cfg.setup()
+    h = cfg.hyperparams
+    runs = [(f, h, 1), (hq.parse_formula(other), h, 2),
+            (f, dataclasses.replace(h, rho_max=0.5), 3), (f, h, 4)]
+    expected = [_outputs(tmp_path, f"fresh{seed}", train(cfg.make_env(), g, k, seed))
+                for g, k, seed in runs]
+    tables = []
+    for (g, k, seed), outputs in zip(runs, expected):
+        assert _outputs(tmp_path, f"shared{seed}", train(env, g, k, seed)) == outputs, seed
+        tables.append(env.table)
+    assert len({id(table) for table in tables}) == len(runs)
+
+
+def test_a_world_kept_after_training_pins_nothing():
+    # the world holds the run's table, the table holds the world weakly and
+    # no Q row once `train` returns: without the cycle collector, dropping
+    # the world frees it, and a result holds no table or world
+    gc.disable()
+    try:
+        fair, cross = (load_map_file(hq.bundled(f"maps/{m}.map")) for m in ("fair4", "cross4"))
+        for make, f in ((lambda: WildfireEnv(6), rescue_formula()),
+                        (lambda: _k3_world(5), _pcp_formula()),
+                        (lambda: ResourceEnv(fair, 8),
+                         hq.load_formula(hq.bundled("formulas/fairness.hltl"))),
+                        (lambda: GridWorldEnv(cross, 8),
+                         hq.load_formula(hq.bundled("formulas/safe_rl.hltl")))):
+            env = make()
+            result = train(env, f, Hyperparams(xi=20), seed=1)
+            table = env.table
+            assert table.states and table.rows == [] and table.make_row is None
+            assert not _reaches(result, (StateTable, Environment))
+            world = weakref.ref(env)
+            del env, table
+            assert world() is None
+    finally:
+        gc.enable()
+
+
+def _reaches(obj, kinds) -> bool:
+    """Whether an instance of `kinds` is reachable from `obj` through
+    containers, instances and bound methods (not through classes, modules or
+    functions, which reach everything)."""
+    seen, todo = set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, kinds):
+            return True
+        todo += gc.get_referents(o)
+    return False
+
+
 @pytest.mark.parametrize("config, xi", [("fairness-4x4.ini", 12), ("safe-rl-4x4.ini", 80),
                                         ("pcp-k3.ini", 40)])
 def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, config, xi):
+    # two seeds on a table begun afresh every few ids, within a seed and
+    # across the boundary between the two, write what they write on one that
+    # is never full
     cfg = ExperimentConfig.load(hq.bundled(f"configs/{config}"))
     f, _, env, _ = cfg.setup()
     h = cfg.hyperparams
     h.xi = xi
     sk, rob = skolemize(f), h.config()
-    unbounded = _outputs(tmp_path, "unbounded", train(env, f, h, seed=2))
+    seeds = (2, 3)
+    unbounded = [_outputs(tmp_path, f"unbounded{seed}", train(env, f, h, seed)) for seed in seeds]
     checked, scored, looked_up = [], [], []
 
     class Checked(StateTable):
@@ -460,18 +567,22 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
             assert not (self.states or self.scores or self.monitors or self.memo)
 
     monkeypatch.setattr(learner, "StateTable", Checked)
-    assert _outputs(tmp_path, "bounded", train(env, f, h, seed=2)) == unbounded
-    assert len(checked) > xi // 2 and max(checked) > Checked.limit
+    env = cfg.make_env()   # a world without a table, so that train makes a Checked one
+    bounded = [_outputs(tmp_path, f"bounded{seed}", train(env, f, h, seed)) for seed in seeds]
+    assert bounded == unbounded
+    assert type(env.table) is Checked
+    assert len(checked) > len(seeds) * xi // 2 and max(checked) > Checked.limit
     assert bool(scored) == (env.trace_prefix(env.reset(2)) is not None)
     # a labelled world under a flat plan (safe_rl) kept steps by monitor state
     assert (max(looked_up) > 0) == (not scored and sk.plan.flat)
 
 
-def test_restarting_the_domino_word_cache_changes_no_output(tmp_path, monkeypatch):
-    # the domino world's words are a pure cache bounded by the state
-    # table's limit: starting it afresh at almost every episode keeps every
-    # output byte
-    cfg = ExperimentConfig.load(hq.bundled("configs/pcp-k3.ini"))
+@pytest.mark.parametrize("config", ["pcp-k3.ini", "safe-rl-4x4.ini"])
+def test_restarting_a_world_cache_changes_no_output(tmp_path, monkeypatch, config):
+    # the domino world's words and the grid's shared cells are pure caches
+    # bounded by the state table's limit: starting them afresh at almost
+    # every episode keeps every output byte
+    cfg = ExperimentConfig.load(hq.bundled(f"configs/{config}"))
     h = cfg.hyperparams
     h.xi = 60
     f, _, env, _ = cfg.setup()
