@@ -243,13 +243,15 @@ class _EpisodeTracker:
     state's `trace_prefix`, and may rewrite earlier positions: `advance`
     moves the tracker on to any later state of the episode and returns the
     first position whose column changed, from which `rollout` updates its
-    evaluator.
+    evaluator.  Such a tracker may lag behind the episode, which moves it
+    on only to the states it scores.
     """
 
     def __init__(self, env: Environment, state: tuple, column: tuple | None = None,
                  traces=None):
         self.env = env
-        if column is not None:
+        self.labelled = column is not None
+        if self.labelled:
             self.columns = [column]
         else:
             self.columns = _zip(env.trace_prefix(state) if traces is None else traces)
@@ -263,10 +265,13 @@ class _EpisodeTracker:
         columns[lo:] = new[lo:]
         return lo
 
-    def traces(self) -> list:
-        if not self.columns:
-            return [Trace() for _ in range(self.env.arity)]
-        return [Trace(labels) for labels in zip(*self.columns)]
+    def traces(self, state: tuple) -> list:
+        """The episode's traces once it has reached `state`, its last state:
+        the columns appended up to it, or the world's `trace_prefix` of it,
+        which the tracker need not have moved on to."""
+        if self.labelled:
+            return [Trace(labels) for labels in zip(*self.columns)]
+        return list(self.env.trace_prefix(state))
 
 
 def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choose,
@@ -307,7 +312,6 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     else:   # the table has the traces of id 0, the start state it began with
         tracker = _EpisodeTracker(env, start, traces=table.opening if i == 0 else None)
     prefix = tracker.columns
-    tracked = i   # the id of the tracker's state
     states, columns, scores, memo, successors, joint_actions, width = (
         table.states, table.columns, table.scores, table.memo, table.successors, table.actions,
         table.width)
@@ -331,16 +335,13 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
             rho = evaluator.update(prefix, len(prefix) - 1)
         elif (rho := scores[n]) is None:   # a `trace_prefix` world scores each id once
             rho = scores[n] = evaluator.update(prefix, tracker.advance(states[n]))
-            tracked = n
         if on_step is not None:
             on_step(t, i, a, n, rho)
         visited.append(states[n])
         actions.append(joint_actions[a].per_trace)
         rhos.append(rho)
         i = n
-    if not labelled and tracked != i:   # catch the tracker up with the last state
-        tracker.advance(states[i])
-    record.traces = tracker.traces()
+    record.traces = tracker.traces(states[i])
     record.terminal_rho = rhos[-1] if rhos else evaluator.update(prefix, 0)
     return record
 
@@ -397,9 +398,8 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
                     table=table)
     table.bind()   # so a world kept after the run pins no Q-function
     # the one from-scratch evaluation: of the world's own traces (a
-    # `trace_prefix` world's from the last state, not from its step deltas)
-    traces = env.trace_prefix(final.states[-1])
-    expected = immediate_reward(final.traces if traces is None else traces, sk, cfg)
+    # `trace_prefix` world's of the last state, not of its step deltas)
+    expected = immediate_reward(final.traces, sk, cfg)
     if not _unchanged(final.terminal_rho, expected):
         raise RewardMismatchError(final.terminal_rho, expected)
     policies, witnesses = extract_policies(env, sk, final)

@@ -15,7 +15,10 @@ loop over the changed positions that keeps every such step in a local, then
 every other step in plan order, a pointwise one written out from the same
 expression (`_POINTWISE` states each operator and its tie rule once) and a
 temporal one as a call of its step function.  The source is compiled once
-per process for each shape of plan.  A `PrefixEvaluator` runs the program
+per process for each shape of plan.  When the loop reads Boolean atoms
+alone, its values at a position are a function of the props it reads there,
+so each program keeps them per distinct column and computes a column it has
+met before by one dict lookup.  A `PrefixEvaluator` runs the program
 over Python floats: a list with one value per position for each remaining
 step that needs them, one value for a step read only at position 0.  It
 keeps these between calls, so an episode's growing prefix is scored after
@@ -350,16 +353,23 @@ _POINTWISE = {
 }
 
 
-def _kernel_lines(plan, targets, arity: int, const):
-    """Statements that set local `x{i}` for every fused step that `targets`
-    read, in plan order, from the column `col` of one position."""
+def _needed(plan, targets) -> set:
+    """The fused steps that `targets` read, themselves included."""
     need, stack = set(), list(targets)
     while stack:
         k = stack.pop()
         if k not in need:
             need.add(k)
             stack.extend(plan.steps[k][1])
-    lines, loaded = [], set()
+    return need
+
+
+def _kernel_lines(plan, need, arity: int, const, loaded=()):
+    """Statements that set local `x{i}` for every fused step in `need`, in
+    plan order, from the column `col` of one position; each label attribute
+    is loaded into a local where it is first read, unless `loaded` names
+    that local already."""
+    lines, loaded = [], set(loaded)
 
     def read(attr, target):
         """Local holding the target slot label's `attr` at this position."""
@@ -411,6 +421,17 @@ def _kernel_source(plan, arity: int) -> tuple:
     `_POINTWISE` expression, either at position 0 or as one list
     comprehension from its operands' lowest change on; a temporal step is a
     call of its `_head_step` or `_row_step` function.
+
+    When the per-position loop reads no predicate, only the `props` of the
+    slots its atoms read, every root it stores is +/-rho_max and a function
+    of those frozensets.  `make` then gives the program a dict `memo` of its
+    own (also `run.memo`) from those frozensets (one, or their tuple) to the
+    roots' values: a column met before appends what the dict keeps, and
+    only a new one runs the loop's statements.  The dict starts afresh once
+    it holds 2 ** (the number of Boolean atoms read) columns, the most that
+    differ in what the plan reads.  A plan that reads predicates gets the
+    loop alone, since a margin may be -0.0 and its valuations are not part
+    of the key.
     """
     constants, temporal = [], []
 
@@ -420,14 +441,30 @@ def _kernel_source(plan, arity: int) -> tuple:
 
     rows = [i for i in plan.roots if plan.whole[i]]
     heads = [i for i in plan.roots if not plan.whole[i]]
+    memo = False
     body = [f"o{i} = v[{i}]" for i in rows] + [f"del o{i}[lo:]" for i in rows] + ["try:"]
     if heads:
-        lines = _kernel_lines(plan, heads, arity, const)
+        lines = _kernel_lines(plan, _needed(plan, heads), arity, const)
         lines += [f"v[{i}][0] = x{i}" for i in heads]
         body += ["    if lo == 0:", "        col = cols[0]"] + [f"        {s}" for s in lines]
     if rows:
-        lines = _kernel_lines(plan, rows, arity, const)
-        lines += [f"o{i}.append(x{i})" for i in rows]
+        need = _needed(plan, rows)
+        atoms = [plan.steps[k][0] for k in need if not plan.steps[k][1]]
+        memo = not any(isinstance(a, Predicate) for a in atoms)
+        if memo:
+            props = [a for a in atoms if isinstance(a, BoolProp)]
+            slots = sorted({_slot_of(a.trace, arity) for a in props})
+            keys = [f"p{s}" for s in slots]
+            key = keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
+            lines = [f"p{s} = col[{s}].props" for s in slots]
+            lines += [f"roots = memo.get({key})", "if roots is None:"]
+            lines += [f"    {s}" for s in _kernel_lines(plan, need, arity, const, keys)]
+            lines += [f"    if len(memo) >= {2 ** len(props)}:", "        memo.clear()",
+                      f"    roots = memo[{key}] = " + ", ".join(f"x{i}" for i in rows) + ","]
+            lines += [f"o{i}.append(roots[{j}])" for j, i in enumerate(rows)]
+        else:
+            lines = _kernel_lines(plan, need, arity, const)
+            lines += [f"o{i}.append(x{i})" for i in rows]
         body += ["    for col in cols[lo:]:"] + [f"        {s}" for s in lines]
     body += ["except KeyError as exc:",
              "    raise UnknownValuationError(*exc.args) from None"]
@@ -451,8 +488,10 @@ def _kernel_source(plan, arity: int) -> tuple:
     params = ["R", "N"] + [f"k{j}" for j in range(len(constants))]
     params += [f"t{j}" for j in range(len(temporal))]
     source = "\n".join([f"def make({', '.join(params)}):",
+                        *(["    memo = {}"] if memo else []),
                         "    def run(v, low, cols, lo, n, m):",
                         *(f"        {s}" for s in body),
+                        *(["    run.memo = memo"] if memo else []),
                         "    return run", ""])
     return source, tuple(constants), tuple(temporal)
 
@@ -488,7 +527,9 @@ class Plan:
     in the loop, a temporal step as a call of its step function.  The
     source names its props, valuations, constants and step functions by
     parameter, so it is compiled once per process for all plans of one
-    shape.
+    shape.  When that loop reads Boolean atoms alone, each program keeps
+    the roots' values of every distinct column it has scored, keyed on the
+    `props` it reads, and scores a column met before by lookup.
 
     A plan is `flat` when every step that is not fused keeps one value: its
     G, F and X read fused roots alone, and only !, &, | and -> read them.
@@ -561,7 +602,9 @@ class PrefixEvaluator:
     position 0 alone (see `Plan`).  `update` makes one call of the plan's
     program from the lowest position that changed since the previous
     update: one loop over the changed columns computes every atom and every
-    pointwise step above atoms alone, and stores only the plan's roots.
+    pointwise step above atoms alone, and stores only the plan's roots (a
+    loop over Boolean atoms alone looks up the roots of a column it has
+    scored before).
     Then each other step runs and reports the lowest position it changed to
     its readers.  G and F at position 0 fold in appended positions in O(1)
     each; the per-position recurrences of G, F, U and X stop below the

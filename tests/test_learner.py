@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import random
 import types
@@ -31,6 +32,7 @@ from hyperq.learner import (
 from hyperq.robustness import (
     Label,
     LengthMismatchError,
+    Plan,
     PrefixEvaluator,
     RobustnessConfig,
     Trace,
@@ -711,6 +713,54 @@ def test_rollout_rewards_match_naive_oracle_rewritten_prefix():
         _assert_rewards_match_oracle(_rewrite_script(rng, sk.arity, rng.randint(1, 16)), sk)
 
 
+# Boolean bodies over a small alphabet of shared labels, whose columns the
+# kernel scores once each.  Two labels have equal props in distinct
+# frozensets, which must key one column.
+_ALPHABET = (Label(frozenset({"p", "r"})), Label(frozenset({"q"})), Label(frozenset({"r", "p"})))
+
+
+def _shared_label(rng):
+    return rng.choice(_ALPHABET)
+
+
+def _unread(columns, fresh):
+    """`columns` with a prop that no formula reads, one per label, added to
+    every label: no column repeats, so a kernel scores every one anew."""
+    return [tuple(Label(label.props | {f"unread{next(fresh)}"}) for label in column)
+            for column in columns]
+
+
+def test_boolean_columns_scored_once_match_oracle_and_memo_less_evaluation():
+    rng = random.Random(303)
+    fresh = itertools.count()
+    misses = steps = 0
+    for case in range(200):
+        sk = skolemize(random_formula(rng, max_depth=4, max_vars=2, boolean_only=True))
+        if case % 2:
+            env = _rewrite_script(rng, sk.arity, rng.randint(1, 16), _shared_label)
+        else:
+            env = _LabelScript([tuple(_shared_label(rng) for _ in range(sk.arity))
+                                for _ in range(rng.randint(2, 41))])
+        record = rollout(env, sk, CFG, lambda t, i: 0, 0, env.beta)
+        memo_less = Plan(sk.body)   # a program of its own, which never meets a column twice
+        for t, rho in enumerate(record.rhos, start=1):
+            traces = env.prefix(t)
+            columns = list(zip(*traces))
+            if not columns:
+                assert rho == CFG.rho_min
+                continue
+            z = zip_traces(traces)
+            assert rho == naive_eval(z, 0, len(z), sk.body, CFG), (case, t)
+            expected = PrefixEvaluator(memo_less, sk.arity, CFG).update(_unread(columns, fresh))
+            assert _unchanged(rho, expected), (case, t)
+        # the alphabet's two props sets give each slot read two columns at
+        # most, fewer than the memo's bound, so it never starts afresh and
+        # holds one entry per miss
+        misses += len(getattr(sk.plan.program(sk.arity, CFG), "memo", ()))
+        steps += len(record.rhos)
+    assert 0 < misses < steps / 4
+
+
 # Per-step rewards of rollout against a from-scratch evaluation, zero signs
 # included.  Where v = 1, `c` is +0.0 if p holds and -0.0 if not (as in
 # test_signed_zero_ties_follow_scalar_folds); where v is 0 or 2 it is +-1.
@@ -1149,7 +1199,8 @@ def test_rollout_empty_slot_scores_minimum():
     record = rollout(env, sk, CFG, lambda t, i: 0, 0, 2)
     assert record.rhos == [CFG.rho_min, CFG.rho_max]
     assert record.traces == env.prefix(2)
-    assert _EpisodeTracker(env, env.reset(0)).traces() == [Trace(), Trace()]
+    start = env.reset(0)
+    assert _EpisodeTracker(env, start).traces(start) == [Trace(), Trace()]
 
 
 def test_plan_has_one_step_per_distinct_subformula():

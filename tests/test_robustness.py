@@ -145,6 +145,46 @@ def test_plans_of_one_formula_share_one_compiled_kernel():
     assert programs[0].__code__ is programs[1].__code__
 
 
+def test_memo_of_boolean_columns_stays_within_its_bound():
+    # every column carries a prop the formula never reads, so no column
+    # repeats: the memo starts afresh at 2 ** 2 entries, the columns that
+    # p and q tell apart
+    f = parse_formula("forall t1. forall t2. p@t1 U q@t2")
+    plan = Plan(f.body)
+    evaluator = PrefixEvaluator(plan, 2, CFG)
+    memo = plan.program(2, CFG).memo
+    rng = random.Random(9)
+    columns = []
+    for k in range(40):
+        columns.append(tuple(Label(frozenset(rng.sample(["p", "q"], rng.randint(0, 2)))
+                                   | {f"unread{k}"}) for _ in range(2)))
+        rho = evaluator.update(columns, len(columns) - 1)
+        assert rho == naive_eval(zip_traces(zip(*columns)), 0, len(columns), f.body, CFG)
+        assert 0 < len(memo) <= 4
+
+
+def test_programs_of_one_shape_keep_their_own_memo():
+    # the two formulas differ in their props alone, so their programs share
+    # one compiled code object, but each keeps the values of its own props
+    first, second = (Plan(body_of(f"forall t1. {a}@t1 U {b}@t1")) for a, b in (("p", "q"),
+                                                                                ("q", "p")))
+    programs = [plan.program(1, CFG) for plan in (first, second)]
+    assert programs[0].__code__ is programs[1].__code__
+    assert programs[0].memo is not programs[1].memo
+    column = [(Label(frozenset({"p"})),)]
+    for _ in range(2):
+        assert PrefixEvaluator(first, 1, CFG).update(column) == CFG.rho_min
+        assert PrefixEvaluator(second, 1, CFG).update(column) == CFG.rho_max
+
+
+def test_only_plans_reading_boolean_atoms_alone_keep_a_memo():
+    # safe_rl, fairness and rescue read predicates, whose margins may be
+    # -0.0 and whose valuations no props key holds
+    for name in ("pcp_ab", "safe_rl", "fairness", "rescue"):
+        sk = skolemize(hq.load_formula(hq.bundled(f"formulas/{name}.hltl")))
+        assert hasattr(sk.plan.program(sk.arity, CFG), "memo") == (name == "pcp_ab"), name
+
+
 def test_pcp_program_is_one_kernel_and_five_operator_steps():
     plan = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl"))).plan
     program = plan.program(2, CFG)
