@@ -154,15 +154,16 @@ class StateTable:
     `rows`, which holds what `make_row(state)` made of it (the Q row of the
     `train` call that holds the table, see `bind`).  A world that labels its
     states (`labelled`) has the id's label column (`label_of`) in `columns`.
-    Runs under a flat plan (see `Plan.flat`) score its steps by monitor
-    state: `monitors` gives each monitor state met a small id (the first of
-    an episode is keyed on its start state's id), and `memo[m]` maps the id
-    n of a state stepped into from monitor state m to the id of the monitor
-    state reached and the step's robustness.  A world with `trace_prefix`
-    has the robustness of the id's prefix in `scores`, None until a run
-    first scores it, since that prefix is a function of the joint state.
-    Scores and the memo hold for one formula and robustness config: `train`
-    keeps them, and the skolemized body, in `formula`, `config` and `sk`.
+    `memo` is the run's reward machine: it maps a context key to a dict that
+    maps the id n of a state stepped into from that context to the key of
+    the context reached and the step's robustness.  A world with
+    `trace_prefix` has one context, whose key never changes, since its
+    prefix is a function of the joint state; under a flat plan (see
+    `Plan.flat`) a labelled world's context is its monitor state, the first
+    of an episode keyed on its start state's id.  A hit names its next
+    context by key, so the memo holds no reference cycle.  The memo holds
+    for one formula and robustness config: `train` keeps it, and the
+    skolemized body, in `formula`, `config` and `sk`.
     `actions` are the world's joint actions, all combinations of `actions`
     over the slots, and `index` maps a joint-action tuple to its position.
     `successors[i * width + a]` is the id one step on from state i under
@@ -170,8 +171,8 @@ class StateTable:
     `Environment.step`, so the action check stays there.  Since `transition`,
     `label_of` and `trace_prefix` read only the joint state, the table is a
     pure cache: the seeds of a run share it, `start` begins it afresh once
-    it holds more than `limit` ids or monitor states, and nothing a run
-    computes changes.  It holds its world weakly, since the world holds it.
+    it holds more than `limit` ids or contexts, and nothing a run computes
+    changes.  It holds its world weakly, since the world holds it.
     """
 
     limit = 2048
@@ -187,16 +188,13 @@ class StateTable:
         self.ids: dict = {}
         self.states: list = []
         self.columns: list = []
-        self.scores: list = []
-        self.monitors: dict = {}
-        self.memo: list = []
+        self.memo: dict = {}
         self.rows: list = []
         self.successors: list = []
 
     def clear(self):
-        """Forget every id; the lists stay the same objects."""
-        for part in (self.ids, self.states, self.columns, self.scores, self.monitors, self.memo,
-                     self.rows, self.successors):
+        """Forget every id; the containers stay the same objects."""
+        for part in (self.ids, self.states, self.columns, self.memo, self.rows, self.successors):
             part.clear()
 
     def bind(self, make_row=None):
@@ -208,12 +206,11 @@ class StateTable:
     def start(self, state: tuple) -> int:
         """The id of an episode's start state, after beginning the table
         afresh when it is full.  Beginning it gives `state` id 0 and finds
-        out whether the world labels its states: `opening` is `state`'s
-        `trace_prefix`, None for a world that labels them."""
-        if not self.states or max(len(self.states), len(self.monitors)) > self.limit:
+        out whether the world labels its states: whether `state` has no
+        `trace_prefix`."""
+        if not self.states or max(len(self.states), len(self.memo)) > self.limit:
             self.clear()
-            self.opening = self.env.trace_prefix(state)
-            self.labelled = self.opening is None
+            self.labelled = self.env.trace_prefix(state) is None
         return self.intern(state)
 
     def intern(self, state: tuple) -> int:
@@ -224,17 +221,7 @@ class StateTable:
             self.states.append(state)
             if self.labelled:
                 self.columns.append(tuple(self.env.label_of(state)))
-            else:
-                self.scores.append(None)
             if self.make_row:
                 self.rows.append(self.make_row(state))
             self.successors += self.unknown
         return i
-
-    def monitor(self, key) -> int:
-        """The id of the monitor state `key`, given on its first visit."""
-        m = self.monitors.get(key)
-        if m is None:
-            m = self.monitors[key] = len(self.memo)
-            self.memo.append({})
-        return m

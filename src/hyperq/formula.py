@@ -24,7 +24,8 @@ Concrete syntax::
 
 Uppercase ``X F G U`` are reserved operator names; all other identifiers
 (including single lowercase letters) are usable as propositions, valuations,
-and trace variables.  Lines starting with ``#`` are comments.
+and trace variables.  Lines starting with ``#`` are comments.  A body's syntax
+tree has at most `MAX_DEPTH` levels, a parenthesis counting as one.
 
 `read_input` reads every file the command line takes (formula, config, map,
 domino set, traces, artifact) and raises an `InputError` that names the file.
@@ -40,6 +41,10 @@ FORALL = "forall"
 EXISTS = "exists"
 
 COMPARATORS = ("<", ">", "=")
+
+# The most levels a body's syntax tree may have (the bundled bodies have at
+# most 9); a parenthesis counts as one, so no walk over a body recurses deeper.
+MAX_DEPTH = 100
 
 
 class InputError(ValueError):
@@ -218,7 +223,10 @@ def atoms_of(node: LtlNode):
 # Lexer
 
 _KEYWORDS = {FORALL, EXISTS, "true", "false"}
-_UNARY_OPS = {"X", "F", "G"}
+_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
+# Each binary operator's level (the loosest 0), node and whether it is right associative.
+_BINARY = {"->": (0, Implies, True), "|": (1, Or, False), "&": (2, And, False),
+           "U": (3, Until, True)}
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -283,6 +291,19 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
 
+    def below(self, tok: _Token, depth: int) -> int:
+        """The depth of an operand of the operator or parenthesis `tok` at `depth`."""
+        self.height(tok, depth + 1, 1)
+        return depth + 1
+
+    def height(self, tok: _Token, depth: int, height: int) -> int:
+        """`height`, the levels of a subtree made at `tok` below `depth`
+        levels, once they fit in MAX_DEPTH together."""
+        if depth + height > MAX_DEPTH:
+            raise ParseError(f"formula nested more than {MAX_DEPTH} levels deep",
+                             tok.line, tok.column)
+        return height
+
     def expect(self, text: str) -> _Token:
         tok = self.peek()
         if tok.text != text:
@@ -294,7 +315,7 @@ class _Parser:
         while self.peek().text in (FORALL, EXISTS):
             kind = self.next().text
             name_tok = self.peek()
-            if name_tok.kind != "id" or name_tok.text in _KEYWORDS or name_tok.text in _UNARY_OPS or name_tok.text == "U":
+            if name_tok.kind != "id" or name_tok.text in _KEYWORDS or name_tok.text in _UNARY or name_tok.text in _BINARY:
                 raise self.error("expected trace variable name")
             self.next()
             if name_tok.text in self.vars:
@@ -303,74 +324,52 @@ class _Parser:
             self.vars[var.name] = var
             prefix.append(Quantifier(kind, var))
             self.expect(".")
-        body = self.parse_implies()
+        body, _ = self.parse_binary(0)
         if self.peek().kind != "eof":
             raise self.error(f"unexpected trailing input {self.peek().text!r}")
         return Formula(tuple(prefix), body)
 
-    def parse_implies(self) -> LtlNode:
-        left = self.parse_or()
-        if self.peek().text == "->":
-            self.next()
-            return Implies(left, self.parse_implies())
-        return left
+    # Each parse_* takes the levels above what it parses (operators and
+    # parentheses) and returns a node and its height: its levels, 1 for an atom.
+    def parse_binary(self, depth: int, floor: int = 0) -> tuple[LtlNode, int]:
+        """A body whose binary operators are at level `floor` or tighter."""
+        node, h = self.parse_unary(depth)
+        while (op := _BINARY.get(self.peek().text)) and op[0] >= floor:
+            tok = self.next()
+            level, make, right = op
+            child, k = (self.parse_binary(self.below(tok, depth), level) if right
+                        else self.parse_binary(depth, level + 1))
+            node, h = make(node, child), self.height(tok, depth, max(h, k) + 1)
+        return node, h
 
-    def parse_or(self) -> LtlNode:
-        node = self.parse_and()
-        while self.peek().text == "|":
-            self.next()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> LtlNode:
-        node = self.parse_until()
-        while self.peek().text == "&":
-            self.next()
-            node = And(node, self.parse_until())
-        return node
-
-    def parse_until(self) -> LtlNode:
-        left = self.parse_unary()
-        if self.peek().text == "U":
-            self.next()
-            return Until(left, self.parse_until())
-        return left
-
-    def parse_unary(self) -> LtlNode:
+    def parse_unary(self, depth: int) -> tuple[LtlNode, int]:
         tok = self.peek()
-        if tok.text == "!":
+        if tok.text in _UNARY:
             self.next()
-            return Not(self.parse_unary())
-        if tok.text in _UNARY_OPS:
-            self.next()
-            child = self.parse_unary()
-            if tok.text == "X":
-                return Next(child)
-            if tok.text == "F":
-                return Eventually(child)
-            return Always(child)
-        return self.parse_primary()
+            child, h = self.parse_unary(self.below(tok, depth))
+            return _UNARY[tok.text](child), h + 1
+        return self.parse_primary(depth)
 
-    def parse_primary(self) -> LtlNode:
+    def parse_primary(self, depth: int) -> tuple[LtlNode, int]:
         tok = self.peek()
         if tok.text == "true":
             self.next()
-            return TrueNode()
+            return TrueNode(), 1
         if tok.text == "false":
             self.next()
-            return FalseNode()
+            return FalseNode(), 1
         if tok.text == "(":
             self.next()
-            node = self.parse_implies()
+            node = self.parse_binary(self.below(tok, depth))
             self.expect(")")
             return node
         if tok.text == "[":
             self.next()
             node = self.parse_predicate()
             self.expect("]")
-            return node
+            return node, 1
         if tok.kind == "id":
-            return self.parse_bool_atom()
+            return self.parse_bool_atom(), 1
         raise self.error(f"expected a formula, found {tok.text!r}")
 
     def resolve_var(self, name_tok: _Token) -> TraceVar:
@@ -438,7 +437,7 @@ def parse_formula(text: str) -> Formula:
 
     Lines starting with '#' are comments.  Guarantees the result is closed:
     every atom's trace variable is bound by exactly one quantifier in the
-    prefix.
+    prefix, and that its body has at most MAX_DEPTH levels.
     """
     return _Parser(_tokenize(text)).parse_formula()
 
@@ -524,8 +523,11 @@ _PREC_UNTIL = 4
 _PREC_UNARY = 5
 
 
-def _format_constant(c: float) -> str:
-    return str(int(c)) if float(c).is_integer() else repr(c)
+def format_number(v) -> str:
+    """An integral float as an int, any other float by `repr`, anything else by `str`."""
+    if isinstance(v, float):
+        return str(int(v)) if v.is_integer() else repr(v)
+    return str(v)
 
 
 def _target_name(t) -> str:
@@ -546,7 +548,7 @@ def _unparse_node(node: LtlNode) -> tuple[str, int]:
             inner = f"|{node.valuation}@{_target_name(a)} - {node.valuation}@{_target_name(b)}|"
         else:
             inner = f"{node.valuation}@{_target_name(node.args[0])}"
-        return f"[ {inner} {node.comparator} {_format_constant(node.constant)} ]", _PREC_UNARY
+        return f"[ {inner} {node.comparator} {format_number(node.constant)} ]", _PREC_UNARY
     if isinstance(node, Not):
         return f"!{_wrap(node.child, _PREC_UNARY)}", _PREC_UNARY
     if isinstance(node, Next):

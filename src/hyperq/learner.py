@@ -11,18 +11,19 @@ once per step.  The episode loop deals in these ids and in joint-action
 indices into the table's `actions`, and it alone keeps the episode bound.  The
 episode's tracker keeps the zipped prefix, and the episode loop scores it with
 a `PrefixEvaluator`, which recomputes each subformula only from the lowest
-position that changed since it last scored.  A world that appends a label per
-step is scored from the appended position.  When the body's plan is flat (its
-G, F and X read atoms and their !, &, | and -> alone), the prefix's values at
-position 0 are a finite-state monitor, so the table keeps, per monitor state
-met, the next monitor state and reward of a step from it into each id: a
-step seen before is a lookup, and only a new one updates the evaluator,
-over every column appended since its last update.  A nested plan (U, or a
-temporal operator under another) updates it at every step.  In a world with
-`trace_prefix` the prefix is a function of the joint state, so the table keeps
-one robustness value per id: a step into a scored id takes it, and only a step
-into an unscored id moves the tracker on to that id's prefix, where it finds
-the first column that changed.  The terminal reward is the last step's.  Each
+position that changed since it last scored.  The table's `memo` is a reward
+machine: per context met, it keeps the next context and the reward of a step
+from it into each id, so a step seen before is a lookup and only a new one
+updates the evaluator.  In a world with `trace_prefix` the prefix is a
+function of the joint state, so there is one context and each id is scored
+once: only a step into an unscored id moves the tracker on to that id's
+prefix, where it finds the first column that changed.  A world that appends a
+label per step is scored from the appended position.  When the body's plan is
+flat (its G, F and X read atoms and their !, &, | and -> alone), the prefix's
+values at position 0 are a finite-state monitor, and its state is the
+context: a new step updates the evaluator over every column appended since
+its last update.  A nested plan (U, or a temporal operator under another)
+updates it at every step.  The terminal reward is the last step's.  Each
 `train` call checks its final greedy episode's terminal reward against one
 from-scratch evaluation of the world's traces.  Per-slot greedy policies and
 witness tables for existential quantifiers are projected out of the trained
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .env import (ArityMismatchError, Environment, EpisodeExhaustedError, EpisodeRecord,
                   JointAction, StateTable)
-from .formula import Formula
+from .formula import Formula, format_number
 from .rng import Stream
 from .robustness import (LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, _unchanged,
                          eval_hyper)
@@ -175,13 +176,7 @@ class TrainMetrics:
     def write_csv(self, fh):
         fh.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            fh.write(",".join(_format_cell(row[c]) for c in self.columns) + "\n")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return str(int(v)) if v.is_integer() else repr(v)
-    return str(v)
+            fh.write(",".join(format_number(row[c]) for c in self.columns) + "\n")
 
 
 @dataclass
@@ -239,26 +234,22 @@ class _EpisodeTracker:
 
     A world without `trace_prefix` starts from `column`, the start state's
     label column, and the episode appends one column per step to `columns`.
-    A world with it (the domino game) starts from `traces`, the start
-    state's `trace_prefix`, and may rewrite earlier positions: `advance`
-    moves the tracker on to any later state of the episode and returns the
-    first position whose column changed, from which `rollout` updates its
-    evaluator.  Such a tracker may lag behind the episode, which moves it
-    on only to the states it scores.
+    A world with it (the domino game) starts from an empty prefix and may
+    rewrite earlier positions: `advance` moves the tracker on to any state
+    of the episode and returns the first position whose column changed,
+    from which `rollout` updates its evaluator.  Such a tracker may lag
+    behind the episode, which moves it on only to the states it scores.
     """
 
-    def __init__(self, env: Environment, state: tuple, column: tuple | None = None,
-                 traces=None):
+    def __init__(self, env: Environment, column: tuple | None = None):
         self.env = env
         self.labelled = column is not None
-        if self.labelled:
-            self.columns = [column]
-        else:
-            self.columns = _zip(env.trace_prefix(state) if traces is None else traces)
+        self.columns = [column] if self.labelled else []
 
     def advance(self, state: tuple) -> int:
-        """Move on to `state`, a later state of the episode, in a world with
-        `trace_prefix`; the first position whose column changed."""
+        """Move on to `state`, a state of the episode after the last one
+        moved to, in a world with `trace_prefix`; the first position whose
+        column changed."""
         columns, new = self.columns, _zip(self.env.trace_prefix(state))
         lo = next((k for k, (old, column) in enumerate(zip(columns, new)) if old != column),
                   min(len(columns), len(new)))
@@ -284,18 +275,17 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     to take at step t (counted from 0) from the joint state with id i;
     `on_step(t, i, a, n, rho)` runs after it, with a that index and n the id
     of the state it led to.  An episode longer than the world's bound `beta`
-    raises EpisodeExhaustedError before it starts.  Each scored step updates
-    the episode's `PrefixEvaluator` once, from the lowest position that
-    changed.  In a labelled world that is the appended position, unless the
-    body's plan is `flat`: then a step into id n from monitor state m (the
-    first keyed on the start's id) takes the next monitor state and reward
-    that `table.memo[m]` keeps for n, and only a step it lacks updates the
-    evaluator, over every column appended since its last update, and keeps
-    what comes out.  In a world with `trace_prefix` a step into an id the
-    table has scored takes that score, and only a step into an unscored one
-    moves the tracker on to that state's prefix, from the first column that
-    changed.  The terminal robustness is the last step's, which scores the
-    whole episode; an episode without steps scores its start prefix.
+    raises EpisodeExhaustedError before it starts.  A step is scored in one
+    of two ways.  In a world with `trace_prefix`, or under a `flat` plan, a
+    step into id n from context k (see `StateTable`) takes the next context
+    and reward that `table.memo[k]` keeps for n; only a step it lacks
+    updates the episode's `PrefixEvaluator`, and keeps what comes out.  The
+    update runs from the first column that changed when the tracker moves
+    on to a `trace_prefix` world's state, and over every column appended
+    since the last update in a labelled world.  Under a nested plan each
+    step updates the evaluator from the appended position.  The terminal
+    robustness is the last step's, which scores the whole episode; an
+    episode without steps scores its traces.
     """
     if beta > env.beta:
         raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "
@@ -307,34 +297,34 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     i = table.start(start)
     labelled = table.labelled
     evaluator = PrefixEvaluator(sk.plan, sk.arity, cfg)
-    if labelled:
-        tracker = _EpisodeTracker(env, start, column=table.columns[i])
-    else:   # the table has the traces of id 0, the start state it began with
-        tracker = _EpisodeTracker(env, start, traces=table.opening if i == 0 else None)
+    # a `trace_prefix` world's tracker starts empty: the evaluator's first
+    # update starts at position 0 whatever the first changed column
+    tracker = _EpisodeTracker(env, table.columns[i] if labelled else None)
     prefix = tracker.columns
-    states, columns, scores, memo, successors, joint_actions, width = (
-        table.states, table.columns, table.scores, table.memo, table.successors, table.actions,
-        table.width)
-    lookup = labelled and sk.plan.flat
-    if lookup:   # the start prefix's monitor state, keyed on the start's id
-        mon = table.monitor(i)
+    states, columns, memo, successors, joint_actions, width = (
+        table.states, table.columns, table.memo, table.successors, table.actions, table.width)
+    lookup = not labelled or sk.plan.flat
+    key = i if labelled else None   # a flat plan's first context is keyed on the start's id
+    if lookup:
+        memo.setdefault(key, {})
     visited, actions, rhos = record.states, record.actions, record.rhos
     visited.append(start)
     for t in range(beta):
         a = choose(t, i)
         if (n := successors[i * width + a]) < 0:
             n = successors[i * width + a] = table.intern(env.step(states[i], joint_actions[a]))
+        if labelled:
+            prefix.append(columns[n])
         if lookup:
-            prefix.append(columns[n])
-            if (hit := memo[mon].get(n)) is None:   # over every column since the last update
-                rho = evaluator.update(prefix, len(prefix) - 1)
-                hit = memo[mon][n] = (table.monitor(evaluator.monitor()), rho)
-            mon, rho = hit
-        elif labelled:
-            prefix.append(columns[n])
+            if (hit := memo[key].get(n)) is None:
+                # over every column since the last update, or from the first that changed
+                lo = len(prefix) - 1 if labelled else tracker.advance(states[n])
+                rho = evaluator.update(prefix, lo)
+                hit = memo[key][n] = (evaluator.monitor() if labelled else key, rho)
+                memo.setdefault(hit[0], {})
+            key, rho = hit
+        else:
             rho = evaluator.update(prefix, len(prefix) - 1)
-        elif (rho := scores[n]) is None:   # a `trace_prefix` world scores each id once
-            rho = scores[n] = evaluator.update(prefix, tracker.advance(states[n]))
         if on_step is not None:
             on_step(t, i, a, n, rho)
         visited.append(states[n])
@@ -342,7 +332,7 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         rhos.append(rho)
         i = n
     record.traces = tracker.traces(states[i])
-    record.terminal_rho = rhos[-1] if rhos else evaluator.update(prefix, 0)
+    record.terminal_rho = rhos[-1] if rhos else evaluator.update(_zip(record.traces))
     return record
 
 
@@ -360,7 +350,7 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     cfg = h.config()
     table = env.table
     if table is None or table.formula is not f or table.config != cfg:
-        table = StateTable(env)   # none yet, or its scores and memo are another formula's
+        table = StateTable(env)   # none yet, or its memo is another formula's
         table.formula, table.config, table.sk = f, cfg, skolemize(f)
     sk = table.sk
     beta = episode_bound(env, sk, h)

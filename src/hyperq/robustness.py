@@ -58,6 +58,7 @@ from .formula import (
     TrueNode,
     Until,
     children_of,
+    format_number,
 )
 
 
@@ -103,39 +104,20 @@ class Label:
                         for k, x in self.valuations.items() if x == 0.0))
 
 
-def _format_value(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
-
-
-@dataclass
-class Trace:
+class Trace(tuple):
     """A finite sequence of labels; the empty trace is permitted."""
 
-    labels: tuple = ()
-
-    def __post_init__(self):
-        self.labels = tuple(self.labels)
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Trace(self.labels[i])
-        return self.labels[i]
-
-    def __iter__(self):
-        return iter(self.labels)
+    __slots__ = ()
 
     def prefix(self, length: int) -> "Trace":
-        return Trace(self.labels[:length])
+        return Trace(self[:length])
 
     def to_text(self) -> str:
         """One position per line: `props | key=value,...`."""
         lines = []
-        for lab in self.labels:
+        for lab in self:
             props = " ".join(sorted(lab.props))
-            vals = ",".join(f"{k}={_format_value(v)}" for k, v in sorted(lab.valuations.items()))
+            vals = ",".join(f"{k}={format_number(v)}" for k, v in sorted(lab.valuations.items()))
             lines.append(f"{props} | {vals}".strip())
         return "\n".join(lines)
 
@@ -154,7 +136,7 @@ class Trace:
                     k, _, v = item.partition("=")
                     vals[k.strip()] = float(v)
             labels.append(Label(props, vals))
-        return Trace(tuple(labels))
+        return Trace(labels)
 
 
 @dataclass

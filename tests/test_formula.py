@@ -12,6 +12,7 @@ from hyperq.formula import (
     Eventually,
     Formula,
     FormulaError,
+    MAX_DEPTH,
     Implies,
     Not,
     ParseError,
@@ -19,6 +20,7 @@ from hyperq.formula import (
     Quantifier,
     TraceVar,
     Until,
+    children_of,
     parse_formula,
     unparse,
     validate,
@@ -116,6 +118,52 @@ def test_validate_reports_bad_arity():
                 Predicate("loc", (v, v), "<", 3.0, abs_diff=False))
     codes = [d.code for d in validate(f)]
     assert "bad-arity" in codes
+
+
+def _levels(node) -> int:
+    """The levels of a body's syntax tree, found without recursion."""
+    deepest, todo = 0, [(node, 1)]
+    while todo:
+        node, level = todo.pop()
+        deepest = max(deepest, level)
+        todo += [(child, level + 1) for child in children_of(node)]
+    return deepest
+
+
+_TOO_DEEP = {
+    "!": "forall t1. " + "!" * 1200 + "p@t1",
+    "&": "forall t1. forall t2. " + " & ".join(["F i@t1"] * 3000),
+    "|": "forall t1. " + " | ".join(["p@t1"] * 3000),
+    "->": "forall t1. " + " -> ".join(["p@t1"] * 3000),
+    "U": "forall t1. " + " U ".join(["p@t1"] * 3000),
+    "(": "forall t1. " + "(" * 2000 + "p@t1" + ")" * 2000,
+}
+
+
+@pytest.mark.parametrize("operator", sorted(_TOO_DEEP))
+def test_a_body_nested_past_the_bound_is_a_parse_error_at_its_operator(operator):
+    # a chain of unary operators, the left-deep tree of an & or | chain, a
+    # right-deep -> or U chain and nested parentheses: the parse stops at
+    # the operator that takes the body past MAX_DEPTH levels, before any
+    # walk over the body could exhaust the stack
+    text = _TOO_DEEP[operator]
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value).startswith(f"formula nested more than {MAX_DEPTH} levels deep")
+    assert err.value.line == 1 and text[err.value.column - 1] == operator[0]
+
+
+def test_a_body_of_max_depth_levels_parses():
+    for text, levels in (("!" * (MAX_DEPTH - 1) + "p@t1", MAX_DEPTH),
+                         (" & ".join(["p@t1"] * MAX_DEPTH), MAX_DEPTH),
+                         (" & ".join(["F p@t1"] * (MAX_DEPTH - 1)), MAX_DEPTH),
+                         ("(" * (MAX_DEPTH - 2) + "!p@t1" + ")" * (MAX_DEPTH - 2), 2)):
+        f = parse_formula("forall t1. " + text)
+        assert _levels(f.body) == levels and parse_formula(unparse(f)) == f
+        with pytest.raises(ParseError):
+            parse_formula("forall t1. !(" + text + ")")
+    for name in ("rescue", "safe_rl", "fairness", "pcp_ab"):
+        assert _levels(hq.load_formula(hq.bundled(f"formulas/{name}.hltl")).body) <= 9
 
 
 def test_corpus_round_trip():

@@ -666,6 +666,35 @@ def test_each_input_error_is_one_line_naming_the_file(tmp_path, capsys, noun, co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("chain", ["!", "&"])
+@pytest.mark.parametrize("command", ["check", "train", "eval", "boolean-sat"])
+def test_a_formula_nested_past_the_bound_is_one_line(tmp_path, capsys, chain, command):
+    # chains deep enough to exhaust the stack of a recursive walk are
+    # rejected by the parser, with the position of the operator past the bound
+    body = "!" * 1200 + "i@t1" if chain == "!" else " & ".join(["F i@t1"] * 3000)
+    text = f"forall t1. forall t2. {body}\n"
+    formula = tmp_path / "deep.hltl"
+    formula.write_text(text)
+    traces = tmp_path / "traces.txt"
+    traces.write_text("i |\n\ni |\n")
+    config = write_micro_config(tmp_path, xi=5, reps=1, formula=formula)
+    argv = {"check": ["check", str(formula)],
+            "train": ["train", "--config", str(config)],
+            "eval": ["eval", "--policy", str(tmp_path / "never-read.txt"), "--config", str(config)],
+            "boolean-sat": ["oracle", "boolean-sat", "--formula", str(formula),
+                            "--traces", str(traces)]}[command]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    column = (text.index("!") + 100 if chain == "!" else
+              [m.start() for m in re.finditer("&", text)][98] + 1)
+    message = (f"formula file {formula}: formula nested more than 100 levels deep "
+               f"(line 1, column {column})\n")
+    prefix = {"check": "syntax error", "train": "config error", "eval": "config error",
+              "boolean-sat": "error"}[command]
+    assert (code, out, err) == (1 if command == "check" else 2, "", f"{prefix}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in hq.bundled("configs").glob("*.ini")))
 def test_bundled_config_trains(config):
     cfg = ExperimentConfig.load(hq.bundled("configs") / config)

@@ -551,22 +551,24 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
         limit = 8
 
         def clear(self):
-            # every id's successors, column and score are what the world
-            # computes anew; a score bit for bit, the sign of a zero included
+            # every id's successors and column are what the world computes
+            # anew, and so is every memo entry's reward, bit for bit, the
+            # sign of a zero included
             for i, state in enumerate(self.states):
                 if self.labelled:
                     assert self.columns[i] == tuple(env.label_of(state))
-                elif self.scores[i] is not None:
-                    expected = eval_hyper(env.trace_prefix(state), sk, rob)
-                    assert _unchanged(self.scores[i], expected), (state, self.scores[i])
-                    scored.append(i)
                 for a, n in enumerate(self.successors[i * self.width:(i + 1) * self.width]):
                     if n >= 0:
                         assert self.states[n] == env.transition(state, self.actions[a].per_trace)
+            for (key, n), (following, rho), traces in _memo_prefixes(self):
+                assert _unchanged(rho, eval_hyper(traces, sk, rob)), (key, n, rho)
+                if not self.labelled:
+                    assert key is following is None
+                    scored.append(n)
             looked_up.append(_memo_entries(self))
             checked.append(len(self.states))
             super().clear()
-            assert not (self.states or self.scores or self.monitors or self.memo)
+            assert not (self.states or self.memo)
 
     monkeypatch.setattr(learner, "StateTable", Checked)
     env = cfg.make_env()   # a world without a table, so that train makes a Checked one
@@ -575,8 +577,8 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
     assert type(env.table) is Checked
     assert len(checked) > len(seeds) * xi // 2 and max(checked) > Checked.limit
     assert bool(scored) == (env.trace_prefix(env.reset(2)) is not None)
-    # a labelled world under a flat plan (safe_rl) kept steps by monitor state
-    assert (max(looked_up) > 0) == (not scored and sk.plan.flat)
+    # the domino world, and a labelled world under a flat plan (safe_rl), kept steps in the memo
+    assert (max(looked_up) > 0) == bool(scored or sk.plan.flat)
 
 
 @pytest.mark.parametrize("config", ["pcp-k3.ini", "safe-rl-4x4.ini"])
@@ -825,8 +827,33 @@ def test_rollout_rewards_keep_zero_signs_when_a_rewrite_flips_one():
 
 
 def _memo_entries(table) -> int:
-    """The steps a labelled world's table keeps by (monitor state, id)."""
-    return sum(map(len, table.memo))
+    """The steps a table keeps by (context, id)."""
+    return sum(map(len, table.memo.values()))
+
+
+def _memo_prefixes(table):
+    """Each memo entry ((key, id), (next key, reward)) with the traces of a
+    prefix that the step reaches.  A `trace_prefix` world's is the id's
+    prefix; a flat plan's context is reached from a start id, keyed on
+    itself, through the entries before it.  A monitor state reached by two
+    prefixes is a function of either, so the first one found stands for it."""
+    if not table.memo:
+        return
+    if not table.labelled:
+        for n, hit in table.memo.get(None, {}).items():
+            yield (None, n), hit, table.env.trace_prefix(table.states[n])
+        return
+    todo = [(key, [table.columns[key]]) for key in table.memo if isinstance(key, int)]
+    reached = {key for key, _ in todo}
+    while todo:
+        key, prefix = todo.pop()
+        for n, (following, rho) in table.memo[key].items():
+            longer = prefix + [table.columns[n]]
+            yield (key, n), (following, rho), [Trace(labels) for labels in zip(*longer)]
+            if following not in reached:
+                reached.add(following)
+                todo.append((following, longer))
+    assert reached == set(table.memo)
 
 
 def _counted_updates(monkeypatch) -> list:
@@ -1119,8 +1146,8 @@ def test_bundled_formulas_take_the_lookup_by_their_plans(monkeypatch, name, flat
 def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch):
     # the resource grid's energies grow without bound, so its ids and the
     # monitor states of a numeric formula over them rarely repeat.  The
-    # table starts afresh once it holds more than `limit` of either, and
-    # its memo holds at most one entry per pair of them
+    # table starts afresh once it holds more than `limit` ids or memo
+    # contexts, and its memo holds at most one entry per pair of them
     sizes = []
 
     class Kept(StateTable):
@@ -1128,7 +1155,7 @@ def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch
 
         def clear(self):
             if self.states:
-                sizes.append((len(self.states), len(self.monitors), _memo_entries(self)))
+                sizes.append((len(self.states), len(self.memo), _memo_entries(self)))
             super().clear()
 
     monkeypatch.setattr(learner, "StateTable", Kept)
@@ -1139,14 +1166,16 @@ def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch
     train(env, f, Hyperparams(xi=40, epsilon_end=1.0), seed=3)
     assert len(sizes) > 5
     bound = Kept.limit + env.beta   # the table is checked at episode starts
-    for ids, monitors, looked_up in sizes:
-        assert ids <= bound and 1 < monitors <= bound and 0 < looked_up <= ids * monitors
-    # monitor states past the limit start the table afresh as ids do
+    for ids, contexts, looked_up in sizes:
+        assert ids <= bound and 1 < contexts <= bound and 0 < looked_up <= ids * contexts
+    # memo contexts past the limit start the table afresh as ids do
     table = Kept(env)
     start = env.reset(0)
     table.start(start)
-    assert [table.monitor(bytes([k])) for k in range(Kept.limit + 2)][-1] == Kept.limit + 1
-    assert table.start(start) == 0 and not (table.monitors or table.memo)
+    table.memo.update((bytes([k]), {}) for k in range(Kept.limit))
+    assert table.start(start) == 0 and len(table.memo) == Kept.limit
+    table.memo[b"past"] = {}
+    assert table.start(start) == 0 and not table.memo
 
 
 def test_train_rejects_traces_that_are_not_a_function_of_the_state():
@@ -1186,10 +1215,13 @@ def test_rollout_rejects_unequal_slot_lengths():
         env = _PrefixScript([[], columns], 2)
         with pytest.raises(LengthMismatchError):
             rollout(env, sk, CFG, lambda t, i: 0, 0, 1)
+    # unequal slots at the start: an episode without steps scores them
     env = _PrefixScript([[]], 2)
     env.trace_prefix = lambda state: (Trace((label,) * 2), Trace((label,)))
     with pytest.raises(LengthMismatchError):
-        _EpisodeTracker(env, env.reset(0))
+        rollout(env, sk, CFG, lambda t, i: 0, 0, 0)
+    with pytest.raises(LengthMismatchError):
+        _EpisodeTracker(env).advance(env.reset(0))
 
 
 def test_rollout_empty_slot_scores_minimum():
@@ -1200,7 +1232,21 @@ def test_rollout_empty_slot_scores_minimum():
     assert record.rhos == [CFG.rho_min, CFG.rho_max]
     assert record.traces == env.prefix(2)
     start = env.reset(0)
-    assert _EpisodeTracker(env, start).traces(start) == [Trace(), Trace()]
+    assert _EpisodeTracker(env).traces(start) == [Trace(), Trace()]
+
+
+def test_an_episode_without_steps_scores_a_nonempty_start_prefix():
+    # a `trace_prefix` world's tracker starts empty, so an episode without
+    # steps scores the start's traces themselves
+    def label(props, v):
+        return Label(frozenset(props.split()), {"v": v})
+
+    start = [(label("p", 3.5), label("", 2.0)), (label("", 1.25), label("q", -0.0))]
+    env = _PrefixScript([start, start + start], 2)
+    sk = skolemize(hq.parse_formula("forall t1. forall t2. G [ v@t1 > 1 ] & F q@t2"))
+    record = rollout(env, sk, CFG, lambda t, i: 0, 0, 0)
+    assert record.rhos == [] and record.traces == env.prefix(0)
+    assert _bits([record.terminal_rho, eval_hyper(env.prefix(0), sk, CFG)]) == _bits([0.25] * 2)
 
 
 def test_plan_has_one_step_per_distinct_subformula():

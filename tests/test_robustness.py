@@ -54,7 +54,7 @@ def test_zip_pointwise():
 def test_zip_single_trace():
     t = labels({"p"}, {"q"})
     z = zip_traces([t])
-    assert [c[0] for c in z.columns] == list(t.labels)
+    assert [c[0] for c in z.columns] == list(t)
 
 
 def test_zip_rejects_ragged():
@@ -72,7 +72,7 @@ def test_zip_projection_recovers_traces():
     ts = [random_trace(rng, 4) for _ in range(3)]
     z = zip_traces(ts)
     for k, t in enumerate(ts):
-        assert [c[k] for c in z.columns] == list(t.labels)
+        assert [c[k] for c in z.columns] == list(t)
 
 
 # ---------------------------------------------------------------------------

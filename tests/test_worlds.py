@@ -457,6 +457,7 @@ def test_pcp_shared_letter_labels_unroll_like_letters():
         following = {}
         for state in level.values():
             before = list(zip(*_letter_props(env, state)))
+            before_columns = list(zip(*env.trace_prefix(state)))
             for action in joint:
                 nxt = env.step(state, action)
                 following.setdefault(nxt, nxt)
@@ -465,7 +466,8 @@ def test_pcp_shared_letter_labels_unroll_like_letters():
                 assert [[label.props for label in t] for t in slots] == expected
                 for label in (label for t in slots for label in t):
                     assert by_props.setdefault(label.props, label) is label
-                tracker = _EpisodeTracker(env, state)
+                tracker = _EpisodeTracker(env)
+                assert tracker.advance(state) == 0 and tracker.columns == before_columns
                 assert tracker.advance(nxt) == _first_change(before, list(zip(*expected)))
                 assert all(a is b for got, want in zip(tracker.columns, zip(*slots), strict=True)
                            for a, b in zip(got, want, strict=True))
@@ -493,7 +495,8 @@ def test_pcp_tracker_advances_over_several_steps():
         state, after = history[-1]
         columns = list(zip(*env.trace_prefix(state)))
         for prev, before in history[:-1]:
-            tracker = _EpisodeTracker(env, prev)
+            tracker = _EpisodeTracker(env)   # starts empty; the first advance changes all
+            assert tracker.advance(prev) == 0
             assert tracker.advance(state) == _first_change(before, after), (prev, state)
             assert tracker.columns == columns
             pairs += 1
