@@ -21,6 +21,7 @@ Concrete syntax::
     predicate := name "@" name cmp const
                | "|" name "@" name "-" name "@" name "|" cmp const
     cmp       := "<" | ">" | "="
+    const     := "-"? digits ("." digits)? (("e" | "E") ("+" | "-")? digits)?
 
 Uppercase ``X F G U`` are reserved operator names; all other identifiers
 (including single lowercase letters) are usable as propositions, valuations,
@@ -33,8 +34,10 @@ domino set, traces, artifact) and raises an `InputError` that names the file.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 FORALL = "forall"
@@ -202,9 +205,9 @@ class Diagnostic:
 
 
 def children_of(node: LtlNode) -> tuple[LtlNode, ...]:
-    if isinstance(node, (Not, Next, Eventually, Always)):
+    if type(node) in _UNARY_SYMBOL:
         return (node.child,)
-    if isinstance(node, (And, Or, Implies, Until)):
+    if type(node) in _BINARY_SYMBOL:
         return (node.left, node.right)
     return ()
 
@@ -220,27 +223,38 @@ def atoms_of(node: LtlNode):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Syntax: the parser, the printer and `children_of` read these tables alone.
 
-_KEYWORDS = {FORALL, EXISTS, "true", "false"}
+_LITERAL = {"true": TrueNode, "false": FalseNode}
+_KEYWORDS = {FORALL, EXISTS, *_LITERAL}
+# A unary operator's node; it binds tighter than any binary operator, at _TIGHTEST.
 _UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
 # Each binary operator's level (the loosest 0), node and whether it is right associative.
 _BINARY = {"->": (0, Implies, True), "|": (1, Or, False), "&": (2, And, False),
            "U": (3, Until, True)}
+_TIGHTEST = len(_BINARY)
+# The same tables by node type.
+_LITERAL_NAME = {node: name for name, node in _LITERAL.items()}
+_UNARY_SYMBOL = {node: symbol for symbol, node in _UNARY.items()}
+_BINARY_SYMBOL = {node: (symbol, level, right)
+                  for symbol, (level, node, right) in _BINARY.items()}
+
+
+# ---------------------------------------------------------------------------
+# Lexer
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<arrow>->)
-      | (?P<op>[.!&|()\[\]@<>=\-])
+      | (?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+      | (?P<op>->|[.!&|()\[\]@<>=\-])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'id' | 'number' | 'op' | 'eof'
     text: str
     line: int
@@ -249,24 +263,17 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.lstrip().startswith("#"):
             continue
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            pos = m.end()
-            if m.lastgroup == "ws":
-                continue
+        for m in _TOKEN_RE.finditer(line):
             kind = m.lastgroup
-            tok = m.group()
-            if kind == "arrow":
-                kind = "op"
-            tokens.append(_Token(kind, tok, lineno, m.start() + 1))
-    last = tokens[-1] if tokens else None
-    tokens.append(_Token("eof", "", last.line if last else 1, last.column if last else 1))
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
+            if kind != "ws":
+                tokens.append(_Token(kind, m.group(), lineno, m.start() + 1))
+    line, column = (tokens[-1].line, tokens[-1].column) if tokens else (1, 1)
+    tokens.append(_Token("eof", "", line, column))
     return tokens
 
 
@@ -352,12 +359,9 @@ class _Parser:
 
     def parse_primary(self, depth: int) -> tuple[LtlNode, int]:
         tok = self.peek()
-        if tok.text == "true":
+        if tok.text in _LITERAL:
             self.next()
-            return TrueNode(), 1
-        if tok.text == "false":
-            self.next()
-            return FalseNode(), 1
+            return _LITERAL[tok.text](), 1
         if tok.text == "(":
             self.next()
             node = self.parse_binary(self.below(tok, depth))
@@ -369,7 +373,7 @@ class _Parser:
             self.expect("]")
             return node, 1
         if tok.kind == "id":
-            return self.parse_bool_atom(), 1
+            return BoolProp(*self.parse_ref("proposition name")), 1
         raise self.error(f"expected a formula, found {tok.text!r}")
 
     def resolve_var(self, name_tok: _Token) -> TraceVar:
@@ -384,28 +388,24 @@ class _Parser:
             raise self.error(f"expected {what}, found {tok.text!r}")
         return self.next()
 
-    def parse_bool_atom(self) -> BoolProp:
-        prop = self.parse_ident("proposition name")
-        self.expect("@")
-        var = self.resolve_var(self.parse_ident("trace variable"))
-        return BoolProp(prop.text, var)
-
-    def parse_valuation_ref(self) -> tuple[str, TraceVar]:
-        name = self.parse_ident("valuation name")
+    def parse_ref(self, what: str) -> tuple[str, TraceVar]:
+        """`name@trace`, where `what` says what the name is."""
+        name = self.parse_ident(what)
         self.expect("@")
         var = self.resolve_var(self.parse_ident("trace variable"))
         return name.text, var
 
     def parse_constant(self) -> float:
-        negate = False
-        if self.peek().text == "-":
+        negate = self.peek().text == "-"
+        if negate:
             self.next()
-            negate = True
         tok = self.peek()
         if tok.kind != "number":
             raise self.error(f"expected a numeric constant, found {tok.text!r}")
-        self.next()
         value = float(tok.text)
+        if not math.isfinite(value):
+            raise self.error("numeric constant out of range")
+        self.next()
         return -value if negate else value
 
     def parse_comparator(self) -> str:
@@ -415,21 +415,20 @@ class _Parser:
         return self.next().text
 
     def parse_predicate(self) -> Predicate:
-        if self.peek().text == "|":
+        abs_diff = self.peek().text == "|"
+        if abs_diff:
             self.next()
-            name1, var1 = self.parse_valuation_ref()
+            name, var1 = self.parse_ref("valuation name")
             self.expect("-")
-            name2, var2 = self.parse_valuation_ref()
+            name2, var2 = self.parse_ref("valuation name")
             self.expect("|")
-            if name1 != name2:
-                raise self.error(f"absolute difference mixes valuations {name1!r} and {name2!r}")
-            cmp_ = self.parse_comparator()
-            const = self.parse_constant()
-            return Predicate(name1, (var1, var2), cmp_, const, abs_diff=True)
-        name, var = self.parse_valuation_ref()
-        cmp_ = self.parse_comparator()
-        const = self.parse_constant()
-        return Predicate(name, (var,), cmp_, const, abs_diff=False)
+            if name != name2:
+                raise self.error(f"absolute difference mixes valuations {name!r} and {name2!r}")
+            args = (var1, var2)
+        else:
+            name, var = self.parse_ref("valuation name")
+            args = (var,)
+        return Predicate(name, args, self.parse_comparator(), self.parse_constant(), abs_diff)
 
 
 def parse_formula(text: str) -> Formula:
@@ -516,13 +515,6 @@ def validate(f: Formula) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Unparser
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNTIL = 4
-_PREC_UNARY = 5
-
-
 def format_number(v) -> str:
     """An integral float as an int, any other float by `repr`, anything else by `str`."""
     if isinstance(v, float):
@@ -530,50 +522,37 @@ def format_number(v) -> str:
     return str(v)
 
 
-def _target_name(t) -> str:
-    return t.name
-
-
 def _unparse_node(node: LtlNode) -> tuple[str, int]:
-    """Return (text, precedence) for a body node."""
-    if isinstance(node, TrueNode):
-        return "true", _PREC_UNARY
-    if isinstance(node, FalseNode):
-        return "false", _PREC_UNARY
+    """Return (text, level) for a body node."""
+    kind = type(node)
+    if kind in _UNARY_SYMBOL:
+        symbol = _UNARY_SYMBOL[kind]
+        # a letter needs a space, or it and the operand read as one name
+        space = " " if symbol.isalpha() else ""
+        return f"{symbol}{space}{_wrap(node.child, _TIGHTEST)}", _TIGHTEST
+    if kind in _BINARY_SYMBOL:
+        symbol, level, right = _BINARY_SYMBOL[kind]
+        # the operand on the associative side may sit at the operator's own
+        # level; the other needs a tighter one
+        return (f"{_wrap(node.left, level + right)} {symbol} "
+                f"{_wrap(node.right, level + (not right))}"), level
+    if kind in _LITERAL_NAME:
+        return _LITERAL_NAME[kind], _TIGHTEST
     if isinstance(node, BoolProp):
-        return f"{node.prop}@{_target_name(node.trace)}", _PREC_UNARY
+        return f"{node.prop}@{node.trace.name}", _TIGHTEST
     if isinstance(node, Predicate):
         if node.abs_diff:
             a, b = node.args
-            inner = f"|{node.valuation}@{_target_name(a)} - {node.valuation}@{_target_name(b)}|"
+            inner = f"|{node.valuation}@{a.name} - {node.valuation}@{b.name}|"
         else:
-            inner = f"{node.valuation}@{_target_name(node.args[0])}"
-        return f"[ {inner} {node.comparator} {format_number(node.constant)} ]", _PREC_UNARY
-    if isinstance(node, Not):
-        return f"!{_wrap(node.child, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(node, Next):
-        return f"X {_wrap(node.child, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(node, Eventually):
-        return f"F {_wrap(node.child, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(node, Always):
-        return f"G {_wrap(node.child, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(node, Until):
-        # right associative: parenthesize a left child of equal precedence
-        left = _wrap(node.left, _PREC_UNTIL + 1)
-        right = _wrap(node.right, _PREC_UNTIL)
-        return f"{left} U {right}", _PREC_UNTIL
-    if isinstance(node, And):
-        return f"{_wrap(node.left, _PREC_AND)} & {_wrap(node.right, _PREC_AND + 1)}", _PREC_AND
-    if isinstance(node, Or):
-        return f"{_wrap(node.left, _PREC_OR)} | {_wrap(node.right, _PREC_OR + 1)}", _PREC_OR
-    if isinstance(node, Implies):
-        return f"{_wrap(node.left, _PREC_IMPLIES + 1)} -> {_wrap(node.right, _PREC_IMPLIES)}", _PREC_IMPLIES
+            inner = f"{node.valuation}@{node.args[0].name}"
+        return f"[ {inner} {node.comparator} {format_number(node.constant)} ]", _TIGHTEST
     raise FormulaError(f"cannot unparse node {node!r}")
 
 
-def _wrap(node: LtlNode, min_prec: int) -> str:
-    text, prec = _unparse_node(node)
-    return f"({text})" if prec < min_prec else text
+def _wrap(node: LtlNode, min_level: int) -> str:
+    text, level = _unparse_node(node)
+    return f"({text})" if level < min_level else text
 
 
 def unparse(f: Formula) -> str:

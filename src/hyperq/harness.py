@@ -32,6 +32,7 @@ import argparse
 import configparser
 import functools
 import os
+import re
 import sys
 import time
 import typing
@@ -409,8 +410,9 @@ def cmd_eval(policy_path, config_path) -> int:
 
 
 def _traces(text: str) -> list:
-    """Traces in `Trace.to_text()` form, separated by blank lines."""
-    return [Trace.from_text(chunk) for chunk in text.split("\n\n") if chunk.strip()]
+    """Traces in `Trace.to_text()` form, separated by blank lines: empty or
+    all whitespace, which `to_text` never prints for a position."""
+    return [Trace.from_text(chunk) for chunk in re.split(r"\n\s*\n", text) if chunk.strip()]
 
 
 @_reports_input_errors

@@ -58,6 +58,17 @@ def test_parse_error_carries_position():
         parse_formula("forall t1. F p@@t1")
     assert err.value.line == 1
     assert err.value.column is not None
+    for text, message in [
+            # a comment line still counts as a line
+            ("forall t1.\n# note\n  F p@@t1", "expected trace variable, found '@' (line 3, column 7)"),
+            ("forall t1. F p@t1 $", "unexpected character '$' (line 1, column 19)"),
+            # every line break `str.splitlines` knows starts a line
+            ("forall t1.\x0cF p@t1 )", "unexpected trailing input ')' (line 2, column 8)"),
+            # the end of input sits at the last token
+            ("forall t1.\x85G (p@t1", "expected ')', found '' (line 2, column 6)")]:
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
 
 
 def test_precedence_until_binds_tighter_than_and():
@@ -181,6 +192,26 @@ def test_random_ast_round_trip():
     for _ in range(300):
         f = random_formula(rng, max_depth=6, max_vars=4)
         assert parse_formula(unparse(f)) == f
+
+
+@pytest.mark.parametrize("constant", ["0.00001", "0.0000001", "123456789012345678901234.5"])
+def test_constant_round_trip(constant):
+    # the small ones print with an exponent, which the parser reads back
+    f = parse_formula(f"forall t1. G [ v@t1 < {constant} ]")
+    assert f.body.child.constant == float(constant)
+    assert parse_formula(unparse(f)) == f
+
+
+def test_constant_with_exponent():
+    f = parse_formula("forall t1. [ v@t1 < 1.5E+3 ] & [ v@t1 > -2e-2 ]")
+    assert (f.body.left.constant, f.body.right.constant) == (1500.0, -0.02)
+
+
+def test_constant_out_of_range_rejected_at_its_column():
+    for sign in ("", "-"):
+        with pytest.raises(ParseError) as err:
+            parse_formula(f"forall t1. G [ v@t1 < {sign}{'9' * 400} ]")
+        assert str(err.value) == f"numeric constant out of range (line 1, column {23 + len(sign)})"
 
 
 def test_parser_total_on_junk_input():

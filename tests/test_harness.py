@@ -187,11 +187,41 @@ def test_config_seed_list_alone_sets_the_repetitions(tmp_path, capsys):
     assert "repetitions: 3\n" in capsys.readouterr().out
 
 
-def test_cmd_check_valid_formula(capsys):
-    assert cmd_check(hq.bundled("formulas/rescue.hltl")) == 0
-    out = capsys.readouterr().out
-    assert "exists f2(t1)." in out
-    assert "forall t1." in out
+_PCP_AB_BODY = (
+    "(((top_a@{a} -> bot_a@{a}) & (bot_a@{a} -> top_a@{a}) & ((top_b@{a} -> bot_b@{a}) & "
+    "(bot_b@{a} -> top_b@{a}))) U ((top_hash@{a} | bot_hash@{a}) & !(top_hash@{a} & bot_hash@{a}))) "
+    "U (((top_a@{a} -> top_a@{b}) & (top_a@{b} -> top_a@{a}) & ((top_b@{a} -> top_b@{b}) & "
+    "(top_b@{b} -> top_b@{a})) & ((bot_a@{a} -> bot_a@{b}) & (bot_a@{b} -> bot_a@{a})) & "
+    "((bot_b@{a} -> bot_b@{b}) & (bot_b@{b} -> bot_b@{a}))) U ((top_hash@{a} | bot_hash@{a}) & "
+    "!top_hash@{b} & !bot_hash@{b}) & G ((top_a@{b} -> bot_a@{b}) & (bot_a@{b} -> top_a@{b}) & "
+    "((top_b@{b} -> bot_b@{b}) & (bot_b@{b} -> top_b@{b}))))")
+
+
+# what `hyperq check` prints for each bundled formula
+_CHECK_OUT = {
+    "fairness.hltl": (
+        "formula: forall t1. forall t2. G F resource@t1 & G F resource@t2 & "
+        "G [ |energy@t1 - energy@t2| < 10 ]\n"
+        "skolemized: no existential quantifiers; body unchanged\n"),
+    "pcp_ab.hltl": (
+        "formula: forall t1. exists t2. " + _PCP_AB_BODY.format(a="t1", b="t2") + "\n"
+        "skolemized: exists f2(t1). forall t1. " + _PCP_AB_BODY.format(a="t1", b="f2") + "\n"),
+    "rescue.hltl": (
+        "formula: forall t1. exists t2. G [ |loc@t1 - loc@t2| < 3 ] & F i@t1 & F f@t1 & F c@t1 & "
+        "F g@t2 & F f@t2 & !f@t2 U f@t1\n"
+        "skolemized: exists f2(t1). forall t1. G [ |loc@t1 - loc@f2| < 3 ] & F i@t1 & F f@t1 & "
+        "F c@t1 & F g@f2 & F f@f2 & !f@f2 U f@t1\n"),
+    "safe_rl.hltl": (
+        "formula: forall t1. exists t2. G ![ |cell@t1 - cell@t2| = 0 ] & F goal1@t1 & F goal2@t2\n"
+        "skolemized: exists f2(t1). forall t1. G ![ |cell@t1 - cell@f2| = 0 ] & F goal1@t1 & "
+        "F goal2@f2\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECK_OUT))
+def test_cmd_check_valid_formula(name, capsys):
+    assert cmd_check(hq.bundled(f"formulas/{name}")) == 0
+    assert capsys.readouterr() == (_CHECK_OUT[name], "")
 
 
 def test_cmd_check_universal_formula_notes_unchanged_body(capsys):
@@ -575,6 +605,20 @@ def test_cmd_oracle_pcp(tmp_path, capsys):
                                           "found 'ab'")):
         assert cmd_oracle("pcp", dominoes=dominoes, max_len=6) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("formula", ["forall t1. F q@t1", "exists t1. F p@t1 & F r@t1"])
+def test_cmd_oracle_boolean_sat_blank_line_holds_spaces(formula, tmp_path, capsys):
+    # a line of spaces and tabs separates traces as an empty line does
+    f = tmp_path / "f.hltl"
+    f.write_text(formula + "\n")
+    answers = []
+    for separator in ("", " \t"):
+        traces = tmp_path / "traces.txt"
+        traces.write_text(f"p |\nq |\n{separator}\nr |\n")
+        assert cmd_oracle("boolean-sat", formula=f, traces=traces) == 0
+        answers.append(capsys.readouterr().out)
+    assert answers == ["false\n", "false\n"]
 
 
 def test_cmd_oracle_boolean_sat(tmp_path, capsys):
