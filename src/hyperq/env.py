@@ -154,32 +154,44 @@ class StateTable:
     `rows`, which holds what `make_row(state)` made of it (the Q row of the
     `train` call that holds the table, see `bind`).  A world that labels its
     states (`labelled`) has the id's label column (`label_of`) in `columns`.
-    `memo` is the run's reward machine: it maps a context key to a dict that
-    maps the id n of a state stepped into from that context to the key of
-    the context reached and the step's robustness.  A world with
-    `trace_prefix` has one context, whose key never changes, since its
-    prefix is a function of the joint state; under a flat plan (see
-    `Plan.flat`) a labelled world's context is its monitor state, the first
-    of an episode keyed on its start state's id.  A hit names its next
-    context by key, so the memo holds no reference cycle.  The memo holds
-    for one formula and robustness config: `train` keeps it, and the
-    skolemized body, in `formula`, `config` and `sk`.
+    `inputs[i]` is the key under which the memo keeps a step into id i.
+    Under a flat plan (see `Plan.flat`) a labelled world's key is the
+    plan's root values at the id's column, packed by `roots` when the id is
+    interned so that a 0.0 and a -0.0 differ.  Otherwise the key is the id.
+
+    `memo` is the run's reward machine: it maps a context key to the steps
+    kept from that context, {step key: (next context key, robustness)}.  A
+    world with `trace_prefix` has one context, keyed None, since its prefix
+    is a function of the joint state, and a step's key is the id.  Under a
+    flat plan a labelled world's context is its monitor state (see
+    `Plan.monitor`); the first of an episode is keyed on its start's root
+    values.  Then the memo names no id: equal root values make equal steps,
+    whatever state they come from.  A hit names its next context by key,
+    so the memo holds no reference cycle.  `keys` maps each packed key the
+    table holds to one object of that value, which ids and hits share.  The
+    memo holds for one formula and robustness config: `train` keeps it, and
+    the skolemized body, in `formula`, `config` and `sk`.
+
     `actions` are the world's joint actions, all combinations of `actions`
     over the slots, and `index` maps a joint-action tuple to its position.
     `successors[i * width + a]` is the id one step on from state i under
     joint action a, or -1 until a run has taken that step, always through
     `Environment.step`, so the action check stays there.  Since `transition`,
     `label_of` and `trace_prefix` read only the joint state, the table is a
-    pure cache: the seeds of a run share it, `start` begins it afresh once
-    it holds more than `limit` ids or contexts, and nothing a run computes
-    changes.  It holds its world weakly, since the world holds it.
+    pure cache: the seeds of a run share it, and nothing a run computes
+    changes when `start` begins it afresh.  It does so once the table holds
+    more than `limit` ids, keeping a labelled world's memo, which names no
+    id.  It begins the memo afresh once that holds more than `limit`
+    contexts, or more steps (`kept`) than `successors` has room for at
+    `limit` ids, since root values need not repeat as ids do.  It holds its
+    world weakly, since the world holds it.
     """
 
     limit = 2048
 
     def __init__(self, env: Environment):
         self.env = weakref.proxy(env)
-        self.make_row = None
+        self.make_row = self.roots = None
         self.formula = self.config = self.sk = None
         self.actions = _joint_actions(tuple(env.actions), env.arity)
         self.index = {a.per_trace: k for k, a in enumerate(self.actions)}
@@ -188,13 +200,17 @@ class StateTable:
         self.ids: dict = {}
         self.states: list = []
         self.columns: list = []
+        self.inputs: list = []
+        self.keys: dict = {}
         self.memo: dict = {}
+        self.kept = 0
         self.rows: list = []
         self.successors: list = []
 
     def clear(self):
         """Forget every id; the containers stay the same objects."""
-        for part in (self.ids, self.states, self.columns, self.memo, self.rows, self.successors):
+        for part in (self.ids, self.states, self.columns, self.inputs, self.rows,
+                     self.successors):
             part.clear()
 
     def bind(self, make_row=None):
@@ -203,25 +219,56 @@ class StateTable:
         self.make_row = make_row
         self.rows[:] = map(make_row, self.states) if make_row else ()
 
-    def start(self, state: tuple) -> int:
-        """The id of an episode's start state, after beginning the table
-        afresh when it is full.  Beginning it gives `state` id 0 and finds
-        out whether the world labels its states: whether `state` has no
-        `trace_prefix`."""
-        if not self.states or max(len(self.states), len(self.memo)) > self.limit:
+    def start(self, state: tuple, roots=None) -> int:
+        """The id of an episode's start state.  `roots` packs a label
+        column's root values, the steps' keys of a labelled world (see
+        `Plan.program`), or is None when the plan is not flat.  A table
+        given other `roots` than before begins afresh, memo included.
+        Beginning it gives `state` id 0, finds out whether the world labels
+        its states (whether `state` has no `trace_prefix`) and, when it does
+        not, drops the memo, whose steps are keyed on ids."""
+        fresh = roots is not self.roots
+        if fresh or not self.states or len(self.states) > self.limit:
+            self.roots = roots
             self.clear()
             self.labelled = self.env.trace_prefix(state) is None
+            fresh = fresh or not self.labelled
+        if fresh or len(self.memo) > self.limit or self.kept > self.limit * self.width:
+            self.memo.clear()
+            self.keys.clear()
+            self.kept = 0
         return self.intern(state)
 
     def intern(self, state: tuple) -> int:
         """The id of `state`, given on its first visit."""
         i = self.ids.get(state)
         if i is None:
-            i = self.ids[state] = len(self.states)
-            self.states.append(state)
+            i = len(self.states)
+            key = i
             if self.labelled:
-                self.columns.append(tuple(self.env.label_of(state)))
+                column = tuple(self.env.label_of(state))
+                if self.roots:
+                    key = self.roots(column)
+                    key = self.keys.setdefault(key, key)
+                self.columns.append(column)
+            self.ids[state] = i
+            self.states.append(state)
+            self.inputs.append(key)
             if self.make_row:
                 self.rows.append(self.make_row(state))
             self.successors += self.unknown
         return i
+
+    def keep(self, key, step, following, rho: float) -> tuple:
+        """Keep, from context `key`, the step keyed `step` into the context
+        keyed `following` with robustness `rho`; the (next key, rho) kept.
+        A next context other than `key` (a labelled world's monitor state)
+        is named by the object `keys` holds for its value."""
+        memo = self.memo
+        if following is not key:
+            following = self.keys.setdefault(following, following)
+            if following not in memo:
+                memo[following] = {}
+        hit = memo[key][step] = following, rho
+        self.kept += 1
+        return hit

@@ -12,22 +12,26 @@ indices into the table's `actions`, and it alone keeps the episode bound.  The
 episode's tracker keeps the zipped prefix, and the episode loop scores it with
 a `PrefixEvaluator`, which recomputes each subformula only from the lowest
 position that changed since it last scored.  The table's `memo` is a reward
-machine: per context met, it keeps the next context and the reward of a step
-from it into each id, so a step seen before is a lookup and only a new one
-updates the evaluator.  In a world with `trace_prefix` the prefix is a
-function of the joint state, so there is one context and each id is scored
-once: only a step into an unscored id moves the tracker on to that id's
-prefix, where it finds the first column that changed.  A world that appends a
-label per step is scored from the appended position.  When the body's plan is
-flat (its G, F and X read atoms and their !, &, | and -> alone), the prefix's
-values at position 0 are a finite-state monitor, and its state is the
-context: a new step updates the evaluator over every column appended since
-its last update.  A nested plan (U, or a temporal operator under another)
-updates it at every step.  The terminal reward is the last step's.  Each
-`train` call checks its final greedy episode's terminal reward against one
-from-scratch evaluation of the world's traces.  Per-slot greedy policies and
-witness tables for existential quantifiers are projected out of the trained
-function.
+machine: per context met, it keeps the next context and the reward of each
+step taken from it, keyed on the table's `inputs` entry for the state
+stepped into, so a step seen before is a lookup and only a new one updates
+the evaluator.  In a world with `trace_prefix` the prefix is a function of
+the joint state, so there is one context, a step's key is its id and each id
+is scored once: only a step into an unscored id moves the tracker on to that
+id's prefix, where it finds the first column that changed.  A world that
+appends a label per step is scored from the appended position.  When the
+body's plan is flat (its G, F, X, U, G F and F G read atoms and their !, &, |
+and -> alone), it is a finite-state monitor whose input is the plan's root
+values at the appended column: those values are a step's key, and the
+monitor's state is the context, the first of an episode keyed on the start's
+root values.  The memo then names no id, so it outlives the table's ids, and
+a new step updates the evaluator over every column appended since its last
+update.  A nested plan (a temporal operator under another, other than G F
+and F G) updates it at every step.  The terminal reward is the last step's.
+Each `train` call checks its final greedy episode's terminal reward against
+one from-scratch evaluation of the world's traces.  Per-slot greedy policies
+and witness tables for existential quantifiers are projected out of the
+trained function.
 
 The seeds of a run share its table, which the world holds while the run
 lasts: only the Q rows are each seed's own.
@@ -199,11 +203,14 @@ def immediate_reward(traces, sk: SkolemizedFormula, cfg: RobustnessConfig) -> fl
 def q_update(row: QRow, action_idx: int, reward: float, next_row, h: Hyperparams,
              done: bool = False):
     """One Bellman backup of `row` toward reward + gamma * the largest value
-    of `next_row`, the next state's action values."""
-    bootstrap = 0.0 if done else h.gamma * max(next_row)
+    of `next_row`, the next state's action values.  Returns that largest
+    value as it was before the backup, or None when `done` (no bootstrap)."""
+    top = None if done else max(next_row)
+    bootstrap = 0.0 if done else h.gamma * top
     old = row[action_idx]
     row[action_idx] = old + h.learning_rate * (reward + bootstrap - old)
     row.tried |= 1 << action_idx
+    return top
 
 
 def episode_bound(env: Environment, sk: SkolemizedFormula, h: Hyperparams) -> int:
@@ -278,14 +285,16 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     raises EpisodeExhaustedError before it starts.  A step is scored in one
     of two ways.  In a world with `trace_prefix`, or under a `flat` plan, a
     step into id n from context k (see `StateTable`) takes the next context
-    and reward that `table.memo[k]` keeps for n; only a step it lacks
-    updates the episode's `PrefixEvaluator`, and keeps what comes out.  The
-    update runs from the first column that changed when the tracker moves
-    on to a `trace_prefix` world's state, and over every column appended
-    since the last update in a labelled world.  Under a nested plan each
-    step updates the evaluator from the appended position.  The terminal
-    robustness is the last step's, which scores the whole episode; an
-    episode without steps scores its traces.
+    and reward that `table.memo[k]` keeps under `table.inputs[n]`: n itself,
+    or the plan's root values at n's column in a labelled world.  Only a
+    step it lacks updates the episode's `PrefixEvaluator`, and keeps what
+    comes out (`StateTable.keep`).  The update runs from the first column
+    that changed when the tracker moves on to a `trace_prefix` world's
+    state, and over every column appended since the last update in a
+    labelled world.  Under a nested plan each step updates the evaluator
+    from the appended position.  The terminal robustness is the last
+    step's, which scores the whole episode; an episode without steps scores
+    its traces.
     """
     if beta > env.beta:
         raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "
@@ -294,18 +303,20 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         table = StateTable(env)
     record = EpisodeRecord()
     start = env.reset(seed)
-    i = table.start(start)
+    plan = sk.plan
+    i = table.start(start, plan.program(sk.arity, cfg).roots if plan.flat else None)
     labelled = table.labelled
-    evaluator = PrefixEvaluator(sk.plan, sk.arity, cfg)
+    evaluator = PrefixEvaluator(plan, sk.arity, cfg)
     # a `trace_prefix` world's tracker starts empty: the evaluator's first
     # update starts at position 0 whatever the first changed column
     tracker = _EpisodeTracker(env, table.columns[i] if labelled else None)
     prefix = tracker.columns
-    states, columns, memo, successors, joint_actions, width = (
-        table.states, table.columns, table.memo, table.successors, table.actions, table.width)
-    lookup = not labelled or sk.plan.flat
-    key = i if labelled else None   # a flat plan's first context is keyed on the start's id
-    if lookup:
+    states, columns, inputs, memo, successors, joint_actions, width = (
+        table.states, table.columns, table.inputs, table.memo, table.successors, table.actions,
+        table.width)
+    lookup = not labelled or plan.flat
+    if lookup:   # a flat plan's first context is keyed on the start's root values
+        key = inputs[i] if labelled else None
         memo.setdefault(key, {})
     visited, actions, rhos = record.states, record.actions, record.rhos
     visited.append(start)
@@ -316,12 +327,11 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         if labelled:
             prefix.append(columns[n])
         if lookup:
-            if (hit := memo[key].get(n)) is None:
+            if (hit := memo[key].get(inputs[n])) is None:
                 # over every column since the last update, or from the first that changed
                 lo = len(prefix) - 1 if labelled else tracker.advance(states[n])
                 rho = evaluator.update(prefix, lo)
-                hit = memo[key][n] = (evaluator.monitor() if labelled else key, rho)
-                memo.setdefault(hit[0], {})
+                hit = table.keep(key, inputs[n], evaluator.monitor() if labelled else key, rho)
             key, rho = hit
         else:
             rho = evaluator.update(prefix, len(prefix) - 1)
@@ -361,17 +371,27 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     table.bind(lambda state: q.row(env.encode(state)))
     baseline = h.reward_mode == "baseline"
 
-    # explore and learn see the ep_rng and eps of the episode being run
+    # explore and learn see the ep_rng and eps of the episode being run.
+    # `top` is the largest value of the row that the next explore reads, as
+    # learn's bootstrap took it, or None: at an episode's start, and after a
+    # step into a state whose row is the one the backup just changed (the
+    # state left, or another that `encode` maps to the same key)
+    top = None
+
     def explore(t, i):
         if ep_rng.random() < eps:
             return ep_rng.integers(n_actions)
         row = rows[i]
-        return row.index(max(row))
+        return row.index(max(row) if top is None else top)
 
     def learn(t, i, a, n, rho):
+        nonlocal top
         if baseline:
             rho = env.baseline_reward(t, table.states[n])
-        q_update(rows[i], a, rho, rows[n], h, done=t + 1 >= beta)
+        row, following = rows[i], rows[n]
+        top = q_update(row, a, rho, following, h, done=t + 1 >= beta)
+        if row is following:
+            top = None
 
     metrics = TrainMetrics(["episode", *env.metric_columns, "rho"])
     previous: dict = {}

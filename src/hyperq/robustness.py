@@ -15,17 +15,23 @@ loop over the changed positions that keeps every such step in a local, then
 every other step in plan order, a pointwise one written out from the same
 expression (`_POINTWISE` states each operator and its tie rule once) and a
 temporal one as a call of its step function.  The source is compiled once
-per process for each shape of plan.  When the loop reads Boolean atoms
+per process for each shape of plan, and found by that shape before any
+source is generated.  When the loop reads Boolean atoms
 alone, its values at a position are a function of the props it reads there,
 so each program keeps them per distinct column and computes a column it has
 met before by one dict lookup.  A `PrefixEvaluator` runs the program
 over Python floats: a list with one value per position for each remaining
 step that needs them, one value for a step read only at position 0.  It
 keeps these between calls, so an episode's growing prefix is scored after
-every step from the lowest position that changed: G and F at position 0
-fold in the appended positions, and the backward recurrences of G, F, U and
-X stop below the change as soon as a value comes out unchanged.  `eval_ltl`
-and `eval_hyper` are one-shot uses of the same evaluator.
+every step from the lowest position that changed: G and F at position 0,
+and U over pointwise operands there, fold in the appended positions, G F
+and F G over a pointwise operand read its newest value (the finite-trace
+identities of LTLf, De Giacomo and Vardi, IJCAI 2013), and the backward
+recurrences of G, F, U and X stop below the change as soon as a value comes
+out unchanged.  A plan whose temporal steps all fold forward is a
+finite-state monitor (`Plan.flat`), which the training loop looks up rather
+than evaluates.  `eval_ltl` and `eval_hyper` are one-shot uses of the same
+evaluator.
 
 A separate Boolean evaluator implements the positional satisfaction relation
 directly (with explicit quantifier enumeration over a finite trace set) and
@@ -36,7 +42,6 @@ robustness equals rho_max exactly when the Boolean relation holds.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -200,11 +205,11 @@ def sat_verdict(rho: float, cfg: RobustnessConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 # Quantitative evaluation
 
-def _slot_of(target, arity: int) -> int:
-    idx = target.index
-    if not 1 <= idx <= arity:
-        raise WindowOutOfRangeError(f"atom target index {idx} outside bundle of arity {arity}")
-    return idx - 1
+def _slot(index: int, arity: int) -> int:
+    """The slot that an atom target of quantifier index `index` reads."""
+    if not 1 <= index <= arity:
+        raise WindowOutOfRangeError(f"atom target index {index} outside bundle of arity {arity}")
+    return index - 1
 
 
 def _unchanged(old: float, new: float) -> bool:
@@ -212,7 +217,7 @@ def _unchanged(old: float, new: float) -> bool:
     return old == new and (new != 0.0 or math.copysign(1.0, old) == math.copysign(1.0, new))
 
 
-def _head_step(node, i: int, kids, rmin: float):
+def _head_step(plan, i: int, rmin: float):
     """Function (values, lows, n, m) that sets temporal step `i`'s value at
     position 0.
 
@@ -221,9 +226,40 @@ def _head_step(node, i: int, kids, rmin: float):
     changed in this update, `n` the prefix length and `m` the previous one.
     Ties of 0.0 and -0.0 keep what a scalar fold keeps: G and F the later
     position.
+
+    A `last` step (G F φ or F G φ) is φ's value at the newest position.  A
+    U step over fused children folds positions forward.  Its list holds
+    (u, g): u is φ U ψ on the prefix so far and g is G φ on it, the running
+    min of φ, or -inf once u can no longer change.  Position j makes u
+    max(u, min(g, ψ_j)), each tie keeping its right operand, and g
+    min(g, φ_j), a tie keeping φ_j.  g becomes -inf when max(u, ψ_j) exceeds
+    min(g, φ_j).  These are the backward recurrence's tie rules: the
+    recurrence composes one clamp x -> max(ψ_j, min(φ_j, x)) per position,
+    and (u, g) is the composition of those clamps so far.
     """
+    node, kids = plan.steps[i]
     a = kids[0]
-    if isinstance(node, Next):
+    if plan.last[i]:
+        def step(v, low, n, m):
+            v[i][0] = v[a][-1]
+    elif isinstance(node, Until):
+        b = kids[1]
+
+        def step(v, low, n, m):
+            k = min(low[a], low[b])
+            if 0 < m <= k:      # only appended positions changed: fold them in
+                u, g = v[i]
+            else:
+                u, g, k = rmin, math.inf, 0
+            left, right = v[a], v[b]
+            for j in range(k, n):
+                x, y = left[j], right[j]
+                decided = (u if u > y else y) > (g if g < x else x)
+                y = g if g < y else y
+                u = u if u > y else y
+                g = -math.inf if decided else g if g < x else x
+            v[i][:] = u, g
+    elif isinstance(node, Next):
         def step(v, low, n, m):
             v[i][0] = v[a][1] if n > 1 else rmin
     elif isinstance(node, (Always, Eventually)):
@@ -245,16 +281,27 @@ def _head_step(node, i: int, kids, rmin: float):
     return step
 
 
-def _row_step(node, i: int, kids, rmin: float):
+def _row_step(plan, i: int, rmin: float):
     """Function (values, lows, n, m) that brings temporal step `i`'s
     per-position list up to date and sets `lows[i]` to the lowest position
     it changed (n when none did); arguments as for `_head_step`.
 
-    Each is a backward recurrence v[j] = f(children[j], v[j + 1]):
-    recomputed from the end down to the children's lowest change, and below
-    it only until a value comes out unchanged, since every lower one then is.
+    A `last` step is φ's newest value at every position.  Every other one
+    is a backward recurrence v[j] = f(children[j], v[j + 1]): recomputed
+    from the end down to the children's lowest change, and below it only
+    until a value comes out unchanged, since every lower one then is.
     """
+    node, kids = plan.steps[i]
     a = kids[0]
+    if plan.last[i]:
+        def step(v, low, n, m):
+            k = low[a]
+            if k < n:
+                x, out = v[a][-1], v[i]
+                k = min(len(out), n) if out and _unchanged(out[0], x) else 0
+                out[k:] = [x] * (n - k)
+            low[i] = k
+        return step
     if isinstance(node, Next):
         def step(v, low, n, m):
             k = low[a]
@@ -342,20 +389,46 @@ def _needed(plan, targets) -> set:
         k = stack.pop()
         if k not in need:
             need.add(k)
-            stack.extend(plan.steps[k][1])
+            stack.extend(plan.shape[k][1])
     return need
 
 
-def _kernel_lines(plan, need, arity: int, const, loaded=()):
+def _atom_shape(node) -> tuple:
+    """An atom's entry in `Plan.shape`: its type, no children, and what
+    the program's source reads of it, the slots of its targets and the form
+    of its predicate, but no prop, valuation or constant."""
+    if isinstance(node, BoolProp):
+        return BoolProp, (), node.trace.index
+    if isinstance(node, Predicate):
+        return Predicate, (), tuple(a.index for a in node.args), node.comparator, node.abs_diff
+    return type(node), ()
+
+
+def _constants(plan) -> list:
+    """The props, valuation names and predicate constants of a plan's
+    atoms, in step order: a prop per `BoolProp` (parameter k{i} of the
+    program's `make`), a valuation name and a constant per `Predicate` (k{i}
+    and c{i})."""
+    out = []
+    for node, _ in plan.steps:
+        if isinstance(node, BoolProp):
+            out.append(node.prop)
+        elif isinstance(node, Predicate):
+            out += [node.valuation, float(node.constant)]
+    return out
+
+
+def _kernel_lines(plan, need, arity: int, loaded=()):
     """Statements that set local `x{i}` for every fused step in `need`, in
     plan order, from the column `col` of one position; each label attribute
     is loaded into a local where it is first read, unless `loaded` names
     that local already."""
     lines, loaded = [], set(loaded)
 
-    def read(attr, target):
-        """Local holding the target slot label's `attr` at this position."""
-        slot = _slot_of(target, arity)
+    def read(attr, index):
+        """Local holding the `attr` of the label of quantifier `index` at
+        this position."""
+        slot = _slot(index, arity)
         local = f"{'p' if attr == 'props' else 'd'}{slot}"
         if local not in loaded:
             loaded.add(local)
@@ -363,37 +436,37 @@ def _kernel_lines(plan, need, arity: int, const, loaded=()):
         return local
 
     for i in sorted(need):
-        node, kids = plan.steps[i]
+        kind, kids, *atom = plan.shape[i]
         x = f"x{i}"
-        if isinstance(node, TrueNode):
+        if kind is TrueNode:
             lines.append(f"{x} = R")
-        elif isinstance(node, FalseNode):
+        elif kind is FalseNode:
             lines.append(f"{x} = N")
-        elif isinstance(node, BoolProp):
-            lines.append(f"{x} = R if {const(node.prop)} in {read('props', node.trace)} else N")
-        elif isinstance(node, Predicate):
-            name = const(node.valuation)
-            v = [f"{read('valuations', a)}[{name}]" for a in node.args]
-            lines.append(f"{x} = abs({v[0]} - {v[1]})" if node.abs_diff else f"{x} = {v[0]}")
-            c = const(float(node.constant))
-            if node.comparator == "=":
-                lines.append(f"{x} = R if {x} == {c} else N")
+        elif kind is BoolProp:
+            lines.append(f"{x} = R if k{i} in {read('props', atom[0])} else N")
+        elif kind is Predicate:
+            indices, comparator, abs_diff = atom
+            v = [f"{read('valuations', a)}[k{i}]" for a in indices]
+            lines.append(f"{x} = abs({v[0]} - {v[1]})" if abs_diff else f"{x} = {v[0]}")
+            if comparator == "=":
+                lines.append(f"{x} = R if {x} == c{i} else N")
             else:
-                lines.append(f"{x} = {c} - {x}" if node.comparator == "<" else f"{x} = {x} - {c}")
+                lines.append(f"{x} = c{i} - {x}" if comparator == "<" else f"{x} = {x} - c{i}")
                 lines.append(f"{x} = {x} if {x} > N else N")
                 lines.append(f"{x} = {x} if {x} < R else R")
         else:
-            lines.append(f"{x} = " + _POINTWISE[type(node)].format(a=f"x{kids[0]}",
-                                                                   b=f"x{kids[-1]}"))
+            lines.append(f"{x} = " + _POINTWISE[kind].format(a=f"x{kids[0]}", b=f"x{kids[-1]}"))
     return lines
 
 
-def _kernel_source(plan, arity: int) -> tuple:
-    """(source, constants, temporal): the source of a function
-    `make(R, N, k0, k1, ..., t0, t1, ...)` that returns the plan's program,
-    the props, valuation names and predicate constants to pass as k0, k1,
-    ..., and the temporal steps, as (node, index, kids), whose step
-    functions to pass as t0, t1, ...
+def _kernel_source(plan, arity: int) -> str:
+    """The source of a function `make(R, N, P, k.., c.., t0, t1, ...)` that
+    returns the plan's program.  R and N are +/-rho_max, P packs the roots'
+    values, k{i} and c{i} are the props, valuation names and predicate
+    constants of atom step i (see `_constants`), and t0, t1, ... the step
+    functions of the plan's `temporal` steps.  The source reads the plan's
+    `shape`, never a prop, valuation or constant, so that plans of one shape
+    share it.
 
     The program `run(v, low, cols, lo, n, m)` first computes every fused
     step as a local, position by position from `lo` on, and stores each
@@ -402,7 +475,9 @@ def _kernel_source(plan, arity: int) -> tuple:
     runs every other step in plan order.  A pointwise step is its
     `_POINTWISE` expression, either at position 0 or as one list
     comprehension from its operands' lowest change on; a temporal step is a
-    call of its `_head_step` or `_row_step` function.
+    call of its `_head_step` or `_row_step` function.  For a flat plan,
+    `run.roots(col)` computes the roots' values at one column alone and
+    returns them packed by P.
 
     When the per-position loop reads no predicate, only the `props` of the
     slots its atoms read, every root it stores is +/-rho_max and a function
@@ -415,49 +490,41 @@ def _kernel_source(plan, arity: int) -> tuple:
     loop alone, since a margin may be -0.0 and its valuations are not part
     of the key.
     """
-    constants, temporal = [], []
-
-    def const(c):
-        constants.append(c)
-        return f"k{len(constants) - 1}"
-
     rows = [i for i in plan.roots if plan.whole[i]]
     heads = [i for i in plan.roots if not plan.whole[i]]
     memo = False
+    unknown = ["except KeyError as exc:", "    raise UnknownValuationError(*exc.args) from None"]
     body = [f"o{i} = v[{i}]" for i in rows] + [f"del o{i}[lo:]" for i in rows] + ["try:"]
     if heads:
-        lines = _kernel_lines(plan, _needed(plan, heads), arity, const)
+        lines = _kernel_lines(plan, _needed(plan, heads), arity)
         lines += [f"v[{i}][0] = x{i}" for i in heads]
         body += ["    if lo == 0:", "        col = cols[0]"] + [f"        {s}" for s in lines]
     if rows:
         need = _needed(plan, rows)
-        atoms = [plan.steps[k][0] for k in need if not plan.steps[k][1]]
-        memo = not any(isinstance(a, Predicate) for a in atoms)
+        atoms = [plan.shape[k] for k in need if not plan.shape[k][1]]
+        memo = not any(kind is Predicate for kind, *_ in atoms)
         if memo:
-            props = [a for a in atoms if isinstance(a, BoolProp)]
-            slots = sorted({_slot_of(a.trace, arity) for a in props})
+            slots = sorted({_slot(atom[2], arity) for atom in atoms if atom[0] is BoolProp})
             keys = [f"p{s}" for s in slots]
             key = keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
             lines = [f"p{s} = col[{s}].props" for s in slots]
             lines += [f"roots = memo.get({key})", "if roots is None:"]
-            lines += [f"    {s}" for s in _kernel_lines(plan, need, arity, const, keys)]
-            lines += [f"    if len(memo) >= {2 ** len(props)}:", "        memo.clear()",
+            lines += [f"    {s}" for s in _kernel_lines(plan, need, arity, keys)]
+            props = sum(atom[0] is BoolProp for atom in atoms)
+            lines += [f"    if len(memo) >= {2 ** props}:", "        memo.clear()",
                       f"    roots = memo[{key}] = " + ", ".join(f"x{i}" for i in rows) + ","]
             lines += [f"o{i}.append(roots[{j}])" for j, i in enumerate(rows)]
         else:
-            lines = _kernel_lines(plan, need, arity, const)
+            lines = _kernel_lines(plan, need, arity)
             lines += [f"o{i}.append(x{i})" for i in rows]
         body += ["    for col in cols[lo:]:"] + [f"        {s}" for s in lines]
-    body += ["except KeyError as exc:",
-             "    raise UnknownValuationError(*exc.args) from None"]
-    body += [f"low[{i}] = lo" for i in plan.roots]
-    for i, (node, kids) in enumerate(plan.steps):
+    body += unknown + [f"low[{i}] = lo" for i in plan.roots]
+    for i, (kind, kids, *_) in enumerate(plan.shape):
         if plan.fused[i]:
             continue
-        expr = _POINTWISE.get(type(node))
+        expr = _POINTWISE.get(kind)
         if expr is None:
-            body.append(f"t{len(temporal)}(v, low, n, m)")
-            temporal.append((node, i, kids))
+            body.append(f"t{plan.temporal.index(i)}(v, low, n, m)")
         elif not plan.whole[i]:
             body.append(f"v[{i}][0] = " + expr.format(a=f"v[{kids[0]}][0]", b=f"v[{kids[-1]}][0]"))
         else:
@@ -467,23 +534,45 @@ def _kernel_source(plan, arity: int) -> tuple:
                                      "a, b"))
             body += [f"k = low[{i}] = {lowest}", "if k < n:",
                      f"    v[{i}][k:] = [{expr.format(a='a', b='b')} for {names} in {items}]"]
-    params = ["R", "N"] + [f"k{j}" for j in range(len(constants))]
-    params += [f"t{j}" for j in range(len(temporal))]
-    source = "\n".join([f"def make({', '.join(params)}):",
-                        *(["    memo = {}"] if memo else []),
-                        "    def run(v, low, cols, lo, n, m):",
-                        *(f"        {s}" for s in body),
-                        *(["    run.memo = memo"] if memo else []),
-                        "    return run", ""])
-    return source, tuple(constants), tuple(temporal)
+    roots = []
+    if plan.flat:
+        lines = _kernel_lines(plan, _needed(plan, plan.roots), arity)
+        roots = ["    def roots(col):", "        try:", *(f"            {s}" for s in lines),
+                 *(f"        {s}" for s in unknown),
+                 f"        return P({', '.join(f'x{i}' for i in plan.roots)})",
+                 "    run.roots = roots"]
+    params = ["R", "N", "P"]
+    for i, (kind, *_) in enumerate(plan.shape):
+        params += [f"k{i}"] if kind is BoolProp else [f"k{i}", f"c{i}"] if kind is Predicate else []
+    params += [f"t{j}" for j in range(len(plan.temporal))]
+    return "\n".join([f"def make({', '.join(params)}):",
+                      *(["    memo = {}"] if memo else []),
+                      "    def run(v, low, cols, lo, n, m):",
+                      *(f"        {s}" for s in body),
+                      *roots,
+                      *(["    run.memo = memo"] if memo else []),
+                      "    return run", ""])
 
 
-@functools.lru_cache(maxsize=256)
-def _compiled(source: str):
-    """The `make` function of a program source, compiled once per process."""
-    namespace = {"UnknownValuationError": UnknownValuationError}
-    exec(compile(source, "<robustness kernel>", "exec"), namespace)
-    return namespace["make"]
+_MAKES: dict = {}   # (plan shape, slot count) -> the `make` of its program source
+
+
+def _make(plan, arity: int):
+    """The `make` function of the plan's program source (see
+    `_kernel_source`), compiled once per process for each shape of plan and
+    slot count: a plan of a shape met before generates no source."""
+    key = (plan.shape, arity)
+    make = _MAKES.get(key)
+    if make is None:
+        if len(_MAKES) >= 256:
+            _MAKES.clear()
+        namespace = {"UnknownValuationError": UnknownValuationError}
+        exec(compile(_kernel_source(plan, arity), "<robustness kernel>", "exec"), namespace)
+        make = _MAKES[key] = namespace["make"]
+    return make
+
+
+_FOLDS = (Always, Eventually)
 
 
 class Plan:
@@ -493,70 +582,103 @@ class Plan:
     node (a frozen dataclass), an operator by its type and the steps of its
     children, so no key hashes a whole subtree.  `steps` lists the distinct
     nodes, each after its children, with the step indices of those
-    children; the body is the last step.
-
-    `whole[i]` says whether step i keeps one value per position.  Atoms and
-    U always do.  Any other step that only !, &, | and -> steps read on the
-    way to the body is needed at position 0 alone and keeps one value.
+    children; the body is the last step.  `shape` lists, per step, its node
+    type and children, and for an atom what the program's source reads of
+    it (see `_atom_shape`): plans of one shape share one compiled source.
 
     `fused[i]` says whether step i is an atom, or a !, &, | or -> step whose
     children are all fused.  The fused steps are computed position by
     position in one loop, without a list of their own; only the `roots`, the
     fused steps that a non-fused step reads (and the body, when it is
-    fused), are stored.  `program` generates one function per plan, slot
-    count and configuration that runs that loop and then every other step
-    in plan order: a pointwise step written out from the same expression as
-    in the loop, a temporal step as a call of its step function.  The
-    source names its props, valuations, constants and step functions by
-    parameter, so it is compiled once per process for all plans of one
-    shape.  When that loop reads Boolean atoms alone, each program keeps
-    the roots' values of every distinct column it has scored, keyed on the
-    `props` it reads, and scores a column met before by lookup.
+    fused), are stored.
+
+    `last[i]` says whether step i is G F φ or F G φ over a fused φ, with φ
+    as its one child.  On a finite prefix both equal φ at the newest
+    position, bit for bit, since F's and G's folds keep the later position
+    on a tie.
+
+    `whole[i]` says whether step i keeps one value per position.  Atoms
+    always do, and so does a U with a child that is not fused.  Any other
+    step that only !, &, | and -> steps read on the way to the body is
+    needed at position 0 alone and keeps one value; a U over fused children
+    keeps its fold's state (see `_head_step`).
+
+    `temporal` lists the steps that are neither fused nor pointwise.
+    `program` generates one function per plan, slot count and configuration
+    that runs the fused loop and then every other step in plan order: a
+    pointwise step written out from the same expression as in the loop, a
+    temporal step as a call of its step function.  The source names its
+    props, valuations, constants and step functions by parameter, so it is
+    compiled once per process for all plans of one shape.  When that loop
+    reads Boolean atoms alone, each program keeps the roots' values of
+    every distinct column it has scored, keyed on the `props` it reads, and
+    scores a column met before by lookup.
 
     A plan is `flat` when every step that is not fused keeps one value: its
-    G, F and X read fused roots alone, and only !, &, | and -> read them.
-    Then the position-0 values of its `monitor`, every step that is stored,
-    are a finite-state monitor of an append-only prefix: from two positions
-    on, their values after a column is appended are a function of their
-    values before it and of the column, since G and F fold it in, X and the
-    roots keep their values, and the other steps are pointwise over these.
+    G, F, X, U and `last` steps read fused roots alone, and only !, &, | and
+    -> read them.  Then it is a finite-state monitor of an append-only
+    prefix, whose state, `monitor`, is the roots' values at position 0 and
+    the states of the G, F, X and U steps, as (step, index) pairs into the
+    evaluator's lists.  The state after an appended column is a function of
+    the state before it and of the roots' values at that column (G, F and U
+    fold it in, X and the roots keep their values, a `last` step reads it,
+    and the other steps are pointwise over these); the state after the
+    first column is a function of the roots' values at it.
     """
 
     def __init__(self, body: LtlNode):
-        steps = []
+        steps, shape, fused, last = [], [], [], []
         index = {}
 
-        def visit(node) -> int:
-            kids = tuple(visit(c) for c in children_of(node))
-            key = (type(node), kids) if kids else node
+        def add(key, node, kids, entry, pointwise, reads_last=False) -> int:
             known = index.get(key)
             if known is None:
                 known = index[key] = len(steps)
                 steps.append((node, kids))
+                shape.append(entry)
+                fused.append(pointwise and all(fused[k] for k in kids))
+                last.append(reads_last)
             return known
 
+        def visit(node) -> int:
+            inner = getattr(node, "child", None)
+            if isinstance(node, _FOLDS) and isinstance(inner, _FOLDS) and type(inner) != type(node):
+                k = visit(inner.child)
+                if fused[k]:
+                    return add(("last", k), node, (k,), (type(node), (k,)), False, True)
+            kids = tuple(visit(c) for c in children_of(node))
+            if kids:
+                return add((type(node), kids), node, kids, (type(node), kids),
+                           type(node) in _POINTWISE)
+            return add(node, node, kids, _atom_shape(node), True)
+
         visit(body)
-        self.steps = tuple(steps)
+        self.steps, self.shape = tuple(steps), tuple(shape)
+        self.fused, self.last = tuple(fused), tuple(last)
         whole = [False] * len(steps)
         for i in range(len(steps) - 1, -1, -1):       # every reader before what it reads
             node, kids = steps[i]
-            whole[i] = whole[i] or not kids or isinstance(node, Until)
+            whole[i] = (whole[i] or not kids
+                        or isinstance(node, Until) and not all(fused[k] for k in kids))
             if whole[i] or type(node) not in _POINTWISE:
                 for k in kids:
                     whole[k] = True
         self.whole = tuple(whole)
-        fused = []
-        for node, kids in steps:                      # every child before its readers
-            fused.append(not kids or type(node) in _POINTWISE and all(fused[k] for k in kids))
-        self.fused = tuple(fused)
         roots = {len(steps) - 1} if fused[-1] else set()
         for (node, kids), f in zip(steps, fused):
             if not f:
                 roots.update(k for k in kids if fused[k])
         self.roots = tuple(sorted(roots))
+        self.temporal = tuple(i for i, ((node, _), f) in enumerate(zip(steps, fused))
+                              if not f and type(node) not in _POINTWISE)
         self.flat = all(f or not w for f, w in zip(fused, whole))
-        self.monitor = tuple(i for i, f in enumerate(fused) if not f or i in roots)
-        self._pack = struct.Struct(f"{len(self.monitor)}d").pack
+        monitor = []
+        for i, (node, _) in enumerate(steps):
+            if i in roots or i in self.temporal and not last[i]:
+                size = 2 if isinstance(node, Until) and not whole[i] else 1   # a U's (u, g)
+                monitor += [(i, j) for j in range(size)]
+        self.monitor = tuple(monitor)
+        self._pack = struct.Struct(f"{len(monitor)}d").pack
         self._programs = {}
 
     def __len__(self):
@@ -564,15 +686,17 @@ class Plan:
 
     def program(self, arity: int, cfg: RobustnessConfig):
         """The function `run(values, lows, columns, lo, n, m)` that brings
-        every step up to date (see `_kernel_source`)."""
+        every step up to date; a flat plan's has `run.roots(column)`, the
+        roots' values at one column packed so that a 0.0 and a -0.0 differ
+        (see `_kernel_source`)."""
         program = self._programs.get((arity, cfg))
         if program is None:
             rmax, rmin = float(cfg.rho_max), float(cfg.rho_min)
-            source, constants, temporal = _kernel_source(self, arity)
-            steps = [(_row_step if self.whole[i] else _head_step)(node, i, kids, rmin)
-                     for node, i, kids in temporal]
-            program = self._programs[(arity, cfg)] = _compiled(source)(rmax, rmin, *constants,
-                                                                        *steps)
+            steps = [(_row_step if self.whole[i] else _head_step)(self, i, rmin)
+                     for i in self.temporal]
+            pack = struct.Struct(f"{len(self.roots)}d").pack
+            program = self._programs[(arity, cfg)] = _make(self, arity)(
+                rmax, rmin, pack, *_constants(self), *steps)
         return program
 
 
@@ -581,19 +705,19 @@ class PrefixEvaluator:
 
     The values are Python floats: a list per position for each step that
     keeps a value per position, and one value for each step needed at
-    position 0 alone (see `Plan`).  `update` makes one call of the plan's
-    program from the lowest position that changed since the previous
-    update: one loop over the changed columns computes every atom and every
-    pointwise step above atoms alone, and stores only the plan's roots (a
-    loop over Boolean atoms alone looks up the roots of a column it has
-    scored before).
+    position 0 alone (two for a U step's fold, see `Plan`).  `update` makes
+    one call of the plan's program from the lowest position that changed
+    since the previous update: one loop over the changed columns computes
+    every atom and every pointwise step above atoms alone, and stores only
+    the plan's roots (a loop over Boolean atoms alone looks up the roots of
+    a column it has scored before).
     Then each other step runs and reports the lowest position it changed to
-    its readers.  G and F at position 0 fold in appended positions in O(1)
-    each; the per-position recurrences of G, F, U and X stop below the
-    change as soon as a value comes out unchanged.  Min, max and negation
-    are exact, ties of 0.0 and -0.0 follow the scalar folds, so the result
-    equals a from-scratch evaluation bit for bit, the sign of a zero
-    included.
+    its readers.  G, F and U at position 0 fold in appended positions in
+    O(1) each, and G F and F G read the newest one; the per-position
+    recurrences of G, F, U and X stop below the change as soon as a value
+    comes out unchanged.  Min, max and negation are exact, ties of 0.0 and
+    -0.0 follow the scalar folds, so the result equals a from-scratch
+    evaluation bit for bit, the sign of a zero included.
     """
 
     def __init__(self, plan: Plan, arity: int, cfg: RobustnessConfig):
@@ -623,10 +747,10 @@ class PrefixEvaluator:
         return self._vals[-1][0]
 
     def monitor(self) -> bytes:
-        """The position-0 values of the plan's `monitor` steps at the last
-        update, packed so that a 0.0 and a -0.0 differ."""
+        """The plan's `monitor` state at the last update, packed so that a
+        0.0 and a -0.0 differ."""
         vals = self._vals
-        return self.plan._pack(*[vals[i][0] for i in self.plan.monitor])
+        return self.plan._pack(*[vals[i][j] for i, j in self.plan.monitor])
 
 
 def eval_ltl(z: ZippedTrace, window, body: LtlNode, cfg: RobustnessConfig) -> float:

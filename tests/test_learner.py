@@ -219,6 +219,34 @@ def test_immediate_reward_on_optimal_paths_positive():
     assert immediate_reward([p1, p2], sk, CFG) > 0
 
 
+def test_explore_reuses_the_bootstraps_max_only_while_its_row_is_unchanged(monkeypatch):
+    # a step's backup takes the next row's max, which the next greedy step
+    # reads again.  In a world whose states all share one Q row, as states
+    # that `encode` maps to one key do, every step leads into the row its
+    # backup just changed, so the max is taken anew.  Training that takes
+    # every max anew learns the same values and metrics, bit for bit
+    class OneRow(_LabelCycle):
+        def encode(self, state):
+            return ()
+
+    rng = random.Random(11)
+    columns = [(_kernel_label(rng), _kernel_label(rng)) for _ in range(5)]
+    f = hq.parse_formula("forall t1. forall t2. G a@t1 | F [ v@t2 > 0 ]")
+    h = Hyperparams(xi=40, epsilon_start=0.3, epsilon_end=0.0)
+
+    def learned():
+        result = train(OneRow(columns, 12), f, h, seed=2)
+        return [_bits(row) for row in result.q.table.values()], result.metrics.rows
+
+    reused, update = learned(), learner.q_update
+
+    def anew(*args, **kwargs):
+        update(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "q_update", anew)
+    assert learned() == reused
+
+
 def test_train_rejects_arity_mismatch():
     f = hq.parse_formula("forall t1. F a@t1")
     with pytest.raises(ArityMismatchError):
@@ -545,9 +573,9 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
     sk, rob = skolemize(f), h.config()
     seeds = (2, 3)
     unbounded = [_outputs(tmp_path, f"unbounded{seed}", train(env, f, h, seed)) for seed in seeds]
-    checked, scored, looked_up = [], [], []
+    checked, scored, looked_up, outlived = [], [], [], []
 
-    class Checked(StateTable):
+    class Checked(_Recorded):
         limit = 8
 
         def clear(self):
@@ -560,15 +588,17 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
                 for a, n in enumerate(self.successors[i * self.width:(i + 1) * self.width]):
                     if n >= 0:
                         assert self.states[n] == env.transition(state, self.actions[a].per_trace)
-            for (key, n), (following, rho), traces in _memo_prefixes(self):
-                assert _unchanged(rho, eval_hyper(traces, sk, rob)), (key, n, rho)
+            for (key, step), (following, rho), traces in _memo_prefixes(self):
+                assert _unchanged(rho, eval_hyper(traces, sk, rob)), (key, step, rho)
                 if not self.labelled:
                     assert key is following is None
-                    scored.append(n)
+                    scored.append(step)
             looked_up.append(_memo_entries(self))
             checked.append(len(self.states))
+            memo = dict(self.memo)
             super().clear()
-            assert not (self.states or self.memo)
+            assert not self.states
+            outlived.append(self.memo == memo)
 
     monkeypatch.setattr(learner, "StateTable", Checked)
     env = cfg.make_env()   # a world without a table, so that train makes a Checked one
@@ -577,8 +607,10 @@ def test_restarting_the_state_table_changes_no_output(tmp_path, monkeypatch, con
     assert type(env.table) is Checked
     assert len(checked) > len(seeds) * xi // 2 and max(checked) > Checked.limit
     assert bool(scored) == (env.trace_prefix(env.reset(2)) is not None)
-    # the domino world, and a labelled world under a flat plan (safe_rl), kept steps in the memo
+    # the domino world, and a labelled world under a flat plan (safe_rl,
+    # fairness), kept steps in the memo; `clear` forgets ids alone
     assert (max(looked_up) > 0) == bool(scored or sk.plan.flat)
+    assert all(outlived)
 
 
 @pytest.mark.parametrize("config", ["pcp-k3.ini", "safe-rl-4x4.ini"])
@@ -771,7 +803,8 @@ _ZERO = "[ v@t1 < 1 ]"
 _C = f"((p@t1 & {_ZERO}) | (!p@t1 & !{_ZERO}))"
 _SIGNED_ZERO_BODIES = ["G {c}", "F {c}", "X G {c}", "X F {c}", "X (true U {c})",
                        "F X G {c}", "G F {c}", "F G {c}", "X ({c} U X {c})",
-                       "!X G !{c} & X F {c}"]
+                       "!X G !{c} & X F {c}", "{c} U !{c}", "(p@t1 -> {c}) U ({c} & !p@t1)",
+                       "G F {c} & F G !{c}", "X G F {c} | {c} U F G {c}"]
 
 
 def _zero_label(rng):
@@ -831,25 +864,44 @@ def _memo_entries(table) -> int:
     return sum(map(len, table.memo.values()))
 
 
+class _Recorded(StateTable):
+    """A table that keeps in `seen` a label column for each step key it has
+    interned, also after its ids restart."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.seen = {}
+
+    def intern(self, state):
+        i = super().intern(state)
+        if self.labelled:
+            self.seen.setdefault(self.inputs[i], self.columns[i])
+        return i
+
+
 def _memo_prefixes(table):
-    """Each memo entry ((key, id), (next key, reward)) with the traces of a
-    prefix that the step reaches.  A `trace_prefix` world's is the id's
-    prefix; a flat plan's context is reached from a start id, keyed on
-    itself, through the entries before it.  A monitor state reached by two
-    prefixes is a function of either, so the first one found stands for it."""
+    """Each memo entry ((key, step key), (next key, reward)) with the traces
+    of a prefix that the step reaches.  A `trace_prefix` world's is the
+    id's prefix.  A flat plan's context is reached from a start context,
+    keyed on the root values of a column that `table` (a `_Recorded`) has
+    seen, through the entries before it, each a column with the entry's
+    root values.  A monitor state reached by two prefixes is a function of
+    either, so the first one found stands for it; so is a step's result of
+    the column that stands for its root values."""
     if not table.memo:
         return
     if not table.labelled:
         for n, hit in table.memo.get(None, {}).items():
             yield (None, n), hit, table.env.trace_prefix(table.states[n])
         return
-    todo = [(key, [table.columns[key]]) for key in table.memo if isinstance(key, int)]
+    seen = table.seen
+    todo = [(key, [seen[key]]) for key in table.memo if key in seen]
     reached = {key for key, _ in todo}
     while todo:
         key, prefix = todo.pop()
-        for n, (following, rho) in table.memo[key].items():
-            longer = prefix + [table.columns[n]]
-            yield (key, n), (following, rho), [Trace(labels) for labels in zip(*longer)]
+        for step, (following, rho) in table.memo[key].items():
+            longer = prefix + [seen[step]]
+            yield (key, step), (following, rho), [Trace(labels) for labels in zip(*longer)]
             if following not in reached:
                 reached.add(following)
                 todo.append((following, longer))
@@ -984,6 +1036,17 @@ _KERNEL_BODIES = [
     "X (X [ v@t1 > 0 ] -> G [ v@t2 > 0 ])",
 ]
 
+# G F and F G, which read their operand's newest value, and U over fused
+# operands, which folds forward: at position 0 alone, and kept per position
+# under X or as an operand of U
+_MONITOR_BODIES = [
+    "G F [ v@t1 > 0 ] & F G ![ v@t2 > 0 ] | a@t1",
+    "!(([ v@t1 > 0 ] | a@t1) U ![ v@t2 > 0 ]) & G F b@t1",
+    "(b@t2 -> [ v@t2 < 0 ]) U [ v@t1 > 0 ] | F G ([ |v@t1 - v@t2| > 0 ] & a@t2)",
+    "X G F [ v@t1 > 0 ] | X ([ v@t2 > 0 ] U a@t1)",
+    "[ v@t1 > 0 ] U F G ![ v@t2 > 0 ]",
+]
+
 
 def _kernel_label(rng):
     props = frozenset(p for p in ("a", "b") if rng.random() < 0.5)
@@ -1005,7 +1068,7 @@ def _assert_rewards_match_all(env, sk):
             (t, rho, expected)
 
 
-@pytest.mark.parametrize("body", _KERNEL_BODIES)
+@pytest.mark.parametrize("body", _KERNEL_BODIES + _MONITOR_BODIES)
 def test_kernel_rewards_bit_identical_append_only(body):
     sk = skolemize(hq.parse_formula("forall t1. forall t2. " + body))
     rng = random.Random(body)
@@ -1014,12 +1077,72 @@ def test_kernel_rewards_bit_identical_append_only(body):
         _assert_rewards_match_all(_LabelScript(columns), sk)
 
 
-@pytest.mark.parametrize("body", _KERNEL_BODIES)
+@pytest.mark.parametrize("body", _KERNEL_BODIES + _MONITOR_BODIES)
 def test_kernel_rewards_bit_identical_rewritten_prefix(body):
     sk = skolemize(hq.parse_formula("forall t1. forall t2. " + body))
     rng = random.Random(body + "rewrite")
     for _ in range(40):
         _assert_rewards_match_all(_rewrite_script(rng, 2, rng.randint(2, 16), _kernel_label), sk)
+
+
+def _pointwise_text(rng, depth=2):
+    """A random !, &, | and -> combination of atoms over a, b and v, whose
+    predicates' margins include both zeros under `_kernel_label`."""
+    if depth == 0 or rng.random() < 0.4:
+        t = rng.choice(("t1", "t2"))
+        return rng.choice([f"a@{t}", f"b@{t}", f"[ v@{t} > 0 ]", f"[ v@{t} < 0 ]",
+                           f"[ v@{t} = 0 ]", "[ |v@t1 - v@t2| > 0 ]"])
+    op = rng.choice(["!", "&", "|", "->"])
+    if op == "!":
+        return f"!({_pointwise_text(rng, depth - 1)})"
+    return f"({_pointwise_text(rng, depth - 1)} {op} {_pointwise_text(rng, depth - 1)})"
+
+
+def _monitor_text(rng, depth=2):
+    """A random body of G F, F G, U, G and F over pointwise operands under
+    !, &, | and ->, and now and then under X or as the right operand of U."""
+    p = _pointwise_text(rng)
+    roll = rng.random()
+    if depth == 0 or roll < 0.5:
+        return rng.choice([f"G F {p}", f"F G {p}", f"({p} U {_pointwise_text(rng)})", f"G {p}",
+                           f"F {p}", p])
+    if roll < 0.6:
+        return f"X {_monitor_text(rng, depth - 1)}"
+    if roll < 0.7:
+        return f"({p} U {_monitor_text(rng, depth - 1)})"
+    op = rng.choice(["!", "&", "|", "->"])
+    if op == "!":
+        return f"!{_monitor_text(rng, depth - 1)}"
+    return f"({_monitor_text(rng, depth - 1)} {op} {_monitor_text(rng, depth - 1)})"
+
+
+def test_monitor_shapes_match_the_oracles_on_fresh_and_warm_tables(monkeypatch):
+    # random bodies of G F, F G and U over pointwise operands, most of them
+    # flat: every reward equals `signed_eval` bit for bit and `naive_eval`
+    # by value, scored afresh along one path and looked up on a table whose
+    # episodes repeat their steps
+    rng = random.Random(2828)
+    flat = updated = steps = 0
+    for case in range(80):
+        sk = skolemize(hq.parse_formula("forall t1. forall t2. " + _monitor_text(rng)))
+        columns = [(_kernel_label(rng), _kernel_label(rng)) for _ in range(rng.randint(2, 24))]
+        _assert_rewards_match_all(_LabelScript(columns), sk)
+        env = _LabelCycle([(_kernel_label(rng), _kernel_label(rng)) for _ in range(5)], 12)
+        updates = _counted_updates(monkeypatch)
+        records = _warm_table_episodes(env, sk, 12, 3, rng)
+        monkeypatch.undo()
+        for record in records:
+            labels = [env.label_of(state) for state in record.states]
+            for t, rho in enumerate(record.rhos, start=1):
+                z = zip_traces([Trace(column) for column in zip(*labels[:t + 1])])
+                expected = signed_eval(z, 0, len(z), sk.body, CFG)
+                assert _bits([rho]) == _bits([expected]), (case, t)
+                assert rho == naive_eval(z, 0, len(z), sk.body, CFG), (case, t)
+        if sk.plan.flat:
+            flat += 1
+            updated += len(updates)
+            steps += sum(record.steps for record in records)
+    assert flat > 40 and 0 < updated < steps // 3
 
 
 def test_kernel_bodies_cover_their_shapes():
@@ -1043,16 +1166,30 @@ def test_kernel_bodies_cover_their_shapes():
 
 
 def test_plan_is_flat_when_its_temporal_steps_read_fused_roots_alone():
-    # flat: G, F and X over atoms and their !, &, | and -> alone, read by
-    # those alone; an &, | or -> kept per position for a temporal reader is not
+    # flat: G, F, X, U and G F / F G over atoms and their !, &, | and ->
+    # alone, read by those alone; an &, | or -> kept per position for a
+    # temporal reader is not, nor is a temporal step under another, other
+    # than G F and F G
     plans = [skolemize(hq.parse_formula("forall t1. forall t2. " + b)).plan
-             for b in _KERNEL_BODIES]
-    assert [plan.flat for plan in plans] == [True] * 4 + [False] * 3
-    assert all(plan.monitor[-1] == len(plan) - 1 for plan in plans)   # the body
-    # the monitor state holds the root kept at position 0 alone, the atom
-    # that G reads, G and the body
-    assert [type(plans[1].steps[i][0]).__name__ for i in plans[1].monitor] == [
-        "And", "BoolProp", "Always", "And"]
+             for b in _KERNEL_BODIES + _MONITOR_BODIES]
+    assert [plan.flat for plan in plans] == [True] * 4 + [False] * 3 + [True] * 3 + [False] * 2
+
+    def monitor(plan):
+        return [(type(plan.steps[i][0]).__name__, j) for i, j in plan.monitor]
+
+    # the monitor state holds the roots' values at position 0 and the G, F,
+    # X and U steps' states, a U's two values; not the body, the pointwise
+    # steps over these, or a G F, which reads the newest column
+    assert monitor(plans[1]) == [("And", 0), ("BoolProp", 0), ("Always", 0)]
+    assert monitor(plans[7]) == [("Predicate", 0), ("Not", 0), ("BoolProp", 0)]
+    assert monitor(plans[8]) == [("Or", 0), ("Not", 0), ("Until", 0), ("Until", 1),
+                                 ("BoolProp", 0)]
+    # under X, or as an operand of U, G F, F G and U keep one value per
+    # position; G F and F G are `last` steps wherever they are
+    assert [[(type(plan.steps[i][0]).__name__, plan.last[i]) for i in plan.temporal
+             if plan.whole[i]] for plan in plans[10:]] == [
+        [("Always", True), ("Until", False)], [("Eventually", True), ("Until", False)]]
+    assert [sum(plan.last) for plan in plans[7:]] == [2, 1, 1, 1, 1]
 
 
 class _LabelCycle(Environment):
@@ -1092,7 +1229,11 @@ def _warm_table_episodes(env, sk, episodes, starts, rng):
                                   "X b@t1 & G a@t2",
                                   # a root read at position 0 and by F
                                   "(G b@t1 | ([ v@t1 > 0 ] & ![ v@t2 > 0 ]))"
-                                  " & F ([ v@t1 > 0 ] & ![ v@t2 > 0 ])"])
+                                  " & F ([ v@t1 > 0 ] & ![ v@t2 > 0 ])",
+                                  # U folded forward, G F and F G read as
+                                  # their operand's newest value
+                                  "{c} U !{c}", "G F {c} | F G !{c}",
+                                  *_MONITOR_BODIES[:3]])
 def test_rollout_rewards_on_a_warm_table_match_from_scratch(monkeypatch, body):
     # a flat plan's steps are looked up by (monitor state, id) in one table
     # that episodes from several start states share, so most steps cost no
@@ -1121,12 +1262,13 @@ def test_rollout_rewards_on_a_warm_table_match_from_scratch(monkeypatch, body):
             assert _bits([record.terminal_rho]) == _bits(expected[-1:])
 
 
-@pytest.mark.parametrize("name, flat", [("safe_rl", True), ("rescue", False),
-                                        ("fairness", False), ("pcp_ab", False)])
+@pytest.mark.parametrize("name, flat", [("safe_rl", True), ("rescue", True),
+                                        ("fairness", True), ("pcp_ab", False)])
 def test_bundled_formulas_take_the_lookup_by_their_plans(monkeypatch, name, flat):
-    # safe_rl.hltl looks its steps up; rescue's U, fairness's G F and
-    # pcp_ab's nested U keep one evaluator update per step, even on a warm
-    # table whose steps repeat.  A formula edit that leaves the lookup fails here
+    # safe_rl.hltl, rescue's U over atoms and fairness's G F look their
+    # steps up; pcp_ab's nested U keeps one evaluator update per step in a
+    # labelled world, even on a warm table whose steps repeat.  A formula
+    # edit that leaves the lookup fails here
     sk = skolemize(hq.load_formula(hq.bundled(f"formulas/{name}.hltl")))
     assert sk.plan.flat == flat
     rng = random.Random(name)
@@ -1144,19 +1286,21 @@ def test_bundled_formulas_take_the_lookup_by_their_plans(monkeypatch, name, flat
 
 
 def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch):
-    # the resource grid's energies grow without bound, so its ids and the
-    # monitor states of a numeric formula over them rarely repeat.  The
-    # table starts afresh once it holds more than `limit` ids or memo
-    # contexts, and its memo holds at most one entry per pair of them
-    sizes = []
+    # the resource grid's energies grow without bound, so its ids rarely
+    # repeat and the monitor states of a numeric formula over them take
+    # many values.  The table forgets its ids once it holds more than
+    # `limit`; the memo, which names no id, outlives that and starts afresh
+    # once it holds more than `limit` contexts or `limit * width` steps
+    starts = []
 
     class Kept(StateTable):
         limit = 32
 
-        def clear(self):
-            if self.states:
-                sizes.append((len(self.states), len(self.memo), _memo_entries(self)))
-            super().clear()
+        def start(self, state, roots=None):
+            before = len(self.states), len(self.memo), self.kept
+            i = super().start(state, roots)
+            starts.append((before, (len(self.states), len(self.memo), self.kept)))
+            return i
 
     monkeypatch.setattr(learner, "StateTable", Kept)
     f = hq.parse_formula("forall t1. forall t2. G [ energy@t1 < 50 ] & G [ energy@t2 < 50 ]"
@@ -1164,11 +1308,16 @@ def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch
     assert skolemize(f).plan.flat
     env = ResourceEnv(load_map_file(hq.bundled("maps/fair4.map")), 40)
     train(env, f, Hyperparams(xi=40, epsilon_end=1.0), seed=3)
-    assert len(sizes) > 5
+    width = env.table.width
     bound = Kept.limit + env.beta   # the table is checked at episode starts
-    for ids, contexts, looked_up in sizes:
-        assert ids <= bound and 1 < contexts <= bound and 0 < looked_up <= ids * contexts
-    # memo contexts past the limit start the table afresh as ids do
+    for (ids, contexts, kept), _ in starts:
+        assert ids <= bound and contexts <= bound and kept <= Kept.limit * width + env.beta
+    # ids restart with the memo kept, and the memo restarts on its own bound
+    restarts = [(before[1:] == after[1:], after[1] <= 1) for before, after in starts[1:]
+                if after[0] == 1]
+    assert (True, False) in restarts
+    assert any(after[1] <= 1 < before[1] for before, after in starts)
+    # memo contexts or steps past their bounds start the memo afresh
     table = Kept(env)
     start = env.reset(0)
     table.start(start)
@@ -1176,6 +1325,41 @@ def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch
     assert table.start(start) == 0 and len(table.memo) == Kept.limit
     table.memo[b"past"] = {}
     assert table.start(start) == 0 and not table.memo
+    table.memo[b"steps"] = {}
+    table.kept = Kept.limit * table.width
+    assert table.start(start) == 0 and len(table.memo) == 1
+    table.kept += 1
+    assert table.start(start) == 0 and not table.memo and table.kept == 0
+
+
+def test_a_fairness_memo_outlives_the_restart_of_its_ids(monkeypatch):
+    # the resource world's energies grow, so a fairness run forgets its ids
+    # again and again; its memo names no id, so it is kept and most steps
+    # stay lookups, and every entry is a from-scratch evaluation bit for bit
+    cfg = ExperimentConfig.load(hq.bundled("configs/fairness-4x4.ini"))
+    f, sk, _, beta = cfg.setup()
+    h = cfg.hyperparams
+    h.xi = 60
+    kept = []
+
+    class Small(_Recorded):
+        limit = 64
+
+        def clear(self):
+            if self.states:
+                kept.append(len(self.memo))
+            super().clear()
+
+    monkeypatch.setattr(learner, "StateTable", Small)
+    env = cfg.make_env()
+    updates = _counted_updates(monkeypatch)
+    train(env, f, h, seed=1)
+    assert sk.plan.flat and len(kept) > 3 and min(kept) > 0
+    assert len(updates) < (h.xi + 1) * beta // 20
+    entries = list(_memo_prefixes(env.table))
+    assert len(entries) == _memo_entries(env.table) > 0
+    for (key, step), (following, rho), traces in entries:
+        assert _unchanged(rho, eval_hyper(traces, sk, h.config())), (key, step, rho)
 
 
 def test_train_rejects_traces_that_are_not_a_function_of_the_state():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import hyperq as hq
+import hyperq.robustness as robustness
 from hyperq.formula import parse_formula
 from hyperq.robustness import (
     EmptyInputError,
@@ -135,6 +136,22 @@ def test_kernel_raises_unknown_valuation(text):
     assert later.type is UnknownValuationError and later.value.args == ("loc",)
 
 
+@pytest.mark.parametrize("text", ["forall t1. F G [ loc@t1 < 5 ]",
+                                  "forall t1. forall t2. p@t1 U [ |loc@t1 - loc@t2| < 5 ]"])
+def test_roots_raise_unknown_valuation(text):
+    # a labelled world's step keys are the roots' values at each column,
+    # computed when its state is first met: a valuation the labels lack is
+    # the package's error there too, so `train` and `eval` exit 2
+    f = parse_formula(text)
+    arity = len(f.prefix)
+    roots = Plan(f.body).program(arity, CFG).roots
+    good = tuple(Label(frozenset(), {"loc": 1.0}) for _ in range(arity))
+    assert len(roots(good)) == 8 * len(Plan(f.body).roots)
+    with pytest.raises(UnknownValuationError) as caught:
+        roots((Label(),) * arity)
+    assert caught.type is UnknownValuationError and caught.value.args == ("loc",)
+
+
 def test_plans_of_one_formula_share_one_compiled_kernel():
     # eval skolemizes anew, so its plan must not compile the kernel again
     path = hq.bundled("formulas/pcp_ab.hltl")
@@ -143,6 +160,27 @@ def test_plans_of_one_formula_share_one_compiled_kernel():
     programs = [plan.program(2, CFG) for plan in (first, second)]
     assert programs[0] is not programs[1]
     assert programs[0].__code__ is programs[1].__code__
+
+
+def test_a_plan_of_a_shape_met_before_generates_no_source(monkeypatch):
+    # the compiled program is found by the plan's shape (step types,
+    # operands, and each atom's slots and predicate form) before any source
+    # is generated; the props, valuations and constants are each plan's own
+    monkeypatch.setattr(robustness, "_MAKES", {})   # no shape met yet
+    first = Plan(body_of("forall t1. forall t2. G [ v@t1 < 3 ] & F p@t2"))
+    first.program(2, CFG)
+    sources = []
+    source = robustness._kernel_source
+    monkeypatch.setattr(robustness, "_kernel_source",
+                        lambda *args: sources.append(args) or source(*args))
+    second = Plan(body_of("forall t1. forall t2. G [ w@t1 < 7 ] & F q@t2"))
+    assert second.shape == first.shape
+    assert second.program(2, CFG).__code__ is first.program(2, CFG).__code__ and not sources
+    column = (Label(frozenset({"p"}), {"v": 1.0, "w": 5.0}), Label(frozenset({"q"}), {}))
+    assert [PrefixEvaluator(plan, 2, CFG).update([column]) for plan in (first, second)] == [
+        -100.0, 2.0]
+    Plan(body_of("forall t1. forall t2. G [ v@t1 > 3 ] & F p@t2")).program(2, CFG)
+    assert len(sources) == 1    # another comparator is another shape
 
 
 def test_memo_of_boolean_columns_stays_within_its_bound():
