@@ -119,7 +119,7 @@ class Environment:
         the trace is simply the per-step label sequence.  A function of the
         joint state alone, so a run scores each joint state of such a world
         once (see `StateTable`).  A step may rewrite earlier positions: the
-        episode loop finds the first one that changed by comparing columns."""
+        episode loop rescores a state's traces from position 0."""
         return None
 
     def episode_metrics(self, record: EpisodeRecord, previous: dict) -> dict:
@@ -156,8 +156,9 @@ class StateTable:
     states (`labelled`) has the id's label column (`label_of`) in `columns`.
     `inputs[i]` is the key under which the memo keeps a step into id i.
     Under a flat plan (see `Plan.flat`) a labelled world's key is the
-    plan's root values at the id's column, packed by `roots` when the id is
-    interned so that a 0.0 and a -0.0 differ.  Otherwise the key is the id.
+    plan's root values at the id's column, `program.roots` of it packed by
+    `program.pack` when the id is interned, so that a 0.0 and a -0.0 differ.
+    Otherwise the key is the id.
 
     `memo` is the run's reward machine: it maps a context key to the steps
     kept from that context, {step key: (next context key, robustness)}.  A
@@ -191,7 +192,7 @@ class StateTable:
 
     def __init__(self, env: Environment):
         self.env = weakref.proxy(env)
-        self.make_row = self.roots = None
+        self.make_row = self.program = None
         self.formula = self.config = self.sk = None
         self.actions = _joint_actions(tuple(env.actions), env.arity)
         self.index = {a.per_trace: k for k, a in enumerate(self.actions)}
@@ -219,17 +220,18 @@ class StateTable:
         self.make_row = make_row
         self.rows[:] = map(make_row, self.states) if make_row else ()
 
-    def start(self, state: tuple, roots=None) -> int:
-        """The id of an episode's start state.  `roots` packs a label
-        column's root values, the steps' keys of a labelled world (see
-        `Plan.program`), or is None when the plan is not flat.  A table
-        given other `roots` than before begins afresh, memo included.
+    def start(self, state: tuple, program=None) -> int:
+        """The id of an episode's start state.  `program` is a flat plan's
+        program (see `Plan.program`), whose root values at a label column
+        are the steps' keys of a labelled world, or None when the plan is
+        not flat.  A table given another `program` than before begins
+        afresh, memo included.
         Beginning it gives `state` id 0, finds out whether the world labels
         its states (whether `state` has no `trace_prefix`) and, when it does
         not, drops the memo, whose steps are keyed on ids."""
-        fresh = roots is not self.roots
+        fresh = program is not self.program
         if fresh or not self.states or len(self.states) > self.limit:
-            self.roots = roots
+            self.program = program
             self.clear()
             self.labelled = self.env.trace_prefix(state) is None
             fresh = fresh or not self.labelled
@@ -247,8 +249,8 @@ class StateTable:
             key = i
             if self.labelled:
                 column = tuple(self.env.label_of(state))
-                if self.roots:
-                    key = self.roots(column)
+                if self.program:
+                    key = self.program.pack(*self.program.roots(column))
                     key = self.keys.setdefault(key, key)
                 self.columns.append(column)
             self.ids[state] = i

@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .env import Environment
 from .formula import (Formula, FormulaError, InputError, load_formula, parse_formula, read_input,
-                      unparse, validate)
+                      unparse)
 from .learner import (
     Hyperparams,
     PolicySet,
@@ -158,10 +158,6 @@ class ExperimentConfig:
             f = self.load_formula()
         except InputError as exc:
             raise ConfigError(str(exc)) from exc
-        diagnostics = validate(f)
-        if diagnostics:
-            raise ConfigError(f"formula file {self.formula_path}: "
-                              + "; ".join(f"{d.code}: {d.message}" for d in diagnostics))
         sk = skolemize(f)
         try:
             env = self.make_env()
@@ -319,11 +315,6 @@ def cmd_check(formula_path) -> int:
         f = parse_formula(text)
     except FormulaError as exc:
         print(f"syntax error: formula file {formula_path}: {exc}", file=sys.stderr)
-        return 1
-    diagnostics = validate(f)
-    for d in diagnostics:
-        print(f"{d.code}: {d.message}")
-    if diagnostics:
         return 1
     sk = skolemize(f)
     print(f"formula: {unparse(f)}")

@@ -8,30 +8,29 @@ integer id per joint state, under which the table keeps its successors, its
 label column and its Q row, so a step the run has taken before is a list
 lookup, and each joint state is encoded and hashed once per id rather than
 once per step.  The episode loop deals in these ids and in joint-action
-indices into the table's `actions`, and it alone keeps the episode bound.  The
-episode's tracker keeps the zipped prefix, and the episode loop scores it with
-a `PrefixEvaluator`, which recomputes each subformula only from the lowest
-position that changed since it last scored.  The table's `memo` is a reward
-machine: per context met, it keeps the next context and the reward of each
-step taken from it, keyed on the table's `inputs` entry for the state
-stepped into, so a step seen before is a lookup and only a new one updates
-the evaluator.  In a world with `trace_prefix` the prefix is a function of
-the joint state, so there is one context, a step's key is its id and each id
-is scored once: only a step into an unscored id moves the tracker on to that
-id's prefix, where it finds the first column that changed.  A world that
-appends a label per step is scored from the appended position.  When the
-body's plan is flat (its G, F, X, U, G F and F G read atoms and their !, &, |
-and -> alone), it is a finite-state monitor whose input is the plan's root
-values at the appended column: those values are a step's key, and the
-monitor's state is the context, the first of an episode keyed on the start's
-root values.  The memo then names no id, so it outlives the table's ids, and
-a new step updates the evaluator over every column appended since its last
-update.  A nested plan (a temporal operator under another, other than G F
-and F G) updates it at every step.  The terminal reward is the last step's.
-Each `train` call checks its final greedy episode's terminal reward against
-one from-scratch evaluation of the world's traces.  Per-slot greedy policies
-and witness tables for existential quantifiers are projected out of the
-trained function.
+indices into the table's `actions`, and it alone keeps the episode bound.
+The episode's tracker keeps the zipped prefix of a world that appends a label
+per step, and the episode loop scores it with a `PrefixEvaluator`, which
+computes each appended column once and folds it into each subformula.  The
+table's `memo` is a reward machine: per context met, it keeps the next
+context and the reward of each step taken from it, keyed on the table's
+`inputs` entry for the state stepped into, so a step seen before is a lookup
+and only a new one updates the evaluator.  In a world with `trace_prefix` the
+prefix is a function of the joint state, so there is one context, a step's
+key is its id and each id is scored once: only a step into an unscored id
+zips that id's prefix and rescores it from position 0.  A world that appends
+a label per step is scored from the appended position.  When the body's plan
+is flat (its G, F, X, U, G F and F G read atoms and their !, &, | and -> alone),
+it is a finite-state monitor whose input is the plan's root values at the
+appended column: those values are a step's key, and the monitor's state is
+the context, the first of an episode keyed on the start's root values.  The
+memo then names no id, so it outlives the table's ids, and a new step updates
+the evaluator over every column appended since its last update.  A nested
+plan (a temporal operator under another, other than G F and F G) updates it
+at every step.  The terminal reward is the last step's.  Each `train` call
+checks its final greedy episode's terminal reward against one from-scratch
+evaluation of the world's traces.  Per-slot greedy policies and witness
+tables for existential quantifiers are projected out of the trained function.
 
 The seeds of a run share its table, which the world holds while the run
 lasts: only the Q rows are each seed's own.
@@ -114,14 +113,15 @@ class QRow(list):
     __slots__ = ("tried",)
 
 
-def greedy(row: QRow, prefer_tried: bool = False) -> int:
-    """Greedy action index of a row, lowest index winning ties.
+def greedy(row: QRow) -> int:
+    """Greedy action index of a row, lowest index winning ties, for the
+    final policy's rollout.
 
-    With prefer_tried, actions that have received at least one update are
-    ranked ahead of the optimistic default; rollouts of the final policy
-    use this so one never-explored action cannot outrank a learned path.
+    Actions that have received at least one update are ranked ahead of the
+    optimistic default, so one never-explored action cannot outrank a
+    learned path.
     """
-    if prefer_tried and row.tried:
+    if row.tried:
         return max((i for i in range(len(row)) if row.tried >> i & 1), key=row.__getitem__)
     return row.index(max(row))
 
@@ -241,27 +241,15 @@ class _EpisodeTracker:
 
     A world without `trace_prefix` starts from `column`, the start state's
     label column, and the episode appends one column per step to `columns`.
-    A world with it (the domino game) starts from an empty prefix and may
-    rewrite earlier positions: `advance` moves the tracker on to any state
-    of the episode and returns the first position whose column changed,
-    from which `rollout` updates its evaluator.  Such a tracker may lag
-    behind the episode, which moves it on only to the states it scores.
+    A world with it (the domino game) keeps no columns: its prefix is a
+    function of the state, which `rollout` zips afresh for each state it
+    scores.
     """
 
     def __init__(self, env: Environment, column: tuple | None = None):
         self.env = env
         self.labelled = column is not None
         self.columns = [column] if self.labelled else []
-
-    def advance(self, state: tuple) -> int:
-        """Move on to `state`, a state of the episode after the last one
-        moved to, in a world with `trace_prefix`; the first position whose
-        column changed."""
-        columns, new = self.columns, _zip(self.env.trace_prefix(state))
-        lo = next((k for k, (old, column) in enumerate(zip(columns, new)) if old != column),
-                  min(len(columns), len(new)))
-        columns[lo:] = new[lo:]
-        return lo
 
     def traces(self, state: tuple) -> list:
         """The episode's traces once it has reached `state`, its last state:
@@ -288,13 +276,12 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     and reward that `table.memo[k]` keeps under `table.inputs[n]`: n itself,
     or the plan's root values at n's column in a labelled world.  Only a
     step it lacks updates the episode's `PrefixEvaluator`, and keeps what
-    comes out (`StateTable.keep`).  The update runs from the first column
-    that changed when the tracker moves on to a `trace_prefix` world's
-    state, and over every column appended since the last update in a
-    labelled world.  Under a nested plan each step updates the evaluator
-    from the appended position.  The terminal robustness is the last
-    step's, which scores the whole episode; an episode without steps scores
-    its traces.
+    comes out (`StateTable.keep`).  A `trace_prefix` world's update rescores
+    the zipped `trace_prefix` of n from position 0; a labelled world's
+    appends every column since the last update.  Under a nested plan each
+    step updates the evaluator over the appended column.  The terminal
+    robustness is the last step's, which scores the whole episode; an
+    episode without steps scores its traces.
     """
     if beta > env.beta:
         raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "
@@ -304,11 +291,9 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     record = EpisodeRecord()
     start = env.reset(seed)
     plan = sk.plan
-    i = table.start(start, plan.program(sk.arity, cfg).roots if plan.flat else None)
+    i = table.start(start, plan.program(sk.arity, cfg) if plan.flat else None)
     labelled = table.labelled
     evaluator = PrefixEvaluator(plan, sk.arity, cfg)
-    # a `trace_prefix` world's tracker starts empty: the evaluator's first
-    # update starts at position 0 whatever the first changed column
     tracker = _EpisodeTracker(env, table.columns[i] if labelled else None)
     prefix = tracker.columns
     states, columns, inputs, memo, successors, joint_actions, width = (
@@ -328,9 +313,9 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
             prefix.append(columns[n])
         if lookup:
             if (hit := memo[key].get(inputs[n])) is None:
-                # over every column since the last update, or from the first that changed
-                lo = len(prefix) - 1 if labelled else tracker.advance(states[n])
-                rho = evaluator.update(prefix, lo)
+                # over every column since the last update, or rescored from position 0
+                rho = (evaluator.update(prefix, len(prefix) - 1) if labelled else
+                       evaluator.update(_zip(env.trace_prefix(states[n])), 0))
                 hit = table.keep(key, inputs[n], evaluator.monitor() if labelled else key, rho)
             key, rho = hit
         else:
@@ -404,8 +389,7 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
                     "rho": record.terminal_rho}
         metrics.rows.append(previous)
 
-    final = rollout(env, sk, cfg, lambda t, i: greedy(rows[i], prefer_tried=True), seed, beta,
-                    table=table)
+    final = rollout(env, sk, cfg, lambda t, i: greedy(rows[i]), seed, beta, table=table)
     table.bind()   # so a world kept after the run pins no Q-function
     # the one from-scratch evaluation: of the world's own traces (a
     # `trace_prefix` world's of the last state, not of its step deltas)

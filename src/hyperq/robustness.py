@@ -9,29 +9,31 @@ over trace positions.  Evaluating past the end of a window yields rho_min.
 A body is compiled once into a `Plan`, one step per distinct subformula in
 post-order.  The atoms and the !, &, | and -> steps above atoms alone are
 the plan's pointwise region.  As online robust monitors do (Donze, Ferrere
-and Maler, CAV 2013), that region is computed position by position with no
-signal per subformula.  The plan generates the source of one program: a
-loop over the changed positions that keeps every such step in a local, then
-every other step in plan order, a pointwise one written out from the same
-expression (`_POINTWISE` states each operator and its tie rule once) and a
-temporal one as a call of its step function.  The source is compiled once
-per process for each shape of plan, and found by that shape before any
-source is generated.  When the loop reads Boolean atoms
-alone, its values at a position are a function of the props it reads there,
-so each program keeps them per distinct column and computes a column it has
-met before by one dict lookup.  A `PrefixEvaluator` runs the program
-over Python floats: a list with one value per position for each remaining
-step that needs them, one value for a step read only at position 0.  It
-keeps these between calls, so an episode's growing prefix is scored after
-every step from the lowest position that changed: G and F at position 0,
-and U over pointwise operands there, fold in the appended positions, G F
-and F G over a pointwise operand read its newest value (the finite-trace
-identities of LTLf, De Giacomo and Vardi, IJCAI 2013), and the backward
-recurrences of G, F, U and X stop below the change as soon as a value comes
-out unchanged.  A plan whose temporal steps all fold forward is a
-finite-state monitor (`Plan.flat`), which the training loop looks up rather
-than evaluates.  `eval_ltl` and `eval_hyper` are one-shot uses of the same
-evaluator.
+and Maler, CAV 2013), that region is computed once per new column, by one
+piece of code, with no signal per subformula.  The plan generates the source
+of one program: `roots(column)`, which computes every such step in a local
+and returns the values that other steps read, and `run`, which appends
+`roots` of each new column and then runs every other step in plan order, a
+pointwise one written out from the same expression (`_POINTWISE` states
+each operator and its tie rule once) and a temporal one as a call of its
+step function.  The source is compiled once per process for each shape of
+plan, and found by that shape before any source is generated.  When `roots`
+reads Boolean atoms alone, its values at a position are a function of the
+props it reads there, so each program keeps them per distinct column and
+computes a column it has met before by one dict lookup.  A
+`PrefixEvaluator` runs the program over Python floats: a list with one
+value per position for each remaining step that needs them, one value for
+a step read only at position 0.  It keeps these between calls, so an
+episode's growing prefix is scored after every appended column: G and F at
+position 0, and U over pointwise operands there, fold in the appended
+positions, G F and F G over a pointwise operand read its newest value (the
+finite-trace identities of LTLf, De Giacomo and Vardi, IJCAI 2013), and the
+backward recurrences of G, F, U and X stop below the change as soon as a
+value comes out unchanged.  A prefix whose earlier positions were rewritten
+is rescored from position 0.  A plan whose temporal steps all fold forward
+is a finite-state monitor (`Plan.flat`), which the training loop looks up
+rather than evaluates.  `eval_ltl` and `eval_hyper` are one-shot uses of
+the same evaluator.
 
 A separate Boolean evaluator implements the positional satisfaction relation
 directly (with explicit quantifier enumeration over a finite trace set) and
@@ -88,7 +90,12 @@ class UnknownValuationError(KeyError):
 
 @dataclass
 class Label:
-    """Observation of one trace position: propositions plus numeric valuations."""
+    """Observation of one trace position: propositions plus numeric valuations.
+
+    Labels compare by the dataclass's equality, under which a 0.0 and a -0.0
+    valuation are equal, although they give a predicate margins of opposite
+    sign; scoring never compares labels.
+    """
 
     props: frozenset = frozenset()
     valuations: dict = field(default_factory=dict)
@@ -98,15 +105,6 @@ class Label:
             return self.valuations[name]
         except KeyError:
             raise UnknownValuationError(name) from None
-
-    def __eq__(self, other):
-        """Equal props and valuations, a 0.0 and a -0.0 valuation unequal:
-        they give a predicate margins of opposite sign."""
-        if not isinstance(other, Label):
-            return NotImplemented
-        return (self.props == other.props and self.valuations == other.valuations
-                and all(_unchanged(x, other.valuations[k])
-                        for k, x in self.valuations.items() if x == 0.0))
 
 
 class Trace(tuple):
@@ -382,17 +380,6 @@ _POINTWISE = {
 }
 
 
-def _needed(plan, targets) -> set:
-    """The fused steps that `targets` read, themselves included."""
-    need, stack = set(), list(targets)
-    while stack:
-        k = stack.pop()
-        if k not in need:
-            need.add(k)
-            stack.extend(plan.shape[k][1])
-    return need
-
-
 def _atom_shape(node) -> tuple:
     """An atom's entry in `Plan.shape`: its type, no children, and what
     the program's source reads of it, the slots of its targets and the form
@@ -418,9 +405,9 @@ def _constants(plan) -> list:
     return out
 
 
-def _kernel_lines(plan, need, arity: int, loaded=()):
-    """Statements that set local `x{i}` for every fused step in `need`, in
-    plan order, from the column `col` of one position; each label attribute
+def _kernel_lines(plan, arity: int, loaded=()):
+    """Statements that set local `x{i}` for every fused step, in plan
+    order, from the column `col` of one position; each label attribute
     is loaded into a local where it is first read, unless `loaded` names
     that local already."""
     lines, loaded = [], set(loaded)
@@ -435,8 +422,9 @@ def _kernel_lines(plan, need, arity: int, loaded=()):
             lines.append(f"{local} = col[{slot}].{attr}")
         return local
 
-    for i in sorted(need):
-        kind, kids, *atom = plan.shape[i]
+    for i, (kind, kids, *atom) in enumerate(plan.shape):
+        if not plan.fused[i]:
+            continue
         x = f"x{i}"
         if kind is TrueNode:
             lines.append(f"{x} = R")
@@ -468,57 +456,47 @@ def _kernel_source(plan, arity: int) -> str:
     `shape`, never a prop, valuation or constant, so that plans of one shape
     share it.
 
-    The program `run(v, low, cols, lo, n, m)` first computes every fused
-    step as a local, position by position from `lo` on, and stores each
-    root: appended to its list when it keeps one value per position, as its
-    one value when position 0 is among the changed ones otherwise.  Then it
-    runs every other step in plan order.  A pointwise step is its
-    `_POINTWISE` expression, either at position 0 or as one list
-    comprehension from its operands' lowest change on; a temporal step is a
-    call of its `_head_step` or `_row_step` function.  For a flat plan,
-    `run.roots(col)` computes the roots' values at one column alone and
-    returns them packed by P.
+    `roots(col)` is the only code that computes the fused steps: it returns
+    the roots' values at one column, in `Plan.roots` order, and turns a
+    valuation the column's labels lack into UnknownValuationError.  The
+    program `run(v, low, cols, lo, n, m)` appends `roots` of each column
+    from `lo` on to the roots' lists, then runs every other step in plan
+    order.  A pointwise step is its `_POINTWISE` expression, either at
+    position 0 or as one list comprehension from its operands' lowest
+    change on; a temporal step is a call of its `_head_step` or `_row_step`
+    function.  The program carries `run.roots` and `run.pack`, which packs
+    the values `roots` returns so that a 0.0 and a -0.0 differ.
 
-    When the per-position loop reads no predicate, only the `props` of the
-    slots its atoms read, every root it stores is +/-rho_max and a function
-    of those frozensets.  `make` then gives the program a dict `memo` of its
-    own (also `run.memo`) from those frozensets (one, or their tuple) to the
-    roots' values: a column met before appends what the dict keeps, and
-    only a new one runs the loop's statements.  The dict starts afresh once
-    it holds 2 ** (the number of Boolean atoms read) columns, the most that
-    differ in what the plan reads.  A plan that reads predicates gets the
-    loop alone, since a margin may be -0.0 and its valuations are not part
-    of the key.
+    When `roots` reads no predicate, only the `props` of the slots its atoms
+    read, every root is +/-rho_max and a function of those frozensets.
+    `make` then gives the program a dict `memo` of its own (also
+    `run.memo`) from those frozensets (one, or their tuple) to the roots'
+    values: a column met before is one lookup, and only a new one runs the
+    statements.  The dict starts afresh once it holds 2 ** (the number of
+    Boolean atoms read) columns, the most that differ in what the plan
+    reads.  A plan that reads predicates gets the statements alone, since a
+    margin may be -0.0 and its valuations are not part of the key.
     """
-    rows = [i for i in plan.roots if plan.whole[i]]
-    heads = [i for i in plan.roots if not plan.whole[i]]
-    memo = False
-    unknown = ["except KeyError as exc:", "    raise UnknownValuationError(*exc.args) from None"]
-    body = [f"o{i} = v[{i}]" for i in rows] + [f"del o{i}[lo:]" for i in rows] + ["try:"]
-    if heads:
-        lines = _kernel_lines(plan, _needed(plan, heads), arity)
-        lines += [f"v[{i}][0] = x{i}" for i in heads]
-        body += ["    if lo == 0:", "        col = cols[0]"] + [f"        {s}" for s in lines]
-    if rows:
-        need = _needed(plan, rows)
-        atoms = [plan.shape[k] for k in need if not plan.shape[k][1]]
-        memo = not any(kind is Predicate for kind, *_ in atoms)
-        if memo:
-            slots = sorted({_slot(atom[2], arity) for atom in atoms if atom[0] is BoolProp})
-            keys = [f"p{s}" for s in slots]
-            key = keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
-            lines = [f"p{s} = col[{s}].props" for s in slots]
-            lines += [f"roots = memo.get({key})", "if roots is None:"]
-            lines += [f"    {s}" for s in _kernel_lines(plan, need, arity, keys)]
-            props = sum(atom[0] is BoolProp for atom in atoms)
-            lines += [f"    if len(memo) >= {2 ** props}:", "        memo.clear()",
-                      f"    roots = memo[{key}] = " + ", ".join(f"x{i}" for i in rows) + ","]
-            lines += [f"o{i}.append(roots[{j}])" for j, i in enumerate(rows)]
-        else:
-            lines = _kernel_lines(plan, need, arity)
-            lines += [f"o{i}.append(x{i})" for i in rows]
-        body += ["    for col in cols[lo:]:"] + [f"        {s}" for s in lines]
-    body += unknown + [f"low[{i}] = lo" for i in plan.roots]
+    values = ", ".join(f"x{i}" for i in plan.roots) + ","
+    atoms = [shape for shape in plan.shape if not shape[1]]
+    memo = not any(kind is Predicate for kind, *_ in atoms)
+    if memo:
+        slots = sorted({_slot(atom[2], arity) for atom in atoms if atom[0] is BoolProp})
+        keys = [f"p{s}" for s in slots]
+        key = keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
+        props = sum(atom[0] is BoolProp for atom in atoms)
+        lines = [f"p{s} = col[{s}].props" for s in slots]
+        lines += [f"hit = memo.get({key})", "if hit is None:"]
+        lines += [f"    {s}" for s in _kernel_lines(plan, arity, keys)]
+        lines += [f"    if len(memo) >= {2 ** props}:", "        memo.clear()",
+                  f"    hit = memo[{key}] = {values}", "return hit"]
+    else:
+        lines = ["try:", *(f"    {s}" for s in _kernel_lines(plan, arity)),
+                 "except KeyError as exc:", "    raise UnknownValuationError(*exc.args) from None",
+                 f"return {values}"]
+    body = [f"o{i} = v[{i}]" for i in plan.roots] + [f"del o{i}[lo:]" for i in plan.roots]
+    body += [f"for {values} in map(roots, cols[lo:]):"]
+    body += [f"    o{i}.append(x{i})" for i in plan.roots] + [f"low[{i}] = lo" for i in plan.roots]
     for i, (kind, kids, *_) in enumerate(plan.shape):
         if plan.fused[i]:
             continue
@@ -534,22 +512,15 @@ def _kernel_source(plan, arity: int) -> str:
                                      "a, b"))
             body += [f"k = low[{i}] = {lowest}", "if k < n:",
                      f"    v[{i}][k:] = [{expr.format(a='a', b='b')} for {names} in {items}]"]
-    roots = []
-    if plan.flat:
-        lines = _kernel_lines(plan, _needed(plan, plan.roots), arity)
-        roots = ["    def roots(col):", "        try:", *(f"            {s}" for s in lines),
-                 *(f"        {s}" for s in unknown),
-                 f"        return P({', '.join(f'x{i}' for i in plan.roots)})",
-                 "    run.roots = roots"]
     params = ["R", "N", "P"]
     for i, (kind, *_) in enumerate(plan.shape):
         params += [f"k{i}"] if kind is BoolProp else [f"k{i}", f"c{i}"] if kind is Predicate else []
     params += [f"t{j}" for j in range(len(plan.temporal))]
     return "\n".join([f"def make({', '.join(params)}):",
                       *(["    memo = {}"] if memo else []),
-                      "    def run(v, low, cols, lo, n, m):",
-                      *(f"        {s}" for s in body),
-                      *roots,
+                      "    def roots(col):", *(f"        {s}" for s in lines),
+                      "    def run(v, low, cols, lo, n, m):", *(f"        {s}" for s in body),
+                      "    run.roots, run.pack = roots, P",
                       *(["    run.memo = memo"] if memo else []),
                       "    return run", ""])
 
@@ -587,32 +558,32 @@ class Plan:
     it (see `_atom_shape`): plans of one shape share one compiled source.
 
     `fused[i]` says whether step i is an atom, or a !, &, | or -> step whose
-    children are all fused.  The fused steps are computed position by
-    position in one loop, without a list of their own; only the `roots`, the
-    fused steps that a non-fused step reads (and the body, when it is
-    fused), are stored.
+    children are all fused.  The program's `roots` function computes the
+    fused steps at one column, without a list of their own; only the
+    `roots`, the fused steps that a non-fused step reads (and the body, when
+    it is fused), are stored, one value per position.
 
     `last[i]` says whether step i is G F φ or F G φ over a fused φ, with φ
     as its one child.  On a finite prefix both equal φ at the newest
     position, bit for bit, since F's and G's folds keep the later position
     on a tie.
 
-    `whole[i]` says whether step i keeps one value per position.  Atoms
-    always do, and so does a U with a child that is not fused.  Any other
-    step that only !, &, | and -> steps read on the way to the body is
-    needed at position 0 alone and keeps one value; a U over fused children
-    keeps its fold's state (see `_head_step`).
+    `whole[i]` says whether step i keeps one value per position.  Fused
+    steps always do, and so does a U with a child that is not fused.  Any
+    other step that only !, &, | and -> steps read on the way to the body
+    is needed at position 0 alone and keeps one value; a U over fused
+    children keeps its fold's state (see `_head_step`).
 
     `temporal` lists the steps that are neither fused nor pointwise.
     `program` generates one function per plan, slot count and configuration
-    that runs the fused loop and then every other step in plan order: a
-    pointwise step written out from the same expression as in the loop, a
-    temporal step as a call of its step function.  The source names its
-    props, valuations, constants and step functions by parameter, so it is
-    compiled once per process for all plans of one shape.  When that loop
-    reads Boolean atoms alone, each program keeps the roots' values of
-    every distinct column it has scored, keyed on the `props` it reads, and
-    scores a column met before by lookup.
+    that appends the roots' values at each new column and then runs every
+    other step in plan order: a pointwise step written out from the same
+    expression as in `roots`, a temporal step as a call of its step
+    function.  The source names its props, valuations, constants and step
+    functions by parameter, so it is compiled once per process for all
+    plans of one shape.  When `roots` reads Boolean atoms alone, each
+    program keeps the roots' values of every distinct column it has scored,
+    keyed on the `props` it reads, and scores a column met before by lookup.
 
     A plan is `flat` when every step that is not fused keeps one value: its
     G, F, X, U and `last` steps read fused roots alone, and only !, &, | and
@@ -658,7 +629,7 @@ class Plan:
         whole = [False] * len(steps)
         for i in range(len(steps) - 1, -1, -1):       # every reader before what it reads
             node, kids = steps[i]
-            whole[i] = (whole[i] or not kids
+            whole[i] = (whole[i] or fused[i]
                         or isinstance(node, Until) and not all(fused[k] for k in kids))
             if whole[i] or type(node) not in _POINTWISE:
                 for k in kids:
@@ -686,9 +657,9 @@ class Plan:
 
     def program(self, arity: int, cfg: RobustnessConfig):
         """The function `run(values, lows, columns, lo, n, m)` that brings
-        every step up to date; a flat plan's has `run.roots(column)`, the
-        roots' values at one column packed so that a 0.0 and a -0.0 differ
-        (see `_kernel_source`)."""
+        every step up to date, with `run.roots(column)`, the roots' values
+        at one column, and `run.pack`, which packs them so that a 0.0 and a
+        -0.0 differ (see `_kernel_source`)."""
         program = self._programs.get((arity, cfg))
         if program is None:
             rmax, rmin = float(cfg.rho_max), float(cfg.rho_min)
@@ -705,19 +676,18 @@ class PrefixEvaluator:
 
     The values are Python floats: a list per position for each step that
     keeps a value per position, and one value for each step needed at
-    position 0 alone (two for a U step's fold, see `Plan`).  `update` makes
-    one call of the plan's program from the lowest position that changed
-    since the previous update: one loop over the changed columns computes
-    every atom and every pointwise step above atoms alone, and stores only
-    the plan's roots (a loop over Boolean atoms alone looks up the roots of
-    a column it has scored before).
-    Then each other step runs and reports the lowest position it changed to
-    its readers.  G, F and U at position 0 fold in appended positions in
-    O(1) each, and G F and F G read the newest one; the per-position
-    recurrences of G, F, U and X stop below the change as soon as a value
-    comes out unchanged.  Min, max and negation are exact, ties of 0.0 and
-    -0.0 follow the scalar folds, so the result equals a from-scratch
-    evaluation bit for bit, the sign of a zero included.
+    position 0 alone (two for a U step's fold, see `Plan`).  Columns enter
+    in one of two ways: appended to the prefix of the previous update, or
+    rescored from position 0.  `update` makes one call of the plan's
+    program, which appends the plan's `roots` of every new column (a plan
+    over Boolean atoms alone looks up the roots of a column it has scored
+    before).  Then each other step runs and reports the lowest position it
+    changed to its readers.  G, F and U at position 0 fold in appended
+    positions in O(1) each, and G F and F G read the newest one; the
+    per-position recurrences of G, F, U and X stop below the change as soon
+    as a value comes out unchanged.  Min, max and negation are exact, ties
+    of 0.0 and -0.0 follow the scalar folds, so the result equals a
+    from-scratch evaluation bit for bit, the sign of a zero included.
     """
 
     def __init__(self, plan: Plan, arity: int, cfg: RobustnessConfig):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -11,6 +12,7 @@ import pytest
 
 import hyperq as hq
 import hyperq.learner as learner
+import hyperq.robustness as robustness
 from hyperq.env import (ArityMismatchError, EpisodeExhaustedError, Environment, InvalidActionError,
                         StateTable)
 from hyperq.formula import children_of
@@ -59,10 +61,10 @@ def _values(q, key):
     return list(q.table.get(key, q.zeros))
 
 
-def _greedy(q, key, prefer_tried=False):
+def _greedy(q, key):
     """`greedy` of the key's row; 0 for a key without one."""
     row = q.table.get(key)
-    return 0 if row is None else greedy(row, prefer_tried)
+    return 0 if row is None else greedy(row)
 
 
 def test_q_update_degenerate_bellman():
@@ -153,8 +155,9 @@ def test_tabular_q_agrees_with_the_none_based_table():
                     row.tried |= 1 << i
             oracle.table[key] = entered
         for key in keys:
-            assert _greedy(q, key) == oracle.best(key)
-            assert _greedy(q, key, prefer_tried=True) == oracle.best(key, prefer_tried=True)
+            values = _values(q, key)    # explore's argmax
+            assert values.index(max(values)) == oracle.best(key)
+            assert _greedy(q, key) == oracle.best(key, prefer_tried=True)
             assert _bits(_values(q, key)) == _bits(oracle.values(key))
             assert _bits([max(_values(q, key))]) == _bits([max(oracle.values(key))])
         h = Hyperparams(gamma=rng.choice((0.0, 0.5, 1.0)), learning_rate=rng.choice((0.5, 1.0)))
@@ -166,7 +169,7 @@ def test_tabular_q_agrees_with_the_none_based_table():
             oracle.update(*args)
         for key in keys:
             assert _bits(_values(q, key)) == _bits(oracle.values(key))
-            assert _greedy(q, key, prefer_tried=True) == oracle.best(key, prefer_tried=True)
+            assert _greedy(q, key) == oracle.best(key, prefer_tried=True)
 
 
 def test_greedy_policy_invariant_under_reward_scaling():
@@ -848,11 +851,11 @@ def test_rollout_rewards_keep_zero_signs_rewritten_prefix(body):
 
 def test_rollout_rewards_keep_zero_signs_when_a_rewrite_flips_one():
     # a rewrite that only flips the sign of a zero valuation changes the
-    # margin's sign, so the tracker must re-score from that position
+    # margin's sign, so the rewritten prefix must be rescored
     def label(v):
         return Label(frozenset(), {"v": v})
 
-    assert label(0.0) != label(-0.0) and label(-0.0) == label(-0.0)
+    assert _bits([label(0.0).valuations["v"]]) != _bits([label(-0.0).valuations["v"]])
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
         env = _PrefixScript([[], [(label(first),)], [(label(second),), (label(1.0),)]], 1)
         for body in ("[ v@t1 > 0 ]", "G [ v@t1 < 0 ]", "X (G [ v@t1 > 0 ] & X [ v@t1 > 0 ])"):
@@ -1015,7 +1018,7 @@ def test_rollout_rewards_keep_zero_signs_300_steps_nested():
 
 
 # Rewards over bodies whose pointwise steps the plan's program computes in
-# each of its three ways: in the loop over atoms, at position 0 alone, and
+# each of its three ways: in `roots` over atoms, at position 0 alone, and
 # per position over temporal operands.  Each reward is compared bit for bit with a from-scratch `eval_hyper` and with
 # `signed_eval`, and by value with `naive_eval` (whose min and max keep the
 # left operand of a tie, so its zero signs differ).  v is one of -1, -0.0,
@@ -1147,14 +1150,18 @@ def test_monitor_shapes_match_the_oracles_on_fresh_and_warm_tables(monkeypatch):
 
 def test_kernel_bodies_cover_their_shapes():
     # the cases above reach what they are named for: a body the kernel
-    # computes alone, a root kept at position 0 alone, a root read by a
-    # temporal and a head step, an abs-diff predicate under ->, and an &, |
-    # and -> kept per position over temporal operands
+    # computes alone, a root read at position 0 alone (by the body's &), a
+    # root read by a temporal and a head step, an abs-diff predicate under
+    # ->, and an &, | and -> kept per position over temporal operands.
+    # Every root keeps one value per position
     plans = [skolemize(hq.parse_formula("forall t1. forall t2. " + b)).plan
              for b in _KERNEL_BODIES]
     assert all(plans[0].fused) and plans[0].roots == (len(plans[0]) - 1,)
-    head_roots = [i for i in plans[1].roots if not plans[1].whole[i]]
-    assert [type(plans[1].steps[i][0]).__name__ for i in head_roots] == ["And"]
+    assert all(plan.whole[i] for plan in plans for i in plan.roots)
+    left = plans[1].steps[-1][1][0]
+    readers = [type(node).__name__ for node, kids in plans[1].steps if left in kids]
+    assert type(plans[1].steps[left][0]).__name__ == "And" and left in plans[1].roots
+    assert readers == ["And"] and not plans[1].whole[-1]
     shared = plans[2].steps[-1][1][1]          # the right operand of |
     assert shared in plans[2].roots and plans[2].whole[shared]
     assert {type(plans[2].steps[i][0]).__name__ for i, (_, kids) in enumerate(plans[2].steps)
@@ -1163,6 +1170,65 @@ def test_kernel_bodies_cover_their_shapes():
     for plan, name in zip(plans[4:], ("And", "Or", "Implies")):
         assert name in [type(node).__name__ for (node, _), whole, fused
                         in zip(plan.steps, plan.whole, plan.fused) if whole and not fused]
+
+
+_BUNDLED_PROPS = ("goal1 goal2 i f c g resource "
+                  "top_a bot_a top_b bot_b top_hash bot_hash").split()
+
+
+def _bundled_label(rng):
+    """A label that every bundled formula can read."""
+    return Label(frozenset(p for p in _BUNDLED_PROPS if rng.random() < 0.3),
+                 {k: rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+                  for k in ("cell", "loc", "energy")})
+
+
+def _roots_cases():
+    """(name, skolemized formula, label maker) per kernel, monitor and
+    bundled body."""
+    for body in _KERNEL_BODIES + _MONITOR_BODIES:
+        yield body, skolemize(hq.parse_formula("forall t1. forall t2. " + body)), _kernel_label
+    for name in ("pcp_ab", "safe_rl", "fairness", "rescue"):
+        yield name, skolemize(hq.load_formula(hq.bundled(f"formulas/{name}.hltl"))), _bundled_label
+
+
+def test_each_fused_step_is_computed_once_in_the_source():
+    # the program's `roots` is the only code that computes a fused step:
+    # its source assigns x{i} from an expression that does not read x{i}
+    # once per fused step, and the steps of a predicate's margin each
+    # rebind that x{i} from itself
+    for name, sk, _ in _roots_cases():
+        plan = sk.plan
+        tree = ast.parse(robustness._kernel_source(plan, sk.arity))
+        defined = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                target = node.targets[0].id
+                reads = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+                if target.startswith("x") and target not in reads:
+                    defined.append(int(target[1:]))
+        assert sorted(defined) == [i for i, fused in enumerate(plan.fused) if fused], name
+
+
+def test_roots_give_what_the_program_appends_at_each_column():
+    # `program.roots(column)` is the roots' values at one column, in
+    # `plan.roots` order, bit for bit what an update stores for that
+    # column, whether the prefix was appended to or rescored from 0
+    for name, sk, make_label in _roots_cases():
+        plan, rng = sk.plan, random.Random(name)
+        roots = plan.program(sk.arity, CFG).roots
+        evaluator = PrefixEvaluator(plan, sk.arity, CFG)
+        columns = []
+        for lo in range(12):
+            columns.append(tuple(make_label(rng) for _ in range(sk.arity)))
+            evaluator.update(columns, lo)
+        for rescore in (False, True):
+            if rescore:
+                columns = [tuple(make_label(rng) for _ in range(sk.arity)) for _ in range(9)]
+                evaluator.update(columns, 0)
+            stored = [[evaluator._vals[i][j] for i in plan.roots] for j in range(len(columns))]
+            assert [_bits(values) for values in stored] == [
+                _bits(roots(column)) for column in columns], (name, rescore)
 
 
 def test_plan_is_flat_when_its_temporal_steps_read_fused_roots_alone():
@@ -1272,11 +1338,9 @@ def test_bundled_formulas_take_the_lookup_by_their_plans(monkeypatch, name, flat
     sk = skolemize(hq.load_formula(hq.bundled(f"formulas/{name}.hltl")))
     assert sk.plan.flat == flat
     rng = random.Random(name)
-    props = ("goal1 goal2 i f c g resource "
-             "top_a bot_a top_b bot_b top_hash bot_hash").split()
 
     def label():
-        return Label(frozenset(p for p in props if rng.random() < 0.3),
+        return Label(frozenset(p for p in _BUNDLED_PROPS if rng.random() < 0.3),
                      {k: float(rng.randrange(4)) for k in ("cell", "loc", "energy")})
 
     env = _LabelCycle([(label(), label()) for _ in range(5)], 12)
@@ -1296,9 +1360,9 @@ def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch
     class Kept(StateTable):
         limit = 32
 
-        def start(self, state, roots=None):
+        def start(self, state, program=None):
             before = len(self.states), len(self.memo), self.kept
-            i = super().start(state, roots)
+            i = super().start(state, program)
             starts.append((before, (len(self.states), len(self.memo), self.kept)))
             return i
 
@@ -1399,13 +1463,13 @@ def test_rollout_rejects_unequal_slot_lengths():
         env = _PrefixScript([[], columns], 2)
         with pytest.raises(LengthMismatchError):
             rollout(env, sk, CFG, lambda t, i: 0, 0, 1)
-    # unequal slots at the start: an episode without steps scores them
-    env = _PrefixScript([[]], 2)
+    # unequal slots at every state: an episode without steps scores them at
+    # its end, one with a step when it scores that step
+    env = _PrefixScript([[], []], 2)
     env.trace_prefix = lambda state: (Trace((label,) * 2), Trace((label,)))
-    with pytest.raises(LengthMismatchError):
-        rollout(env, sk, CFG, lambda t, i: 0, 0, 0)
-    with pytest.raises(LengthMismatchError):
-        _EpisodeTracker(env).advance(env.reset(0))
+    for beta in (0, 1):
+        with pytest.raises(LengthMismatchError):
+            rollout(env, sk, CFG, lambda t, i: 0, 0, beta)
 
 
 def test_rollout_empty_slot_scores_minimum():

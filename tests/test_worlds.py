@@ -15,7 +15,7 @@ from hyperq.env import (
     StateTable,
 )
 from hyperq.harness import cmd_train
-from hyperq.learner import Hyperparams, _EpisodeTracker, episode_bound, rollout
+from hyperq.learner import Hyperparams, episode_bound, rollout
 from hyperq.robustness import RobustnessConfig, zip_traces
 from hyperq.skolem import skolemize
 from hyperq.worlds import (
@@ -439,16 +439,10 @@ def _letter_props(env, state):
     return out
 
 
-def _first_change(before, after) -> int:
-    return next((i for i, (x, y) in enumerate(zip(before, after)) if x != y),
-                min(len(before), len(after)))
-
-
 def test_pcp_shared_letter_labels_unroll_like_letters():
     # every pcp-k3 state reachable in 4 steps: trace_prefix gives the
-    # letter-by-letter props through shared labels; the episode tracker
-    # moves on from a state to its successor at the first position where
-    # their props differ, and keeps trace_prefix's columns label for label
+    # letter-by-letter props through shared labels, one label object per
+    # distinct props
     env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")))
     joint = [JointAction((a, b)) for a in env.actions for b in env.actions]
     level = {(): env.reset(0)}
@@ -456,54 +450,39 @@ def test_pcp_shared_letter_labels_unroll_like_letters():
     for _ in range(4):
         following = {}
         for state in level.values():
-            before = list(zip(*_letter_props(env, state)))
-            before_columns = list(zip(*env.trace_prefix(state)))
             for action in joint:
                 nxt = env.step(state, action)
                 following.setdefault(nxt, nxt)
                 slots = env.trace_prefix(nxt)
-                expected = _letter_props(env, nxt)
-                assert [[label.props for label in t] for t in slots] == expected
+                assert [[label.props for label in t] for t in slots] == _letter_props(env, nxt)
                 for label in (label for t in slots for label in t):
                     assert by_props.setdefault(label.props, label) is label
-                tracker = _EpisodeTracker(env)
-                assert tracker.advance(state) == 0 and tracker.columns == before_columns
-                assert tracker.advance(nxt) == _first_change(before, list(zip(*expected)))
-                assert all(a is b for got, want in zip(tracker.columns, zip(*slots), strict=True)
-                           for a, b in zip(got, want, strict=True))
                 steps += 1
         level = following
     assert len(level) > 1000 and steps > 10000
 
 
-def test_pcp_tracker_advances_over_several_steps():
-    # every two-slot k3 action sequence of up to 3 joint steps: from each
-    # earlier state of the sequence to each later one, the episode tracker
-    # moves on at the first position where their props differ, to the
-    # later state's columns
+def test_pcp_labels_stay_shared_over_several_steps():
+    # every two-slot k3 action sequence of up to 3 joint steps: a state's
+    # trace_prefix holds the very label of each earlier state of the
+    # sequence wherever their props agree, so rescoring a state from
+    # position 0 meets the labels, and their props, that it met before
     env = PcpEnv(load_domino_file(hq.bundled("dominoes/k3_solvable.dom")))
     joint = [JointAction((a, b)) for a in env.actions for b in env.actions]
-    start = env.reset(0)
-
-    def props(state):
-        return list(zip(*_letter_props(env, state)))
-
     pairs = 0
-    stack = [[(start, props(start))]]
+    stack = [[env.reset(0)]]
     while stack:
         history = stack.pop()
-        state, after = history[-1]
-        columns = list(zip(*env.trace_prefix(state)))
-        for prev, before in history[:-1]:
-            tracker = _EpisodeTracker(env)   # starts empty; the first advance changes all
-            assert tracker.advance(prev) == 0
-            assert tracker.advance(state) == _first_change(before, after), (prev, state)
-            assert tracker.columns == columns
+        state = history[-1]
+        slots = env.trace_prefix(state)
+        assert [[label.props for label in t] for t in slots] == _letter_props(env, state)
+        for prev in history[:-1]:
+            assert all(a is b for old, new in zip(env.trace_prefix(prev), slots, strict=True)
+                       for a, b in zip(old, new) if a.props == b.props), (prev, state)
             pairs += 1
         if len(history) <= 3:
             for action in joint:
-                nxt = env.step(state, action)
-                stack.append(history + [(nxt, props(nxt))])
+                stack.append(history + [env.step(state, action)])
     assert pairs == 16 * 1 + 16 ** 2 * 2 + 16 ** 3 * 3
 
 
