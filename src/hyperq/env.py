@@ -4,14 +4,14 @@ An environment advances one opaque state per trace slot under a joint action
 and exposes only reset/step/label observations; transition dynamics stay
 hidden from learners.  A joint state is the tuple of its slot states.  All
 bundled environments are deterministic given the reset seed, so
-stochasticity enters only through exploration.  A run keeps what it has
-observed of one in a `StateTable`, keyed on small integer ids of the joint
-states it has seen: the world's `table` while a run trains on it.
+stochasticity enters only through exploration.  Every episode on a world
+keeps what it observes in the world's `table`, a `StateTable` for one
+formula and robustness config, keyed on small integer ids of the joint
+states it has seen.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import weakref
 from dataclasses import dataclass, field
@@ -74,8 +74,10 @@ class Environment:
     remembers it in `valid_actions` (see `check_action`); an invalid tuple is
     never remembered, so it raises on every step that passes it.
 
-    `table` is the `StateTable` that the `train` calls of one run share, so
-    that a seed looks up what an earlier seed observed; None between runs.
+    `table` is the world's `StateTable` (see `StateTable.of`), which every
+    rollout on it shares, so that a seed looks up what the set-up check and
+    the seeds before it observed; None until the first rollout, and again
+    once `hyperq train` has trained every seed.
     """
 
     kind = "abstract"
@@ -140,15 +142,15 @@ class Environment:
         self.valid_actions.add(action.per_trace)
 
 
-@functools.lru_cache(maxsize=None)
-def _joint_actions(actions: tuple, arity: int) -> tuple:
-    """Every JointAction of `arity` slots over `actions`, in product order;
-    made once per alphabet, since `eval` starts two tables."""
-    return tuple(JointAction(a) for a in itertools.product(actions, repeat=arity))
-
-
 class StateTable:
-    """The joint states one run has seen, each under a small integer id.
+    """The joint states a world has met, each under a small integer id,
+    with the rewards of one skolemized formula `sk` under one robustness
+    config `config`.
+
+    `StateTable.of` chooses the table of a rollout: the world's `table`
+    while it was made for an equal `sk` and `config`, or a new one it puts
+    there.  So training, the final greedy episode, `greedy_rollout` and the
+    set-up check all score into the world's one table.
 
     A state's id is its index in `states`, which holds the joint state, and in
     `rows`, which holds what `make_row(state)` made of it (the Q row of the
@@ -157,10 +159,11 @@ class StateTable:
     `inputs[i]` is the key under which the memo keeps a step into id i.
     Under a flat plan (see `Plan.flat`) a labelled world's key is the
     plan's root values at the id's column, `program.roots` of it packed by
-    `program.pack` when the id is interned, so that a 0.0 and a -0.0 differ.
-    Otherwise the key is the id.
+    `program.pack` when the id is interned, so that a 0.0 and a -0.0 differ;
+    `program` is the flat plan's program, derived once per table.
+    Otherwise the key is the id and `program` is None.
 
-    `memo` is the run's reward machine: it maps a context key to the steps
+    `memo` is the table's reward machine: it maps a context key to the steps
     kept from that context, {step key: (next context key, robustness)}.  A
     world with `trace_prefix` has one context, keyed None, since its prefix
     is a function of the joint state, and a step's key is the id.  Under a
@@ -169,32 +172,33 @@ class StateTable:
     values.  Then the memo names no id: equal root values make equal steps,
     whatever state they come from.  A hit names its next context by key,
     so the memo holds no reference cycle.  `keys` maps each packed key the
-    table holds to one object of that value, which ids and hits share.  The
-    memo holds for one formula and robustness config: `train` keeps it, and
-    the skolemized body, in `formula`, `config` and `sk`.
+    table holds to one object of that value, which ids and hits share.
 
     `actions` are the world's joint actions, all combinations of `actions`
     over the slots, and `index` maps a joint-action tuple to its position.
     `successors[i * width + a]` is the id one step on from state i under
-    joint action a, or -1 until a run has taken that step, always through
+    joint action a, or -1 until a rollout has taken that step, always through
     `Environment.step`, so the action check stays there.  Since `transition`,
     `label_of` and `trace_prefix` read only the joint state, the table is a
-    pure cache: the seeds of a run share it, and nothing a run computes
-    changes when `start` begins it afresh.  It does so once the table holds
-    more than `limit` ids, keeping a labelled world's memo, which names no
-    id.  It begins the memo afresh once that holds more than `limit`
-    contexts, or more steps (`kept`) than `successors` has room for at
-    `limit` ids, since root values need not repeat as ids do.  It holds its
-    world weakly, since the world holds it.
+    pure cache: every rollout on the world shares it, and nothing a run
+    computes changes when `start` begins it afresh.  It does so once the
+    table holds more than `limit` ids, keeping a labelled world's memo,
+    which names no id.  It begins the memo afresh once that holds more than
+    `limit` contexts, or more steps (`kept`) than `successors` has room for
+    at `limit` ids, since root values need not repeat as ids do.  It holds
+    its world weakly, since the world holds it.
     """
 
     limit = 2048
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, sk, config):
         self.env = weakref.proxy(env)
-        self.make_row = self.program = None
-        self.formula = self.config = self.sk = None
-        self.actions = _joint_actions(tuple(env.actions), env.arity)
+        self.sk, self.config = sk, config
+        plan = sk.plan
+        self.program = plan.program(sk.arity, config) if plan.flat else None
+        self.make_row = None
+        self.actions = tuple(JointAction(a)
+                             for a in itertools.product(env.actions, repeat=env.arity))
         self.index = {a.per_trace: k for k, a in enumerate(self.actions)}
         self.width = len(self.actions)
         self.unknown = [-1] * self.width   # the successors of a new id
@@ -208,6 +212,18 @@ class StateTable:
         self.rows: list = []
         self.successors: list = []
 
+    @classmethod
+    def of(cls, env: Environment, sk, config) -> StateTable:
+        """The world's table for `sk` and `config`: `env.table` when it was
+        made for the same or equal ones, else a new table put there.
+        Formulas compare by `repr`, since `==` takes a constant -0.0 for a
+        0.0, whose margins differ in the sign of a zero."""
+        table = env.table
+        if table is None or not ((table.sk is sk or repr(table.sk) == repr(sk))
+                                 and (table.config is config or table.config == config)):
+            table = env.table = cls(env, sk, config)
+        return table
+
     def clear(self):
         """Forget every id; the containers stay the same objects."""
         for part in (self.ids, self.states, self.columns, self.inputs, self.rows,
@@ -220,21 +236,16 @@ class StateTable:
         self.make_row = make_row
         self.rows[:] = map(make_row, self.states) if make_row else ()
 
-    def start(self, state: tuple, program=None) -> int:
-        """The id of an episode's start state.  `program` is a flat plan's
-        program (see `Plan.program`), whose root values at a label column
-        are the steps' keys of a labelled world, or None when the plan is
-        not flat.  A table given another `program` than before begins
-        afresh, memo included.
-        Beginning it gives `state` id 0, finds out whether the world labels
-        its states (whether `state` has no `trace_prefix`) and, when it does
-        not, drops the memo, whose steps are keyed on ids."""
-        fresh = program is not self.program
-        if fresh or not self.states or len(self.states) > self.limit:
-            self.program = program
+    def start(self, state: tuple) -> int:
+        """The id of an episode's start state.  Beginning the table afresh
+        gives `state` id 0, finds out whether the world labels its states
+        (whether `state` has no `trace_prefix`) and, when it does not, drops
+        the memo, whose steps are keyed on ids."""
+        fresh = False
+        if not self.states or len(self.states) > self.limit:
             self.clear()
             self.labelled = self.env.trace_prefix(state) is None
-            fresh = fresh or not self.labelled
+            fresh = not self.labelled
         if fresh or len(self.memo) > self.limit or self.kept > self.limit * self.width:
             self.memo.clear()
             self.keys.clear()

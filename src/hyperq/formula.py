@@ -193,10 +193,6 @@ class Formula:
     prefix: tuple[Quantifier, ...]
     body: LtlNode
 
-    @property
-    def arity(self) -> int:
-        return len(self.prefix)
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import os
 import re
 import sys
 import time
@@ -62,9 +61,6 @@ from .robustness import (
 from .skolem import (MissingWitnessError, WitnessTable, check_consistency, format_skolemized,
                      skolemize)
 from .worlds import build_env, load_domino_file, pcp_oracle
-
-
-OUTPUT_DIR_ENV = "HYPERQ_OUT"
 
 
 class ConfigError(InputError):
@@ -152,7 +148,8 @@ class ExperimentConfig:
         Raises ConfigError when the formula or an environment file cannot be
         read or parsed, or when the pieces do not fit together.  One step of
         joint action 0, every slot's first action, is scored, so a formula
-        that reads a valuation the world's labels lack is found here.
+        that reads a valuation the world's labels lack is found here.  The
+        step scores into the world's table, which `train` and `eval` reuse.
         """
         try:
             f = self.load_formula()
@@ -342,7 +339,7 @@ def _aggregate(all_metrics) -> TrainMetrics:
 def cmd_train(config_path, out=None) -> int:
     cfg = ExperimentConfig.load(config_path)
     f, _, env, _ = cfg.setup()
-    out_dir = Path(out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
+    out_dir = Path(out or cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -407,26 +404,26 @@ def _traces(text: str) -> list:
 
 
 @_reports_input_errors
-def cmd_oracle(subject: str, **kwargs) -> int:
-    if subject == "pcp":
-        solution = pcp_oracle(load_domino_file(kwargs["dominoes"]), kwargs.get("max_len", 8))
-        if solution is None:
-            print("none within bound")
-        else:
-            print("solution: " + " ".join(str(i) for i in solution))
-        return 0
-    if subject == "boolean-sat":
-        f = load_formula(kwargs["formula"])
-        path = kwargs["traces"]
-        traces = read_input("traces", path, _traces)
-        try:
-            result = boolean_sat(traces, f)
-        except UnknownValuationError as exc:
-            raise InputError(f"traces file {path}: the formula reads valuation {exc}, "
-                             "which the traces lack") from exc
-        print(str(result).lower())
-        return 0
-    raise InputError(f"unknown oracle subject {subject!r}")
+def cmd_oracle_pcp(dominoes, max_len: int) -> int:
+    solution = pcp_oracle(load_domino_file(dominoes), max_len)
+    if solution is None:
+        print("none within bound")
+    else:
+        print("solution: " + " ".join(str(i) for i in solution))
+    return 0
+
+
+@_reports_input_errors
+def cmd_oracle_boolean_sat(formula, traces) -> int:
+    f = load_formula(formula)
+    trace_set = read_input("traces", traces, _traces)
+    try:
+        result = boolean_sat(trace_set, f)
+    except UnknownValuationError as exc:
+        raise InputError(f"traces file {traces}: the formula reads valuation {exc}, "
+                         "which the traces lack") from exc
+    print(str(result).lower())
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -441,39 +438,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="parse, validate, and print the skolemized form")
     p_check.add_argument("formula")
+    p_check.set_defaults(run=lambda args: cmd_check(args.formula))
 
     p_train = sub.add_parser("train", help="run a training experiment from a config file")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out", help=f"output directory (overrides ${OUTPUT_DIR_ENV} and config)")
+    p_train.add_argument("--out", help="output directory (overrides the config's)")
+    p_train.set_defaults(run=lambda args: cmd_train(args.config, out=args.out))
 
     p_eval = sub.add_parser("eval", help="greedy rollout of trained artifacts")
     p_eval.add_argument("--policy", required=True, help="artifacts file written by train")
     p_eval.add_argument("--config", required=True)
+    p_eval.set_defaults(run=lambda args: cmd_eval(args.policy, args.config))
 
     p_oracle = sub.add_parser("oracle", help="exhaustive reference procedures")
     oracle_sub = p_oracle.add_subparsers(dest="subject", required=True)
     p_pcp = oracle_sub.add_parser("pcp", help="shortest domino match by exhaustive search")
     p_pcp.add_argument("--dominoes", required=True)
     p_pcp.add_argument("--max-len", type=int, default=8)
+    p_pcp.set_defaults(run=lambda args: cmd_oracle_pcp(args.dominoes, args.max_len))
     p_bool = oracle_sub.add_parser("boolean-sat", help="explicit quantifier enumeration")
     p_bool.add_argument("--formula", required=True)
     p_bool.add_argument("--traces", required=True)
+    p_bool.set_defaults(run=lambda args: cmd_oracle_boolean_sat(args.formula, args.traces))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args.formula)
-    if args.command == "train":
-        return cmd_train(args.config, out=args.out)
-    if args.command == "eval":
-        return cmd_eval(args.policy, args.config)
-    if args.command == "oracle":
-        if args.subject == "pcp":
-            return cmd_oracle("pcp", dominoes=args.dominoes, max_len=args.max_len)
-        return cmd_oracle("boolean-sat", formula=args.formula, traces=args.traces)
-    return 2
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -32,8 +32,11 @@ checks its final greedy episode's terminal reward against one from-scratch
 evaluation of the world's traces.  Per-slot greedy policies and witness
 tables for existential quantifiers are projected out of the trained function.
 
-The seeds of a run share its table, which the world holds while the run
-lasts: only the Q rows are each seed's own.
+A world holds one table, for one skolemized formula and robustness config
+(`StateTable.of`), and every rollout on it scores into that table: the
+episodes of every seed of a run, their final greedy episodes,
+`greedy_rollout` and the set-up check.  Only the Q rows are each `train`
+call's own.
 
 Exploration in episode e of seed s draws from numpy's `default_rng((s, e))`
 stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.
@@ -261,13 +264,14 @@ class _EpisodeTracker:
 
 
 def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choose,
-            seed: int, beta: int, on_step=None, table: StateTable | None = None) -> EpisodeRecord:
+            seed: int, beta: int, on_step=None) -> EpisodeRecord:
     """Run one episode of `beta` steps, scoring every prefix by its robustness.
 
-    The episode's joint states are interned in `table` (a fresh one when
-    None), and a step the table has seen is looked up, not taken again.
-    `choose(t, i)` returns the index in `table.actions` of the joint action
-    to take at step t (counted from 0) from the joint state with id i;
+    The episode's joint states are interned in the world's table for `sk`
+    and `cfg` (`StateTable.of`), which every episode on the world shares,
+    and a step the table has seen is looked up, not taken again.  `choose(t,
+    i)` returns the index in `table.actions` of the joint action to take at
+    step t (counted from 0) from the joint state with id i;
     `on_step(t, i, a, n, rho)` runs after it, with a that index and n the id
     of the state it led to.  An episode longer than the world's bound `beta`
     raises EpisodeExhaustedError before it starts.  A step is scored in one
@@ -286,12 +290,11 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     if beta > env.beta:
         raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "
                                     f"{env.beta}")
-    if table is None:
-        table = StateTable(env)
+    table = StateTable.of(env, sk, cfg)
     record = EpisodeRecord()
     start = env.reset(seed)
     plan = sk.plan
-    i = table.start(start, plan.program(sk.arity, cfg) if plan.flat else None)
+    i = table.start(start)
     labelled = table.labelled
     evaluator = PrefixEvaluator(plan, sk.arity, cfg)
     tracker = _EpisodeTracker(env, table.columns[i] if labelled else None)
@@ -336,20 +339,17 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
 
     Deterministic: a fixed (environment, formula, hyperparameters, seed)
     reproduces the metrics exactly.  Calls on one world share its `table`
-    and the formula skolemized once, while the formula and `rho_max` stay
-    the same; the table is a pure cache, so what a call computes does not
-    depend on the calls before it.  Raises RewardMismatchError when the
+    (`StateTable.of`) while the skolemized formula and `rho_max` stay equal;
+    the table is a pure cache, so what a call computes does not depend on
+    the calls before it.  A call that `episode_bound` rejects leaves the
+    world's table as it was.  Raises RewardMismatchError when the
     final greedy episode's terminal reward differs from a from-scratch
     evaluation, the sign of a zero included.
     """
-    cfg = h.config()
-    table = env.table
-    if table is None or table.formula is not f or table.config != cfg:
-        table = StateTable(env)   # none yet, or its memo is another formula's
-        table.formula, table.config, table.sk = f, cfg, skolemize(f)
-    sk = table.sk
+    sk = skolemize(f)
     beta = episode_bound(env, sk, h)
-    env.table = table
+    table = StateTable.of(env, sk, h.config())
+    sk, cfg = table.sk, table.config   # so that each rollout finds the table by identity
     rows, n_actions = table.rows, table.width
     q = TabularQ(n_actions)
     # each joint state is encoded once per call, when it first needs its row
@@ -384,12 +384,12 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
         # per-episode stream: episode e explores identically whatever xi is
         ep_rng = Stream((seed, episode))
         eps = h.epsilon(episode)
-        record = rollout(env, sk, cfg, explore, seed, beta, learn, table)
+        record = rollout(env, sk, cfg, explore, seed, beta, learn)
         previous = {"episode": episode, **env.episode_metrics(record, previous),
                     "rho": record.terminal_rho}
         metrics.rows.append(previous)
 
-    final = rollout(env, sk, cfg, lambda t, i: greedy(rows[i]), seed, beta, table=table)
+    final = rollout(env, sk, cfg, lambda t, i: greedy(rows[i]), seed, beta)
     table.bind()   # so a world kept after the run pins no Q-function
     # the one from-scratch evaluation: of the world's own traces (a
     # `trace_prefix` world's of the last state, not of its step deltas)
@@ -430,10 +430,11 @@ def greedy_rollout(policies: PolicySet, env: Environment, sk: SkolemizedFormula,
     extracted per-slot policies.
 
     States never seen during extraction fall back to the first action.  A
-    policy action the world lacks raises InvalidActionError.
+    policy action the world lacks raises InvalidActionError.  The episode
+    scores into the world's table, as every `rollout` does.
     """
     default = env.actions[0]
-    table = StateTable(env)
+    table = StateTable.of(env, sk, cfg)
     states, index = table.states, table.index
 
     def choose(t, i):
@@ -444,4 +445,4 @@ def greedy_rollout(policies: PolicySet, env: Environment, sk: SkolemizedFormula,
             env.check_action(JointAction(joint))   # raises: `index` has every valid tuple
         return a
 
-    return rollout(env, sk, cfg, choose, seed, beta, table=table)
+    return rollout(env, sk, cfg, choose, seed, beta)

@@ -260,7 +260,7 @@ def _head_step(plan, i: int, rmin: float):
     elif isinstance(node, Next):
         def step(v, low, n, m):
             v[i][0] = v[a][1] if n > 1 else rmin
-    elif isinstance(node, (Always, Eventually)):
+    else:                       # G or F
         least = isinstance(node, Always)
         extreme = min if least else max
 
@@ -274,8 +274,6 @@ def _head_step(plan, i: int, rmin: float):
                 v[i][0] = acc
             else:               # the first minimum of the reversed list is the last one
                 v[i][0] = extreme(reversed(v[a]))
-    else:
-        raise TypeError(f"cannot evaluate node {node!r} at position 0 alone")
     return step
 
 
@@ -315,9 +313,6 @@ def _row_step(plan, i: int, rmin: float):
 
         def step(v, low, n, m):
             k = low[a]
-            if k >= n:
-                low[i] = n
-                return
             c, out = v[a], v[i]
             out[k:] = c[k:]
             acc = out[-1]
@@ -338,35 +333,30 @@ def _row_step(plan, i: int, rmin: float):
                 j -= 1
             low[i] = j + 1
         return step
-    if isinstance(node, Until):
-        b = kids[1]
+    b = kids[1]                 # U
 
-        def step(v, low, n, m):
-            k = min(low[a], low[b])
-            if k >= n:
-                low[i] = n
-                return
-            left, right, out = v[a], v[b], v[i]
-            out[k:] = right[k:]
-            acc = rmin                      # no witness position yet
-            for j in range(n - 1, k - 1, -1):
-                x = left[j]
-                carry = x if x < acc else acc
-                y = out[j]
-                acc = out[j] = y if y > carry else carry
-            j = k - 1
-            while j >= 0:
-                x = left[j]
-                carry = x if x < acc else acc
-                y = right[j]
-                acc = y if y > carry else carry
-                if _unchanged(out[j], acc):
-                    break
-                out[j] = acc
-                j -= 1
-            low[i] = j + 1
-        return step
-    raise TypeError(f"cannot evaluate node {node!r}")
+    def step(v, low, n, m):
+        k = min(low[a], low[b])
+        left, right, out = v[a], v[b], v[i]
+        out[k:] = right[k:]
+        acc = rmin                      # no witness position yet
+        for j in range(n - 1, k - 1, -1):
+            x = left[j]
+            carry = x if x < acc else acc
+            y = out[j]
+            acc = out[j] = y if y > carry else carry
+        j = k - 1
+        while j >= 0:
+            x = left[j]
+            carry = x if x < acc else acc
+            y = right[j]
+            acc = y if y > carry else carry
+            if _unchanged(out[j], acc):
+                break
+            out[j] = acc
+            j -= 1
+        low[i] = j + 1
+    return step
 
 
 # The pointwise operators over operands {a} and {b}.  Ties of 0.0 and -0.0
@@ -756,19 +746,16 @@ def boolean_holds(assignment, body: LtlNode, at: int = 0) -> bool:
     """Positional satisfaction of a quantifier-free body under a fixed assignment.
 
     `assignment` lists one trace per quantifier slot.  Temporal operators are
-    bounded by the shortest assigned trace; a next without a following
-    position is false, and atoms read past a trace's end are false.
+    bounded by the shortest assigned trace, so no atom reads past a trace's
+    end; a next without a following position is false.
     """
     traces = list(assignment)
     horizon = min((len(t) for t in traces), default=0)
 
     def atom_holds(node, i: int) -> bool:
         if isinstance(node, BoolProp):
-            t = traces[node.trace.index - 1]
-            return i < len(t) and node.prop in t[i].props
+            return node.prop in traces[node.trace.index - 1][i].props
         slots = [a.index - 1 for a in node.args]
-        if any(i >= len(traces[s]) for s in slots):
-            return False
         if node.abs_diff:
             v = abs(traces[slots[0]][i].value(node.valuation)
                     - traces[slots[1]][i].value(node.valuation))

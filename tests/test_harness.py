@@ -15,7 +15,8 @@ from hyperq.harness import (
     ExperimentConfig,
     cmd_check,
     cmd_eval,
-    cmd_oracle,
+    cmd_oracle_boolean_sat,
+    cmd_oracle_pcp,
     cmd_train,
     main,
     read_artifacts,
@@ -305,13 +306,6 @@ def test_cmd_train_determinism_byte_identical(tmp_path):
     assert first == second
 
 
-def test_cmd_train_output_dir_env_override(tmp_path, monkeypatch):
-    cfg = write_micro_config(tmp_path, xi=5, reps=1)
-    monkeypatch.setenv("HYPERQ_OUT", str(tmp_path / "envdir"))
-    cmd_train(cfg)
-    assert (tmp_path / "envdir" / "run_3.csv").exists()
-
-
 def test_cmd_train_bad_config_exit_code(tmp_path):
     p = tmp_path / "broken.ini"
     p.write_text("[experiment]\n")
@@ -338,6 +332,13 @@ def test_cmd_eval_runs_policy(tmp_path, capsys):
     assert "witness_consistent: true" in out
     assert code in (0, 1)
     assert ("verdict: satisfied" in out) == (code == 0)
+    # a witness section without an entry for the replayed dependency prefix
+    artifact = tmp_path / "ev" / "artifacts_3.txt"
+    policies, header, _ = artifact.read_text().partition("witness 2 deps=1\n")
+    artifact.write_text(policies + header)
+    assert cmd_eval(artifact, cfg) == code
+    assert capsys.readouterr() == (out.replace("witness_consistent: true",
+                                               "witness_consistent: false"), "")
 
 
 def test_cmd_eval_uses_hyperparams_beta(tmp_path, capsys):
@@ -587,14 +588,14 @@ def test_cmd_eval_missing_artifact(tmp_path):
 
 
 def test_cmd_oracle_pcp(tmp_path, capsys):
-    code = cmd_oracle("pcp", dominoes=hq.bundled("dominoes/k3_solvable.dom"), max_len=6)
+    code = cmd_oracle_pcp(dominoes=hq.bundled("dominoes/k3_solvable.dom"), max_len=6)
     assert code == 0
     assert capsys.readouterr().out.strip() == "solution: 2 1 3"
-    code = cmd_oracle("pcp", dominoes=hq.bundled("dominoes/k3_unsolvable.dom"), max_len=6)
+    code = cmd_oracle_pcp(dominoes=hq.bundled("dominoes/k3_unsolvable.dom"), max_len=6)
     assert code == 0
     assert capsys.readouterr().out.strip() == "none within bound"
     for bound in (50, 0, -3):
-        assert cmd_oracle("pcp", dominoes=hq.bundled("dominoes/k3_solvable.dom"),
+        assert cmd_oracle_pcp(dominoes=hq.bundled("dominoes/k3_solvable.dom"),
                           max_len=bound) == 2
         assert capsys.readouterr() == ("", f"error: search bound {bound} outside 1..12\n")
     malformed = tmp_path / "bad.dom"
@@ -603,7 +604,7 @@ def test_cmd_oracle_pcp(tmp_path, capsys):
     for dominoes, message in ((missing, f"domino file {missing} does not exist"),
                               (malformed, f"domino file {malformed}: expected 'top|bottom', "
                                           "found 'ab'")):
-        assert cmd_oracle("pcp", dominoes=dominoes, max_len=6) == 2
+        assert cmd_oracle_pcp(dominoes=dominoes, max_len=6) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -616,7 +617,7 @@ def test_cmd_oracle_boolean_sat_blank_line_holds_spaces(formula, tmp_path, capsy
     for separator in ("", " \t"):
         traces = tmp_path / "traces.txt"
         traces.write_text(f"p |\nq |\n{separator}\nr |\n")
-        assert cmd_oracle("boolean-sat", formula=f, traces=traces) == 0
+        assert cmd_oracle_boolean_sat(formula=f, traces=traces) == 0
         answers.append(capsys.readouterr().out)
     assert answers == ["false\n", "false\n"]
 
@@ -626,13 +627,13 @@ def test_cmd_oracle_boolean_sat(tmp_path, capsys):
     formula.write_text("exists t1. F p@t1\n")
     traces = tmp_path / "traces.txt"
     traces.write_text("p |\n\nq |\n")
-    assert cmd_oracle("boolean-sat", formula=formula, traces=traces) == 0
+    assert cmd_oracle_boolean_sat(formula=formula, traces=traces) == 0
     assert capsys.readouterr().out.strip() == "true"
     # Windows line ends still separate two traces, so not every trace has q
     crlf = tmp_path / "crlf.txt"
     crlf.write_bytes(b"p |\r\n\r\nq |\r\n")
     formula.write_text("forall t1. F q@t1\n")
-    assert cmd_oracle("boolean-sat", formula=formula, traces=crlf) == 0
+    assert cmd_oracle_boolean_sat(formula=formula, traces=crlf) == 0
     assert capsys.readouterr().out.strip() == "false"
     formula.write_text("exists t1. F p@t1\n")
     bad_formula = tmp_path / "bad.hltl"
@@ -651,7 +652,7 @@ def test_cmd_oracle_boolean_sat(tmp_path, capsys):
              f"traces file {bad_traces}: could not convert string to float: 'high'"),
             (valuation, traces,
              f"traces file {traces}: the formula reads valuation 'v', which the traces lack")):
-        assert cmd_oracle("boolean-sat", formula=f, traces=t) == 2
+        assert cmd_oracle_boolean_sat(formula=f, traces=t) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

@@ -251,9 +251,17 @@ def test_explore_reuses_the_bootstraps_max_only_while_its_row_is_unchanged(monke
 
 
 def test_train_rejects_arity_mismatch():
+    # a call that `episode_bound` rejects leaves the world's table as it was
+    env = WildfireEnv(4)
+    train(env, rescue_formula(), Hyperparams(xi=1), seed=0)
+    table = env.table
     f = hq.parse_formula("forall t1. F a@t1")
     with pytest.raises(ArityMismatchError):
-        train(WildfireEnv(4), f, Hyperparams(xi=1), seed=0)
+        train(env, f, Hyperparams(xi=1), seed=0)
+    with pytest.raises(ValueError):
+        train(env, hq.parse_formula("forall t1. forall t2. F a@t2"),
+              Hyperparams(xi=1, beta=env.beta + 1), seed=0)
+    assert env.table is table
 
 
 def test_train_metrics_deterministic():
@@ -436,19 +444,18 @@ def test_rollout_checks_the_bound_before_reset():
     # (whose steps no longer reach `env.step`)
     sk = skolemize(hq.parse_formula("forall t1. forall t2. G p@t1"))
     still = _Still()
-    table = StateTable(still)
+    table = StateTable.of(still, sk, CFG)
     for a in range(table.width):
-        record = rollout(still, sk, CFG, lambda t, i: a, 0, still.beta, table=table)
+        record = rollout(still, sk, CFG, lambda t, i: a, 0, still.beta)
         assert record.steps == still.beta
     assert len(table.states) == 1 and -1 not in table.successors   # every step is known
-    for env, warm in ((still, table), (_Still(), None), (WildfireEnv(4), None),
-                      (_k3_world(3), None)):
+    for env in (still, _Still(), WildfireEnv(4), _k3_world(3)):
         calls = []
         env.reset = lambda seed: calls.append("reset")
         env.step = lambda state, action: calls.append("step")
         with pytest.raises(EpisodeExhaustedError):
             rollout(env, sk, CFG, lambda t, i: calls.append("choose") or 0, 0, env.beta + 1,
-                    on_step=lambda *args: calls.append("on_step"), table=warm)
+                    on_step=lambda *args: calls.append("on_step"))
         assert calls == [], env.kind
 
 
@@ -521,6 +528,21 @@ def test_a_table_kept_for_one_formula_is_begun_afresh_for_another(tmp_path, conf
         tables.append(env.table)
     assert len({id(table) for table in tables}) == len(runs)
 
+
+def test_formulas_whose_constants_differ_in_the_sign_of_a_zero_keep_tables_of_their_own():
+    # 0 and -0 compare equal, but a margin of 0 against them is 0.0 or -0.0
+    formulas = [hq.parse_formula(f"forall t1. forall t2. G [ |loc@t1 - loc@t2| < {c} ]")
+                for c in ("0", "-0")]
+    assert formulas[0] == formulas[1]
+    h = Hyperparams(xi=30)
+
+    def rhos(env, f):
+        return _bits(row["rho"] for row in train(env, f, h, 1).metrics.rows)
+
+    fresh = [rhos(WildfireEnv(4), f) for f in formulas]
+    assert fresh[0] != fresh[1]
+    env = WildfireEnv(4)
+    assert [rhos(env, f) for f in formulas] == fresh
 
 def test_a_world_kept_after_training_pins_nothing():
     # the world holds the run's table, the table holds the world weakly and
@@ -871,8 +893,8 @@ class _Recorded(StateTable):
     """A table that keeps in `seen` a label column for each step key it has
     interned, also after its ids restart."""
 
-    def __init__(self, env):
-        super().__init__(env)
+    def __init__(self, env, sk, config):
+        super().__init__(env, sk, config)
         self.seen = {}
 
     def intern(self, state):
@@ -927,7 +949,7 @@ def test_rollout_reuses_rho_once_both_domino_sequences_terminated(monkeypatch):
     script = [("dom_2", "dom_2"), ("dom_#", "dom_1"), ("dom_1", "dom_3"), ("dom_1", "dom_#")]
     updates = _counted_updates(monkeypatch)
     actions = iter(script + [("dom_2", "dom_1")] * (env.beta - len(script)))
-    index = StateTable(env).index
+    index = StateTable.of(env, sk, CFG).index
     record = rollout(env, sk, CFG, lambda t, i: index[next(actions)], 0, env.beta)
     assert record.states[len(script)] == (((2,), True), ((2, 1, 3), True))
     # the tracker's evaluator scores the steps up to both terminations only
@@ -943,11 +965,10 @@ def test_rollout_on_a_warm_domino_table_catches_the_tracker_up_once(monkeypatch)
     # catch-up moves the tracker, to the last state's traces
     env, sk = _k3_world(4), skolemize(_pcp_formula())
     script = [("dom_1", "dom_2"), ("dom_2", "dom_3"), ("dom_3", "dom_1"), ("dom_1", "dom_1")]
-    table = StateTable(env)
+    table = StateTable.of(env, sk, CFG)
 
     def run():
-        return rollout(env, sk, CFG, lambda t, i: table.index[script[t]], 0, env.beta,
-                       table=table)
+        return rollout(env, sk, CFG, lambda t, i: table.index[script[t]], 0, env.beta)
 
     first = run()
     updates, prefixes = _counted_updates(monkeypatch), []
@@ -1282,10 +1303,10 @@ class _LabelCycle(Environment):
 
 def _warm_table_episodes(env, sk, episodes, starts, rng):
     """Records of `episodes` random episodes from `starts` start states,
-    all through one table."""
-    table = StateTable(env)
+    all through the world's table."""
+    table = StateTable.of(env, sk, CFG)
     return [rollout(env, sk, CFG, lambda t, i: rng.randrange(table.width), e % starts,
-                    env.beta, table=table) for e in range(episodes)]
+                    env.beta) for e in range(episodes)]
 
 
 @pytest.mark.parametrize("body", ["G {c}", "F {c}", "X {c}", _KERNEL_BODIES[1],
@@ -1360,9 +1381,9 @@ def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch
     class Kept(StateTable):
         limit = 32
 
-        def start(self, state, program=None):
+        def start(self, state):
             before = len(self.states), len(self.memo), self.kept
-            i = super().start(state, program)
+            i = super().start(state)
             starts.append((before, (len(self.states), len(self.memo), self.kept)))
             return i
 
@@ -1382,7 +1403,7 @@ def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch
     assert (True, False) in restarts
     assert any(after[1] <= 1 < before[1] for before, after in starts)
     # memo contexts or steps past their bounds start the memo afresh
-    table = Kept(env)
+    table = Kept(env, skolemize(f), CFG)
     start = env.reset(0)
     table.start(start)
     table.memo.update((bytes([k]), {}) for k in range(Kept.limit))

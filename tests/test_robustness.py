@@ -395,11 +395,23 @@ def test_boolean_matches_robustness_sign_small_fuzz():
         f = random_formula(rng, max_depth=4, max_vars=2, boolean_only=True)
         length = rng.randint(1, 5)
         traces = [random_trace(rng, length) for _ in range(rng.randint(1, 3))]
-        agree = _quantified_robustness_satisfies(traces, f)
-        assert boolean_sat(traces, f) == agree
+        assert boolean_sat(traces, f) == (_quantified_robustness(traces, f) == CFG.rho_max)
+    # with predicates over valuations (<, >, = and |a - b|): wherever the
+    # robustness is not zero, its sign is the Boolean verdict
+    signed = 0
+    for _ in range(3000):
+        f = random_formula(rng, max_depth=4, max_vars=2)
+        length = rng.randint(1, 5)
+        traces = [random_trace(rng, length, with_valuations=True)
+                  for _ in range(rng.randint(1, 3))]
+        value = _quantified_robustness(traces, f)
+        if value != 0:
+            assert boolean_sat(traces, f) == (value > 0), (f, traces)
+            signed += 1
+    assert signed > 2900
 
 
-def _quantified_robustness_satisfies(traces, f):
+def _quantified_robustness(traces, f):
     sk = skolemize(f)
 
     def go(level, chosen):
@@ -408,7 +420,7 @@ def _quantified_robustness_satisfies(traces, f):
         vals = (go(level + 1, chosen + [t]) for t in traces)
         return max(vals) if f.prefix[level].kind == "exists" else min(vals)
 
-    return go(0, []) == CFG.rho_max
+    return go(0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,7 @@ def test_pcp_rewards_match_naive_oracle(name):
     sk = skolemize(hq.load_formula(hq.bundled("formulas/pcp_ab.hltl")))
     rng = random.Random(name)
     dominoes = env.actions[:-1]
-    index = StateTable(env).index
+    index = StateTable.of(env, sk, CFG).index
 
     def choose(t, i):
         t += 1
@@ -646,7 +646,9 @@ def _walk_labels(env, seed, episodes=3):
     shared = {}
     columns = {}
     seen = []
-    table = StateTable(env)
+    quantifiers = " ".join(f"forall t{k}." for k in range(1, env.arity + 1))
+    sk = skolemize(hq.parse_formula(f"{quantifiers} G a@t1"))
+    table = StateTable(env, sk, RobustnessConfig(100.0))
     for _ in range(episodes):
         s = env.reset(0)
         i = table.start(s)
