@@ -542,7 +542,9 @@ def _unparse_node(node: LtlNode) -> tuple[str, int]:
             inner = f"|{node.valuation}@{a.name} - {node.valuation}@{b.name}|"
         else:
             inner = f"{node.valuation}@{node.args[0].name}"
-        return f"[ {inner} {node.comparator} {format_number(node.constant)} ]", _TIGHTEST
+        # a -0 keeps its sign, which the predicate's zero margins take
+        zero = node.constant == 0 and math.copysign(1, node.constant) < 0
+        return f"[ {inner} {node.comparator} {'-0' if zero else format_number(node.constant)} ]", _TIGHTEST
     raise FormulaError(f"cannot unparse node {node!r}")
 
 

@@ -429,41 +429,57 @@ def cmd_oracle_boolean_sat(formula, traces) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperq",
-        description="Check trace-quantified specifications, train policies against "
-                    "their robustness, and evaluate the results.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's help line, options (flag -> `add_argument` keywords) and function,
+# which takes the options' values in order, or for `oracle` a table of its subjects
+_REQUIRED = {"required": True}
+_COMMANDS = {
+    "check": ("parse, validate, and print the skolemized form", {"formula": {}}, cmd_check),
+    "train": ("run a training experiment from a config file", {
+        "--config": _REQUIRED, "--out": {"help": "output directory (overrides the config's)"}},
+        cmd_train),
+    "eval": ("greedy rollout of trained artifacts", {
+        "--policy": {**_REQUIRED, "help": "artifacts file written by train"}, "--config": _REQUIRED},
+        cmd_eval),
+    "oracle": ("exhaustive reference procedures", {}, {
+        "pcp": ("shortest domino match by exhaustive search", {
+            "--dominoes": _REQUIRED, "--max-len": {"type": int, "default": 8}}, cmd_oracle_pcp),
+        "boolean-sat": ("explicit quantifier enumeration", {
+            "--formula": _REQUIRED, "--traces": _REQUIRED}, cmd_oracle_boolean_sat)}),
+}
 
-    p_check = sub.add_parser("check", help="parse, validate, and print the skolemized form")
-    p_check.add_argument("formula")
-    p_check.set_defaults(run=lambda args: cmd_check(args.formula))
 
-    p_train = sub.add_parser("train", help="run a training experiment from a config file")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out", help="output directory (overrides the config's)")
-    p_train.set_defaults(run=lambda args: cmd_train(args.config, out=args.out))
-
-    p_eval = sub.add_parser("eval", help="greedy rollout of trained artifacts")
-    p_eval.add_argument("--policy", required=True, help="artifacts file written by train")
-    p_eval.add_argument("--config", required=True)
-    p_eval.set_defaults(run=lambda args: cmd_eval(args.policy, args.config))
-
-    p_oracle = sub.add_parser("oracle", help="exhaustive reference procedures")
-    oracle_sub = p_oracle.add_subparsers(dest="subject", required=True)
-    p_pcp = oracle_sub.add_parser("pcp", help="shortest domino match by exhaustive search")
-    p_pcp.add_argument("--dominoes", required=True)
-    p_pcp.add_argument("--max-len", type=int, default=8)
-    p_pcp.set_defaults(run=lambda args: cmd_oracle_pcp(args.dominoes, args.max_len))
-    p_bool = oracle_sub.add_parser("boolean-sat", help="explicit quantifier enumeration")
-    p_bool.add_argument("--formula", required=True)
-    p_bool.add_argument("--traces", required=True)
-    p_bool.set_defaults(run=lambda args: cmd_oracle_boolean_sat(args.formula, args.traces))
+def _define(parser, options: dict, run, dest="subject") -> argparse.ArgumentParser:
+    """`parser` given a `_COMMANDS` entry's options and function, or, when
+    `run` is a table of commands, a subparser per command under `dest`."""
+    if isinstance(run, dict):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (help_text, *entry) in run.items():
+            _define(sub.add_parser(name, help=help_text), *entry)
+    else:
+        dests = [parser.add_argument(flag, **keywords).dest for flag, keywords in options.items()]
+        parser.set_defaults(run=lambda args: run(*(getattr(args, d) for d in dests)))
     return parser
 
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command`, named `hyperq <command>` as the full parser's
+    subparser of it is; without one, the full `hyperq` parser."""
+    if command:
+        return _define(argparse.ArgumentParser(prog=f"hyperq {command}"), *_COMMANDS[command][1:])
+    return _define(argparse.ArgumentParser(
+        prog="hyperq",
+        description="Check trace-quantified specifications, train policies against "
+                    "their robustness, and evaluate the results."), {}, _COMMANDS, "command")
+
+
 def main(argv=None) -> int:
+    """The exit code of the command `argv` (default `sys.argv[1:]`) names, parsed by its own
+    parser; help, a missing or unknown command and an option it lacks go to the full one."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        args, unknown = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not unknown:
+            return args.run(args)
     args = build_parser().parse_args(argv)
     return args.run(args)
 

@@ -429,20 +429,22 @@ def greedy_rollout(policies: PolicySet, env: Environment, sk: SkolemizedFormula,
     """Deterministic episode of `beta` steps (see `episode_bound`) under the
     extracted per-slot policies.
 
-    States never seen during extraction fall back to the first action.  A
-    policy action the world lacks raises InvalidActionError.  The episode
-    scores into the world's table, as every `rollout` does.
+    States never seen during extraction fall back to the first action.  The
+    joint action reads the state alone, so it is chosen once per state id;
+    one the world lacks raises InvalidActionError at the first step that
+    picks it.  The episode scores into the world's table, as every `rollout` does.
     """
-    default = env.actions[0]
     table = StateTable.of(env, sk, cfg)
-    states, index = table.states, table.index
+    chosen: dict = {}   # state id -> joint action index
 
     def choose(t, i):
-        joint = tuple(policies.action_for(k + 1, slot, default)
-                      for k, slot in enumerate(states[i]))
-        a = index.get(joint)
+        a = chosen.get(i)
         if a is None:
-            env.check_action(JointAction(joint))   # raises: `index` has every valid tuple
+            joint = tuple(policies.action_for(k + 1, slot, env.actions[0])
+                          for k, slot in enumerate(table.states[i]))
+            a = chosen[i] = table.index.get(joint)
+            if a is None:
+                env.check_action(JointAction(joint))   # raises: `index` has every valid tuple
         return a
 
     return rollout(env, sk, cfg, choose, seed, beta)

@@ -1,3 +1,4 @@
+import math
 import random
 import string
 
@@ -200,6 +201,23 @@ def test_constant_round_trip(constant):
     f = parse_formula(f"forall t1. G [ v@t1 < {constant} ]")
     assert f.body.child.constant == float(constant)
     assert parse_formula(unparse(f)) == f
+
+
+@pytest.mark.parametrize("constant", ["-0", "0", "-0.0", "0.0", "-1.5", "2"])
+def test_constant_round_trip_keeps_the_sign_of_a_zero(constant):
+    # `==` takes a -0.0 for a 0.0, whose margins differ in the sign of a
+    # zero, so the round trip compares by `repr` and `math.copysign`
+    f = parse_formula(f"forall t1. G [ v@t1 < {constant} ] & [ |v@t1 - v@t1| > {constant} ]")
+    again = parse_formula(unparse(f))
+    assert repr(again) == repr(f)
+    for before, after in ((f.body.left.child, again.body.left.child), (f.body.right, again.body.right)):
+        assert math.copysign(1, after.constant) == math.copysign(1, before.constant) \
+            == math.copysign(1, float(constant))
+
+
+def test_unparse_prints_a_negative_zero_constant_as_minus_0():
+    text = "forall t1. G [ loc@t1 < -0 ]"
+    assert unparse(parse_formula(text)) == text
 
 
 def test_constant_with_exponent():

@@ -770,3 +770,80 @@ def test_main_dispatches(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["train", "--help"])
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--out"}
+
+
+_TOP_USAGE = "usage: hyperq [-h] {check,train,eval,oracle} ...\n"
+_EVAL_USAGE = "usage: hyperq eval [-h] --policy POLICY --config CONFIG\n"
+
+# (argv, exit code, stdout, stderr) of the command line, as the argparse of
+# Python 3.10 and 3.11 prints them at 80 columns
+_CLI_TEXT = [
+    ([], 2, "", _TOP_USAGE + "hyperq: error: the following arguments are required: command\n"),
+    (["--help"], 0, _TOP_USAGE + """
+Check trace-quantified specifications, train policies against their
+robustness, and evaluate the results.
+
+positional arguments:
+  {check,train,eval,oracle}
+    check               parse, validate, and print the skolemized form
+    train               run a training experiment from a config file
+    eval                greedy rollout of trained artifacts
+    oracle              exhaustive reference procedures
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["no-such-command"], 2, "", _TOP_USAGE + "hyperq: error: argument command: invalid choice: "
+     "'no-such-command' (choose from 'check', 'train', 'eval', 'oracle')\n"),
+    (["eval", "--policy", "x"], 2, "",
+     _EVAL_USAGE + "hyperq eval: error: the following arguments are required: --config\n"),
+    (["eval", "--help"], 0, _EVAL_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --policy POLICY  artifacts file written by train
+  --config CONFIG
+""", ""),
+    # an argument the command does not take: the full parser's usage
+    (["eval", "--policy", "x", "--config", "y", "--bogus"], 2, "",
+     _TOP_USAGE + "hyperq: error: unrecognized arguments: --bogus\n"),
+    (["oracle"], 2, "", "usage: hyperq oracle [-h] {pcp,boolean-sat} ...\n"
+     "hyperq oracle: error: the following arguments are required: subject\n"),
+    (["oracle", "pcp", "--help"], 0, """\
+usage: hyperq oracle pcp [-h] --dominoes DOMINOES [--max-len MAX_LEN]
+
+options:
+  -h, --help           show this help message and exit
+  --dominoes DOMINOES
+  --max-len MAX_LEN
+""", ""),
+    (["train", "--help"], 0, """\
+usage: hyperq train [-h] --config CONFIG [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG
+  --out OUT        output directory (overrides the config's)
+""", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _CLI_TEXT,
+                         ids=[" ".join(["hyperq", *argv]) for argv, *_ in _CLI_TEXT])
+@pytest.mark.parametrize("via", ["argv", "sys.argv"])
+def test_cli_text(capsys, monkeypatch, argv, code, out, err, via):
+    # `main(None)` reads sys.argv[1:], as the console script calls it
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["hyperq", *argv] if via == "sys.argv" else ["pytest"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv if via == "argv" else None)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "argv", ["hyperq", "check", str(hq.bundled("formulas/rescue.hltl"))])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("formula: forall t1. ")
+    missing = tmp_path / "missing.ini"
+    monkeypatch.setattr(sys, "argv", ["hyperq", "eval", "--policy", "x", "--config", str(missing)])
+    assert main() == 2
+    assert capsys.readouterr() == ("", f"config error: config file {missing} does not exist\n")

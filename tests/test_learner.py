@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -14,7 +15,7 @@ import hyperq as hq
 import hyperq.learner as learner
 import hyperq.robustness as robustness
 from hyperq.env import (ArityMismatchError, EpisodeExhaustedError, Environment, InvalidActionError,
-                        StateTable)
+                        JointAction, StateTable)
 from hyperq.formula import children_of
 from hyperq.learner import (
     Hyperparams,
@@ -383,7 +384,7 @@ def test_train_encodes_each_state_once(tmp_path):
 # SHA-256 of run_<seed>.csv and artifacts_<seed>.txt for seeds 1 and 2 at
 # xi = 200, for the bundled configs whose outputs perfbench/reference.json
 # does not pin.  A change that keeps what training computes keeps these.
-# ROADMAP items 2 (monitor-keyed Q rows), 5 (the domino spec) and 6 (the
+# ROADMAP items 6 (monitor-keyed Q rows), 7 (the domino spec) and 8 (the
 # fairness spec) will change them by design, and must say so where they
 # update them.
 _OUTPUT_DIGESTS = {
@@ -469,6 +470,80 @@ def test_greedy_rollout_rejects_a_policy_action_the_world_lacks():
         policies = PolicySet({slot: {state_key(start[slot - 1]): "jump"}})
         with pytest.raises(InvalidActionError, match="unknown action 'jump'"):
             greedy_rollout(policies, env, sk, CFG, seed=0, beta=env.beta)
+
+
+def _choosing_at_every_step(policies, env, sk, cfg, seed, beta):
+    """The episode `greedy_rollout` replays, its joint action chosen afresh
+    from the policies at every step."""
+    table = StateTable.of(env, sk, cfg)
+
+    def choose(t, i):
+        joint = JointAction(tuple(policies.action_for(k + 1, slot, env.actions[0])
+                                  for k, slot in enumerate(table.states[i])))
+        env.check_action(joint)
+        return table.index[joint.per_trace]
+
+    return rollout(env, sk, cfg, choose, seed, beta)
+
+
+_BUNDLED = sorted(p.stem for p in hq.bundled("configs").glob("*.ini"))
+
+
+def _trained_and_drawn(config):
+    """A bundled config's world set up and trained at xi = 20, with its
+    trained policies and with policies that give each slot state the
+    world's table holds a random action (whose replays move on every
+    bundled config)."""
+    cfg = ExperimentConfig.load(hq.bundled(f"configs/{config}.ini"))
+    f, sk, env, beta = cfg.setup()
+    h = dataclasses.replace(cfg.hyperparams, xi=20)
+    trained = train(env, f, h, cfg.seeds[0]).policies
+    rng = random.Random(3)
+    drawn = PolicySet({k + 1: {key: rng.choice(env.actions)
+                               for key in sorted({state_key(s[k]) for s in env.table.states})}
+                       for k in range(env.arity)})
+    return cfg, sk, env, beta, h.config(), trained, drawn
+
+
+@pytest.mark.parametrize("config", _BUNDLED)
+def test_greedy_rollout_replays_as_a_choice_made_at_every_step(config):
+    # greedy_rollout chooses once per state id; the reference runs on a
+    # fresh world, so neither reads the other's table
+    cfg, sk, env, beta, rob, trained, drawn = _trained_and_drawn(config)
+    seed = cfg.seeds[0]
+    for policies in (PolicySet({}), trained, drawn):
+        asked = []
+        counted = PolicySet(policies.policies)
+        counted.action_for = lambda *args: asked.append(args) or policies.action_for(*args)
+        got = greedy_rollout(counted, env, sk, rob, seed, beta)
+        want = _choosing_at_every_step(policies, cfg.make_env(), sk, rob, seed, beta)
+        assert (got.states, got.actions, repr(got.rhos), repr(got.terminal_rho)) == \
+            (want.states, want.actions, repr(want.rhos), repr(want.terminal_rho))
+        # each slot of each state the episode chooses from, once
+        assert len(asked) == env.arity * len(set(got.states[:beta]))
+
+
+@pytest.mark.parametrize("config", _BUNDLED)
+def test_greedy_rollout_raises_at_the_first_step_that_picks_an_action_the_world_lacks(
+        config, monkeypatch):
+    cfg, sk, env, beta, rob, _, drawn = _trained_and_drawn(config)
+    seed = cfg.seeds[0]
+    replay = greedy_rollout(drawn, env, sk, rob, seed, beta)
+    # slot 1's state that the replay meets last for the first time, at step t
+    keys = [state_key(state[0]) for state in replay.states[:beta]]
+    t = max(keys.index(key) for key in keys)
+    assert t > 0
+    policies = PolicySet({**drawn.policies, 1: {**drawn.policies[1], keys[t]: "jump"}})
+    steps = []
+    monkeypatch.setattr(learner, "rollout", functools.partial(
+        rollout, on_step=lambda step, *rest: steps.append(step)))
+    for world in (env, cfg.make_env()):   # a warm table and a fresh one
+        steps.clear()
+        with pytest.raises(InvalidActionError, match="unknown action 'jump'"):
+            greedy_rollout(policies, world, sk, rob, seed, beta)
+        assert steps == list(range(t))
+        with pytest.raises(InvalidActionError, match="unknown action 'jump'"):
+            _choosing_at_every_step(policies, world, sk, rob, seed, beta)
 
 
 def _counted_steps(env) -> list:
