@@ -440,9 +440,9 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Input files
 
-def load_formula(path) -> Formula:
-    """Read one formula from a text file."""
-    return read_input("formula", path, parse_formula)
+def load_formula(path, parse=parse_formula):
+    """`parse` of the text of the formula file at `path`, by default its Formula."""
+    return read_input("formula", path, parse)
 
 
 def read_input(noun: str, path, parse=None):

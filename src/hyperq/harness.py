@@ -23,7 +23,9 @@ Relative paths resolve against the config file's directory.  Exit codes:
 Every file a command takes is read by `formula.read_input`.  A command
 prints an `InputError` it meets as one line on stderr and exits with code 2:
 ``config error: `` leads what `train` and `eval` find in a config and the
-files it names (a `ConfigError`), ``error: `` anything else.
+files it names (a `ConfigError`), ``error: `` anything else.  A formula file
+is read on every call, but each distinct text is parsed and skolemized once
+per process (`compile_formula`).
 """
 
 from __future__ import annotations
@@ -145,17 +147,18 @@ class ExperimentConfig:
     def setup(self) -> tuple:
         """Formula, skolemized formula, environment and episode length.
 
-        Raises ConfigError when the formula or an environment file cannot be
-        read or parsed, or when the pieces do not fit together.  One step of
-        joint action 0, every slot's first action, is scored, so a formula
-        that reads a valuation the world's labels lack is found here.  The
-        step scores into the world's table, which `train` and `eval` reuse.
+        Calls on one formula text share its `compile_formula` pair; the
+        world is built afresh.  Raises ConfigError when the formula or an
+        environment file cannot be read or parsed, or when the pieces do not
+        fit together.  One step of joint action 0, every slot's first
+        action, is scored, so a formula that reads a valuation the world's
+        labels lack is found here, on every call.  The step scores into the
+        world's table, which `train` and `eval` reuse.
         """
         try:
-            f = self.load_formula()
+            f, sk = load_formula(self.formula_path, compile_formula)
         except InputError as exc:
             raise ConfigError(str(exc)) from exc
-        sk = skolemize(f)
         try:
             env = self.make_env()
             beta = episode_bound(env, sk, self.hyperparams)
@@ -167,6 +170,15 @@ class ExperimentConfig:
             raise ConfigError(f"the formula reads valuation {exc.args[0]!r}, "
                               f"which {env.kind} labels lack") from exc
         return f, sk, env, beta
+
+
+@functools.lru_cache(maxsize=64)
+def compile_formula(text: str) -> tuple:
+    """The Formula of a formula file's text and its skolemized form, whose
+    plan keeps its programs.  Only a text that parsed is kept, so a
+    FormulaError is raised afresh on every call."""
+    f = parse_formula(text)
+    return f, skolemize(f)
 
 
 def _config_syntax(exc: configparser.Error) -> str:
@@ -307,13 +319,13 @@ def _reports_input_errors(command):
 
 @_reports_input_errors
 def cmd_check(formula_path) -> int:
-    text = read_input("formula", formula_path)
     try:
-        f = parse_formula(text)
-    except FormulaError as exc:
-        print(f"syntax error: formula file {formula_path}: {exc}", file=sys.stderr)
+        f, sk = load_formula(formula_path, compile_formula)
+    except InputError as exc:
+        if not isinstance(exc.__cause__, FormulaError):
+            raise
+        print(f"syntax error: {exc}", file=sys.stderr)
         return 1
-    sk = skolemize(f)
     print(f"formula: {unparse(f)}")
     if sk.decls:
         print(f"skolemized: {format_skolemized(sk, unparse(Formula((), sk.body)))}")
@@ -415,7 +427,7 @@ def cmd_oracle_pcp(dominoes, max_len: int) -> int:
 
 @_reports_input_errors
 def cmd_oracle_boolean_sat(formula, traces) -> int:
-    f = load_formula(formula)
+    f, _ = load_formula(formula, compile_formula)
     trace_set = read_input("traces", traces, _traces)
     try:
         result = boolean_sat(trace_set, f)

@@ -652,6 +652,8 @@ class Plan:
         -0.0 differ (see `_kernel_source`)."""
         program = self._programs.get((arity, cfg))
         if program is None:
+            if len(self._programs) >= 16:   # a plan lives as long as its formula's memo entry
+                self._programs.clear()
             rmax, rmin = float(cfg.rho_max), float(cfg.rho_min)
             steps = [(_row_step if self.whole[i] else _head_step)(self, i, rmin)
                      for i in self.temporal]

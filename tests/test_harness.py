@@ -18,11 +18,14 @@ from hyperq.harness import (
     cmd_oracle_boolean_sat,
     cmd_oracle_pcp,
     cmd_train,
+    compile_formula,
     main,
     read_artifacts,
     write_artifacts,
 )
+from hyperq.formula import FormulaError, parse_formula
 from hyperq.learner import Hyperparams, train
+from hyperq.robustness import RobustnessConfig
 from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file
 
 
@@ -49,6 +52,13 @@ epsilon_decay_episodes = 10
 {extra_hp}
 """)
     return cfg
+
+
+def _fresh_env(**extra) -> dict:
+    """The environment of a `python -m hyperq` child that imports this package."""
+    src = Path(hq.__file__).resolve().parent.parent
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
 
 
 def test_config_load_bundled():
@@ -396,7 +406,8 @@ def test_formula_reading_a_valuation_the_world_lacks_exits_2(tmp_path, capsys):
                               env=f"kind = grid\nmap = {hq.bundled('maps/cross4.map')}")
     pcp = write_micro_config(tmp_path, "pcp", xi=5, reps=1, formula=valued,
                              env=f"kind = pcp\ndominoes = {hq.bundled('dominoes/k3_solvable.dom')}")
-    for bad, world, name in ((grid, "grid", "energy"), (pcp, "pcp", "v")):
+    # each case twice, so that a formula compiled before still meets the probe
+    for bad, world, name in ((grid, "grid", "energy"), (pcp, "pcp", "v")) * 2:
         assert cmd_train(bad) == 2
         assert cmd_eval(artifact, bad) == 2
         message = f"config error: the formula reads valuation {name!r}, which {world} labels lack\n"
@@ -520,15 +531,12 @@ def test_cmd_eval_witness_positions_outside_the_prefix(tmp_path, capsys, header)
 def test_train_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # wildfire slot states hold frozensets, whose order follows the hash seed
     cfg = write_micro_config(tmp_path, xi=30, env="kind = wildfire")
-    src = Path(hq.__file__).resolve().parent.parent
     outputs = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"hash{hash_seed}"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, (str(src),
-                                                            os.environ.get("PYTHONPATH")))))
         subprocess.run([sys.executable, "-m", "hyperq", "train", "--config", str(cfg),
-                        "--out", str(out)], env=env, check=True, capture_output=True)
+                        "--out", str(out)], env=_fresh_env(PYTHONHASHSEED=hash_seed),
+                       check=True, capture_output=True)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(outputs[0]) == ["aggregate.csv", "artifacts_3.txt", "artifacts_4.txt",
                                   "run_3.csv", "run_4.csv"]
@@ -738,6 +746,106 @@ def test_a_formula_nested_past_the_bound_is_one_line(tmp_path, capsys, chain, co
               "boolean-sat": "error"}[command]
     assert (code, out, err) == (1 if command == "check" else 2, "", f"{prefix}: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_setup_calls_on_one_config_share_the_compiled_formula(tmp_path):
+    cfg = ExperimentConfig.load(write_micro_config(tmp_path))
+    (f, sk, env, _), (f2, sk2, env2, _) = cfg.setup(), cfg.setup()
+    assert f2 is f and sk2 is sk and env2 is not env
+
+
+def test_check_reads_a_formula_file_rewritten_between_calls(tmp_path, capsys):
+    path = tmp_path / "f.hltl"
+    for text in ("forall t1. F a@t1", "forall t1. G b@t1"):
+        path.write_text(text + "\n")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"formula: {text}"
+
+
+def test_a_negative_zero_constant_compiles_apart_from_zero(tmp_path, capsys):
+    # `==` takes a -0.0 constant for 0.0, though their margins differ in the
+    # sign of a zero, so neither text may reuse the other's skolemized form
+    path = tmp_path / "signed.hltl"
+    for constant in ("-0", "0", "-0"):
+        path.write_text(f"forall t1. exists t2. G [ loc@t2 < {constant} ]\n")
+        assert main(["check", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and all(line.endswith(f"< {constant} ]") for line in lines)
+
+
+def test_a_formula_that_fails_to_parse_fails_alike_on_every_call(tmp_path, capsys):
+    text = "forall t1. F (a@t1\n"
+    with pytest.raises(FormulaError) as exc:
+        parse_formula(text)
+    paths = [tmp_path / "a.hltl", tmp_path / "b.hltl"]
+    configs = {}
+    for path in paths:
+        path.write_text(text)
+        configs[path] = str(write_micro_config(tmp_path, path.stem, formula=path))
+    for command, code, prefix in (("check", 1, "syntax error"), ("train", 2, "config error"),
+                                  ("eval", 2, "config error")):
+        for path in (paths[0], paths[0], paths[1]):
+            argv = {"check": ["check", str(path)], "train": ["train", "--config", configs[path]],
+                    "eval": ["eval", "--policy", "never-read", "--config", configs[path]]}[command]
+            assert main(argv) == code
+            assert capsys.readouterr() == ("", f"{prefix}: formula file {path}: {exc.value}\n")
+
+
+def test_the_formula_memo_compiles_its_oldest_text_again_past_its_bound(tmp_path):
+    bound = compile_formula.cache_info().maxsize
+    cfg = ExperimentConfig.load(write_micro_config(tmp_path))
+    f = cfg.setup()[0]
+    for i in range(bound - 1):
+        compile_formula(f"forall t1. F [ v@t1 < {i} ]\n")
+    assert cfg.setup()[0] is f
+    for i in range(bound):
+        compile_formula(f"forall t1. F [ v@t1 > {i} ]\n")
+    again = cfg.setup()[0]
+    assert again is not f and again == f
+
+
+def test_a_compiled_plan_keeps_a_bounded_number_of_programs(tmp_path):
+    sks = set()
+    for rho_max in range(1, 41):
+        cfg = ExperimentConfig.load(write_micro_config(tmp_path, f"rho{rho_max}",
+                                                       extra_hp=f"rho_max = {rho_max}"))
+        _, sk, _, _ = cfg.setup()
+        sks.add(id(sk))
+        assert (sk.arity, RobustnessConfig(rho_max)) in sk.plan._programs
+        assert len(sk.plan._programs) <= 16
+    assert len(sks) == 1
+
+
+def _reduced(tmp_path, name: str, xi: int) -> Path:
+    """The bundled config `name` at `xi` episodes and one seed, writing to tmp_path/out."""
+    configs = hq.bundled("configs")
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read(configs / name)
+    for section, key in (("experiment", "formula"), ("environment", "map"),
+                         ("environment", "dominoes")):
+        if key in parser[section]:
+            parser[section][key] = str((configs / parser[section][key]).resolve())
+    parser["experiment"].update(repetitions="1", output_dir=str(tmp_path / "out"))
+    parser["hyperparams"]["xi"] = str(xi)
+    path = tmp_path / name
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in hq.bundled("configs").glob("*.ini")))
+def test_repeated_eval_prints_what_a_fresh_process_prints(tmp_path, capsys, config):
+    path = _reduced(tmp_path, config, xi=20)
+    assert main(["train", "--config", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["eval", "--policy", str(tmp_path / "out" / "artifacts_1.txt"), "--config", str(path)]
+    fresh = subprocess.run([sys.executable, "-m", "hyperq", *argv], env=_fresh_env(),
+                           capture_output=True)
+    assert fresh.stdout.startswith(b"step 1: rho ")
+    for _ in range(3):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in hq.bundled("configs").glob("*.ini")))
