@@ -39,7 +39,9 @@ episodes of every seed of a run, their final greedy episodes,
 call's own.
 
 Exploration in episode e of seed s draws from numpy's `default_rng((s, e))`
-stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.
+stream, which `hyperq.rng.Stream` reproduces draw for draw without numpy.  A
+`train` call hashes its seed's words once (`rng.streams`) and each episode
+then hashes only its own.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from .env import (ArityMismatchError, Environment, EpisodeExhaustedError, EpisodeRecord,
                   JointAction, StateTable)
 from .formula import Formula, format_number
-from .rng import Stream
+from .rng import streams
 from .robustness import (LengthMismatchError, PrefixEvaluator, RobustnessConfig, Trace, _unchanged,
                          eval_hyper)
 from .skolem import SkolemizedFormula, WitnessTable, skolemize, trace_text, witness_key
@@ -283,9 +285,10 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     comes out (`StateTable.keep`).  A `trace_prefix` world's update rescores
     the zipped `trace_prefix` of n from position 0; a labelled world's
     appends every column since the last update.  Under a nested plan each
-    step updates the evaluator over the appended column.  The terminal
-    robustness is the last step's, which scores the whole episode; an
-    episode without steps scores its traces.
+    step updates the evaluator over the appended column.  The evaluator is
+    made at its first update, so an episode whose every step is looked up
+    makes none.  The terminal robustness is the last step's, which scores
+    the whole episode; an episode without steps scores its traces.
     """
     if beta > env.beta:
         raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "
@@ -296,13 +299,15 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     plan = sk.plan
     i = table.start(start)
     labelled = table.labelled
-    evaluator = PrefixEvaluator(plan, sk.arity, cfg)
+    lookup = not labelled or plan.flat
+    # made at its first update: a step the memo lacks, every step of a
+    # nested plan, or the score of an episode without steps
+    evaluator = None if lookup else PrefixEvaluator(plan, sk.arity, cfg)
     tracker = _EpisodeTracker(env, table.columns[i] if labelled else None)
     prefix = tracker.columns
     states, columns, inputs, memo, successors, joint_actions, width = (
         table.states, table.columns, table.inputs, table.memo, table.successors, table.actions,
         table.width)
-    lookup = not labelled or plan.flat
     if lookup:   # a flat plan's first context is keyed on the start's root values
         key = inputs[i] if labelled else None
         memo.setdefault(key, {})
@@ -316,6 +321,8 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
             prefix.append(columns[n])
         if lookup:
             if (hit := memo[key].get(inputs[n])) is None:
+                if evaluator is None:
+                    evaluator = PrefixEvaluator(plan, sk.arity, cfg)
                 # over every column since the last update, or rescored from position 0
                 rho = (evaluator.update(prefix, len(prefix) - 1) if labelled else
                        evaluator.update(_zip(env.trace_prefix(states[n])), 0))
@@ -330,6 +337,8 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         rhos.append(rho)
         i = n
     record.traces = tracker.traces(states[i])
+    if not rhos and evaluator is None:
+        evaluator = PrefixEvaluator(plan, sk.arity, cfg)
     record.terminal_rho = rhos[-1] if rhos else evaluator.update(_zip(record.traces))
     return record
 
@@ -342,12 +351,14 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     (`StateTable.of`) while the skolemized formula and `rho_max` stay equal;
     the table is a pure cache, so what a call computes does not depend on
     the calls before it.  A call that `episode_bound` rejects leaves the
-    world's table as it was.  Raises RewardMismatchError when the
+    world's table as it was, as does a negative seed.  The seed's words are
+    hashed once per call (`rng.streams`).  Raises RewardMismatchError when the
     final greedy episode's terminal reward differs from a from-scratch
     evaluation, the sign of a zero included.
     """
     sk = skolemize(f)
     beta = episode_bound(env, sk, h)
+    seeded = streams(seed)
     table = StateTable.of(env, sk, h.config())
     sk, cfg = table.sk, table.config   # so that each rollout finds the table by identity
     rows, n_actions = table.rows, table.width
@@ -382,7 +393,7 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     previous: dict = {}
     for episode in range(h.xi):
         # per-episode stream: episode e explores identically whatever xi is
-        ep_rng = Stream((seed, episode))
+        ep_rng = seeded(episode)
         eps = h.epsilon(episode)
         record = rollout(env, sk, cfg, explore, seed, beta, learn)
         previous = {"episode": episode, **env.episode_metrics(record, previous),

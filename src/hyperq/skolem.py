@@ -107,14 +107,21 @@ def skolemize(f: Formula) -> SkolemizedFormula:
     """Rewrite f so existential variables become witness functions.
 
     Purely universal formulas come back with no declarations and the body
-    unchanged.
+    unchanged.  The result is kept on `f`, outside its fields, so that it
+    neither compares nor prints: each later call on the same formula object
+    returns the same object, which `StateTable.of` finds by identity.
     """
+    kept = vars(f).get("_skolemized")
+    if kept is not None:
+        return kept
     deps = dependency_sets(f)
     decls = tuple(SkolemDecl(i, tuple(d)) for i, d in sorted(deps.items()))
     refs = {d.exist_index: SkolemRef(d.exist_index, d.name) for d in decls}
     universal_vars = tuple(q.var for q in f.prefix if q.kind == FORALL)
     body = _retag(f.body, refs) if refs else f.body
-    return SkolemizedFormula(decls, universal_vars, body, arity=len(f.prefix))
+    sk = SkolemizedFormula(decls, universal_vars, body, arity=len(f.prefix))
+    object.__setattr__(f, "_skolemized", sk)   # Formula is frozen
+    return sk
 
 
 def format_skolemized(sk: SkolemizedFormula, body_text: str) -> str:

@@ -43,7 +43,7 @@ from hyperq.robustness import (
     eval_hyper,
     zip_traces,
 )
-from hyperq.skolem import check_consistency, skolemize
+from hyperq.skolem import SkolemizedFormula, check_consistency, skolemize
 from hyperq.harness import ExperimentConfig, write_artifacts
 from hyperq.worlds import (GridWorldEnv, LazyTable, PcpEnv, ResourceEnv, WildfireEnv,
                            load_domino_file, load_map_file)
@@ -1016,6 +1016,101 @@ def _counted_updates(monkeypatch) -> list:
     monkeypatch.setattr(PrefixEvaluator, "update",
                         lambda self, *args: updates.append(self) or update(self, *args))
     return updates
+
+
+def _counted_evaluators(monkeypatch) -> list:
+    """The list to which each `PrefixEvaluator` that `rollout` makes
+    appends itself."""
+    made = []
+
+    class Counted(PrefixEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(learner, "PrefixEvaluator", Counted)
+    return made
+
+
+def _lazy_worlds():
+    """(name, world, skolemized formula): a labelled world under a flat plan,
+    a `trace_prefix` world and a labelled world under a nested plan."""
+    rng = random.Random(11)
+    columns = [tuple(_kernel_label(rng) for _ in range(2)) for _ in range(7)]
+    nested = skolemize(hq.parse_formula("forall t1. forall t2. F (a@t1 & X F b@t2)"))
+    assert not nested.plan.flat
+    return [("flat", WildfireEnv(6), skolemize(rescue_formula())),
+            ("domino", _k3_world(4), skolemize(_pcp_formula())),
+            ("nested", _LabelScript(columns), nested)]
+
+
+@pytest.mark.parametrize("world", ["flat", "domino"])
+def test_a_rollout_whose_every_step_is_looked_up_makes_no_evaluator(monkeypatch, world):
+    # the evaluator is made at the first step the memo lacks: the second run
+    # of one episode through one table looks every step up and makes none
+    [(_, env, sk)] = [w for w in _lazy_worlds() if w[0] == world]
+    made, updates = _counted_evaluators(monkeypatch), _counted_updates(monkeypatch)
+    first = rollout(env, sk, CFG, lambda t, i: 0, 0, env.beta)
+    assert len(made) == 1 and 0 < len(updates) <= env.beta
+    made.clear()
+    updates.clear()
+    second = rollout(env, sk, CFG, lambda t, i: 0, 0, env.beta)
+    assert made == [] and updates == []
+    assert _bits(second.rhos + [second.terminal_rho]) == _bits(first.rhos + [first.terminal_rho])
+
+
+def test_a_nested_plan_still_updates_its_evaluator_at_every_step(monkeypatch):
+    [(_, env, sk)] = [w for w in _lazy_worlds() if w[0] == "nested"]
+    made, updates = _counted_evaluators(monkeypatch), _counted_updates(monkeypatch)
+    for _ in range(2):
+        made.clear()
+        updates.clear()
+        record = rollout(env, sk, CFG, lambda t, i: 0, 0, env.beta)
+        assert len(made) == 1 and updates == made * env.beta
+        for t, rho in enumerate(record.rhos, start=1):
+            expected = eval_hyper(env.prefix(t), sk, CFG)
+            assert _bits([rho]) == _bits([expected]), t
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_an_episode_without_steps_still_scores_its_traces(monkeypatch, warm):
+    # on a fresh table and on one whose every step is kept, each world makes
+    # one evaluator, for the start's traces
+    for name, env, sk in _lazy_worlds():
+        if warm:
+            rollout(env, sk, CFG, lambda t, i: 0, 0, env.beta)
+        made = _counted_evaluators(monkeypatch)
+        record = rollout(env, sk, CFG, None, 0, 0)
+        expected = immediate_reward(record.traces, sk, CFG)
+        assert len(made) == 1 and record.rhos == [], name
+        assert _bits([record.terminal_rho]) == _bits([expected]), name
+
+
+def test_train_takes_the_skolemized_formula_that_setup_compiled(monkeypatch):
+    # every seed of a run gets back the object `setup` skolemized, which the
+    # world's table holds, so `StateTable.of` finds the table by identity
+    # and prints no formula; a formula of another parse is skolemized anew
+    cfg = ExperimentConfig.load(hq.bundled("configs/pcp-k3.ini"))
+    f, sk, env, _ = cfg.setup()
+    table, made, printed = env.table, [], []
+    monkeypatch.setattr(learner, "skolemize", lambda g: made.append(skolemize(g)) or made[-1])
+    monkeypatch.setattr(SkolemizedFormula, "__repr__", lambda self: printed.append(self) or "")
+    h = dataclasses.replace(cfg.hyperparams, xi=3)
+    for seed in (1, 2):
+        train(env, f, h, seed)
+    assert [id(x) for x in made] == [id(sk)] * 2
+    assert printed == [] and env.table is table and table.sk is sk
+    other = hq.load_formula(cfg.formula_path)
+    assert skolemize(other) is not sk and skolemize(other) is skolemize(other)
+
+
+def test_train_rejects_a_negative_seed_before_any_episode():
+    env = WildfireEnv(4)
+    resets = []
+    env.reset = lambda seed: resets.append(seed)
+    with pytest.raises(ValueError, match="non-negative"):
+        train(env, rescue_formula(), Hyperparams(xi=2), seed=-1)
+    assert resets == [] and env.table is None
 
 
 def test_rollout_reuses_rho_once_both_domino_sequences_terminated(monkeypatch):
