@@ -160,18 +160,19 @@ class StateTable:
     Under a flat plan (see `Plan.flat`) a labelled world's key is the
     plan's root values at the id's column, `program.roots` of it packed by
     `program.pack` when the id is interned, so that a 0.0 and a -0.0 differ;
-    `program` is the flat plan's program, derived once per table.
+    `program` is the flat plan's program, derived once per table, whose
+    `delta` scores a step the memo lacks.
     Otherwise the key is the id and `program` is None.
 
     `memo` is the table's reward machine: it maps a context key to the steps
     kept from that context, {step key: (next context key, robustness)}.  A
     world with `trace_prefix` has one context, keyed None, since its prefix
     is a function of the joint state, and a step's key is the id.  Under a
-    flat plan a labelled world's context is its monitor state (see
-    `Plan.monitor`); the first of an episode is keyed on its start's root
-    values.  Then the memo names no id: equal root values make equal steps,
-    whatever state they come from.  A hit names its next context by key,
-    so the memo holds no reference cycle.  `keys` maps each packed key the
+    flat plan a labelled world's context is its packed monitor state (see
+    `robustness._delta_lines`); the first of an episode is keyed on its
+    start's root values.  Then the memo names no id: equal root values make
+    equal steps, whatever state they come from.  A hit names its next
+    context by key, so the memo holds no reference cycle.  `keys` maps each packed key the
     table holds to one object of that value, which ids and hits share.
 
     `actions` are the world's joint actions, all combinations of `actions`

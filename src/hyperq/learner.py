@@ -10,26 +10,24 @@ lookup, and each joint state is encoded and hashed once per id rather than
 once per step.  The episode loop deals in these ids and in joint-action
 indices into the table's `actions`, and it alone keeps the episode bound.
 The episode's tracker keeps the zipped prefix of a world that appends a label
-per step, and the episode loop scores it with a `PrefixEvaluator`, which
-computes each appended column once and folds it into each subformula.  The
-table's `memo` is a reward machine: per context met, it keeps the next
-context and the reward of each step taken from it, keyed on the table's
-`inputs` entry for the state stepped into, so a step seen before is a lookup
-and only a new one updates the evaluator.  In a world with `trace_prefix` the
+per step.  The table's `memo` is a reward machine: per context met, it keeps
+the next context and the reward of each step taken from it, keyed on the
+table's `inputs` entry for the state stepped into, so a step seen before is a
+lookup and only a new one is scored.  In a world with `trace_prefix` the
 prefix is a function of the joint state, so there is one context, a step's
 key is its id and each id is scored once: only a step into an unscored id
-zips that id's prefix and rescores it from position 0.  A world that appends
-a label per step is scored from the appended position.  When the body's plan
-is flat (its G, F, X, U, G F and F G read atoms and their !, &, | and -> alone),
-it is a finite-state monitor whose input is the plan's root values at the
-appended column: those values are a step's key, and the monitor's state is
-the context, the first of an episode keyed on the start's root values.  The
-memo then names no id, so it outlives the table's ids, and a new step updates
-the evaluator over every column appended since its last update.  A nested
-plan (a temporal operator under another, other than G F and F G) updates it
-at every step.  The terminal reward is the last step's.  Each `train` call
-checks its final greedy episode's terminal reward against one from-scratch
-evaluation of the world's traces.  Per-slot greedy policies and witness
+zips that id's prefix and rescores it from position 0 with a
+`PrefixEvaluator`.  When the body's plan is flat (its G, F, X, U, G F and F G
+read atoms and their !, &, | and -> alone), a labelled world's prefix is the
+input of a finite-state monitor: a step's key is the plan's root values at
+the appended column, the context is the monitor's state, the first of an
+episode keyed on the start's root values, and a new step is one call of the
+plan's monitor step `delta(context, key)`, with no evaluator.  The memo then
+names no id, so it outlives the table's ids.  A nested plan (a temporal
+operator under another, other than G F and F G) updates an evaluator from the
+appended column at every step.  The terminal reward is the last step's.
+Each `train` call checks its final greedy episode's terminal reward against
+one from-scratch evaluation of the world's traces.  Per-slot greedy policies and witness
 tables for existential quantifiers are projected out of the trained function.
 
 A world holds one table, for one skolemized formula and robustness config
@@ -281,14 +279,15 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     step into id n from context k (see `StateTable`) takes the next context
     and reward that `table.memo[k]` keeps under `table.inputs[n]`: n itself,
     or the plan's root values at n's column in a labelled world.  Only a
-    step it lacks updates the episode's `PrefixEvaluator`, and keeps what
-    comes out (`StateTable.keep`).  A `trace_prefix` world's update rescores
-    the zipped `trace_prefix` of n from position 0; a labelled world's
-    appends every column since the last update.  Under a nested plan each
-    step updates the evaluator over the appended column.  The evaluator is
-    made at its first update, so an episode whose every step is looked up
-    makes none.  The terminal robustness is the last step's, which scores
-    the whole episode; an episode without steps scores its traces.
+    step it lacks is scored, and what comes out kept (`StateTable.keep`): in
+    a labelled world by one call of the flat plan's monitor step
+    `table.program.delta` on k and that key, in a `trace_prefix` world by
+    rescoring the zipped `trace_prefix` of n from position 0 with the
+    episode's `PrefixEvaluator`.  Under a nested plan each step updates the evaluator
+    over the appended column.  The evaluator is made at its first update,
+    so an episode whose every step is looked up or stepped by `delta` makes
+    none.  The terminal robustness is the last step's, which scores the
+    whole episode; an episode without steps scores its traces.
     """
     if beta > env.beta:
         raise EpisodeExhaustedError(f"an episode of {beta} steps exceeds the world's bound "
@@ -300,8 +299,9 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
     i = table.start(start)
     labelled = table.labelled
     lookup = not labelled or plan.flat
-    # made at its first update: a step the memo lacks, every step of a
-    # nested plan, or the score of an episode without steps
+    # a nested plan's evaluator scores every step; any other is made at its
+    # first update: a `trace_prefix` step the memo lacks, or the score of an
+    # episode without steps
     evaluator = None if lookup else PrefixEvaluator(plan, sk.arity, cfg)
     tracker = _EpisodeTracker(env, table.columns[i] if labelled else None)
     prefix = tracker.columns
@@ -321,12 +321,12 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
             prefix.append(columns[n])
         if lookup:
             if (hit := memo[key].get(inputs[n])) is None:
-                if evaluator is None:
-                    evaluator = PrefixEvaluator(plan, sk.arity, cfg)
-                # over every column since the last update, or rescored from position 0
-                rho = (evaluator.update(prefix, len(prefix) - 1) if labelled else
-                       evaluator.update(_zip(env.trace_prefix(states[n])), 0))
-                hit = table.keep(key, inputs[n], evaluator.monitor() if labelled else key, rho)
+                if labelled:    # the flat plan's monitor step
+                    hit = table.keep(key, inputs[n], *table.program.delta(key, inputs[n]))
+                else:           # rescored from position 0
+                    evaluator = evaluator or PrefixEvaluator(plan, sk.arity, cfg)
+                    rho = evaluator.update(_zip(env.trace_prefix(states[n])))
+                    hit = table.keep(key, n, key, rho)
             key, rho = hit
         else:
             rho = evaluator.update(prefix, len(prefix) - 1)
@@ -337,9 +337,8 @@ def rollout(env: Environment, sk: SkolemizedFormula, cfg: RobustnessConfig, choo
         rhos.append(rho)
         i = n
     record.traces = tracker.traces(states[i])
-    if not rhos and evaluator is None:
-        evaluator = PrefixEvaluator(plan, sk.arity, cfg)
-    record.terminal_rho = rhos[-1] if rhos else evaluator.update(_zip(record.traces))
+    record.terminal_rho = rhos[-1] if rhos else (
+        evaluator or PrefixEvaluator(plan, sk.arity, cfg)).update(_zip(record.traces))
     return record
 
 
@@ -351,7 +350,8 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     (`StateTable.of`) while the skolemized formula and `rho_max` stay equal;
     the table is a pure cache, so what a call computes does not depend on
     the calls before it.  A call that `episode_bound` rejects leaves the
-    world's table as it was, as does a negative seed.  The seed's words are
+    world's table as it was, as does a negative seed, and a call that
+    raises in an episode releases the table's Q rows.  The seed's words are
     hashed once per call (`rng.streams`).  Raises RewardMismatchError when the
     final greedy episode's terminal reward differs from a from-scratch
     evaluation, the sign of a zero included.
@@ -363,8 +363,6 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
     sk, cfg = table.sk, table.config   # so that each rollout finds the table by identity
     rows, n_actions = table.rows, table.width
     q = TabularQ(n_actions)
-    # each joint state is encoded once per call, when it first needs its row
-    table.bind(lambda state: q.row(env.encode(state)))
     baseline = h.reward_mode == "baseline"
 
     # explore and learn see the ep_rng and eps of the episode being run.
@@ -391,17 +389,20 @@ def train(env: Environment, f: Formula, h: Hyperparams, seed: int) -> TrainResul
 
     metrics = TrainMetrics(["episode", *env.metric_columns, "rho"])
     previous: dict = {}
-    for episode in range(h.xi):
-        # per-episode stream: episode e explores identically whatever xi is
-        ep_rng = seeded(episode)
-        eps = h.epsilon(episode)
-        record = rollout(env, sk, cfg, explore, seed, beta, learn)
-        previous = {"episode": episode, **env.episode_metrics(record, previous),
-                    "rho": record.terminal_rho}
-        metrics.rows.append(previous)
-
-    final = rollout(env, sk, cfg, lambda t, i: greedy(rows[i]), seed, beta)
-    table.bind()   # so a world kept after the run pins no Q-function
+    # each joint state is encoded once per call, when it first needs its row
+    table.bind(lambda state: q.row(env.encode(state)))
+    try:
+        for episode in range(h.xi):
+            # per-episode stream: episode e explores identically whatever xi is
+            ep_rng = seeded(episode)
+            eps = h.epsilon(episode)
+            record = rollout(env, sk, cfg, explore, seed, beta, learn)
+            previous = {"episode": episode, **env.episode_metrics(record, previous),
+                        "rho": record.terminal_rho}
+            metrics.rows.append(previous)
+        final = rollout(env, sk, cfg, lambda t, i: greedy(rows[i]), seed, beta)
+    finally:
+        table.bind()   # so a world kept after the run, or after a raise, pins no Q-function
     # the one from-scratch evaluation: of the world's own traces (a
     # `trace_prefix` world's of the last state, not of its step deltas)
     expected = immediate_reward(final.traces, sk, cfg)

@@ -16,24 +16,28 @@ and returns the values that other steps read, and `run`, which appends
 `roots` of each new column and then runs every other step in plan order, a
 pointwise one written out from the same expression (`_POINTWISE` states
 each operator and its tie rule once) and a temporal one as a call of its
-step function.  The source is compiled once per process for each shape of
+step function, or as one statement where it is needed at position 0 alone.
+The source is compiled once per process for each shape of
 plan, and found by that shape before any source is generated.  When `roots`
 reads Boolean atoms alone, its values at a position are a function of the
 props it reads there, so each program keeps them per distinct column and
 computes a column it has met before by one dict lookup.  A
 `PrefixEvaluator` runs the program over Python floats: a list with one
 value per position for each remaining step that needs them, one value for
-a step read only at position 0.  It keeps these between calls, so an
-episode's growing prefix is scored after every appended column: G and F at
-position 0, and U over pointwise operands there, fold in the appended
-positions, G F and F G over a pointwise operand read its newest value (the
-finite-trace identities of LTLf, De Giacomo and Vardi, IJCAI 2013), and the
-backward recurrences of G, F, U and X stop below the change as soon as a
-value comes out unchanged.  A prefix whose earlier positions were rewritten
-is rescored from position 0.  A plan whose temporal steps all fold forward
-is a finite-state monitor (`Plan.flat`), which the training loop looks up
-rather than evaluates.  `eval_ltl` and `eval_hyper` are one-shot uses of
-the same evaluator.
+a step read only at position 0.  It keeps these between calls, so a
+growing prefix is scored after every appended column: G F and F G over a
+pointwise operand read its newest value (the finite-trace identities of
+LTLf, De Giacomo and Vardi, IJCAI 2013), and the backward recurrences of G,
+F, U and X stop below the change as soon as a value comes out unchanged.
+A prefix whose earlier positions were rewritten is rescored from position
+0.  `eval_ltl` and `eval_hyper` are one-shot uses of the evaluator.
+
+A plan whose temporal steps read pointwise operands alone is a
+finite-state monitor (`Plan.flat`).  Its program also has a pure monitor
+step `delta(u, x) -> (u', rho)`: x is the roots' values at an appended
+column, u the state of the prefix before it, and G, F and U fold x in
+forward while X keeps the value at position 1.  The training loop scores a
+flat plan's steps by `delta` alone and keeps what it returns.
 
 A separate Boolean evaluator implements the positional satisfaction relation
 directly (with explicit quantifier enumeration over a finite trace set) and
@@ -215,72 +219,13 @@ def _unchanged(old: float, new: float) -> bool:
     return old == new and (new != 0.0 or math.copysign(1.0, old) == math.copysign(1.0, new))
 
 
-def _head_step(plan, i: int, rmin: float):
-    """Function (values, lows, n, m) that sets temporal step `i`'s value at
-    position 0.
-
-    `values[k]` is step k's list (one value per position, or one value for
-    another position-0 step), `lows[k]` the lowest position at which step k
-    changed in this update, `n` the prefix length and `m` the previous one.
-    Ties of 0.0 and -0.0 keep what a scalar fold keeps: G and F the later
-    position.
-
-    A `last` step (G F φ or F G φ) is φ's value at the newest position.  A
-    U step over fused children folds positions forward.  Its list holds
-    (u, g): u is φ U ψ on the prefix so far and g is G φ on it, the running
-    min of φ, or -inf once u can no longer change.  Position j makes u
-    max(u, min(g, ψ_j)), each tie keeping its right operand, and g
-    min(g, φ_j), a tie keeping φ_j.  g becomes -inf when max(u, ψ_j) exceeds
-    min(g, φ_j).  These are the backward recurrence's tie rules: the
-    recurrence composes one clamp x -> max(ψ_j, min(φ_j, x)) per position,
-    and (u, g) is the composition of those clamps so far.
-    """
-    node, kids = plan.steps[i]
-    a = kids[0]
-    if plan.last[i]:
-        def step(v, low, n, m):
-            v[i][0] = v[a][-1]
-    elif isinstance(node, Until):
-        b = kids[1]
-
-        def step(v, low, n, m):
-            k = min(low[a], low[b])
-            if 0 < m <= k:      # only appended positions changed: fold them in
-                u, g = v[i]
-            else:
-                u, g, k = rmin, math.inf, 0
-            left, right = v[a], v[b]
-            for j in range(k, n):
-                x, y = left[j], right[j]
-                decided = (u if u > y else y) > (g if g < x else x)
-                y = g if g < y else y
-                u = u if u > y else y
-                g = -math.inf if decided else g if g < x else x
-            v[i][:] = u, g
-    elif isinstance(node, Next):
-        def step(v, low, n, m):
-            v[i][0] = v[a][1] if n > 1 else rmin
-    else:                       # G or F
-        least = isinstance(node, Always)
-        extreme = min if least else max
-
-        def step(v, low, n, m):
-            k = low[a]
-            if 0 < m <= k:      # only appended positions changed: fold them in
-                acc = v[i][0]
-                for x in v[a][k:]:
-                    if (x <= acc) if least else (x >= acc):
-                        acc = x
-                v[i][0] = acc
-            else:               # the first minimum of the reversed list is the last one
-                v[i][0] = extreme(reversed(v[a]))
-    return step
-
-
 def _row_step(plan, i: int, rmin: float):
-    """Function (values, lows, n, m) that brings temporal step `i`'s
+    """Function (values, lows, n) that brings temporal step `i`'s
     per-position list up to date and sets `lows[i]` to the lowest position
-    it changed (n when none did); arguments as for `_head_step`.
+    it changed (n when none did).  `values[k]` is step k's list (one value
+    per position, or one value for a step needed at position 0 alone),
+    `lows[k]` the lowest position at which step k changed in this update
+    and `n` the prefix length.
 
     A `last` step is φ's newest value at every position.  Every other one
     is a backward recurrence v[j] = f(children[j], v[j + 1]): recomputed
@@ -290,7 +235,7 @@ def _row_step(plan, i: int, rmin: float):
     node, kids = plan.steps[i]
     a = kids[0]
     if plan.last[i]:
-        def step(v, low, n, m):
+        def step(v, low, n):
             k = low[a]
             if k < n:
                 x, out = v[a][-1], v[i]
@@ -299,7 +244,7 @@ def _row_step(plan, i: int, rmin: float):
             low[i] = k
         return step
     if isinstance(node, Next):
-        def step(v, low, n, m):
+        def step(v, low, n):
             k = low[a]
             if k < n:
                 k = k - 1 if k else 0
@@ -311,7 +256,7 @@ def _row_step(plan, i: int, rmin: float):
     if isinstance(node, (Always, Eventually)):
         least = isinstance(node, Always)
 
-        def step(v, low, n, m):
+        def step(v, low, n):
             k = low[a]
             c, out = v[a], v[i]
             out[k:] = c[k:]
@@ -335,7 +280,7 @@ def _row_step(plan, i: int, rmin: float):
         return step
     b = kids[1]                 # U
 
-    def step(v, low, n, m):
+    def step(v, low, n):
         k = min(low[a], low[b])
         left, right, out = v[a], v[b], v[i]
         out[k:] = right[k:]
@@ -438,24 +383,26 @@ def _kernel_lines(plan, arity: int, loaded=()):
 
 
 def _kernel_source(plan, arity: int) -> str:
-    """The source of a function `make(R, N, P, k.., c.., t0, t1, ...)` that
-    returns the plan's program.  R and N are +/-rho_max, P packs the roots'
-    values, k{i} and c{i} are the props, valuation names and predicate
-    constants of atom step i (see `_constants`), and t0, t1, ... the step
-    functions of the plan's `temporal` steps.  The source reads the plan's
-    `shape`, never a prop, valuation or constant, so that plans of one shape
-    share it.
+    """The source of a function `make(R, N, k.., c.., t..)` that returns the
+    plan's program.  R and N are +/-rho_max, k{i} and c{i} are the props,
+    valuation names and predicate constants of atom step i (see
+    `_constants`), and t0, t1, ... the `_row_step` functions of the plan's
+    `temporal` steps that keep a value per position.  The source reads the
+    plan's `shape`, never a prop, valuation or constant, so that plans of
+    one shape share it.
 
     `roots(col)` is the only code that computes the fused steps: it returns
     the roots' values at one column, in `Plan.roots` order, and turns a
     valuation the column's labels lack into UnknownValuationError.  The
-    program `run(v, low, cols, lo, n, m)` appends `roots` of each column
-    from `lo` on to the roots' lists, then runs every other step in plan
-    order.  A pointwise step is its `_POINTWISE` expression, either at
-    position 0 or as one list comprehension from its operands' lowest
-    change on; a temporal step is a call of its `_head_step` or `_row_step`
-    function.  The program carries `run.roots` and `run.pack`, which packs
-    the values `roots` returns so that a 0.0 and a -0.0 differ.
+    program `run(v, low, cols, lo, n)` appends `roots` of each column from
+    `lo` on to the roots' lists, then runs every other step in plan order.
+    A pointwise step is its `_POINTWISE` expression, either at position 0
+    or as one list comprehension from its operands' lowest change on; a
+    temporal step that keeps a value per position is a call of its step
+    function, and one needed at position 0 alone (a `last` or X step) is
+    one statement.  The program carries `run.roots` and `run.pack`, which
+    packs the values `roots` returns so that a 0.0 and a -0.0 differ, and a
+    flat plan's program `run.delta`, its monitor step (see `_delta_lines`).
 
     When `roots` reads no predicate, only the `props` of the slots its atoms
     read, every root is +/-rho_max and a function of those frozensets.
@@ -484,35 +431,104 @@ def _kernel_source(plan, arity: int) -> str:
         lines = ["try:", *(f"    {s}" for s in _kernel_lines(plan, arity)),
                  "except KeyError as exc:", "    raise UnknownValuationError(*exc.args) from None",
                  f"return {values}"]
+    rows = [i for i in plan.temporal if plan.whole[i]]
     body = [f"o{i} = v[{i}]" for i in plan.roots] + [f"del o{i}[lo:]" for i in plan.roots]
     body += [f"for {values} in map(roots, cols[lo:]):"]
     body += [f"    o{i}.append(x{i})" for i in plan.roots] + [f"low[{i}] = lo" for i in plan.roots]
     for i, (kind, kids, *_) in enumerate(plan.shape):
         if plan.fused[i]:
             continue
+        a, b = kids[0], kids[-1]
         expr = _POINTWISE.get(kind)
-        if expr is None:
-            body.append(f"t{plan.temporal.index(i)}(v, low, n, m)")
-        elif not plan.whole[i]:
-            body.append(f"v[{i}][0] = " + expr.format(a=f"v[{kids[0]}][0]", b=f"v[{kids[-1]}][0]"))
+        if not plan.whole[i]:
+            body.append(f"v[{i}][0] = " + (f"v[{a}][-1]" if plan.last[i] else
+                                           f"v[{a}][1] if n > 1 else N" if kind is Next else
+                                           expr.format(a=f"v[{a}][0]", b=f"v[{b}][0]")))
+        elif expr is None:
+            body.append(f"t{rows.index(i)}(v, low, n)")
         else:
-            a, b = kids[0], kids[-1]
             lowest, items, names = ((f"low[{a}]", f"v[{a}][k:]", "a") if len(kids) == 1 else
                                     (f"min(low[{a}], low[{b}])", f"zip(v[{a}][k:], v[{b}][k:])",
                                      "a, b"))
             body += [f"k = low[{i}] = {lowest}", "if k < n:",
                      f"    v[{i}][k:] = [{expr.format(a='a', b='b')} for {names} in {items}]"]
-    params = ["R", "N", "P"]
+    params = ["R", "N"]
     for i, (kind, *_) in enumerate(plan.shape):
         params += [f"k{i}"] if kind is BoolProp else [f"k{i}", f"c{i}"] if kind is Predicate else []
-    params += [f"t{j}" for j in range(len(plan.temporal))]
-    return "\n".join([f"def make({', '.join(params)}):",
+    params += [f"t{j}" for j in range(len(rows))]
+    return "\n".join([f"def make({', '.join(params)}):", f"    P = Struct('{len(plan.roots)}d')",
                       *(["    memo = {}"] if memo else []),
                       "    def roots(col):", *(f"        {s}" for s in lines),
-                      "    def run(v, low, cols, lo, n, m):", *(f"        {s}" for s in body),
-                      "    run.roots, run.pack = roots, P",
+                      "    def run(v, low, cols, lo, n):", *(f"        {s}" for s in body),
+                      *(f"    {s}" for s in (_delta_lines(plan) if plan.flat else ())),
+                      "    run.roots, run.pack = roots, P.pack",
                       *(["    run.memo = memo"] if memo else []),
                       "    return run", ""])
+
+
+# The state of a G, F, X or U step before any position, and the statements
+# that fold in one more position, at which its operands' values are {a} and
+# {b}.  Ties of 0.0 and -0.0 keep what the backward recurrences keep: G and
+# F the later position.  X keeps the value at position 1, +inf until then.
+# U's state is (u, g): u is φ U ψ on the prefix so far and g is G φ on it,
+# the running min of φ, or -inf once u can no longer change.  The recurrence
+# composes one clamp x -> max(ψ_j, min(φ_j, x)) per position, and (u, g) is
+# the composition of those clamps so far, each tie keeping what the clamp
+# keeps: u its right operand and g φ_j.
+_FOLD = {
+    Always: ("inf", ["{s} = {a} if {a} <= {s} else {s}"]),
+    Eventually: ("-inf", ["{s} = {a} if {a} >= {s} else {s}"]),
+    Next: ("inf", ["{s} = {a} if {s} == inf else {s}"]),
+    Until: ("N, inf", ["d = ({s} if {s} > {b} else {b}) > ({g} if {g} < {a} else {a})",
+                       "h = {g} if {g} < {b} else {b}",
+                       "{s} = {s} if {s} > h else h",
+                       "{g} = -inf if d else {g} if {g} < {a} else {a}"]),
+}
+
+
+def _delta_lines(plan) -> list:
+    """The statements of `make` that define a flat plan's monitor step
+    `delta(u, x) -> (u', rho)` and put it on the program as `run.delta`.
+
+    x is the roots' values at an appended column, packed by `P`.  u is the
+    state of the prefix before it, packed by `Q`: the roots' values at
+    position 0, then, in plan order, the state of each G, F, X and U step
+    (see `_FOLD`).  For a prefix of one position, u is that position's
+    packed root values alone, and the folds start from it.  `delta` folds x
+    into every state, computes the `last` and pointwise steps at position 0
+    over these, and returns the new state, packed, and the body's value."""
+    folds = [i for i in plan.temporal if not plan.last[i]]
+    roots = [f"r{i}" for i in plan.roots]
+    state = roots + [name for i in folds
+                     for name in ([f"s{i}", f"g{i}"] if plan.shape[i][0] is Until else [f"s{i}"])]
+
+    def fold(i, column):
+        """The statements that fold the roots' values `{column}{k}` into
+        step i's state."""
+        kind, kids = plan.shape[i][:2]
+        return [line.format(s=f"s{i}", g=f"g{i}", a=f"{column}{kids[0]}", b=f"{column}{kids[-1]}")
+                for line in _FOLD[kind][1]]
+
+    lines = [", ".join(f"y{i}" for i in plan.roots) + ", = P.unpack(x)"]
+    if folds:
+        lines += ["if len(u) == P.size:", f"    {', '.join(roots)}, = P.unpack(u)",
+                  f"    {', '.join(state[len(roots):])} = "
+                  + ", ".join(_FOLD[plan.shape[i][0]][0] for i in folds)]
+        lines += [f"    {s}" for i in folds if plan.shape[i][0] is not Next for s in fold(i, "r")]
+        lines += ["else:", f"    {', '.join(state)}, = Q.unpack(u)"]
+    else:
+        lines.append(f"{', '.join(roots)}, = P.unpack(u)")
+    lines += [s for i in folds for s in fold(i, "y")]
+    names = {i: f"r{i}" for i in plan.roots} | {i: f"s{i}" for i in folds}
+    for i, (kind, kids, *_) in enumerate(plan.shape):
+        if i not in names and not plan.fused[i]:
+            value = (f"y{kids[0]}" if plan.last[i] else
+                     _POINTWISE[kind].format(a=names[kids[0]], b=names[kids[-1]]))
+            names[i] = f"z{i}"
+            lines.append(f"z{i} = {value}")
+    lines.append(f"return Q.pack({', '.join(state)}), {names[len(plan) - 1]}")
+    return [f"Q = Struct('{len(state)}d')", "def delta(u, x):", *(f"    {s}" for s in lines),
+            "run.delta = delta"]
 
 
 _MAKES: dict = {}   # (plan shape, slot count) -> the `make` of its program source
@@ -527,7 +543,8 @@ def _make(plan, arity: int):
     if make is None:
         if len(_MAKES) >= 256:
             _MAKES.clear()
-        namespace = {"UnknownValuationError": UnknownValuationError}
+        namespace = {"UnknownValuationError": UnknownValuationError, "Struct": struct.Struct,
+                     "inf": math.inf}
         exec(compile(_kernel_source(plan, arity), "<robustness kernel>", "exec"), namespace)
         make = _MAKES[key] = namespace["make"]
     return make
@@ -556,35 +573,31 @@ class Plan:
     `last[i]` says whether step i is G F φ or F G φ over a fused φ, with φ
     as its one child.  On a finite prefix both equal φ at the newest
     position, bit for bit, since F's and G's folds keep the later position
-    on a tie.
+    on a tie.  Its `shape` entry is marked "last", since its source differs
+    from that of a G or F.
 
     `whole[i]` says whether step i keeps one value per position.  Fused
-    steps always do, and so does a U with a child that is not fused.  Any
+    steps always do, and so do G, F and U steps other than `last` ones.  Any
     other step that only !, &, | and -> steps read on the way to the body
-    is needed at position 0 alone and keeps one value; a U over fused
-    children keeps its fold's state (see `_head_step`).
+    is needed at position 0 alone and keeps one value.
 
     `temporal` lists the steps that are neither fused nor pointwise.
     `program` generates one function per plan, slot count and configuration
     that appends the roots' values at each new column and then runs every
     other step in plan order: a pointwise step written out from the same
     expression as in `roots`, a temporal step as a call of its step
-    function.  The source names its props, valuations, constants and step
-    functions by parameter, so it is compiled once per process for all
-    plans of one shape.  When `roots` reads Boolean atoms alone, each
-    program keeps the roots' values of every distinct column it has scored,
-    keyed on the `props` it reads, and scores a column met before by lookup.
+    function or, at position 0 alone, as one statement.  The source names
+    its props, valuations, constants and step functions by parameter, so it
+    is compiled once per process for all plans of one shape.  When `roots`
+    reads Boolean atoms alone, each program keeps the roots' values of
+    every distinct column it has scored, keyed on the `props` it reads, and
+    scores a column met before by lookup.
 
-    A plan is `flat` when every step that is not fused keeps one value: its
-    G, F, X, U and `last` steps read fused roots alone, and only !, &, | and
-    -> read them.  Then it is a finite-state monitor of an append-only
-    prefix, whose state, `monitor`, is the roots' values at position 0 and
-    the states of the G, F, X and U steps, as (step, index) pairs into the
-    evaluator's lists.  The state after an appended column is a function of
-    the state before it and of the roots' values at that column (G, F and U
-    fold it in, X and the roots keep their values, a `last` step reads it,
-    and the other steps are pointwise over these); the state after the
-    first column is a function of the roots' values at it.
+    A plan is `flat` when its G, F, X, U and `last` steps read fused roots
+    alone.  Then only !, &, | and -> read those steps, and the plan is a
+    finite-state monitor of an append-only prefix: its program's `delta`
+    maps the monitor state and the roots' values at an appended column to
+    the next state and the prefix's robustness (see `_delta_lines`).
     """
 
     def __init__(self, body: LtlNode):
@@ -606,7 +619,7 @@ class Plan:
             if isinstance(node, _FOLDS) and isinstance(inner, _FOLDS) and type(inner) != type(node):
                 k = visit(inner.child)
                 if fused[k]:
-                    return add(("last", k), node, (k,), (type(node), (k,)), False, True)
+                    return add(("last", k), node, (k,), (type(node), (k,), "last"), False, True)
             kids = tuple(visit(c) for c in children_of(node))
             if kids:
                 return add((type(node), kids), node, kids, (type(node), kids),
@@ -620,7 +633,7 @@ class Plan:
         for i in range(len(steps) - 1, -1, -1):       # every reader before what it reads
             node, kids = steps[i]
             whole[i] = (whole[i] or fused[i]
-                        or isinstance(node, Until) and not all(fused[k] for k in kids))
+                        or isinstance(node, (*_FOLDS, Until)) and not last[i])
             if whole[i] or type(node) not in _POINTWISE:
                 for k in kids:
                     whole[k] = True
@@ -632,50 +645,43 @@ class Plan:
         self.roots = tuple(sorted(roots))
         self.temporal = tuple(i for i, ((node, _), f) in enumerate(zip(steps, fused))
                               if not f and type(node) not in _POINTWISE)
-        self.flat = all(f or not w for f, w in zip(fused, whole))
-        monitor = []
-        for i, (node, _) in enumerate(steps):
-            if i in roots or i in self.temporal and not last[i]:
-                size = 2 if isinstance(node, Until) and not whole[i] else 1   # a U's (u, g)
-                monitor += [(i, j) for j in range(size)]
-        self.monitor = tuple(monitor)
-        self._pack = struct.Struct(f"{len(monitor)}d").pack
+        self.flat = all(fused[k] for i in self.temporal for k in steps[i][1])
         self._programs = {}
 
     def __len__(self):
         return len(self.steps)
 
     def program(self, arity: int, cfg: RobustnessConfig):
-        """The function `run(values, lows, columns, lo, n, m)` that brings
+        """The function `run(values, lows, columns, lo, n)` that brings
         every step up to date, with `run.roots(column)`, the roots' values
-        at one column, and `run.pack`, which packs them so that a 0.0 and a
-        -0.0 differ (see `_kernel_source`)."""
+        at one column, `run.pack`, which packs them so that a 0.0 and a -0.0
+        differ, and for a flat plan `run.delta`, its monitor step (see
+        `_kernel_source`)."""
         program = self._programs.get((arity, cfg))
         if program is None:
             if len(self._programs) >= 16:   # a plan lives as long as its formula's memo entry
                 self._programs.clear()
             rmax, rmin = float(cfg.rho_max), float(cfg.rho_min)
-            steps = [(_row_step if self.whole[i] else _head_step)(self, i, rmin)
-                     for i in self.temporal]
-            pack = struct.Struct(f"{len(self.roots)}d").pack
+            steps = [_row_step(self, i, rmin) for i in self.temporal if self.whole[i]]
             program = self._programs[(arity, cfg)] = _make(self, arity)(
-                rmax, rmin, pack, *_constants(self), *steps)
+                rmax, rmin, *_constants(self), *steps)
         return program
 
 
 class PrefixEvaluator:
     """Robustness at position 0 of a zipped prefix that grows or is rewritten.
 
-    The values are Python floats: a list per position for each step that
-    keeps a value per position, and one value for each step needed at
-    position 0 alone (two for a U step's fold, see `Plan`).  Columns enter
-    in one of two ways: appended to the prefix of the previous update, or
-    rescored from position 0.  `update` makes one call of the plan's
-    program, which appends the plan's `roots` of every new column (a plan
-    over Boolean atoms alone looks up the roots of a column it has scored
-    before).  Then each other step runs and reports the lowest position it
-    changed to its readers.  G, F and U at position 0 fold in appended
-    positions in O(1) each, and G F and F G read the newest one; the
+    It scores nested plans, `trace_prefix` worlds and from-scratch
+    evaluations; a flat plan's appended prefix is stepped by its program's
+    `delta` instead.  The values are Python floats: a list per position for
+    each step that keeps a value per position, and one value for each step
+    needed at position 0 alone (see `Plan`).  Columns enter in one of two
+    ways: appended to the prefix of the previous update, or rescored from
+    position 0.  `update` makes one call of the plan's program, which
+    appends the plan's `roots` of every new column (a plan over Boolean
+    atoms alone looks up the roots of a column it has scored before).  Then
+    each other step runs and reports the lowest position it changed to its
+    readers: G F and F G at position 0 read the newest value, and the
     per-position recurrences of G, F, U and X stop below the change as soon
     as a value comes out unchanged.  Min, max and negation are exact, ties
     of 0.0 and -0.0 follow the scalar folds, so the result equals a
@@ -683,7 +689,6 @@ class PrefixEvaluator:
     """
 
     def __init__(self, plan: Plan, arity: int, cfg: RobustnessConfig):
-        self.plan = plan
         self.arity = arity
         self.rho_min = cfg.rho_min
         self._program = plan.program(arity, cfg)
@@ -704,15 +709,9 @@ class PrefixEvaluator:
             raise LengthMismatchError(f"expected {self.arity} traces, got {len(columns[0])}")
         m = self._n
         lo = min(lo, m) if n >= m else min(lo, n - 1)    # a shorter prefix ends anew
-        self._program(self._vals, self._low, columns, lo, n, m)
+        self._program(self._vals, self._low, columns, lo, n)
         self._n = n
         return self._vals[-1][0]
-
-    def monitor(self) -> bytes:
-        """The plan's `monitor` state at the last update, packed so that a
-        0.0 and a -0.0 differ."""
-        vals = self._vals
-        return self.plan._pack(*[vals[i][j] for i, j in self.plan.monitor])
 
 
 def eval_ltl(z: ZippedTrace, window, body: LtlNode, cfg: RobustnessConfig) -> float:

@@ -39,6 +39,7 @@ from hyperq.robustness import (
     PrefixEvaluator,
     RobustnessConfig,
     Trace,
+    UnknownValuationError,
     _unchanged,
     eval_hyper,
     zip_traces,
@@ -1018,6 +1019,16 @@ def _counted_updates(monkeypatch) -> list:
     return updates
 
 
+def _counted_deltas(monkeypatch, sk) -> list:
+    """The list to which each call of the monitor step `delta` of the flat
+    plan's program appends the state it steps from."""
+    program = sk.plan.program(sk.arity, CFG)
+    delta = program.delta
+    calls = []
+    monkeypatch.setattr(program, "delta", lambda u, x: calls.append(u) or delta(u, x))
+    return calls
+
+
 def _counted_evaluators(monkeypatch) -> list:
     """The list to which each `PrefixEvaluator` that `rollout` makes
     appends itself."""
@@ -1046,16 +1057,21 @@ def _lazy_worlds():
 
 @pytest.mark.parametrize("world", ["flat", "domino"])
 def test_a_rollout_whose_every_step_is_looked_up_makes_no_evaluator(monkeypatch, world):
-    # the evaluator is made at the first step the memo lacks: the second run
-    # of one episode through one table looks every step up and makes none
+    # a flat plan's miss is one call of its program's `delta` and makes no
+    # evaluator; a domino world's evaluator is made at the first step the
+    # memo lacks.  The second run of one episode through one table looks
+    # every step up, and calls and makes nothing
     [(_, env, sk)] = [w for w in _lazy_worlds() if w[0] == world]
     made, updates = _counted_evaluators(monkeypatch), _counted_updates(monkeypatch)
+    deltas = _counted_deltas(monkeypatch, sk) if world == "flat" else []
     first = rollout(env, sk, CFG, lambda t, i: 0, 0, env.beta)
-    assert len(made) == 1 and 0 < len(updates) <= env.beta
-    made.clear()
-    updates.clear()
+    misses = deltas if world == "flat" else updates
+    assert len(made) == (world == "domino") and 0 < len(misses) <= env.beta
+    assert len(updates) == (world == "domino") * len(misses)
+    for calls in (made, updates, deltas):
+        calls.clear()
     second = rollout(env, sk, CFG, lambda t, i: 0, 0, env.beta)
-    assert made == [] and updates == []
+    assert made == [] and updates == [] and deltas == []
     assert _bits(second.rhos + [second.terminal_rho]) == _bits(first.rhos + [first.terminal_rho])
 
 
@@ -1102,6 +1118,16 @@ def test_train_takes_the_skolemized_formula_that_setup_compiled(monkeypatch):
     assert printed == [] and env.table is table and table.sk is sk
     other = hq.load_formula(cfg.formula_path)
     assert skolemize(other) is not sk and skolemize(other) is skolemize(other)
+
+
+def test_train_releases_the_world_table_when_an_episode_raises():
+    # a formula that reads a valuation the world's labels lack raises in the
+    # first episode; the world's table keeps no Q rows of the call after it
+    env = WildfireEnv(4)
+    with pytest.raises(UnknownValuationError):
+        train(env, hq.parse_formula("forall t1. forall t2. G [ nosuch@t1 < 5 ]"),
+              Hyperparams(xi=2), 1)
+    assert env.table.make_row is None and env.table.rows == []
 
 
 def test_train_rejects_a_negative_seed_before_any_episode():
@@ -1181,9 +1207,9 @@ def test_train_scores_each_domino_state_once(monkeypatch):
     # extraction's beta + 1 states
     assert len(prefixes) <= ids + (h.xi + 1) + (beta + 3)
 
-    # a labelled world under a flat plan updates once per step it has not
-    # looked up, from a monitor state into an id, plus the final check; under
-    # a nested plan, once per step
+    # a labelled world under a flat plan calls `delta` once per step it has
+    # not looked up, from a monitor state into root values, and updates only
+    # for the final check; under a nested plan, it updates once per step
     rng = random.Random(5)
     columns = [tuple(_kernel_label(rng) for _ in range(2)) for _ in range(9)]
     grid = load_map_file(hq.bundled("maps/fair4.map"))
@@ -1192,11 +1218,12 @@ def test_train_scores_each_domino_state_once(monkeypatch):
     for env, f in labelled:
         updates.clear()
         tables.clear()
+        deltas = _counted_deltas(monkeypatch, skolemize(f)) if skolemize(f).plan.flat else None
         train(env, f, Hyperparams(xi=30), seed=7)
         [table] = tables
         looked_up = _memo_entries(table)
-        if skolemize(f).plan.flat:
-            assert 0 < looked_up == len(updates) - 1 <= env.beta, env.kind
+        if deltas is not None:
+            assert 0 < looked_up == len(deltas) <= env.beta and len(updates) == 1, env.kind
         else:
             assert looked_up == 0 and len(updates) == (30 + 1) * env.beta + 1, env.kind
 
@@ -1314,15 +1341,16 @@ def test_monitor_shapes_match_the_oracles_on_fresh_and_warm_tables(monkeypatch):
     # random bodies of G F, F G and U over pointwise operands, most of them
     # flat: every reward equals `signed_eval` bit for bit and `naive_eval`
     # by value, scored afresh along one path and looked up on a table whose
-    # episodes repeat their steps
+    # episodes repeat their steps, where a flat plan calls `delta` on a miss
     rng = random.Random(2828)
-    flat = updated = steps = 0
+    flat = stepped = steps = 0
     for case in range(80):
         sk = skolemize(hq.parse_formula("forall t1. forall t2. " + _monitor_text(rng)))
         columns = [(_kernel_label(rng), _kernel_label(rng)) for _ in range(rng.randint(2, 24))]
         _assert_rewards_match_all(_LabelScript(columns), sk)
         env = _LabelCycle([(_kernel_label(rng), _kernel_label(rng)) for _ in range(5)], 12)
         updates = _counted_updates(monkeypatch)
+        deltas = _counted_deltas(monkeypatch, sk) if sk.plan.flat else []
         records = _warm_table_episodes(env, sk, 12, 3, rng)
         monkeypatch.undo()
         for record in records:
@@ -1333,10 +1361,62 @@ def test_monitor_shapes_match_the_oracles_on_fresh_and_warm_tables(monkeypatch):
                 assert _bits([rho]) == _bits([expected]), (case, t)
                 assert rho == naive_eval(z, 0, len(z), sk.body, CFG), (case, t)
         if sk.plan.flat:
+            assert updates == []
             flat += 1
-            updated += len(updates)
+            stepped += len(deltas)
             steps += sum(record.steps for record in records)
-    assert flat > 40 and 0 < updated < steps // 3
+    assert flat > 40 and 0 < stepped < steps // 3
+
+
+def _delta_rewards(program, columns) -> list:
+    """The rewards of `columns`' prefixes of two positions on, folding the
+    monitor step `program.delta` from the first column's packed root
+    values."""
+    u, rewards = program.pack(*program.roots(columns[0])), []
+    for column in columns[1:]:
+        u, rho = program.delta(u, program.pack(*program.roots(column)))
+        rewards.append(rho)
+    return rewards
+
+
+def test_delta_scores_every_prefix_as_a_from_scratch_evaluation(monkeypatch):
+    # a flat plan's monitor step, folded over random columns, gives each
+    # prefix's robustness bit for bit: from the start's root values at the
+    # first step, from a packed state of its own after that.  X at position
+    # 0 keeps the value at position 1
+    rng = random.Random(3434)
+    cases = [(skolemize(hq.parse_formula("forall t1. forall t2. " + _monitor_text(rng))),
+              _kernel_label) for _ in range(80)]
+    cases += [(_signed_zero_formula(body), _zero_label)
+              for body in _SIGNED_ZERO_BODIES + ["X {c}", "X !{c} | G F {c}"]]
+    flat = 0
+    for sk, make_label in cases:
+        if not sk.plan.flat:
+            continue
+        flat += 1
+        for _ in range(4):
+            columns = [tuple(make_label(rng) for _ in range(sk.arity))
+                       for _ in range(rng.randint(2, 12))]
+            expected = [eval_hyper([Trace(labels) for labels in zip(*columns[:t + 1])], sk, CFG)
+                        for t in range(1, len(columns))]
+            assert _bits(_delta_rewards(sk.plan.program(sk.arity, CFG), columns)) == \
+                _bits(expected), sk.body
+    assert flat > 50
+    # G F and F G read their operand's newest value, where G and F fold:
+    # their `shape` entries differ, so with no source compiled yet each gets
+    # its own, whichever is compiled first
+    for order in (["G {c}", "G F {c}"], ["G F {c}", "G {c}"], ["F {c}", "F G {c}"],
+                  ["F G {c}", "F {c}"]):
+        monkeypatch.setattr(robustness, "_MAKES", {})
+        for body in order:
+            sk = _signed_zero_formula(body)
+            plan = Plan(sk.body)    # a plan of its own, which compiles its program anew
+            columns = [(_zero_label(rng),) for _ in range(12)]
+            rewards = _delta_rewards(plan.program(1, CFG), columns)
+            for t, rho in enumerate(rewards, start=2):
+                z = zip_traces([Trace(labels) for labels in zip(*columns[:t])])
+                assert rho == naive_eval(z, 0, t, sk.body, CFG), (order, body, t)
+                assert rho == PrefixEvaluator(plan, 1, CFG).update(z.columns), (order, body, t)
 
 
 def test_kernel_bodies_cover_their_shapes():
@@ -1432,15 +1512,22 @@ def test_plan_is_flat_when_its_temporal_steps_read_fused_roots_alone():
     assert [plan.flat for plan in plans] == [True] * 4 + [False] * 3 + [True] * 3 + [False] * 2
 
     def monitor(plan):
-        return [(type(plan.steps[i][0]).__name__, j) for i, j in plan.monitor]
+        # the locals that `delta` packs into the state it returns: r{i} a
+        # root's value at position 0, s{i} and g{i} a temporal step's state
+        [packed] = [line.partition("Q.pack(")[2].partition(")")[0].split(", ")
+                    for line in robustness._delta_lines(plan) if "return Q.pack(" in line]
+        program, column = plan.program(2, CFG), (Label(frozenset({"a"}), {"v": 1.0}),) * 2
+        start = program.pack(*program.roots(column))
+        assert len(program.delta(start, start)[0]) == 8 * len(packed)
+        return [(type(plan.steps[int(name[1:])][0]).__name__, name[0]) for name in packed]
 
     # the monitor state holds the roots' values at position 0 and the G, F,
     # X and U steps' states, a U's two values; not the body, the pointwise
     # steps over these, or a G F, which reads the newest column
-    assert monitor(plans[1]) == [("And", 0), ("BoolProp", 0), ("Always", 0)]
-    assert monitor(plans[7]) == [("Predicate", 0), ("Not", 0), ("BoolProp", 0)]
-    assert monitor(plans[8]) == [("Or", 0), ("Not", 0), ("Until", 0), ("Until", 1),
-                                 ("BoolProp", 0)]
+    assert monitor(plans[1]) == [("And", "r"), ("BoolProp", "r"), ("Always", "s")]
+    assert monitor(plans[7]) == [("Predicate", "r"), ("Not", "r"), ("BoolProp", "r")]
+    assert monitor(plans[8]) == [("Or", "r"), ("Not", "r"), ("BoolProp", "r"), ("Until", "s"),
+                                 ("Until", "g")]
     # under X, or as an operand of U, G F, F G and U keep one value per
     # position; G F and F G are `last` steps wherever they are
     assert [[(type(plan.steps[i][0]).__name__, plan.last[i]) for i in plan.temporal
@@ -1492,10 +1579,11 @@ def _warm_table_episodes(env, sk, episodes, starts, rng):
                                   "{c} U !{c}", "G F {c} | F G !{c}",
                                   *_MONITOR_BODIES[:3]])
 def test_rollout_rewards_on_a_warm_table_match_from_scratch(monkeypatch, body):
-    # a flat plan's steps are looked up by (monitor state, id) in one table
-    # that episodes from several start states share, so most steps cost no
-    # evaluator update; every reward still equals a from-scratch evaluation
-    # bit for bit, the sign of a zero included
+    # a flat plan's steps are looked up by (monitor state, root values) in
+    # one table that episodes from several start states share, so most steps
+    # cost no call of `delta` and none an evaluator update; every reward
+    # still equals a from-scratch evaluation bit for bit, the sign of a zero
+    # included
     if "{c}" in body:
         sk, make_label = _signed_zero_formula(body), _zero_label
     else:
@@ -1505,10 +1593,10 @@ def test_rollout_rewards_on_a_warm_table_match_from_scratch(monkeypatch, body):
     rng = random.Random(body)
     worlds = [_LabelCycle([tuple(make_label(rng) for _ in range(sk.arity)) for _ in range(5)], 12)
               for _ in range(10)]
-    updates = _counted_updates(monkeypatch)
+    updates, deltas = _counted_updates(monkeypatch), _counted_deltas(monkeypatch, sk)
     runs = [(env, _warm_table_episodes(env, sk, 30, 3, rng)) for env in worlds]
     steps = sum(record.steps for _, records in runs for record in records)
-    assert 0 < len(updates) < steps // 4
+    assert 0 < len(deltas) < steps // 4 and updates == []
     monkeypatch.undo()
     for env, records in runs:
         for record in records:
@@ -1523,9 +1611,9 @@ def test_rollout_rewards_on_a_warm_table_match_from_scratch(monkeypatch, body):
                                         ("fairness", True), ("pcp_ab", False)])
 def test_bundled_formulas_take_the_lookup_by_their_plans(monkeypatch, name, flat):
     # safe_rl.hltl, rescue's U over atoms and fairness's G F look their
-    # steps up; pcp_ab's nested U keeps one evaluator update per step in a
-    # labelled world, even on a warm table whose steps repeat.  A formula
-    # edit that leaves the lookup fails here
+    # steps up and call `delta` on a miss alone; pcp_ab's nested U keeps one
+    # evaluator update per step in a labelled world, even on a warm table
+    # whose steps repeat.  A formula edit that leaves the lookup fails here
     sk = skolemize(hq.load_formula(hq.bundled(f"formulas/{name}.hltl")))
     assert sk.plan.flat == flat
     rng = random.Random(name)
@@ -1536,8 +1624,9 @@ def test_bundled_formulas_take_the_lookup_by_their_plans(monkeypatch, name, flat
 
     env = _LabelCycle([(label(), label()) for _ in range(5)], 12)
     updates = _counted_updates(monkeypatch)
+    deltas = _counted_deltas(monkeypatch, sk) if flat else []
     steps = sum(record.steps for record in _warm_table_episodes(env, sk, 20, 2, rng))
-    assert len(updates) < steps // 4 if flat else len(updates) == steps
+    assert (0 < len(deltas) < steps // 4 and updates == []) if flat else len(updates) == steps
 
 
 def test_a_flat_formula_over_growing_energies_keeps_the_memo_bounded(monkeypatch):
@@ -1703,8 +1792,8 @@ def test_plan_has_one_step_per_distinct_subformula():
 
 def test_plan_keeps_one_value_for_steps_read_at_position_zero_alone():
     # a step that only !, &, | and -> read on the way to the body is needed
-    # at position 0 alone; atoms, U and whatever a temporal operator reads
-    # keep one value per position
+    # at position 0 alone; atoms, G, F and U (other than G F and F G) and
+    # whatever a temporal operator reads keep one value per position
     def heads(text):
         plan = skolemize(hq.parse_formula(text)).plan
         return [type(node).__name__ for (node, _), whole in zip(plan.steps, plan.whole)
@@ -1713,6 +1802,7 @@ def test_plan_keeps_one_value_for_steps_read_at_position_zero_alone():
     assert heads("forall t1. G F p@t1 & !X q@t1") == ["Always", "Next", "Not", "And"]
     assert heads("forall t1. p@t1 U G q@t1") == []
     assert heads("forall t1. X !(p@t1 & q@t1)") == ["Next"]
-    for name, count in (("fairness", 5), ("safe_rl", 5), ("pcp_ab", 0)):
+    assert heads("forall t1. G p@t1 & F q@t1 & (p@t1 U q@t1)") == ["And", "And"]
+    for name, count in (("fairness", 4), ("safe_rl", 2), ("pcp_ab", 0)):
         sk = skolemize(hq.load_formula(hq.bundled(f"formulas/{name}.hltl")))
         assert sum(not whole for whole in sk.plan.whole) == count
