@@ -30,10 +30,12 @@ tree has at most `MAX_DEPTH` levels, a parenthesis counting as one.
 
 `read_input` reads every file the command line takes (formula, config, map,
 domino set, traces, artifact) and raises an `InputError` that names the file.
+It reads the file on every call and parses each distinct text once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -448,6 +450,10 @@ def load_formula(path, parse=parse_formula):
 def read_input(noun: str, path, parse=None):
     """The text of the `noun` file at `path`, read as UTF-8, or `parse` of it.
 
+    The file is read on every call, so an edited file is a new text.  The
+    value `parse` gave is kept for the last 64 distinct `(parse, text)`
+    pairs and handed to every call that reads one of them again, so nothing
+    may mutate it; a text that fails to parse is parsed again on every call.
     Raises InputError naming the file when it is missing, cannot be read, is
     not UTF-8 (with the line of the first bad byte) or when `parse` raises
     ValueError.
@@ -469,9 +475,15 @@ def read_input(noun: str, path, parse=None):
     if parse is None:
         return text
     try:
-        return parse(text)
+        return _parsed(parse, text)
     except ValueError as exc:
         raise InputError(f"{noun} file {path}: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=64)
+def _parsed(parse, text: str):
+    """`parse(text)`; `lru_cache` keeps no call that raised."""
+    return parse(text)
 
 
 # ---------------------------------------------------------------------------

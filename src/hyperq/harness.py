@@ -23,9 +23,11 @@ Relative paths resolve against the config file's directory.  Exit codes:
 Every file a command takes is read by `formula.read_input`.  A command
 prints an `InputError` it meets as one line on stderr and exits with code 2:
 ``config error: `` leads what `train` and `eval` find in a config and the
-files it names (a `ConfigError`), ``error: `` anything else.  A formula file
-is read on every call, but each distinct text is parsed and skolemized once
-per process (`compile_formula`).
+files it names (a `ConfigError`), ``error: `` anything else.  Each file is
+read on every call, but each distinct text of a formula (parsed and
+skolemized by `compile_formula`), config, map, domino set or traces file is
+parsed once per process; an artifact is parsed on every call.  Each
+command's argument parser is built once per process (`build_parser`).
 """
 
 from __future__ import annotations
@@ -80,22 +82,21 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
+        """The config at `path`, checked on every call.  Its text's sections
+        are parsed once per process (`read_input`); the result holds its own
+        copies of them."""
         path = Path(path)
-        # without interpolation, a '%' in a value is that character
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
         try:
-            parser.read_string(read_input("config", path))
+            sections = read_input("config", path, _config_sections)
         except InputError as exc:
             raise ConfigError(str(exc)) from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"config file {path}: {_config_syntax(exc)}") from exc
         for section in ("experiment", "environment"):
-            if section not in parser:
+            if section not in sections:
                 raise ConfigError(f"config is missing the [{section}] section")
-        unknown = sorted(set(parser.sections()) - {"experiment", "environment", "hyperparams"})
+        unknown = sorted(set(sections) - {"experiment", "environment", "hyperparams"})
         if unknown:
             raise ConfigError(f"unknown section(s) {', '.join(f'[{s}]' for s in unknown)}")
-        exp = parser["experiment"]
+        exp = sections["experiment"]
         unknown = sorted(set(exp) - _EXPERIMENT_KEYS)
         if unknown:
             raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [experiment]")
@@ -123,15 +124,14 @@ class ExperimentConfig:
         if min(seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
 
-        hp_section = dict(parser["hyperparams"]) if "hyperparams" in parser else {}
-        hyperparams = _parse_hyperparams(hp_section)
+        hyperparams = _parse_hyperparams(sections.get("hyperparams", {}))
 
         out = Path(exp.get("output_dir", f"results/{path.stem}"))
         if not out.is_absolute():
             out = base / out
         return ExperimentConfig(
             formula_path=formula_path,
-            environment=dict(parser["environment"]),
+            environment=dict(sections["environment"]),
             hyperparams=hyperparams,
             seeds=seeds,
             output_dir=out,
@@ -147,13 +147,13 @@ class ExperimentConfig:
     def setup(self) -> tuple:
         """Formula, skolemized formula, environment and episode length.
 
-        Calls on one formula text share its `compile_formula` pair; the
-        world is built afresh.  Raises ConfigError when the formula or an
-        environment file cannot be read or parsed, or when the pieces do not
-        fit together.  One step of joint action 0, every slot's first
-        action, is scored, so a formula that reads a valuation the world's
-        labels lack is found here, on every call.  The step scores into the
-        world's table, which `train` and `eval` reuse.
+        Calls on one formula text share its `compile_formula` pair (see
+        `read_input`); the world is built afresh.  Raises ConfigError when
+        the formula or an environment file cannot be read or parsed, or when
+        the pieces do not fit together.  One step of joint action 0, every
+        slot's first action, is scored, so a formula that reads a valuation
+        the world's labels lack is found here, on every call.  The step
+        scores into the world's table, which `train` and `eval` reuse.
         """
         try:
             f, sk = load_formula(self.formula_path, compile_formula)
@@ -172,13 +172,24 @@ class ExperimentConfig:
         return f, sk, env, beta
 
 
-@functools.lru_cache(maxsize=64)
 def compile_formula(text: str) -> tuple:
     """The Formula of a formula file's text and its skolemized form, whose
-    plan keeps its programs.  Only a text that parsed is kept, so a
-    FormulaError is raised afresh on every call."""
+    plan keeps its programs."""
     f = parse_formula(text)
     return f, skolemize(f)
+
+
+def _config_sections(text: str) -> dict:
+    """Each section of a config's text as a dict of its keys' values."""
+    # without interpolation, a '%' in a value is that character; a default
+    # section that no header line can name leaves [DEFAULT] a section of its own
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None,
+                                       default_section="\n")
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(_config_syntax(exc)) from exc
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def _config_syntax(exc: configparser.Error) -> str:
@@ -393,10 +404,9 @@ def cmd_eval(policy_path, config_path) -> int:
     _check_policies(policy_path, policies, env)
     rob_cfg = cfg.hyperparams.config()
     record = greedy_rollout(policies, env, sk, rob_cfg, seed=cfg.seeds[0], beta=beta)
-    for t, rho in enumerate(record.rhos):
-        print(f"step {t + 1}: rho {rho}")
     verdict = sat_verdict(record.terminal_rho, rob_cfg)
-    print(f"verdict: {verdict.value}")
+    print("".join(f"step {t}: rho {rho}\n" for t, rho in enumerate(record.rhos, 1))
+          + f"verdict: {verdict.value}")
     if witnesses or sk.decls:
         try:
             # one table per Skolem declaration, with its signature
@@ -473,9 +483,11 @@ def _define(parser, options: dict, run, dest="subject") -> argparse.ArgumentPars
     return parser
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of `command`, named `hyperq <command>` as the full parser's
-    subparser of it is; without one, the full `hyperq` parser."""
+    subparser of it is; without one, the full `hyperq` parser.  Each is built
+    once per process and reused."""
     if command:
         return _define(argparse.ArgumentParser(prog=f"hyperq {command}"), *_COMMANDS[command][1:])
     return _define(argparse.ArgumentParser(

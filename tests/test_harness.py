@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +24,10 @@ from hyperq.harness import (
     read_artifacts,
     write_artifacts,
 )
-from hyperq.formula import FormulaError, parse_formula
+from hyperq.formula import _parsed, load_formula, parse_formula
 from hyperq.learner import Hyperparams, train
 from hyperq.robustness import RobustnessConfig
-from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file
+from hyperq.worlds import PcpEnv, WildfireEnv, load_domino_file, load_dominoes, load_map
 
 
 def write_micro_config(tmp_path, out_name="out", xi=15, reps=2, formula=None, extra_env="",
@@ -135,11 +136,15 @@ def test_cmd_train_rejects_unknown_environment_key(tmp_path, capsys):
     ("xi = 15", "xi = 15\ngamma = 5%", "gamma must be a number, got '5%'"),
     ("[experiment]", "garbage\n[experiment]", "line 2 comes before the first [section] header"),
     ("xi = 15", "xi = 15\n= 3", "is not a key = value line"),
+    # configparser would merge a [DEFAULT] section into every other one
+    ("[experiment]", "[DEFAULT]\n[experiment]", "unknown section(s) [DEFAULT]"),
+    ("[experiment]", "[DEFAULT]\nfoo = 1\n[experiment]", "unknown section(s) [DEFAULT]"),
 ], ids=["repetitions", "base_seed", "seeds", "xi", "gamma", "duplicate_key", "negative_base_seed",
         "negative_seed", "duplicate_seed", "rho_max_negative", "rho_max_zero", "rho_max_nan",
         "rho_max_inf", "learning_rate_nan", "learning_rate_negative", "epsilon_negative",
         "epsilon_end_negative", "experiment_key", "experiment_keys", "hyperparameters_section",
-        "extra_section", "not_utf8", "percent", "no_section", "no_key"])
+        "extra_section", "not_utf8", "percent", "no_section", "no_key", "empty_default_section",
+        "default_section"])
 def test_config_rejects_malformed_values(tmp_path, capsys, old, new, message):
     p = write_micro_config(tmp_path, reps=1)
     # Latin-1 writes one byte per character: the lone byte 0xe9 is not UTF-8
@@ -754,6 +759,20 @@ def test_setup_calls_on_one_config_share_the_compiled_formula(tmp_path):
     assert f2 is f and sk2 is sk and env2 is not env
 
 
+def test_what_load_returns_is_the_callers_own(tmp_path):
+    # calls on one config text share its parsed sections, but not what load makes of them
+    p = write_micro_config(tmp_path)
+    cfg = ExperimentConfig.load(p)
+    want = (dict(cfg.environment), dataclasses.replace(cfg.hyperparams))
+    cfg.environment["beta"] = "9"
+    cfg.environment["extra"] = "x"
+    cfg.hyperparams.xi = 1
+    cfg.hyperparams.gamma = 0.5
+    again = ExperimentConfig.load(p)
+    assert (again.environment, again.hyperparams) == want
+    assert again.environment is not cfg.environment and again.hyperparams is not cfg.hyperparams
+
+
 def test_check_reads_a_formula_file_rewritten_between_calls(tmp_path, capsys):
     path = tmp_path / "f.hltl"
     for text in ("forall t1. F a@t1", "forall t1. G b@t1"):
@@ -773,33 +792,56 @@ def test_a_negative_zero_constant_compiles_apart_from_zero(tmp_path, capsys):
         assert len(lines) == 2 and all(line.endswith(f"< {constant} ]") for line in lines)
 
 
-def test_a_formula_that_fails_to_parse_fails_alike_on_every_call(tmp_path, capsys):
-    text = "forall t1. F (a@t1\n"
-    with pytest.raises(FormulaError) as exc:
-        parse_formula(text)
-    paths = [tmp_path / "a.hltl", tmp_path / "b.hltl"]
+@pytest.mark.parametrize("noun", ["formula", "config", "map", "domino"])
+def test_a_formula_that_fails_to_parse_fails_alike_on_every_call(tmp_path, capsys, noun):
+    # no failure is memoised: each call parses the text again and names its own path
+    if noun == "config":
+        reason = "line 1 comes before the first [section] header"
+    else:
+        with pytest.raises(ValueError) as exc:
+            {"formula": parse_formula, "map": load_map, "domino": load_dominoes}[noun](
+                _UNPARSABLE[noun])
+        reason = str(exc.value)
+    formulas = hq.bundled("formulas")
+    paths = [tmp_path / f"a.{noun}", tmp_path / f"b.{noun}"]
     configs = {}
     for path in paths:
-        path.write_text(text)
-        configs[path] = str(write_micro_config(tmp_path, path.stem, formula=path))
-    for command, code, prefix in (("check", 1, "syntax error"), ("train", 2, "config error"),
-                                  ("eval", 2, "config error")):
+        path.write_text(_UNPARSABLE[noun])
+        env, formula = {
+            "map": (f"kind = grid\nmap = {path}", formulas / "safe_rl.hltl"),
+            "domino": (f"kind = pcp\ndominoes = {path}", formulas / "pcp_ab.hltl"),
+        }.get(noun, ("kind = wildfire\nbeta = 4", path))
+        configs[path] = str(path if noun == "config" else
+                            write_micro_config(tmp_path, path.stem, formula=formula, env=env))
+    commands = {"formula": ("check", "train", "eval"), "domino": ("train", "eval", "pcp")}.get(
+        noun, ("train", "eval"))
+    for command in commands:
+        code, prefix = {"check": (1, "syntax error"), "pcp": (2, "error")}.get(
+            command, (2, "config error"))
         for path in (paths[0], paths[0], paths[1]):
             argv = {"check": ["check", str(path)], "train": ["train", "--config", configs[path]],
-                    "eval": ["eval", "--policy", "never-read", "--config", configs[path]]}[command]
+                    "eval": ["eval", "--policy", "never-read", "--config", configs[path]],
+                    "pcp": ["oracle", "pcp", "--dominoes", str(path)]}[command]
             assert main(argv) == code
-            assert capsys.readouterr() == ("", f"{prefix}: formula file {path}: {exc.value}\n")
+            assert capsys.readouterr() == ("", f"{prefix}: {noun} file {path}: {reason}\n")
 
 
 def test_the_formula_memo_compiles_its_oldest_text_again_past_its_bound(tmp_path):
-    bound = compile_formula.cache_info().maxsize
+    # the memo `read_input` keeps for every parsed input kind
+    bound = _parsed.cache_info().maxsize
     cfg = ExperimentConfig.load(write_micro_config(tmp_path))
     f = cfg.setup()[0]
+    other = tmp_path / "other.hltl"
+
+    def compile_text(text):
+        other.write_text(text)
+        load_formula(other, compile_formula)
+
     for i in range(bound - 1):
-        compile_formula(f"forall t1. F [ v@t1 < {i} ]\n")
+        compile_text(f"forall t1. F [ v@t1 < {i} ]\n")
     assert cfg.setup()[0] is f
     for i in range(bound):
-        compile_formula(f"forall t1. F [ v@t1 > {i} ]\n")
+        compile_text(f"forall t1. F [ v@t1 > {i} ]\n")
     again = cfg.setup()[0]
     assert again is not f and again == f
 
@@ -817,14 +859,18 @@ def test_a_compiled_plan_keeps_a_bounded_number_of_programs(tmp_path):
 
 
 def _reduced(tmp_path, name: str, xi: int) -> Path:
-    """The bundled config `name` at `xi` episodes and one seed, writing to tmp_path/out."""
+    """The bundled config `name` at `xi` episodes and one seed, writing to tmp_path/out,
+    with a copy of its map or domino set in tmp_path."""
     configs = hq.bundled("configs")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read(configs / name)
     for section, key in (("experiment", "formula"), ("environment", "map"),
                          ("environment", "dominoes")):
         if key in parser[section]:
-            parser[section][key] = str((configs / parser[section][key]).resolve())
+            source = (configs / parser[section][key]).resolve()
+            if key != "formula":
+                source = Path(shutil.copy(source, tmp_path))
+            parser[section][key] = str(source)
     parser["experiment"].update(repetitions="1", output_dir=str(tmp_path / "out"))
     parser["hyperparams"]["xi"] = str(xi)
     path = tmp_path / name
@@ -839,13 +885,34 @@ def test_repeated_eval_prints_what_a_fresh_process_prints(tmp_path, capsys, conf
     assert main(["train", "--config", str(path)]) == 0
     capsys.readouterr()
     argv = ["eval", "--policy", str(tmp_path / "out" / "artifacts_1.txt"), "--config", str(path)]
-    fresh = subprocess.run([sys.executable, "-m", "hyperq", *argv], env=_fresh_env(),
-                           capture_output=True)
-    assert fresh.stdout.startswith(b"step 1: rho ")
-    for _ in range(3):
+
+    def fresh() -> tuple:
+        run = subprocess.run([sys.executable, "-m", "hyperq", *argv], env=_fresh_env(),
+                             capture_output=True)
+        return run.returncode, run.stdout, run.stderr
+
+    def in_process() -> tuple:
         code = main(argv)
         out, err = capsys.readouterr()
-        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        return code, out.encode(), err.encode()
+
+    want = fresh()
+    assert want[1].startswith(b"step 1: rho ")
+    for _ in range(3):
+        assert in_process() == want
+    # each file is read on every call: an edited config, map or domino set is
+    # a new text, and the old text is met again once the file is restored
+    edits = [(path, path.read_text().replace("[hyperparams]\n", "[hyperparams]\nbeta = 2\n"))]
+    edits += [(world, _UNPARSABLE[{".map": "map", ".dom": "domino"}[world.suffix]])
+              for world in tmp_path.iterdir() if world.suffix in (".map", ".dom")]
+    assert len(edits) == (1 if "wildfire" in config else 2)
+    for edited, text in edits:
+        original = edited.read_text()
+        edited.write_text(text)
+        printed = fresh()
+        assert printed != want and in_process() == printed
+        edited.write_text(original)
+        assert in_process() == want
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in hq.bundled("configs").glob("*.ini")))
@@ -939,12 +1006,16 @@ options:
                          ids=[" ".join(["hyperq", *argv]) for argv, *_ in _CLI_TEXT])
 @pytest.mark.parametrize("via", ["argv", "sys.argv"])
 def test_cli_text(capsys, monkeypatch, argv, code, out, err, via):
-    # `main(None)` reads sys.argv[1:], as the console script calls it
-    monkeypatch.setenv("COLUMNS", "80")
+    # `main(None)` reads sys.argv[1:], as the console script calls it.  Each
+    # parser is built once per process: a reused one prints the same text, at
+    # the width of its call (every usage line here wraps at 40 columns)
     monkeypatch.setattr(sys, "argv", ["hyperq", *argv] if via == "sys.argv" else ["pytest"])
-    with pytest.raises(SystemExit) as exc:
-        main(argv if via == "argv" else None)
-    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+    for columns in ("80", "40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv if via == "argv" else None)
+        assert exc.value.code == code
+        assert (capsys.readouterr() == (out, err)) == (columns == "80")
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch, tmp_path):

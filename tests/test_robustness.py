@@ -153,9 +153,10 @@ def test_roots_raise_unknown_valuation(text):
 
 
 def test_plans_of_one_formula_share_one_compiled_kernel():
-    # eval skolemizes anew, so its plan must not compile the kernel again
-    path = hq.bundled("formulas/pcp_ab.hltl")
-    first, second = (skolemize(hq.load_formula(path)).plan for _ in range(2))
+    # two parses of one text (`read_input` keeps one of them per process)
+    # skolemize apart, so the second plan must not compile the kernel again
+    text = hq.bundled("formulas/pcp_ab.hltl").read_text()
+    first, second = (skolemize(parse_formula(text)).plan for _ in range(2))
     assert first is not second
     programs = [plan.program(2, CFG) for plan in (first, second)]
     assert programs[0] is not programs[1]
